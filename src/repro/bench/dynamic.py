@@ -18,7 +18,7 @@ from repro.bench.format import render_table
 from repro.exec import Executor, RunSpec, default_executor
 from repro.indexes.bplustree import BPlusTree
 from repro.params import CacheParams, IXCACHE_ENERGY_FJ, SimParams
-from repro.sim.engine import Engine, WalkTrace
+from repro.sim.engine import Engine, TraceBatch
 from repro.sim.memsys import make_memsys
 from repro.mem.dram import DRAM
 from repro.workloads.keygen import zipf_stream
@@ -61,7 +61,8 @@ def mix_cell(
         e_access=IXCACHE_ENERGY_FJ if kind.startswith("metal") else 7_000.0,
     )
     memsys = make_memsys(kind, cache_params=params)
-    traces: list[WalkTrace] = []
+    # Walks stream into one columnar batch as they are generated.
+    batch = TraceBatch()
     ok = True
     for i in range(num_ops):
         if pending and rng.random() > read_fraction:
@@ -69,12 +70,13 @@ def mix_cell(
             tree.insert(key, key)
             present.append(key)
         key = present[lookup_keys[i % len(lookup_keys)] % len(present)]
-        traces.append(memsys.process_walk(tree, key))
+        batch.add_accesses(memsys.process_walk(tree, key).accesses)
+        batch.end_walk()
         if tree.get(key) != key:
             ok = False
     sim = SimParams()
     engine = Engine(sim, DRAM(sim.dram))
-    timing = engine.run(traces)
+    timing = engine.run_batch(batch)
     return {
         "makespan": timing.makespan,
         "avg_walk_latency": timing.avg_walk_latency,

@@ -218,11 +218,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     workload_kwargs = {}
     if getattr(args, "backend", None):
         workload_kwargs["backend"] = args.backend
-    sim_kwargs = {}
-    if getattr(args, "engine", None):
-        sim_kwargs["engine"] = args.engine
-    if getattr(args, "walk_batch", None) is not None:
-        sim_kwargs["walk_batch"] = args.walk_batch
     workload = build_workload(
         args.workload, scale=args.scale, seed=args.seed, **workload_kwargs
     )
@@ -234,7 +229,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             cache_bytes=args.cache_kb * 1024 if args.cache_kb else None,
             record_latencies=True,
             workload_kwargs=tuple(sorted(workload_kwargs.items())),
-            sim_kwargs=tuple(sorted(sim_kwargs.items())),
         )
         for kind in kinds
     ]
@@ -749,12 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systems", type=str, default=None,
                    help="comma-separated subset, e.g. stream,metal")
     p.add_argument("--cache-kb", type=int, default=None)
-    p.add_argument("--engine", choices=("heap", "bucket"), default=None,
-                   help="event engine (bucket = calendar queue; "
-                        "byte-identical results)")
-    p.add_argument("--walk-batch", type=int, default=None,
-                   help="walks per vectorized batch (0 = scalar walks; "
-                        "byte-identical results)")
     p.add_argument("--backend", choices=("object", "soa"), default=None,
                    help="index storage backend (soa enables batched "
                         "walk generation)")

@@ -117,7 +117,12 @@ class TileParams:
 
 @dataclass(frozen=True)
 class SimParams:
-    """Top-level bundle handed to the simulation engine."""
+    """Top-level bundle handed to the simulation engine.
+
+    Every run takes the same timed pipeline (``repro.sim.batch``); only
+    ``trace`` and ``faults`` change what it does, by binding the event
+    loop's hooks.
+    """
 
     dram: DRAMParams = field(default_factory=DRAMParams)
     tile: TileParams = field(default_factory=TileParams)
@@ -138,8 +143,8 @@ class SimParams:
     #: costs roughly double a set-indexed lookup at these entry counts).
     t_fa_probe: int = 24
     #: Enable the observability layer (repro.obs): structured event tracing
-    #: plus counter snapshots in RunResult. Off by default; the untraced
-    #: path stays allocation-free.
+    #: plus counter snapshots in RunResult. Off by default; the engine
+    #: then binds no trace hooks.
     trace: bool = False
     #: Ring-buffer capacity of the tracer (events beyond this are dropped
     #: oldest-first; per-kind counts stay exact).
@@ -148,20 +153,6 @@ class SimParams:
     #: None — and, contractually, any plan whose rates are all zero —
     #: leaves every hot path byte-identical to the fault-free simulator.
     faults: "FaultPlan | None" = None
-    #: Event-queue implementation: ``"heap"`` is the classic binary-heap
-    #: loop; ``"bucket"`` drains a cycle-indexed calendar queue, visiting
-    #: every context due at the same cycle in one pass. Contractually
-    #: byte-identical results (the bucket drain reproduces the heap's
-    #: (cycle, context) tie-break order exactly); traced and faulted runs
-    #: always take the general heap loop regardless of this setting.
-    engine: str = "heap"
-    #: Walk-generation chunk size for the vectorized batch pipeline: >0
-    #: routes timed, untraced, fault-free runs through
-    #: ``repro.sim.batch`` — numpy ``searchsorted`` path resolution over
-    #: SoA index levels plus a columnar access stream — in chunks of this
-    #: many requests. 0 (the default) keeps the scalar per-walk path.
-    #: Results are contractually byte-identical either way.
-    walk_batch: int = 0
 
 
 DEFAULT_SIM = SimParams()

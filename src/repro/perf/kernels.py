@@ -9,20 +9,17 @@ even when the timing looks plausible.
 
 The profiled hot paths these kernels pin down (see docs/performance.md):
 
-* ``engine_loop``   — :meth:`Engine.run` heap scheduling over mixed
-  DRAM/SRAM/compute access traces.
+* ``engine_loop``   — :meth:`Engine.run` over mixed DRAM/SRAM/compute
+  access traces: columnarization plus the calendar-queue event loop.
 * ``dram_access``   — :meth:`DRAM.access` bank/row timing arithmetic.
 * ``ix_probe_fill`` — :class:`IXCache` insert + probe (set placement and
   range-tag match).
 * ``walk_gen``      — B+tree ``walk()`` plus the per-node
   :func:`_node_blocks` footprint used by every memory system.
 * ``simulate_e2e``  — the full ``build_memsys`` + :func:`simulate` cell
-  the bench matrix is made of (scan workload, METAL system), run on the
-  vectorized backend (SoA storage, bucket engine, batched walks). Its
-  checksum is the scalar path's digest: drift means the byte-identity
-  gate broke.
-* ``bucket_drain``      — the calendar-queue engine over the same traces
-  ``engine_loop`` times (same checksum: the engines are equivalent).
+  the bench matrix is made of (scan workload, METAL system, SoA
+  storage). Its checksum is the ``RunResult`` digest: drift means the
+  simulated result changed.
 * ``batched_walk_gen``  — ``searchsorted`` chunk resolution through the
   SoA level arrays plus the vectorized block-count baseline.
 * ``vector_dram_decomp`` — array block->(bank,row) decomposition.
@@ -188,22 +185,6 @@ def _run_walks(state: Any) -> int:
 
 
 # --------------------------------------------------------------------- #
-# bucket_drain
-# --------------------------------------------------------------------- #
-
-
-def _run_bucket(traces: Any) -> int:
-    from repro.params import SimParams
-    from repro.sim.engine import Engine
-
-    engine = Engine(SimParams(engine="bucket"))
-    result = engine.run(traces, record_latencies=True)
-    return (result.makespan * 1_000_003
-            + result.total_walk_cycles
-            + sum(result.walk_latencies)) % (1 << 61)
-
-
-# --------------------------------------------------------------------- #
 # batched_walk_gen
 # --------------------------------------------------------------------- #
 
@@ -267,35 +248,29 @@ def _setup_simulate(scale: float) -> Any:
 
 
 def _run_simulate(workload: Any) -> str:
-    from dataclasses import replace
-
     from repro.bench.runner import run_workload
 
-    sim = replace(workload.config.sim_params(), engine="bucket",
-                  walk_batch=256)
-    result = run_workload(workload, "metal", sim=sim)
+    result = run_workload(workload, "metal")
     return _checksum_json(result.to_dict())
 
 
 #: name -> (setup, run, description)
 KERNELS: dict[str, tuple[SetupFn, RunFn, str]] = {
     "engine_loop": (_setup_engine, _run_engine,
-                    "Engine.run heap loop over synthetic mixed traces"),
+                    "Engine.run event loop over synthetic mixed traces"),
     "dram_access": (_setup_dram, _run_dram,
                     "DRAM.access bank/row timing arithmetic"),
     "ix_probe_fill": (_setup_ix, _run_ix,
                       "IXCache insert + probe (placement and range match)"),
     "walk_gen": (_setup_walks, _run_walks,
                  "B+tree walk() + per-node _node_blocks footprint"),
-    "bucket_drain": (_setup_engine, _run_bucket,
-                     "calendar-queue engine over the engine_loop traces"),
     "batched_walk_gen": (_setup_batched_walks, _run_batched_walks,
                          "searchsorted chunk walks + vectorized baseline"),
     "vector_dram_decomp": (_setup_vector_dram, _run_vector_dram,
                            "array block->(bank,row) DRAM decomposition"),
     "simulate_e2e": (_setup_simulate, _run_simulate,
                      "build_memsys + simulate for scan/metal on the "
-                     "vectorized backend (to_dict digest)"),
+                     "SoA backend (to_dict digest)"),
 }
 
 

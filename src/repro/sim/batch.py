@@ -1,214 +1,64 @@
-"""Vectorized batch pipeline: columnar traces + numpy walk generation.
+"""The simulate pipeline: chunked walk generation into one columnar stream.
 
-The scalar path in :mod:`repro.sim.metrics` materializes one
-:class:`~repro.sim.engine.Access` object per timed step — roughly ten
-objects per walk — and re-derives every node footprint and DRAM bank
-split inside the event loop. This module replaces that representation
-for timed, untraced, fault-free runs:
-
-* :class:`TraceBatch` — one columnar access stream for the whole run
-  (parallel ``kinds``/``a1``/``a2`` int lists plus per-walk offsets),
-  consumed by ``Engine.run_batch`` which vectorizes the block ->
-  (bank, row) decomposition up front (``DRAM.decompose``).
 * :class:`BatchWalkPlanner` — numpy walk generation over the SoA
   B+tree (:meth:`~repro.indexes.soa.SoABPlusTree.batch_positions`):
   one ``searchsorted`` per level per key chunk instead of one per
   (key, node), plus memoized per-node emission templates.
-* :func:`simulate_batched` — the drop-in twin of
-  :func:`repro.sim.metrics.simulate` for the gated configuration.
+* :func:`simulate_batched` — the body of
+  :func:`repro.sim.metrics.simulate`: generates every walk into a
+  :class:`~repro.sim.engine.TraceBatch` in chunks of ``WALK_CHUNK``
+  requests, times it with ``Engine.run_batch`` (or
+  ``Engine.run_functional``), and bundles the metrics.
 
-Byte-identity with the scalar path is a hard contract: every field of
-``RunResult.to_dict()`` — makespan, DRAM stats (including float energy,
-accumulated in the same event order), cache stats, working-set metrics,
-histograms — matches the scalar run bit for bit. ``tests/
-test_vector_equivalence.py`` and the CI ``vectorized-equivalence`` job
-enforce it across all six systems.
-
-Indexes without SoA level arrays (the object backend, skip lists,
-radix tables) and range-scan requests fall back to the scalar trace
-generators per request and are converted into the columnar stream by
-:meth:`TraceBatch.add_trace`, so mixed workloads stay exact.
+Untraced, fault-free runs generate through each memory system's
+``process_chunk`` (native columnar emitters where the index has SoA
+level arrays). Indexes without them (the object backend, skip lists,
+radix tables), range scans, and every traced or faulted run go through
+the per-request generators (``process_walk``/``process_range_scan``),
+where the memory-system trace and fault sites are. The golden digests
+in ``tests/`` pin all of these paths.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any
 
 import numpy as np
 
 from repro.mem.dram import DRAM
-from repro.mem.layout import Allocator
 from repro.obs.histogram import Histogram
+from repro.obs.registry import Registry
+from repro.obs.tracer import Tracer
 from repro.params import BLOCK_SIZE, SimParams
-from repro.sim.engine import Engine, K_DRAM, K_LATENCY, K_PREFETCH, K_SRAM
+from repro.sim.engine import K_COMPUTE, K_DRAM, Engine, TraceBatch
 from repro.sim.memsys import MemorySystem, _blocks_for, _node_blocks
 from repro.sim.metrics import RunResult
 from repro.workloads.stream import chunked
 
-#: Memoized small tuples for template assembly: a node with ``nb``
+#: Requests per walk-generation chunk. Chunking never reaches results.
+WALK_CHUNK = 256
+
+#: Memoized small columns for template assembly: a node with ``nb``
 #: blocks always emits ``nb`` DRAM entries plus one search step.
-_KIND_TUPLES: dict[int, tuple[int, ...]] = {}
-_ZERO_TUPLES: dict[int, tuple[int, ...]] = {}
+_KIND_ROWS: dict[int, array] = {}
+_ZERO_ROWS: dict[int, array] = {}
 
 
-def _kinds_tuple(nb: int) -> tuple[int, ...]:
-    t = _KIND_TUPLES.get(nb)
+def _kinds_row(nb: int) -> array:
+    t = _KIND_ROWS.get(nb)
     if t is None:
-        t = (K_DRAM,) * nb + (K_LATENCY,)
-        _KIND_TUPLES[nb] = t
+        t = array("b", (K_DRAM,) * nb + (K_COMPUTE,))
+        _KIND_ROWS[nb] = t
     return t
 
 
-def _zeros_tuple(n: int) -> tuple[int, ...]:
-    t = _ZERO_TUPLES.get(n)
+def _zeros_row(n: int) -> array:
+    t = _ZERO_ROWS.get(n)
     if t is None:
-        t = (0,) * n
-        _ZERO_TUPLES[n] = t
+        t = array("q", [0] * n)
+        _ZERO_ROWS[n] = t
     return t
-
-
-class TraceBatch:
-    """Columnar access stream for one run: the batch twin of WalkTrace.
-
-    Parallel lists hold one small int per timed step: ``kinds`` is the
-    K_* code, ``a1``/``a2`` the operands (address + write flag for DRAM,
-    port + service cycles for SRAM, cycles for latency-only steps).
-    ``offsets[i]:offsets[i+1]`` delimits walk ``i``. Multi-block
-    extents (data-object fetches) are pre-expanded to one entry per
-    64B block — exactly the per-offset loop the scalar engine runs.
-    """
-
-    __slots__ = (
-        "kinds", "a1", "a2", "offsets", "start_levels", "visits",
-        "index_dram", "short_circuited", "full_hits", "nodes_visited",
-        "data_base", "_arrays",
-    )
-
-    def __init__(self) -> None:
-        self.kinds: list[int] = []
-        self.a1: list[int] = []
-        self.a2: list[int] = []
-        self.offsets: list[int] = [0]
-        self.start_levels: list[int] = []
-        self.visits: list[int] = []
-        self.index_dram = 0
-        self.short_circuited = 0
-        self.full_hits = 0
-        self.nodes_visited = 0
-        self.data_base = Allocator.DATA_BASE
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    @property
-    def num_walks(self) -> int:
-        return len(self.offsets) - 1
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stream as int64 arrays (memoized; built once per run)."""
-        if self._arrays is None:
-            self._arrays = (
-                np.array(self.kinds, dtype=np.int64),
-                np.array(self.a1, dtype=np.int64),
-                np.array(self.a2, dtype=np.int64),
-            )
-        return self._arrays
-
-    def finish_walk(
-        self, request: Any, start_level: int, visited: int,
-        short: bool, full: bool,
-    ) -> None:
-        """Close one walk: append its data/compute tail and metadata.
-
-        Mirrors the scalar epilogue in ``simulate`` exactly — the
-        data-object fetch and compute step land after the index trace
-        and are never counted as index DRAM traffic.
-        """
-        if request.data_address is not None:
-            address = request.data_address
-            nbytes = request.data_bytes
-            kinds = self.kinds
-            a1 = self.a1
-            a2 = self.a2
-            if nbytes <= BLOCK_SIZE:
-                kinds.append(K_DRAM)
-                a1.append(address)
-                a2.append(0)
-            else:
-                for offset in range(0, nbytes, BLOCK_SIZE):
-                    kinds.append(K_DRAM)
-                    a1.append(address + offset)
-                    a2.append(0)
-        if request.compute_cycles:
-            self.kinds.append(K_LATENCY)
-            self.a1.append(request.compute_cycles)
-            self.a2.append(0)
-        self.offsets.append(len(self.kinds))
-        self.start_levels.append(start_level)
-        self.visits.append(visited)
-        self.nodes_visited += visited
-        if short:
-            self.short_circuited += 1
-        if full:
-            self.full_hits += 1
-
-    def add_trace(self, trace: Any, request: Any) -> None:
-        """Convert one scalar WalkTrace (the per-request fallback path).
-
-        Index-region DRAM accesses are counted at Access granularity
-        before the data/compute tail is appended — the same ordering the
-        scalar accounting loop uses.
-        """
-        kinds = self.kinds
-        a1 = self.a1
-        a2 = self.a2
-        data_base = self.data_base
-        index_dram = 0
-        for access in trace.accesses:
-            kind = access.kind
-            if kind == "dram":
-                address = access.address
-                if address < data_base:
-                    index_dram += 1
-                nbytes = access.nbytes
-                w = 1 if access.write else 0
-                if nbytes <= BLOCK_SIZE:
-                    kinds.append(K_DRAM)
-                    a1.append(address)
-                    a2.append(w)
-                else:
-                    for offset in range(0, nbytes, BLOCK_SIZE):
-                        kinds.append(K_DRAM)
-                        a1.append(address + offset)
-                        a2.append(w)
-            elif kind == "sram":
-                if access.port >= 0:
-                    kinds.append(K_SRAM)
-                    a1.append(access.port)
-                    a2.append(access.cycles)
-                else:
-                    kinds.append(K_LATENCY)
-                    a1.append(access.cycles)
-                    a2.append(0)
-            elif kind == "dram_prefetch":
-                address = access.address
-                nbytes = access.nbytes
-                if nbytes <= BLOCK_SIZE:
-                    kinds.append(K_PREFETCH)
-                    a1.append(address)
-                    a2.append(0)
-                else:
-                    for offset in range(0, nbytes, BLOCK_SIZE):
-                        kinds.append(K_PREFETCH)
-                        a1.append(address + offset)
-                        a2.append(0)
-            else:  # compute
-                kinds.append(K_LATENCY)
-                a1.append(access.cycles)
-                a2.append(0)
-        self.index_dram += index_dram
-        self.finish_walk(
-            request, trace.start_level, trace.nodes_visited,
-            bool(trace.short_circuited), bool(trace.full_hit),
-        )
 
 
 class BatchWalkPlanner:
@@ -293,13 +143,13 @@ class BatchWalkPlanner:
         return m
 
     def build_template(self, level: int, pos: int, t_search: int) -> tuple:
-        """(kinds, a1, a2, n_blocks) for one node visit + search step."""
+        """(kinds, a1, a2, n_blocks) columns for one node visit + search step."""
         blocks = self.blocks(level, pos)
         nb = len(blocks)
         return (
-            _kinds_tuple(nb),
-            blocks + (t_search,),
-            _zeros_tuple(nb + 1),
+            _kinds_row(nb),
+            array("q", blocks + (t_search,)),
+            _zeros_row(nb + 1),
             nb,
         )
 
@@ -332,9 +182,9 @@ class BatchWalkPlanner:
         """
         per_node = self.template_map(t_search)
         offsets = self._level_offsets
-        kinds: tuple = ()
-        a1: tuple = ()
-        a2: tuple = ()
+        kinds = array("b")
+        a1 = array("q")
+        a2 = array("q")
         total = 0
         nodes = []
         for position, pos in enumerate(row[base_level:]):
@@ -424,28 +274,27 @@ def _plan_chunk(
     return prepared, baseline
 
 
-def _batch_windowed_working_set(
+def _windowed_working_set(
     batch: TraceBatch, total_index_blocks: int, window: int
 ) -> float:
-    """Vectorized twin of ``metrics._windowed_working_set``.
+    """Average distinct index-region DRAM blocks per window of walks.
 
-    Distinct index-region DRAM blocks per window of walks, averaged.
-    Every batch DRAM entry is one 64B block, so distinct (window, block)
-    pairs fall out of one ``np.unique`` over an encoded pair array; the
-    final fraction average runs in python floats, in window order, so
-    the float result matches the scalar accumulation bit for bit.
+    This is the Fig. 16 working-set metric: how much of the index a
+    steady window of walks actually pulls from DRAM, over the index's
+    total blocks. Data-region accesses are excluded (identical across
+    cache designs). Every DRAM entry is one 64B block, so distinct
+    (window, block) pairs fall out of one ``np.unique`` over an encoded
+    pair array; the fractions are averaged in python floats, in window
+    order.
     """
     num_walks = batch.num_walks
     if total_index_blocks <= 0 or num_walks == 0:
         return 0.0
     kinds_arr, a1_arr, _ = batch.arrays()
-    offsets = np.array(batch.offsets, dtype=np.int64)
-    walk_of = np.repeat(
-        np.arange(num_walks, dtype=np.int64), np.diff(offsets)
-    )
-    is_index = (kinds_arr == K_DRAM) & (a1_arr < batch.data_base)
-    windows = walk_of[is_index] // window
-    blocks = a1_arr[is_index] // BLOCK_SIZE
+    index = np.flatnonzero((kinds_arr == K_DRAM) & (a1_arr < batch.data_base))
+    walk_of = np.searchsorted(batch.offsets, index, side="right") - 1
+    windows = walk_of // window
+    blocks = a1_arr[index] // BLOCK_SIZE
     num_windows = -(-num_walks // window)
     # Index blocks sit below DATA_BASE // 64 < 2**25; window ids fit
     # alongside them in an int64 without collision.
@@ -457,35 +306,77 @@ def _batch_windowed_working_set(
     return sum(fractions) / len(fractions)
 
 
+def _generate(
+    memsys: MemorySystem,
+    requests: list[Any],
+    batch: TraceBatch,
+    tracer: Tracer | None,
+    per_request: bool,
+) -> int:
+    """Generate every walk into ``batch``; return the streaming baseline.
+
+    ``per_request`` sends each request through the memory system's
+    per-request generator with ``tracer.walk`` set to its ordinal;
+    otherwise each chunk goes through ``process_chunk``.
+    """
+    planners: dict[int, BatchWalkPlanner | None] = {}
+    baseline_cache: dict[tuple[int, int], int] = {}
+    baseline = 0
+    ordinal = 0
+    for part in chunked(requests, WALK_CHUNK):
+        prepared, chunk_baseline = _plan_chunk(
+            part, planners, baseline_cache
+        )
+        baseline += chunk_baseline
+        if not per_request:
+            memsys.process_chunk(batch, part, prepared)
+            continue
+        for request in part:
+            if tracer is not None:
+                tracer.walk = ordinal
+            ordinal += 1
+            memsys.emit_walk(batch, request)
+    return baseline
+
+
 def simulate_batched(
     memsys: MemorySystem,
     requests: list[Any],
     sim: SimParams,
     total_index_blocks: int = 0,
+    timed: bool = True,
     record_latencies: bool = False,
     working_set_window: int = 2_000,
+    tracer: Tracer | None = None,
+    registry: Registry | None = None,
+    injector: Any = None,
 ) -> RunResult:
-    """Chunked, vectorized twin of :func:`repro.sim.metrics.simulate`.
+    """Generate, time, and measure one run (see :func:`~repro.sim.metrics.simulate`).
 
-    Only reached through the gate there: timed, untraced, fault-free
-    runs with ``sim.walk_batch > 0``. Trace generation goes through the
-    memory system's ``process_chunk`` (native columnar emitters for
-    stream/address/xcache/metal; scalar fallback otherwise), and timing
-    through ``Engine.run_batch``.
+    ``tracer``/``registry`` and the fault ``injector`` come already
+    attached to ``memsys``; this wires them into the engine too. Traced
+    and faulted runs generate per request, so the memory-system trace
+    and fault sites fire in request order.
     """
     batch = TraceBatch()
-    planners: dict[int, BatchWalkPlanner | None] = {}
-    baseline_cache: dict[tuple[int, int], int] = {}
-    baseline = 0
-    for part in chunked(requests, sim.walk_batch):
-        prepared, chunk_baseline = _plan_chunk(
-            part, planners, baseline_cache
-        )
-        baseline += chunk_baseline
-        memsys.process_chunk(batch, part, prepared)
-
+    baseline = _generate(
+        memsys, requests, batch, tracer,
+        per_request=tracer is not None or injector is not None,
+    )
     engine = Engine(sim, DRAM(sim.dram))
-    result = engine.run_batch(batch, record_latencies=record_latencies)
+    if tracer is not None:
+        tracer.walk = -1  # engine events carry explicit walk ids
+        engine.attach_obs(tracer, registry)
+        # The profiler and percentile gauges need per-walk latencies.
+        record_latencies = True
+    if injector is not None:
+        engine.attach_faults(injector)
+    if timed:
+        result = engine.run_batch(batch, record_latencies=record_latencies)
+    else:
+        result = engine.run_functional(batch, record_latencies=record_latencies)
+    if injector is not None:
+        injector.finalize(result.num_walks)
     latency_hist = (
         Histogram.from_values(result.walk_latencies)
         if result.walk_latencies else None
@@ -493,12 +384,30 @@ def simulate_batched(
     depth_hist = Histogram()
     if batch.visits:
         # Grouped ascending records land in the same buckets with the
-        # same count/total/min/max as the scalar per-walk loop.
+        # same count/total/min/max as one record per walk.
         for value, count in enumerate(
             np.bincount(np.asarray(batch.visits, dtype=np.int64)).tolist()
         ):
             if count:
                 depth_hist.record(value, count)
+    counters = None
+    if tracer is not None and registry is not None:
+        registry.set("engine.makespan", result.makespan)
+        registry.set("engine.num_walks", result.num_walks)
+        registry.set("engine.total_walk_cycles", result.total_walk_cycles)
+        registry.set("walks.short_circuited", batch.short_circuited)
+        registry.set("walks.full_hits", batch.full_hits)
+        registry.set("walks.nodes_visited", batch.nodes_visited)
+        for kind, count in tracer.counts.items():
+            registry.set(f"events.{kind}", count)
+        registry.set("events.dropped", tracer.dropped)
+        if latency_hist is not None and latency_hist.count:
+            for name, value in latency_hist.to_dict().items():
+                registry.set(f"walk_latency.{name}", value)
+        if depth_hist.count:
+            for name, value in depth_hist.to_dict().items():
+                registry.set(f"probe_depth.{name}", value)
+        counters = registry.snapshot()
     return RunResult(
         name=memsys.name,
         makespan=result.makespan,
@@ -515,21 +424,21 @@ def simulate_batched(
         bandwidth_utilization=engine.dram.bandwidth_utilization(
             max(1, result.makespan)
         ),
-        windowed_working_set=_batch_windowed_working_set(
+        windowed_working_set=_windowed_working_set(
             batch, total_index_blocks, working_set_window
         ),
         index_dram_accesses=batch.index_dram,
         baseline_index_accesses=baseline,
-        counters=None,
-        tracer=None,
+        counters=counters,
+        tracer=tracer,
         latency_hist=latency_hist,
         depth_hist=depth_hist,
-        faults=None,
+        faults=injector.stats.to_dict() if injector is not None else None,
     )
 
 
 __all__ = [
     "BatchWalkPlanner",
-    "TraceBatch",
+    "WALK_CHUNK",
     "simulate_batched",
 ]

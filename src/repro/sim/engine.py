@@ -4,32 +4,52 @@ Each compute tile multiplexes several walker contexts (Section 3.2: "we
 multiplex multiple walks on a single thread", yielding at long-latency
 states). The engine models exactly that: walks are assigned round-robin to
 ``tiles x walker_contexts`` contexts; contexts advance one access at a time
-in global time order, so independent walks overlap their DRAM latencies
-(memory-level parallelism) while bank occupancy provides the bandwidth
-ceiling.
+in global ``(cycle, context)`` order, so independent walks overlap their
+DRAM latencies (memory-level parallelism) while bank occupancy provides the
+bandwidth ceiling.
+
+The engine has one timed event loop, :meth:`Engine.run_batch`, over a
+columnar access stream (:class:`TraceBatch`). Tracing and fault injection
+are hooks in that loop (:class:`_Hooks`); on untraced, fault-free runs no
+hook is bound and DRAM/crossbar timing runs inline.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.mem.dram import DRAM
+from repro.mem.layout import Allocator
 from repro.obs.tracer import NULL_TRACER
 from repro.params import BLOCK_SIZE, SimParams
 from repro.sim.noc import Crossbar
 
 
-#: Kind codes of the columnar access stream (``repro.sim.batch``): the
-#: batch pipeline stores one small int per access instead of an Access
-#: object. ``K_LATENCY`` covers compute steps and portless SRAM probes —
-#: everything the event loop times as a plain ``now += cycles``.
+#: Kind codes of the columnar access stream: one small int per timed step
+#: instead of an Access object.
 K_DRAM = 0
 K_PREFETCH = 1
-K_SRAM = 2
-K_LATENCY = 3
+K_SRAM = 2  # probe through a crossbar port
+K_COMPUTE = 3
+K_LOCAL = 4  # port-less SRAM probe: latency only, like compute
+#: ``a2`` flag of a DRAM/prefetch block that continues the access of the
+#: entry before it (accesses wider than one block are stored per block).
+CONT = 2
+
+# Event codes the loop uses on top of the stream's: a DRAM block with
+# more blocks of the same access after it, and a step run by the hooks.
+_E_MORE = 5
+_E_HOOK = 6
+
+#: Walks per vectorized event-preparation chunk, and blocks per
+#: touched-block set update: both bound temporaries by a constant.
+_PREP_WALKS = 2_048
+_TOUCH_CHUNK = 1 << 16
 
 
 @dataclass(slots=True)
@@ -76,6 +96,273 @@ class EngineResult:
         return self.total_walk_cycles / self.num_walks
 
 
+class TraceBatch:
+    """Columnar access stream for one run, plus per-walk metadata.
+
+    Parallel int arrays hold one entry per timed step: ``kinds`` is the
+    K_* code, ``a1``/``a2`` the operands (address + write flag for DRAM,
+    port + service cycles for SRAM, cycles for latency-only steps).
+    ``offsets[i]:offsets[i+1]`` delimits walk ``i``. An access wider
+    than one 64B block is stored as one entry per block; every block
+    after the first carries the ``CONT`` flag, so the engine still
+    issues the whole access as one event.
+    """
+
+    __slots__ = (
+        "kinds", "a1", "a2", "offsets", "start_levels", "visits",
+        "index_dram", "short_circuited", "full_hits", "nodes_visited",
+        "data_base",
+    )
+
+    def __init__(self) -> None:
+        self.kinds = array("b")
+        self.a1 = array("q")
+        self.a2 = array("q")
+        self.offsets: list[int] = [0]
+        self.start_levels: list[int] = []
+        self.visits: list[int] = []
+        self.index_dram = 0
+        self.short_circuited = 0
+        self.full_hits = 0
+        self.nodes_visited = 0
+        self.data_base = Allocator.DATA_BASE
+
+    @classmethod
+    def from_traces(cls, traces: list[WalkTrace]) -> "TraceBatch":
+        """Columnarize WalkTraces, one walk each."""
+        batch = cls()
+        for trace in traces:
+            batch.add_accesses(trace.accesses)
+            batch.end_walk(
+                trace.start_level, trace.nodes_visited,
+                bool(trace.short_circuited), bool(trace.full_hit),
+            )
+        return batch
+
+    @property
+    def num_walks(self) -> int:
+        return len(self.offsets) - 1
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only numpy views of the three columns (no copy).
+
+        The batch cannot grow while a view is alive.
+        """
+        return (
+            np.frombuffer(self.kinds, dtype=np.int8),
+            np.frombuffer(self.a1, dtype=np.int64),
+            np.frombuffer(self.a2, dtype=np.int64),
+        )
+
+    def add_blocks(self, kind: int, address: int, nbytes: int, write: int = 0) -> None:
+        """Append one DRAM/prefetch access, one entry per 64B block."""
+        self.kinds.append(kind)
+        self.a1.append(address)
+        self.a2.append(write)
+        for offset in range(BLOCK_SIZE, nbytes, BLOCK_SIZE):
+            self.kinds.append(kind)
+            self.a1.append(address + offset)
+            self.a2.append(write | CONT)
+
+    def add_accesses(self, accesses: list[Access]) -> None:
+        """Append one walk's accesses; counts its index-region DRAM ones."""
+        kinds = self.kinds
+        a1 = self.a1
+        a2 = self.a2
+        data_base = self.data_base
+        index_dram = 0
+        for access in accesses:
+            kind = access.kind
+            if kind == "dram":
+                if access.address < data_base:
+                    index_dram += 1
+                self.add_blocks(
+                    K_DRAM, access.address, access.nbytes,
+                    1 if access.write else 0,
+                )
+            elif kind == "sram":
+                if access.port >= 0:
+                    kinds.append(K_SRAM)
+                    a1.append(access.port)
+                    a2.append(access.cycles)
+                else:
+                    kinds.append(K_LOCAL)
+                    a1.append(access.cycles)
+                    a2.append(0)
+            elif kind == "dram_prefetch":
+                self.add_blocks(K_PREFETCH, access.address, access.nbytes)
+            else:  # compute
+                kinds.append(K_COMPUTE)
+                a1.append(access.cycles)
+                a2.append(0)
+        self.index_dram += index_dram
+
+    def end_walk(
+        self, start_level: int = 0, visited: int = 0,
+        short: bool = False, full: bool = False,
+    ) -> None:
+        """Close the current walk and record its hit-path metadata."""
+        self.offsets.append(len(self.kinds))
+        self.start_levels.append(start_level)
+        self.visits.append(visited)
+        self.nodes_visited += visited
+        if short:
+            self.short_circuited += 1
+        if full:
+            self.full_hits += 1
+
+    def finish_walk(
+        self, request: Any, start_level: int, visited: int,
+        short: bool, full: bool,
+    ) -> None:
+        """Close one walk: append its data/compute tail and metadata.
+
+        The data-object fetch and compute step land after the index trace
+        and are never counted as index DRAM traffic.
+        """
+        if request.data_address is not None:
+            self.add_blocks(K_DRAM, request.data_address, request.data_bytes)
+        if request.compute_cycles:
+            self.kinds.append(K_COMPUTE)
+            self.a1.append(request.compute_cycles)
+            self.a2.append(0)
+        self.end_walk(start_level, visited, short, full)
+
+    def add_trace(self, trace: WalkTrace, request: Any) -> None:
+        """Append one generated walk plus its request's data/compute tail."""
+        self.add_accesses(trace.accesses)
+        self.finish_walk(
+            request, trace.start_level, trace.nodes_visited,
+            bool(trace.short_circuited), bool(trace.full_hit),
+        )
+
+
+def _walk_sums(batch: TraceBatch, values: np.ndarray) -> list[int]:
+    """Per-walk sums of one value per stream entry."""
+    cum = np.concatenate(([0], np.cumsum(values)))
+    offsets = np.asarray(batch.offsets, dtype=np.int64)
+    return (cum[offsets[1:]] - cum[offsets[:-1]]).tolist()
+
+
+class _Hooks:
+    """Tracing and fault injection for one :meth:`Engine.run_batch` drain.
+
+    Hooked runs route every DRAM, prefetch and crossbar step through
+    ``DRAM.access``/``Crossbar.access``, where the trace and fault sites
+    live, one call per access in global event order: the fault schedule
+    cannot depend on whether tracing is on.
+    """
+
+    def __init__(self, engine: "Engine", batch: TraceBatch) -> None:
+        self.tracer = engine.tracer
+        self.tracing = self.tracer.enabled
+        self.faults = engine.faults
+        self.dram_access = engine.dram.access
+        self.xbar_access = engine.xbar.access
+        self.contexts = engine.contexts
+        self.kinds = batch.kinds
+        self.a1 = batch.a1
+        self.a2 = batch.a2
+        nw = batch.num_walks
+        self.num_walks = nw
+        self.retry = [0] * nw
+        self.degraded = [False] * nw
+        if self.tracing:
+            # Walk attribution: SRAM probe service and compute cycles.
+            # DRAM and crossbar components are carried by their own events.
+            kinds, a1, a2 = batch.arrays()
+            self.probe = _walk_sums(batch, np.where(
+                kinds == K_SRAM, a2, np.where(kinds == K_LOCAL, a1, 0)
+            ))
+            self.compute = _walk_sums(batch, np.where(kinds == K_COMPUTE, a1, 0))
+            for c in range(min(self.contexts, nw)):
+                self.tracer.emit("walk_start", ts=0, phase="engine",
+                                 walk=c, ctx=c)
+
+    def step(self, i: int, now: int, walk: int) -> int:
+        """Run the access whose first entry is ``i``; return its end."""
+        kind = self.kinds[i]
+        if self.tracing:
+            # Prefetches never stall the walker, so they stay out of
+            # per-walk attribution (walk = -1).
+            self.tracer.walk = -1 if kind == K_PREFETCH else walk
+        if kind == K_SRAM:
+            return self.xbar_access(self.a1[i], now, self.a2[i])
+        a1 = self.a1
+        a2 = self.a2
+        end = i + 1
+        while end < len(a2) and self.kinds[end] == kind and a2[end] & CONT:
+            end += 1
+        blocks = a1[i:end]
+        if kind == K_PREFETCH:
+            # Bandwidth and bank occupancy only; never stalls the walker.
+            for address in blocks:
+                self.dram_access(address, now)
+            return now
+        write = bool(a2[i] & 1)
+        for address in blocks:
+            now = self.dram_access(address, now, write=write)
+        faults = self.faults
+        if faults is not None:
+            fails = faults.walker_failures()
+            if fails:
+                now = self._retry(faults, blocks, write, now, fails, walk)
+        return now
+
+    def _retry(
+        self, faults, blocks: list[int], write: bool, now: int,
+        fails: int, walk: int,
+    ) -> int:
+        """Bounded retry-with-backoff for a transiently failed refill step.
+
+        The walker context's fetch returned garbage ``fails`` times in a
+        row: before re-fetch attempt ``i`` the context backs off
+        ``walker_backoff_cycles << i`` cycles, then re-issues the access's
+        DRAM blocks. Attempts within ``walker_retry_limit`` are clean
+        retries; a step that exhausts the budget completes through one
+        final degraded refetch and marks the walk degraded — the request
+        always finishes, it is never dropped.
+        """
+        stats = faults.stats
+        plan = faults.plan
+        backoff = plan.walker_backoff_cycles
+        for attempt in range(fails):
+            pause = backoff << attempt
+            now += pause
+            stats.retry_backoff_cycles += pause
+            self.retry[walk] += pause
+            for address in blocks:
+                now = self.dram_access(address, now, write=write)
+        limit = plan.walker_retry_limit
+        if fails > limit:
+            stats.retries += limit
+            stats.retries_exhausted += 1
+            self.degraded[walk] = True
+        else:
+            stats.retries += fails
+        return now
+
+    def end_walk(self, ctx: int, walk: int, now: int, latency: int) -> None:
+        faults = self.faults
+        if faults is not None and self.degraded[walk]:
+            faults.stats.walks_degraded += 1
+        if not self.tracing:
+            return
+        # The ``retry`` component exists only on faulted runs so
+        # fault-free traced output keeps its shape.
+        extra = (
+            {"retry": self.retry[walk], "degraded": self.degraded[walk]}
+            if faults is not None else {}
+        )
+        self.tracer.emit("walk_end", ts=now, phase="engine", walk=walk,
+                         ctx=ctx, latency=latency, probe=self.probe[walk],
+                         compute=self.compute[walk], **extra)
+        nxt = walk + self.contexts
+        if nxt < self.num_walks:
+            self.tracer.emit("walk_start", ts=now, phase="engine",
+                             walk=nxt, ctx=ctx)
+
+
 class Engine:
     """Times a batch of walk traces over one DRAM instance."""
 
@@ -84,8 +371,7 @@ class Engine:
         self.dram = dram or DRAM(self.params.dram)
         self.xbar = Crossbar(self.params.xbar)
         self.tracer = NULL_TRACER
-        #: Optional FaultInjector (repro.faults). None on fault-free runs:
-        #: the lean untraced loop is then taken unchanged.
+        #: Optional FaultInjector (repro.faults). None on fault-free runs.
         self.faults = None
 
     def attach_obs(self, tracer, registry=None) -> None:
@@ -95,12 +381,7 @@ class Engine:
         self.xbar.attach_obs(tracer, registry)
 
     def attach_faults(self, injector) -> None:
-        """Wire one FaultInjector through the engine, DRAM, and crossbar.
-
-        Faulted runs always take the general event loop (tracing on or
-        off), so the injection sites are visited in one canonical order
-        and the fault schedule cannot depend on observability settings.
-        """
+        """Wire one FaultInjector through the engine, DRAM, and crossbar."""
         self.faults = injector
         self.dram.faults = injector
         self.xbar.faults = injector
@@ -110,459 +391,111 @@ class Engine:
         return max(1, self.params.tiles * self.params.tile.walker_contexts)
 
     def run(self, traces: list[WalkTrace], record_latencies: bool = False) -> EngineResult:
-        """Event-driven timed run; returns makespan and walk latencies.
+        """Timed run over WalkTraces: columnarize, then :meth:`run_batch`."""
+        return self.run_batch(TraceBatch.from_traces(traces), record_latencies)
 
-        The tracer-off path (the default) is a separate branch-free loop:
-        no per-access ``tracer.enabled`` checks, hot attributes bound to
-        locals, and no heap traffic while the running context stays the
-        earliest event (``heappushpop`` only when another context is due).
-        Both paths produce identical results — the traced loop keeps the
-        straightforward one-event-per-iteration structure so event
-        ordering is obvious. Faulted runs (``attach_faults``) always take
-        the general loop, tracing on or off, so the injection sites are
-        visited in one canonical order and observability settings cannot
-        perturb the fault schedule.
+    def _events(
+        self, batch: TraceBatch, hooked: bool
+    ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+        """Flatten the stream into the loop's per-event field lists.
+
+        Returns ``(kind, x, y, pre, offsets)``. Latency-only entries
+        touch no shared state (no bank, no port), so any that are not
+        the last entry of their walk fold into ``pre``, a delay applied
+        before the following event: that event still executes at its
+        original cycle, in its original calendar bucket, so every
+        DRAM/crossbar access keeps its exact global order. Unhooked, a
+        DRAM event's ``x``/``y`` are its bank and row, a crossbar
+        event's its port and service cycles. Hooked, every DRAM,
+        prefetch and crossbar access is one ``_E_HOOK`` event whose
+        ``x`` is its first stream entry. Folding never crosses a walk
+        boundary, so the stream is prepared in walk-aligned chunks.
         """
-        result = EngineResult(num_walks=len(traces))
-        if not traces:
-            return result
-        contexts = self.contexts
-        queues: list[list[WalkTrace]] = [[] for _ in range(contexts)]
-        for i, trace in enumerate(traces):
-            queues[i % contexts].append(trace)
-
-        # Per-context cursor state: (walk index, access index, walk start).
-        heap: list[tuple[int, int]] = [(0, c) for c in range(contexts) if queues[c]]
-        heapq.heapify(heap)
-        walk_idx = [0] * contexts
-        access_idx = [0] * contexts
-        walk_start = [0] * contexts
-        makespan = 0
-        tracer = self.tracer
-        tracing = tracer.enabled
-        faults = self.faults
-        engine = self.params.engine
-        if engine not in ("heap", "bucket"):
-            raise ValueError(
-                f"unknown engine {engine!r}; choose 'heap' or 'bucket'"
-            )
-        if not tracing and faults is None:
-            if engine == "bucket":
-                return self._run_bucket(
-                    result, heap, queues, walk_idx, access_idx, walk_start,
-                    record_latencies,
-                )
-            return self._run_untraced(
-                result, heap, queues, walk_idx, access_idx, walk_start,
-                record_latencies,
-            )
-        # Walk i sits at queues[i % contexts][i // contexts], so the
-        # global walk ordinal is walk_idx * contexts + ctx.
-        if tracing:
-            for c in range(contexts):
-                if queues[c]:
-                    tracer.emit("walk_start", ts=0, phase="engine",
-                                walk=c, ctx=c)
-
-        # Per-context attribution accumulators (profiling): SRAM probe
-        # service cycles and compute cycles of the in-flight walk. DRAM
-        # and crossbar components are carried by their own events. With
-        # faults attached, retry_acc carries the in-flight walk's backoff
-        # cycles and degraded marks a walk that needed the fallback path.
-        probe_acc = [0] * contexts
-        compute_acc = [0] * contexts
-        retry_acc = [0] * contexts
-        degraded = [False] * contexts
-
-        while heap:
-            now, ctx = heapq.heappop(heap)
-            trace = queues[ctx][walk_idx[ctx]]
-            accesses = trace.accesses
-            if access_idx[ctx] < len(accesses):
-                access = accesses[access_idx[ctx]]
-                if tracing:
-                    # Walk-attribute the DRAM/crossbar events this access
-                    # emits; prefetches never stall the walker, so they
-                    # stay out of per-walk attribution (walk = -1).
-                    tracer.walk = (
-                        -1 if access.kind == "dram_prefetch"
-                        else walk_idx[ctx] * contexts + ctx
-                    )
-                if access.kind == "dram":
-                    for offset in range(0, max(access.nbytes, 1), BLOCK_SIZE):
-                        now = self.dram.access(
-                            access.address + offset, now, write=access.write
-                        )
-                    if faults is not None:
-                        fails = faults.walker_failures()
-                        if fails:
-                            now = self._retry_walker_step(
-                                faults, access, now, fails,
-                                retry_acc, degraded, ctx,
-                            )
-                elif access.kind == "dram_prefetch":
-                    # Prefetches consume bandwidth and bank occupancy but
-                    # do not stall the issuing walker.
-                    for offset in range(0, max(access.nbytes, 1), BLOCK_SIZE):
-                        self.dram.access(access.address + offset, now)
-                elif access.kind == "sram" and access.port >= 0:
-                    if tracing:
-                        probe_acc[ctx] += access.cycles
-                    now = self.xbar.access(access.port, now, access.cycles)
-                else:
-                    if tracing:
-                        if access.kind == "compute":
-                            compute_acc[ctx] += access.cycles
-                        else:
-                            probe_acc[ctx] += access.cycles
-                    now += access.cycles
-                access_idx[ctx] += 1
-                heapq.heappush(heap, (now, ctx))
+        kinds_all, a1_all, a2_all = batch.arrays()
+        walk_offsets = batch.offsets
+        ports = self.xbar.params.ports
+        ek: list[int] = []
+        ex: list[int] = []
+        ey: list[int] = []
+        pre: list[int] = []
+        offsets = [0]
+        for w0 in range(0, batch.num_walks, _PREP_WALKS):
+            w1 = min(w0 + _PREP_WALKS, batch.num_walks)
+            lo = walk_offsets[w0]
+            hi = walk_offsets[w1]
+            off = np.asarray(walk_offsets[w0:w1 + 1], dtype=np.int64) - lo
+            kinds = kinds_all[lo:hi]
+            a1 = a1_all[lo:hi]
+            is_last = np.zeros(hi - lo, dtype=bool)
+            ends = off[1:]
+            is_last[ends[ends > off[:-1]] - 1] = True
+            cont = (kinds <= K_PREFETCH) & ((a2_all[lo:hi] & CONT) != 0)
+            movable = (kinds >= K_COMPUTE) & ~is_last
+            drop = movable | cont if hooked else movable
+            keep = np.flatnonzero(~drop)
+            pre_sum = np.cumsum(np.where(movable, a1, 0))
+            pre_sum = np.concatenate(([0], pre_sum))[keep]
+            pre += np.diff(pre_sum, prepend=0).tolist()
+            kept = np.concatenate(([0], np.cumsum(~drop)))
+            offsets += (kept[off[1:]] + offsets[-1]).tolist()
+            k = kinds[keep]
+            x = a1[keep]
+            if hooked:
+                hook = k <= K_SRAM
+                ek += np.where(hook, _E_HOOK, K_COMPUTE).tolist()
+                xs = np.where(hook, keep + lo, x).tolist()
+                ex += xs
+                ey += xs
                 continue
-            # Walk complete.
-            latency = now - walk_start[ctx]
-            result.total_walk_cycles += latency
-            if record_latencies:
-                result.walk_latencies.append(latency)
-            makespan = max(makespan, now)
-            if faults is not None and degraded[ctx]:
-                faults.stats.walks_degraded += 1
-            if tracing:
-                # The ``retry`` component exists only on faulted runs so
-                # fault-free traced output stays byte-identical.
-                extra = (
-                    {"retry": retry_acc[ctx], "degraded": degraded[ctx]}
-                    if faults is not None else {}
-                )
-                tracer.emit("walk_end", ts=now, phase="engine",
-                            walk=walk_idx[ctx] * contexts + ctx,
-                            ctx=ctx, latency=latency,
-                            probe=probe_acc[ctx], compute=compute_acc[ctx],
-                            **extra)
-                probe_acc[ctx] = 0
-                compute_acc[ctx] = 0
-            retry_acc[ctx] = 0
-            degraded[ctx] = False
-            walk_idx[ctx] += 1
-            access_idx[ctx] = 0
-            walk_start[ctx] = now
-            if walk_idx[ctx] < len(queues[ctx]):
-                if tracing:
-                    tracer.emit("walk_start", ts=now, phase="engine",
-                                walk=walk_idx[ctx] * contexts + ctx, ctx=ctx)
-                heapq.heappush(heap, (now, ctx))
+            is_mem = k <= K_PREFETCH
+            banks, rows = self.dram.decompose(x)
+            ex += np.where(
+                is_mem, banks, np.where(k == K_SRAM, x % ports, x)
+            ).tolist()
+            # Rows repeat across a row's 32 blocks: share one int object
+            # per distinct value instead of one per event.
+            values, index = np.unique(
+                np.where(is_mem, rows, a2_all[lo:hi][keep]),
+                return_inverse=True,
+            )
+            ey += map(values.tolist().__getitem__, index.tolist())
+            more = np.zeros(hi - lo, dtype=bool)
+            more[:-1] = cont[1:]
+            event_kinds = np.where(k == K_LOCAL, K_COMPUTE, k)
+            event_kinds[more[keep] & (k == K_DRAM)] = _E_MORE
+            ek += event_kinds.tolist()
+        return ek, ex, ey, pre, offsets
 
-        result.makespan = makespan
-        return result
+    def run_batch(self, batch: TraceBatch, record_latencies: bool = False) -> EngineResult:
+        """Time a columnar access stream: the engine's one event loop.
 
-    def _retry_walker_step(
-        self,
-        faults,
-        access: Access,
-        now: int,
-        fails: int,
-        retry_acc: list[int],
-        degraded: list[bool],
-        ctx: int,
-    ) -> int:
-        """Bounded retry-with-backoff for a transiently failed refill step.
+        A calendar queue: contexts due at the same cycle sit in one
+        bucket and drain in ascending context order — the ``(cycle,
+        ctx)`` order of a binary heap, because only the running context
+        can schedule new events for itself at the current cycle (context
+        ids are unique in the queue, so a bucket never grows while it
+        drains). A context whose next event lands at a later cycle
+        re-files into that cycle's bucket; event times never decrease,
+        so a popped cycle is never revisited. One access is one event:
+        the blocks of a multi-block access issue back to back.
 
-        The walker context's fetch returned garbage ``fails`` times in a
-        row: before re-fetch attempt ``i`` the context backs off
-        ``walker_backoff_cycles << i`` cycles, then re-issues the node's
-        DRAM accesses. Attempts within ``walker_retry_limit`` are clean
-        retries; a step that exhausts the budget completes through one
-        final degraded refetch and marks the walk degraded — the request
-        always finishes, it is never dropped.
+        On untraced, fault-free runs DRAM and crossbar timing run inline
+        on pre-decomposed (bank, row) / port operands and the DRAM and
+        crossbar statistics are filled in vectorized at the end; with a
+        tracer or fault injector attached, :class:`_Hooks` runs those
+        steps through ``DRAM.access``/``Crossbar.access`` instead.
         """
-        stats = faults.stats
-        plan = faults.plan
-        backoff = plan.walker_backoff_cycles
-        dram_access = self.dram.access
-        nbytes = max(access.nbytes, 1)
-        address = access.address
-        write = access.write
-        for attempt in range(fails):
-            pause = backoff << attempt
-            now += pause
-            stats.retry_backoff_cycles += pause
-            retry_acc[ctx] += pause
-            for offset in range(0, nbytes, BLOCK_SIZE):
-                now = dram_access(address + offset, now, write=write)
-        limit = plan.walker_retry_limit
-        if fails > limit:
-            stats.retries += limit
-            stats.retries_exhausted += 1
-            degraded[ctx] = True
-        else:
-            stats.retries += fails
-        return now
-
-    def _run_untraced(
-        self,
-        result: EngineResult,
-        heap: list[tuple[int, int]],
-        queues: list[list[WalkTrace]],
-        walk_idx: list[int],
-        access_idx: list[int],
-        walk_start: list[int],
-        record_latencies: bool,
-    ) -> EngineResult:
-        """Lean event loop for NULL_TRACER runs (the bench-matrix path).
-
-        Event-for-event equivalent to the traced loop: the popped context
-        keeps executing inline while its next event is no later than the
-        heap head (the traced formulation re-pushes and immediately
-        re-pops the same entry in that case), and a single ``heappushpop``
-        replaces the push/pop pair when another context is due first.
-        """
-        dram_access = self.dram.access
-        xbar_access = self.xbar.access
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        block_size = BLOCK_SIZE
-        latencies = result.walk_latencies
-        total_cycles = 0
-        makespan = 0
-        while heap:
-            now, ctx = heappop(heap)
-            queue = queues[ctx]
-            qi = walk_idx[ctx]
-            accesses = queue[qi].accesses
-            na = len(accesses)
-            ai = access_idx[ctx]
-            while True:
-                if ai < na:
-                    access = accesses[ai]
-                    kind = access.kind
-                    if kind == "dram":
-                        nbytes = access.nbytes
-                        if nbytes <= block_size:
-                            now = dram_access(
-                                access.address, now, write=access.write
-                            )
-                        else:
-                            address = access.address
-                            write = access.write
-                            for offset in range(0, nbytes, block_size):
-                                now = dram_access(
-                                    address + offset, now, write=write
-                                )
-                    elif kind == "sram" and access.port >= 0:
-                        now = xbar_access(access.port, now, access.cycles)
-                    elif kind == "dram_prefetch":
-                        # Bandwidth/occupancy only; never stalls the walker.
-                        nbytes = access.nbytes
-                        if nbytes <= block_size:
-                            dram_access(access.address, now)
-                        else:
-                            address = access.address
-                            for offset in range(0, nbytes, block_size):
-                                dram_access(address + offset, now)
-                    else:
-                        now += access.cycles
-                    ai += 1
-                    if heap:
-                        head = heap[0]
-                        if head[0] < now or (head[0] == now and head[1] < ctx):
-                            access_idx[ctx] = ai
-                            now, ctx = heappushpop(heap, (now, ctx))
-                            queue = queues[ctx]
-                            qi = walk_idx[ctx]
-                            accesses = queue[qi].accesses
-                            na = len(accesses)
-                            ai = access_idx[ctx]
-                else:
-                    # Walk complete. The context continues at the same
-                    # cycle: re-pushing (now, ctx) would pop it right back
-                    # (it was the minimum and context ids are unique).
-                    latency = now - walk_start[ctx]
-                    total_cycles += latency
-                    if record_latencies:
-                        latencies.append(latency)
-                    if now > makespan:
-                        makespan = now
-                    qi += 1
-                    walk_idx[ctx] = qi
-                    walk_start[ctx] = now
-                    if qi < len(queue):
-                        ai = 0
-                        access_idx[ctx] = 0
-                        accesses = queue[qi].accesses
-                        na = len(accesses)
-                    else:
-                        break
-        result.total_walk_cycles = total_cycles
-        result.makespan = makespan
-        return result
-
-    def _run_bucket(
-        self,
-        result: EngineResult,
-        heap: list[tuple[int, int]],
-        queues: list[list[WalkTrace]],
-        walk_idx: list[int],
-        access_idx: list[int],
-        walk_start: list[int],
-        record_latencies: bool,
-    ) -> EngineResult:
-        """Calendar-queue event loop: drain one cycle's bucket in one pass.
-
-        Event-for-event equivalent to the heap loops. Contexts due at the
-        same cycle sit in one bucket and drain in ascending context order
-        — exactly the heap's ``(cycle, ctx)`` tie-break, because only the
-        running context can schedule new events for itself at the current
-        cycle (context ids are unique in the queue, so a bucket never
-        grows while it drains). A context whose next event lands at a
-        later cycle re-files into that cycle's bucket; event times are
-        monotonically non-decreasing, so a popped cycle is never revisited.
-        """
-        dram_access = self.dram.access
-        xbar_access = self.xbar.access
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        block_size = BLOCK_SIZE
-        latencies = result.walk_latencies
-        total_cycles = 0
-        makespan = 0
-        buckets: dict[int, list[int]] = {0: sorted(c for _, c in heap)}
-        bget = buckets.get
-        times: list[int] = [0]
-        while times:
-            t = heappop(times)
-            bucket = buckets.pop(t)
-            if len(bucket) > 1:
-                bucket.sort()
-            for ctx in bucket:
-                now = t
-                queue = queues[ctx]
-                qi = walk_idx[ctx]
-                accesses = queue[qi].accesses
-                na = len(accesses)
-                ai = access_idx[ctx]
-                while True:
-                    if ai < na:
-                        access = accesses[ai]
-                        kind = access.kind
-                        if kind == "dram":
-                            nbytes = access.nbytes
-                            if nbytes <= block_size:
-                                now = dram_access(
-                                    access.address, now, write=access.write
-                                )
-                            else:
-                                address = access.address
-                                write = access.write
-                                for offset in range(0, nbytes, block_size):
-                                    now = dram_access(
-                                        address + offset, now, write=write
-                                    )
-                        elif kind == "sram" and access.port >= 0:
-                            now = xbar_access(access.port, now, access.cycles)
-                        elif kind == "dram_prefetch":
-                            nbytes = access.nbytes
-                            if nbytes <= block_size:
-                                dram_access(access.address, now)
-                            else:
-                                address = access.address
-                                for offset in range(0, nbytes, block_size):
-                                    dram_access(address + offset, now)
-                        else:
-                            now += access.cycles
-                        ai += 1
-                        if now != t:
-                            # Re-file at the new cycle; intermediate
-                            # cycles (other contexts' events) drain first,
-                            # which is exactly when the heap would switch.
-                            access_idx[ctx] = ai
-                            walk_idx[ctx] = qi
-                            other = bget(now)
-                            if other is None:
-                                buckets[now] = [ctx]
-                                heappush(times, now)
-                            else:
-                                other.append(ctx)
-                            break
-                    else:
-                        # Walk complete; the context continues at the
-                        # same cycle (matching the heap loops).
-                        latency = now - walk_start[ctx]
-                        total_cycles += latency
-                        if record_latencies:
-                            latencies.append(latency)
-                        if now > makespan:
-                            makespan = now
-                        qi += 1
-                        walk_start[ctx] = now
-                        if qi < len(queue):
-                            ai = 0
-                            accesses = queue[qi].accesses
-                            na = len(accesses)
-                        else:
-                            walk_idx[ctx] = qi
-                            break
-        result.total_walk_cycles = total_cycles
-        result.makespan = makespan
-        return result
-
-    def run_batch(self, batch, record_latencies: bool = False) -> EngineResult:
-        """Time a columnar access stream (``repro.sim.batch.TraceBatch``).
-
-        The batch pipeline's twin of :meth:`run` for untraced, fault-free
-        runs: walk boundaries come from ``batch.offsets`` instead of
-        WalkTrace objects, block -> (bank, row) decomposition and crossbar
-        port hashing are vectorized up front (``DRAM.decompose``), and
-        scheduling uses the calendar queue of :meth:`_run_bucket`. Every
-        number written to ``self.dram.stats`` / ``self.xbar`` and the
-        returned EngineResult is byte-identical to the scalar path on the
-        equivalent WalkTrace list.
-        """
-        offsets = batch.offsets
-        nw = len(offsets) - 1
+        nw = batch.num_walks
         result = EngineResult(num_walks=nw)
         if nw == 0:
             return result
-        kinds = batch.kinds
-        kinds_arr, a1, a2 = batch.arrays()
-        is_mem = kinds_arr <= K_PREFETCH
-        banks_arr, rows_arr = self.dram.decompose(a1)
-        ports = self.xbar.params.ports
-        # Per-entry operands, pre-decomposed: p1 = bank / port / cycles,
-        # p2 = row / service cycles (numpy scalars are slow to index from
-        # the loop, so both drop to plain python lists).
-        p1_arr = np.where(
-            is_mem, banks_arr,
-            np.where(kinds_arr == K_SRAM, a1 % ports, a1),
+        hooks = (
+            _Hooks(self, batch)
+            if self.tracer.enabled or self.faults is not None else None
         )
-        p2_arr = np.where(is_mem, rows_arr, a2)
-        # Latency-only entries touch no shared state (no bank, no port),
-        # so any that are not the last entry of their walk fold into a
-        # *pre-delay* on the following entry. The delay is applied when
-        # the context is re-filed — the successor still executes at its
-        # original cycle, in its original calendar bucket, so every
-        # DRAM/crossbar access keeps its exact global order and the
-        # result stays byte-identical. Trailing latency entries remain
-        # real events (they define the walk's completion time).
-        off_arr = np.asarray(offsets, dtype=np.int64)
-        is_last = np.zeros(len(kinds_arr), dtype=bool)
-        is_last[off_arr[1:] - 1] = True
-        movable = (kinds_arr == K_LATENCY) & ~is_last
-        if movable.any():
-            vals = np.where(movable, a1, 0)
-            ecs = np.concatenate(([0], np.cumsum(vals)))
-            keep = ~movable
-            kept_idx = np.nonzero(keep)[0]
-            pre = np.diff(ecs[kept_idx], prepend=0).tolist()
-            keep_cum = np.concatenate(([0], np.cumsum(keep)))
-            offsets = keep_cum[off_arr].tolist()
-            events = list(zip(
-                kinds_arr[keep].tolist(),
-                p1_arr[keep].tolist(),
-                p2_arr[keep].tolist(),
-            ))
-        else:
-            pre = [0] * len(kinds_arr)
-            events = list(zip(kinds, p1_arr.tolist(), p2_arr.tolist()))
+        ek, ex, ey, pre, offsets = self._events(batch, hooks is not None)
+        step = hooks.step if hooks is not None else None
+        end_walk = hooks.end_walk if hooks is not None else None
 
         dram = self.dram
         t_access = dram._t_access
@@ -579,7 +512,6 @@ class Engine:
         latencies = result.walk_latencies
 
         contexts = self.contexts
-        active = list(range(min(contexts, nw)))
         walk_id = list(range(contexts))
         ai_l = [0] * contexts
         end_l = [0] * contexts
@@ -587,7 +519,7 @@ class Engine:
         buckets: dict[int, list[int]] = {}
         bget = buckets.get
         times: list[int] = []
-        for c in active:
+        for c in range(min(contexts, nw)):
             ai = offsets[c]
             end = offsets[c + 1]
             ai_l[c] = ai
@@ -595,10 +527,10 @@ class Engine:
             # A folded leading latency schedules the context's first real
             # event at its original cycle (walk start time stays 0).
             s = pre[ai] if ai < end else 0
-            other = buckets.get(s)
+            other = bget(s)
             if other is None:
                 buckets[s] = [c]
-                heapq.heappush(times, s)
+                heappush(times, s)
             else:
                 other.append(c)
         energy = 0.0
@@ -618,11 +550,13 @@ class Engine:
                 end = end_l[ctx]
                 while True:
                     if ai < end:
-                        k, x, y = events[ai]
+                        k = ek[ai]
                         if k == 0:  # dram (stalls the walker)
+                            x = ex[ai]
                             s = bank_free[x]
                             if s < now:
                                 s = now
+                            y = ey[ai]
                             if open_row[x] == y:
                                 now = s + t_row_hit
                                 energy += e_row_hit
@@ -634,19 +568,22 @@ class Engine:
                                 open_row[x] = y
                             bank_free[x] = s + t_occupancy
                         elif k == 3:  # latency only (compute / local sram)
-                            now += x
+                            now += ex[ai]
                         elif k == 2:  # sram via crossbar
+                            x = ex[ai]
                             s = port_free[x]
                             if s < now:
                                 s = now
                             else:
                                 xbar_wait += s - now
                             port_free[x] = s + x_occupancy
-                            now = s + y
-                        else:  # dram prefetch: occupancy, no walker stall
+                            now = s + ey[ai]
+                        elif k == 1:  # dram prefetch: occupancy, no stall
+                            x = ex[ai]
                             s = bank_free[x]
                             if s < now:
                                 s = now
+                            y = ey[ai]
                             if open_row[x] == y:
                                 energy += e_row_hit
                                 row_hits += 1
@@ -655,6 +592,29 @@ class Engine:
                                 row_misses += 1
                                 open_row[x] = y
                             bank_free[x] = s + t_occupancy
+                        elif k == _E_MORE:
+                            # A dram block with more of its access to come:
+                            # the next block issues back to back, with no
+                            # other context in between.
+                            x = ex[ai]
+                            s = bank_free[x]
+                            if s < now:
+                                s = now
+                            y = ey[ai]
+                            if open_row[x] == y:
+                                now = s + t_row_hit
+                                energy += e_row_hit
+                                row_hits += 1
+                            else:
+                                now = s + t_access
+                                energy += e_access
+                                row_misses += 1
+                                open_row[x] = y
+                            bank_free[x] = s + t_occupancy
+                            ai += 1
+                            continue
+                        else:
+                            now = step(ex[ai], now, walk_id[ctx])
                         ai += 1
                         if ai < end:
                             now += pre[ai]
@@ -674,7 +634,10 @@ class Engine:
                             latencies.append(latency)
                         if now > makespan:
                             makespan = now
-                        w = walk_id[ctx] + contexts
+                        w = walk_id[ctx]
+                        if end_walk is not None:
+                            end_walk(ctx, w, now, latency)
+                        w += contexts
                         if w < nw:
                             walk_id[ctx] = w
                             start_l[ctx] = now
@@ -695,28 +658,38 @@ class Engine:
                         else:
                             break
 
+        if hooks is None:
+            self._account(batch, energy, row_hits, row_misses, xbar_wait)
+        result.total_walk_cycles = total_cycles
+        result.makespan = makespan
+        return result
+
+    def _account(
+        self, batch: TraceBatch, energy: float, row_hits: int,
+        row_misses: int, xbar_wait: int,
+    ) -> None:
+        """Fill DRAM and crossbar statistics after an unhooked drain."""
+        kinds, a1, a2 = batch.arrays()
+        is_mem = kinds <= K_PREFETCH
+        mem_count = int(np.count_nonzero(is_mem))
+        writes = int(np.count_nonzero((kinds == K_DRAM) & ((a2 & 1) != 0)))
+        dram = self.dram
         stats = dram.stats
-        mem_count = int(is_mem.sum())
-        writes = int(((kinds_arr == K_DRAM) & (a2 != 0)).sum())
         stats.reads += mem_count - writes
         stats.writes += writes
         stats.bytes_moved += BLOCK_SIZE * mem_count
         stats.energy_fj += energy
         stats.row_hits += row_hits
         stats.row_misses += row_misses
-        if dram._block_shift is not None:
-            blocks = a1[is_mem] >> dram._block_shift
-        else:
-            blocks = a1[is_mem] // BLOCK_SIZE
-        stats.touched_blocks.update(blocks.tolist())
-        self.xbar.requests += int((kinds_arr == K_SRAM).sum())
+        blocks = a1[is_mem] // BLOCK_SIZE
+        touch = stats.touched_blocks.update
+        for lo in range(0, len(blocks), _TOUCH_CHUNK):
+            touch(blocks[lo:lo + _TOUCH_CHUNK].tolist())
+        self.xbar.requests += int(np.count_nonzero(kinds == K_SRAM))
         self.xbar.total_wait += xbar_wait
-        result.total_walk_cycles = total_cycles
-        result.makespan = makespan
-        return result
 
     def run_functional(
-        self, traces: list[WalkTrace], record_latencies: bool = False
+        self, traces: list[WalkTrace] | TraceBatch, record_latencies: bool = False
     ) -> EngineResult:
         """Untimed pass: nominal latencies, full traffic/energy accounting.
 
@@ -724,22 +697,31 @@ class Engine:
         bank contention. Each walk's latency is the serial sum of nominal
         access latencies; the makespan assumes perfect context overlap.
         """
-        result = EngineResult(num_walks=len(traces))
-        p = self.params.dram
+        batch = (
+            traces if isinstance(traces, TraceBatch)
+            else TraceBatch.from_traces(traces)
+        )
+        result = EngineResult(num_walks=batch.num_walks)
+        t_access = self.params.dram.t_access
+        dram_access = self.dram.access
+        kinds = batch.kinds
+        a1 = batch.a1
+        a2 = batch.a2
+        offsets = batch.offsets
         busy = 0
-        for trace in traces:
+        for w in range(batch.num_walks):
             latency = 0
-            for access in trace.accesses:
-                if access.kind == "dram":
-                    blocks = max(1, -(-access.nbytes // BLOCK_SIZE))
-                    for offset in range(0, max(access.nbytes, 1), BLOCK_SIZE):
-                        self.dram.access(access.address + offset, 0, write=access.write)
-                    latency += p.t_access * blocks
-                elif access.kind == "dram_prefetch":
-                    for offset in range(0, max(access.nbytes, 1), BLOCK_SIZE):
-                        self.dram.access(access.address + offset, 0)
+            for i in range(offsets[w], offsets[w + 1]):
+                kind = kinds[i]
+                if kind == K_DRAM:
+                    dram_access(a1[i], 0, write=bool(a2[i] & 1))
+                    latency += t_access
+                elif kind == K_PREFETCH:
+                    dram_access(a1[i], 0)
+                elif kind == K_SRAM:
+                    latency += a2[i]
                 else:
-                    latency += access.cycles
+                    latency += a1[i]
             result.total_walk_cycles += latency
             if record_latencies:
                 result.walk_latencies.append(latency)

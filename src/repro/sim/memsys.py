@@ -34,8 +34,8 @@ from repro.obs.tracer import NULL_TRACER
 from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams, SimParams
 from repro.sim.engine import (
     Access,
+    K_COMPUTE,
     K_DRAM,
-    K_LATENCY,
     K_PREFETCH,
     K_SRAM,
     WalkTrace,
@@ -182,18 +182,16 @@ class MemorySystem(ABC):
 
         ``prepared[i]`` is ``(planner, positions_row)`` when the batch
         planner resolved request ``i``'s walk vectorized, else None.
-        The base implementation is the exact scalar fallback — one
-        WalkTrace per request, converted by ``TraceBatch.add_trace`` —
+        The base implementation generates per request (:meth:`emit_walk`),
         so order-sensitive systems (FA-OPT replay, the L2 hierarchy)
-        and range scans stay byte-identical without native emitters.
-        Subclasses with native emitters must preserve per-request cache
-        mutation order exactly.
+        and range scans need no native emitter. Subclasses with native
+        emitters must preserve per-request cache mutation order exactly.
         """
         for request in requests:
-            self._fallback_walk(batch, request)
+            self.emit_walk(batch, request)
 
-    def _fallback_walk(self, batch: Any, request: Any) -> None:
-        """Scalar trace generation for one request, columnarized."""
+    def emit_walk(self, batch: Any, request: Any) -> None:
+        """Generate one request's walk and append it to ``batch``."""
         if request.scan_hi is not None:
             trace = self.process_range_scan(
                 request.index, request.key, request.scan_hi
@@ -246,7 +244,7 @@ class StreamingMemSys(MemorySystem):
         a2 = batch.a2
         for request, prep in zip(requests, prepared):
             if prep is None:
-                self._fallback_walk(batch, request)
+                self.emit_walk(batch, request)
                 continue
             planner, row = prep
             templates = planner.template_map(t_search)
@@ -336,7 +334,7 @@ class AddressCacheMemSys(MemorySystem):
         block_size = BLOCK_SIZE
         for request, prep in zip(requests, prepared):
             if prep is None:
-                self._fallback_walk(batch, request)
+                self.emit_walk(batch, request)
                 continue
             planner, row = prep
             index_dram = 0
@@ -358,7 +356,7 @@ class AddressCacheMemSys(MemorySystem):
                                 a1.append(nxt)
                                 a2.append(0)
                                 insert(nxt)
-                kinds.append(K_LATENCY)
+                kinds.append(K_COMPUTE)
                 a1.append(t_search)
                 a2.append(0)
             batch.index_dram += index_dram
@@ -575,7 +573,7 @@ class XCacheMemSys(MemorySystem):
         insert = self.cache.insert
         for request, prep in zip(requests, prepared):
             if prep is None:
-                self._fallback_walk(batch, request)
+                self.emit_walk(batch, request)
                 continue
             planner, row = prep
             ns = self._ns_for(request.index)
@@ -743,9 +741,6 @@ class MetalMemSys(MemorySystem):
         kinds = batch.kinds
         a1 = batch.a1
         a2 = batch.a2
-        b_offsets = batch.offsets
-        b_start_levels = batch.start_levels
-        b_visits = batch.visits
         cur_planner = None  # memoized map lookups (one index per chunk
         cur_index = -1      # in the common case)
         wt_map: Any = None
@@ -754,12 +749,9 @@ class MetalMemSys(MemorySystem):
         accesses = 0
         hits = 0
         index_dram = 0
-        nodes_visited = 0
-        shorts = 0
-        fulls = 0
         for request, prep in zip(requests, prepared):
             if prep is None:
-                self._fallback_walk(batch, request)
+                self.emit_walk(batch, request)
                 continue
             planner, row = prep
             index = request.index
@@ -941,40 +933,13 @@ class MetalMemSys(MemorySystem):
                 controller._walks_in_batch = walks
                 if walks >= controller.batch_walks:
                     controller._finish_batch()
-            # TraceBatch.finish_walk inlined (same appends, same order).
-            address = request.data_address
-            if address is not None:
-                nbytes = request.data_bytes
-                if nbytes <= BLOCK_SIZE:
-                    kinds.append(K_DRAM)
-                    a1.append(address)
-                    a2.append(0)
-                else:
-                    for tail in range(0, nbytes, BLOCK_SIZE):
-                        kinds.append(K_DRAM)
-                        a1.append(address + tail)
-                        a2.append(0)
-            compute = request.compute_cycles
-            if compute:
-                kinds.append(K_LATENCY)
-                a1.append(compute)
-                a2.append(0)
-            b_offsets.append(len(kinds))
-            b_start_levels.append(start_level)
-            visited = len(nodes)
-            b_visits.append(visited)
-            nodes_visited += visited
-            if short:
-                shorts += 1
-                if not nodes:
-                    fulls += 1
+            batch.finish_walk(
+                request, start_level, len(nodes), short, short and not nodes
+            )
         cache_stats.accesses += accesses
         cache_stats.hits += hits
         cache_stats.misses += accesses - hits
         batch.index_dram += index_dram
-        batch.nodes_visited += nodes_visited
-        batch.short_circuited += shorts
-        batch.full_hits += fulls
 
     def _scan_leaf(self, index: Any, leaf: IndexNode, accesses: list[Access]) -> None:
         ns = namespace_fn(index)

@@ -11,14 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from repro.mem.dram import DRAM
-from repro.mem.layout import Allocator
 from repro.mem.stats import CacheStats, DRAMStats
 from repro.obs.histogram import Histogram
 from repro.obs.registry import Registry
 from repro.obs.tracer import Tracer
-from repro.params import BLOCK_SIZE, SimParams
-from repro.sim.engine import Access, Engine, WalkTrace
+from repro.params import SimParams
 from repro.sim.memsys import MemorySystem
 
 
@@ -242,49 +239,6 @@ class RunResult:
         )
 
 
-def _windowed_working_set(
-    traces: list[WalkTrace], total_index_blocks: int, window: int
-) -> float:
-    """Average distinct index-region DRAM blocks per window of walks.
-
-    This is the Fig. 16 working-set metric: how much of the index a steady
-    window of walks actually pulls from DRAM. Data-region accesses are
-    excluded (identical across cache designs).
-    """
-    if total_index_blocks <= 0 or not traces:
-        return 0.0
-    data_base_block = Allocator.DATA_BASE // BLOCK_SIZE
-    block_size = BLOCK_SIZE
-    fractions: list[float] = []
-    # Single pass with one reused set: windows are disjoint, so the set is
-    # drained at each boundary instead of rebuilt per window slice.
-    touched: set[int] = set()
-    add = touched.add
-    in_window = 0
-    for trace in traces:
-        for access in trace.accesses:
-            if access.kind != "dram":
-                continue
-            address = access.address
-            first = address // block_size
-            if first >= data_base_block:
-                continue
-            nbytes = access.nbytes
-            if nbytes <= block_size:
-                add(first)
-            else:
-                last = (address + nbytes - 1) // block_size
-                touched.update(range(first, last + 1))
-        in_window += 1
-        if in_window == window:
-            fractions.append(min(1.0, len(touched) / total_index_blocks))
-            touched.clear()
-            in_window = 0
-    if in_window:
-        fractions.append(min(1.0, len(touched) / total_index_blocks))
-    return sum(fractions) / len(fractions)
-
-
 def simulate(
     memsys: MemorySystem,
     requests: list[WalkRequest],
@@ -299,22 +253,23 @@ def simulate(
     """Run a workload through a memory system and time it.
 
     The functional pass (trace generation + cache state) happens in request
-    order; the engine then times the traces with walker-context overlap and
-    bank contention. ``timed=False`` uses the cheap functional timing.
+    order into one columnar access stream; the engine then times it with
+    walker-context overlap and bank contention (``Engine.run_batch``).
+    ``timed=False`` uses the cheap functional timing. The pipeline itself
+    is :func:`repro.sim.batch.simulate_batched`.
 
     Observability: when ``sim.trace`` is set (or a ``tracer`` is passed), a
     :class:`Tracer` and :class:`Registry` are wired through the memory
     system, engine, DRAM, and crossbar; the result carries the tracer plus
-    a counter snapshot. With tracing off (the default) the hot paths see
-    only a ``NULL_TRACER.enabled`` check.
+    a counter snapshot. With tracing off (the default) the engine binds no
+    hooks and the hot paths see only a ``NULL_TRACER.enabled`` check.
     """
-    from repro.sim.memsys import _node_blocks  # avoid an import cycle
+    from repro.sim.batch import simulate_batched  # avoid an import cycle
 
     sim = sim or memsys.sim
     if tracer is None and sim.trace:
         tracer = Tracer(capacity=sim.trace_buffer)
-    tracing = tracer is not None
-    if tracing:
+    if tracer is not None:
         registry = registry or Registry()
         memsys.attach_obs(tracer, registry)
     # Fault injection: an injector exists only for a non-empty plan, so
@@ -326,119 +281,17 @@ def simulate(
 
         injector = FaultInjector(sim.faults)
         memsys.attach_faults(injector)
-        if tracing:
+        if tracer is not None:
             injector.attach_obs(registry)
-    if timed and sim.walk_batch > 0 and not tracing and injector is None:
-        # Vectorized batch pipeline (contractually byte-identical; see
-        # repro.sim.batch). Traced and faulted runs always stay on the
-        # scalar path below so injection sites and event attribution
-        # keep one canonical order.
-        from repro.sim.batch import simulate_batched
-
-        return simulate_batched(
-            memsys,
-            requests,
-            sim,
-            total_index_blocks=total_index_blocks,
-            record_latencies=record_latencies,
-            working_set_window=working_set_window,
-        )
-    traces: list[WalkTrace] = []
-    short = full = visited = 0
-    index_dram = baseline = 0
-    depth_hist = Histogram()
-    start_levels: list[int] = []
-    data_base = Allocator.DATA_BASE
-    baseline_cache: dict[tuple[int, int], int] = {}
-    for walk_ordinal, request in enumerate(requests):
-        if tracing:
-            tracer.walk = walk_ordinal
-        if request.scan_hi is not None:
-            trace = memsys.process_range_scan(
-                request.index, request.key, request.scan_hi
-            )
-        else:
-            trace = memsys.process_walk(request.index, request.key)
-        for access in trace.accesses:
-            if access.kind == "dram" and access.address < data_base:
-                index_dram += 1
-        walk_id = (id(request.index), request.key)
-        if walk_id not in baseline_cache:
-            baseline_cache[walk_id] = sum(
-                len(_node_blocks(node)) for node in request.index.walk(request.key)
-            )
-        baseline += baseline_cache[walk_id]
-        if request.data_address is not None:
-            trace.accesses.append(
-                Access("dram", request.data_address, request.data_bytes)
-            )
-        if request.compute_cycles:
-            trace.accesses.append(Access("compute", cycles=request.compute_cycles))
-        traces.append(trace)
-        short += trace.short_circuited
-        full += trace.full_hit
-        visited += trace.nodes_visited
-        depth_hist.record(trace.nodes_visited)
-        start_levels.append(trace.start_level)
-
-    engine = Engine(sim, DRAM(sim.dram))
-    if tracing:
-        tracer.walk = -1  # engine events carry explicit walk ids
-        engine.attach_obs(tracer, registry)
-        # The profiler and percentile gauges need per-walk latencies.
-        record_latencies = True
-    if injector is not None:
-        engine.attach_faults(injector)
-    if timed:
-        result = engine.run(traces, record_latencies=record_latencies)
-    else:
-        result = engine.run_functional(traces, record_latencies=record_latencies)
-    if injector is not None:
-        injector.finalize(result.num_walks)
-    latency_hist = (
-        Histogram.from_values(result.walk_latencies)
-        if result.walk_latencies else None
-    )
-    counters = None
-    if tracing and registry is not None:
-        registry.set("engine.makespan", result.makespan)
-        registry.set("engine.num_walks", result.num_walks)
-        registry.set("engine.total_walk_cycles", result.total_walk_cycles)
-        registry.set("walks.short_circuited", short)
-        registry.set("walks.full_hits", full)
-        registry.set("walks.nodes_visited", visited)
-        for kind, count in tracer.counts.items():
-            registry.set(f"events.{kind}", count)
-        registry.set("events.dropped", tracer.dropped)
-        if latency_hist is not None and latency_hist.count:
-            for name, value in latency_hist.to_dict().items():
-                registry.set(f"walk_latency.{name}", value)
-        if depth_hist.count:
-            for name, value in depth_hist.to_dict().items():
-                registry.set(f"probe_depth.{name}", value)
-        counters = registry.snapshot()
-    return RunResult(
-        name=memsys.name,
-        makespan=result.makespan,
-        num_walks=result.num_walks,
-        total_walk_cycles=result.total_walk_cycles,
-        dram=engine.dram.stats,
-        cache_stats=memsys.cache_stats,
+    return simulate_batched(
+        memsys,
+        requests,
+        sim,
         total_index_blocks=total_index_blocks,
-        short_circuited=short,
-        full_hits=full,
-        nodes_visited=visited,
-        start_levels=start_levels,
-        walk_latencies=result.walk_latencies,
-        bandwidth_utilization=engine.dram.bandwidth_utilization(max(1, result.makespan)),
-        windowed_working_set=_windowed_working_set(
-            traces, total_index_blocks, working_set_window
-        ),
-        index_dram_accesses=index_dram,
-        baseline_index_accesses=baseline,
-        counters=counters,
+        timed=timed,
+        record_latencies=record_latencies,
+        working_set_window=working_set_window,
         tracer=tracer,
-        latency_hist=latency_hist,
-        depth_hist=depth_hist,
-        faults=injector.stats.to_dict() if injector is not None else None,
+        registry=registry,
+        injector=injector,
     )

@@ -71,6 +71,55 @@ class TestTimedRun:
         ])
         assert engine.dram.stats.reads == 4
 
+    def test_contended_multi_block_access_issues_back_to_back(self):
+        """No other context runs between the blocks of one access.
+
+        Walk 0 fetches a 128 B data object (banks 0 and 1, row 0); walk 1,
+        on the other context, reads bank 1. Walk 0's second block issues
+        at cycle 100, right after its first, and opens row 0 on bank 1
+        before walk 1 gets there: walk 1 waits for the bank until 120
+        and row-hits (done at 160); walk 0 row-misses (done at 200).
+        """
+        from repro.sim.batch import TraceBatch
+        from repro.sim.metrics import WalkRequest
+
+        walks = [
+            (trace(), WalkRequest(None, 0, data_address=0,
+                                  data_bytes=2 * BLOCK_SIZE)),
+            (trace(Access("dram", address=BLOCK_SIZE)), WalkRequest(None, 0)),
+        ]
+        batch = TraceBatch()
+        for walk, request in walks:
+            batch.add_trace(walk, request)
+        engine = Engine(sim(tiles=1, contexts=2))
+        result = engine.run_batch(batch, record_latencies=True)
+        assert result.walk_latencies == [160, 200]
+        assert result.makespan == 200
+        stats = engine.dram.stats
+        assert (stats.row_hits, stats.row_misses, stats.reads) == (1, 2, 3)
+
+    def test_walker_failure_drawn_once_per_access(self):
+        """A faulted multi-block access is one refill step: one draw."""
+        from repro.faults import FaultInjector, FaultPlan
+
+        class CountingInjector(FaultInjector):
+            __slots__ = ("draws",)
+
+            def walker_failures(self):
+                self.draws += 1
+                return super().walker_failures()
+
+        injector = CountingInjector(FaultPlan(walker_fail_rate=0.5, seed=3))
+        injector.draws = 0
+        engine = Engine(sim(tiles=1, contexts=2))
+        engine.attach_faults(injector)
+        engine.run([
+            trace(Access("dram", address=i * 256, nbytes=4 * BLOCK_SIZE))
+            for i in range(6)
+        ])
+        assert injector.draws == 6
+        assert engine.dram.stats.reads >= 24
+
     def test_latencies_recorded(self):
         engine = Engine(sim(tiles=1, contexts=1))
         result = engine.run(

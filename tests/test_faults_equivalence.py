@@ -66,24 +66,23 @@ def test_no_fault_matrix_byte_identical(workloads, workload_name, system):
 
 
 def test_untraced_fast_path_taken_when_fault_free(workloads, monkeypatch):
-    """faults=None must still dispatch to the lean untraced engine loop."""
+    """A fault-free untraced run binds no engine hooks; a faulted one does."""
     from repro.sim import engine as engine_mod
 
-    calls = []
-    original = engine_mod.Engine._run_untraced
+    bound = []
 
-    def spy(self, *args, **kwargs):
-        calls.append(True)
-        return original(self, *args, **kwargs)
+    class SpyHooks(engine_mod._Hooks):
+        def __init__(self, *args, **kwargs):
+            bound.append(True)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(engine_mod.Engine, "_run_untraced", spy)
+    monkeypatch.setattr(engine_mod, "_Hooks", SpyHooks)
     workload = workloads["scan"]
     run_dict(workload, "metal", None)
-    assert calls, "fault-free untraced run bypassed the lean loop"
-    # ... and a faulted run must NOT take it (one canonical site order).
-    calls.clear()
+    assert not bound, "fault-free untraced run bound engine hooks"
+    # ... and a faulted run must bind them (one canonical site order).
     run_dict(workload, "metal", FaultPlan.uniform(0.05))
-    assert not calls, "faulted run took the lean loop (schedule would fork)"
+    assert bound, "faulted run skipped the hooks (no fault sites)"
 
 
 def test_faulted_run_differs_and_carries_ledger(workloads):
