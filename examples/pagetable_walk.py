@@ -12,6 +12,7 @@ behaviour and TLB-shootdown-style invalidation.
 
 from repro.indexes.pagetable import RadixPageTable
 from repro.params import BLOCK_SIZE, CacheParams
+from repro.sim.engine import TraceBatch
 from repro.sim.memsys import make_memsys
 from repro.sim.metrics import WalkRequest, simulate
 from repro.workloads.keygen import clustered_stream
@@ -60,12 +61,19 @@ def main() -> None:
     # Shootdown: unmapping invalidates the cached translation path.
     ms = make_memsys("metal_ix", cache_params=CacheParams(capacity_bytes=64 * BLOCK_SIZE))
     vaddr = 1_100 << 12
-    ms.process_walk(pt, vaddr)
-    warm = ms.process_walk(pt, vaddr)
+    batch = TraceBatch()
+
+    def walk() -> int:
+        """Generate one walk to ``vaddr``; return the nodes it fetched."""
+        ms.process_chunk(batch, [WalkRequest(pt, vaddr)], [pt.walk(vaddr)])
+        return batch.visits[-1]
+
+    walk()
+    warm = walk()
     pt.unmap_page(vaddr)
-    after = ms.process_walk(pt, vaddr)
-    print(f"\nshootdown: warm walk visited {warm.nodes_visited} nodes, "
-          f"post-unmap walk re-fetched {after.nodes_visited} "
+    after = walk()
+    print(f"\nshootdown: warm walk visited {warm} nodes, "
+          f"post-unmap walk re-fetched {after} "
           f"(translation gone: {pt.translate(vaddr)})")
 
 

@@ -20,6 +20,7 @@ from repro.indexes.bplustree import BPlusTree
 from repro.params import CacheParams, IXCACHE_ENERGY_FJ, SimParams
 from repro.sim.engine import Engine, TraceBatch
 from repro.sim.memsys import make_memsys
+from repro.sim.metrics import WalkRequest
 from repro.mem.dram import DRAM
 from repro.workloads.keygen import zipf_stream
 
@@ -70,8 +71,8 @@ def mix_cell(
             tree.insert(key, key)
             present.append(key)
         key = present[lookup_keys[i % len(lookup_keys)] % len(present)]
-        batch.add_accesses(memsys.process_walk(tree, key).accesses)
-        batch.end_walk()
+        # The path is resolved right before the walk: inserts reshape it.
+        memsys.process_chunk(batch, [WalkRequest(tree, key)], [tree.walk(key)])
         if tree.get(key) != key:
             ok = False
     sim = SimParams()

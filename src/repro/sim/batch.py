@@ -10,13 +10,13 @@
   requests, times it with ``Engine.run_batch`` (or
   ``Engine.run_functional``), and bundles the metrics.
 
-Untraced, fault-free runs generate through each memory system's
-``process_chunk`` (native columnar emitters where the index has SoA
-level arrays). Indexes without them (the object backend, skip lists,
-radix tables), range scans, and every traced or faulted run go through
-the per-request generators (``process_walk``/``process_range_scan``),
-where the memory-system trace and fault sites are. The golden digests
-in ``tests/`` pin all of these paths.
+Every run, traced, faulted or plain, generates through each memory
+system's one generator, ``process_chunk``. This module resolves every
+request's path once per chunk and hands it over: the planner's
+positions row for indexes with SoA level arrays, ``index.walk(key)``
+for the rest (the object backend, skip lists, radix tables). The same
+resolution counts the streaming-baseline blocks. The golden digests in
+``tests/`` pin the generated streams.
 """
 
 from __future__ import annotations
@@ -31,34 +31,19 @@ from repro.obs.histogram import Histogram
 from repro.obs.registry import Registry
 from repro.obs.tracer import Tracer
 from repro.params import BLOCK_SIZE, SimParams
-from repro.sim.engine import K_COMPUTE, K_DRAM, Engine, TraceBatch
-from repro.sim.memsys import MemorySystem, _blocks_for, _node_blocks
+from repro.sim.engine import K_DRAM, Engine, TraceBatch
+from repro.sim.memsys import (
+    MemorySystem,
+    _blocks_for,
+    _kinds_row,
+    _node_blocks,
+    _zeros_row,
+)
 from repro.sim.metrics import RunResult
 from repro.workloads.stream import chunked
 
 #: Requests per walk-generation chunk. Chunking never reaches results.
 WALK_CHUNK = 256
-
-#: Memoized small columns for template assembly: a node with ``nb``
-#: blocks always emits ``nb`` DRAM entries plus one search step.
-_KIND_ROWS: dict[int, array] = {}
-_ZERO_ROWS: dict[int, array] = {}
-
-
-def _kinds_row(nb: int) -> array:
-    t = _KIND_ROWS.get(nb)
-    if t is None:
-        t = array("b", (K_DRAM,) * nb + (K_COMPUTE,))
-        _KIND_ROWS[nb] = t
-    return t
-
-
-def _zeros_row(n: int) -> array:
-    t = _ZERO_ROWS.get(n)
-    if t is None:
-        t = array("q", [0] * n)
-        _ZERO_ROWS[n] = t
-    return t
 
 
 class BatchWalkPlanner:
@@ -90,11 +75,12 @@ class BatchWalkPlanner:
         # Keyed by t_search: templates bake the search-step latency in.
         self._templates: dict[int, dict[int, tuple]] = {}
         self._walk_templates: dict[int, dict[tuple[int, int], tuple]] = {}
-        # pack_node results per (index_id, block_bytes): packing is pure
-        # in the node's geometry and the index namespace, and the SoA
-        # tree is immutable, so packed entry lists can be reused across
-        # inserts (IXCache.insert never mutates the supplied list).
-        self._packed: dict[tuple[int, int], dict[tuple[int, int], list]] = {}
+        # pack_node results per (index_id, block_bytes), keyed by node
+        # view: packing is pure in the node's geometry and the index
+        # namespace, and the SoA tree is immutable, so packed entry lists
+        # can be reused across inserts (IXCache.insert never mutates the
+        # supplied list).
+        self._packed: dict[tuple[int, int], dict[Any, list]] = {}
 
     def positions(self, keys: np.ndarray) -> np.ndarray:
         return self.tree.batch_positions(keys)
@@ -153,9 +139,7 @@ class BatchWalkPlanner:
             nb,
         )
 
-    def packed_map(
-        self, index_id: int, block_bytes: int
-    ) -> dict[tuple[int, int], list]:
+    def packed_map(self, index_id: int, block_bytes: int) -> dict[Any, list]:
         m = self._packed.get((index_id, block_bytes))
         if m is None:
             m = {}
@@ -177,8 +161,7 @@ class BatchWalkPlanner:
         The path below any level is unique per leaf, so the memo key
         ``(base_level, row[-1])`` serves every walk routed through that
         leaf. Returns ``(kinds, a1, a2, index_dram, nodes)`` with
-        ``nodes`` the (level, pos) pairs in visit order for the policy
-        loop.
+        ``nodes`` the node views in visit order for the policy loop.
         """
         per_node = self.template_map(t_search)
         offsets = self._level_offsets
@@ -200,7 +183,7 @@ class BatchWalkPlanner:
             total += t[3]
             # The memoized node view rides in the template so the policy
             # loop never re-resolves it.
-            nodes.append(((level, pos), self.view(level, pos)))
+            nodes.append(self.view(level, pos))
         return (kinds, a1, a2, total, tuple(nodes))
 
 
@@ -227,33 +210,31 @@ def _planner_for(
 def _plan_chunk(
     requests: list[Any],
     planners: dict[int, BatchWalkPlanner | None],
-    baseline_cache: dict[tuple[int, int], int],
-) -> tuple[list[tuple[BatchWalkPlanner, list[int]] | None], int]:
-    """Resolve one request chunk: vectorized walk rows + baseline count.
+    paths: dict[tuple[int, int], tuple[list[Any], int]],
+) -> tuple[list[Any], int]:
+    """Resolve one request chunk: every request's path + the baseline count.
 
-    Returns ``prepared`` (per request: ``(planner, positions_row)`` for
-    point walks over SoA indexes, None for fallback requests) and the
-    chunk's streaming-baseline increment. Range scans contribute their
-    point-walk baseline here (matching the scalar accounting) but emit
-    through the scalar fallback.
+    Returns ``prepared`` (per request: ``(planner, positions_row)`` over
+    SoA indexes, the node list ``index.walk(key)`` otherwise) and the
+    chunk's streaming-baseline increment: the blocks of the point walk
+    to each request's key, range scans included. ``paths`` memoizes
+    object-backend paths and their block counts per (index, key) for
+    the run; indexes do not change while a run generates.
     """
-    prepared: list[tuple[BatchWalkPlanner, list[int]] | None] = (
-        [None] * len(requests)
-    )
+    prepared: list[Any] = [None] * len(requests)
     baseline = 0
     groups: dict[int, tuple[BatchWalkPlanner, list[int]]] = {}
     for i, request in enumerate(requests):
         planner = _planner_for(request.index, planners)
         if planner is None:
             walk_id = (id(request.index), request.key)
-            b = baseline_cache.get(walk_id)
-            if b is None:
-                b = sum(
-                    len(_node_blocks(node))
-                    for node in request.index.walk(request.key)
-                )
-                baseline_cache[walk_id] = b
-            baseline += b
+            resolved = paths.get(walk_id)
+            if resolved is None:
+                path = request.index.walk(request.key)
+                resolved = (path, sum(len(_node_blocks(node)) for node in path))
+                paths[walk_id] = resolved
+            prepared[i] = resolved[0]
+            baseline += resolved[1]
         else:
             group = groups.get(id(request.index))
             if group is None:
@@ -267,10 +248,8 @@ def _plan_chunk(
         )
         rows = planner.positions(keys)
         baseline += planner.baseline(rows)
-        rows_list = rows.tolist()
-        for j, i in enumerate(members):
-            if requests[i].scan_hi is None:
-                prepared[i] = (planner, rows_list[j])
+        for i, row in zip(members, rows.tolist()):
+            prepared[i] = (planner, row)
     return prepared, baseline
 
 
@@ -307,35 +286,16 @@ def _windowed_working_set(
 
 
 def _generate(
-    memsys: MemorySystem,
-    requests: list[Any],
-    batch: TraceBatch,
-    tracer: Tracer | None,
-    per_request: bool,
+    memsys: MemorySystem, requests: list[Any], batch: TraceBatch
 ) -> int:
-    """Generate every walk into ``batch``; return the streaming baseline.
-
-    ``per_request`` sends each request through the memory system's
-    per-request generator with ``tracer.walk`` set to its ordinal;
-    otherwise each chunk goes through ``process_chunk``.
-    """
+    """Generate every walk into ``batch``; return the streaming baseline."""
     planners: dict[int, BatchWalkPlanner | None] = {}
-    baseline_cache: dict[tuple[int, int], int] = {}
+    paths: dict[tuple[int, int], tuple[list[Any], int]] = {}
     baseline = 0
-    ordinal = 0
     for part in chunked(requests, WALK_CHUNK):
-        prepared, chunk_baseline = _plan_chunk(
-            part, planners, baseline_cache
-        )
+        prepared, chunk_baseline = _plan_chunk(part, planners, paths)
         baseline += chunk_baseline
-        if not per_request:
-            memsys.process_chunk(batch, part, prepared)
-            continue
-        for request in part:
-            if tracer is not None:
-                tracer.walk = ordinal
-            ordinal += 1
-            memsys.emit_walk(batch, request)
+        memsys.process_chunk(batch, part, prepared)
     return baseline
 
 
@@ -354,15 +314,11 @@ def simulate_batched(
     """Generate, time, and measure one run (see :func:`~repro.sim.metrics.simulate`).
 
     ``tracer``/``registry`` and the fault ``injector`` come already
-    attached to ``memsys``; this wires them into the engine too. Traced
-    and faulted runs generate per request, so the memory-system trace
-    and fault sites fire in request order.
+    attached to ``memsys``; this wires them into the engine too. The
+    memory-system trace and fault sites fire in request order.
     """
     batch = TraceBatch()
-    baseline = _generate(
-        memsys, requests, batch, tracer,
-        per_request=tracer is not None or injector is not None,
-    )
+    baseline = _generate(memsys, requests, batch)
     engine = Engine(sim, DRAM(sim.dram))
     if tracer is not None:
         tracer.walk = -1  # engine events carry explicit walk ids

@@ -228,14 +228,6 @@ class TraceBatch:
             self.a2.append(0)
         self.end_walk(start_level, visited, short, full)
 
-    def add_trace(self, trace: WalkTrace, request: Any) -> None:
-        """Append one generated walk plus its request's data/compute tail."""
-        self.add_accesses(trace.accesses)
-        self.finish_walk(
-            request, trace.start_level, trace.nodes_visited,
-            bool(trace.short_circuited), bool(trace.full_hit),
-        )
-
 
 def _walk_sums(batch: TraceBatch, values: np.ndarray) -> list[int]:
     """Per-walk sums of one value per stream entry."""

@@ -1,11 +1,21 @@
 """Memory-system organizations under comparison (Section 5, Table 1).
 
-Each variant turns one index walk into a :class:`WalkTrace` of timed
-accesses while mutating its cache state:
+Each variant generates walks straight into the columnar access stream
+(:class:`~repro.sim.engine.TraceBatch`) while mutating its cache state.
+Its one generator is ``process_chunk(batch, requests, prepared)``: it
+emits every request of a chunk, in order, as one walk plus the request's
+data/compute tail. ``prepared[i]`` is request ``i``'s path, resolved once
+by :mod:`repro.sim.batch`: a ``(planner, positions_row)`` pair over a SoA
+index, else the node list ``index.walk(key)``. Telling the two apart is
+the only backend-specific step; the probe, short-circuit, insert/bypass,
+statistics, and trace and fault sites live once per system. A request
+with ``scan_hi`` set is a range scan: the walk to ``key`` is followed by
+a leaf stream through ``scan_hi``, served by whatever the system caches.
 
 * ``stream``   — streaming DSA: every node touch goes to DRAM.
 * ``address``  — set-associative LRU address cache: full root-to-leaf walk
   with per-block probes (a hit eliminates a single DRAM access).
+* ``address_l2`` — the same walk over an L1 + shared L2 hierarchy.
 * ``fa_opt``   — fully-associative address cache with Belady-OPT
   replacement (two-pass; walks must replay in preparation order).
 * ``xcache``   — X-cache [50]: key-tagged leaf cache; a hit short-circuits
@@ -18,6 +28,7 @@ accesses while mutating its cache state:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from typing import Any
@@ -32,14 +43,7 @@ from repro.mem.opt_cache import belady_hit_flags
 from repro.mem.stats import CacheStats
 from repro.obs.tracer import NULL_TRACER
 from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams, SimParams
-from repro.sim.engine import (
-    Access,
-    K_COMPUTE,
-    K_DRAM,
-    K_PREFETCH,
-    K_SRAM,
-    WalkTrace,
-)
+from repro.sim.engine import K_COMPUTE, K_DRAM, K_LOCAL, K_PREFETCH, K_SRAM
 
 
 #: Preallocated WalkContext rows for the batch emitters: a context is a
@@ -104,8 +108,133 @@ def _node_blocks(node: IndexNode) -> tuple[int, ...]:
     return _blocks_for(node.address, node.nbytes)
 
 
+#: Memoized small columns for node emission: a node with ``nb`` touched
+#: blocks always emits ``nb`` DRAM entries plus one search step.
+_KIND_ROWS: dict[int, array] = {}
+_ZERO_ROWS: dict[int, array] = {}
+
+
+def _kinds_row(nb: int) -> array:
+    t = _KIND_ROWS.get(nb)
+    if t is None:
+        t = array("b", (K_DRAM,) * nb + (K_COMPUTE,))
+        _KIND_ROWS[nb] = t
+    return t
+
+
+def _zeros_row(n: int) -> array:
+    t = _ZERO_ROWS.get(n)
+    if t is None:
+        t = array("q", [0] * n)
+        _ZERO_ROWS[n] = t
+    return t
+
+
+# A resolved path is ``(planner, positions_row)`` over a SoA index, else
+# the node list ``index.walk(key)``. Only these helpers and METAL's
+# short-circuit tell the two apart.
+
+
+def _path_blocks(prep: Any) -> list[tuple[int, ...]]:
+    """Touched block addresses of every node on a resolved path, root first."""
+    if type(prep) is tuple:
+        planner, row = prep
+        blocks = planner.blocks
+        return [blocks(level, pos) for level, pos in enumerate(row)]
+    return [_blocks_for(node.address, node.nbytes) for node in prep]
+
+
+def _path_leaf(prep: Any) -> IndexNode:
+    """The node a resolved path ends at."""
+    if type(prep) is tuple:
+        planner, row = prep
+        return planner.view(planner.height - 1, row[-1])
+    return prep[-1]
+
+
+def _emit_nodes(batch: Any, nodes: Sequence[IndexNode], t_search: int) -> int:
+    """Append a DRAM walk over ``nodes``; return its DRAM block count.
+
+    Each node is its touched blocks plus one search step.
+    """
+    kinds = batch.kinds
+    a1 = batch.a1
+    a2 = batch.a2
+    total = 0
+    for node in nodes:
+        blocks = _blocks_for(node.address, node.nbytes)
+        nb = len(blocks)
+        kinds += _kinds_row(nb)
+        a1.extend(blocks)
+        a1.append(t_search)
+        a2 += _zeros_row(nb + 1)
+        total += nb
+    return total
+
+
+def _emit_path(batch: Any, prep: Any, t_search: int) -> int:
+    """Append the full DRAM walk of a resolved path; return its node count."""
+    if type(prep) is not tuple:
+        batch.index_dram += _emit_nodes(batch, prep, t_search)
+        return len(prep)
+    planner, row = prep
+    templates = planner.template_map(t_search)
+    offsets = planner._level_offsets
+    kinds = batch.kinds
+    a1 = batch.a1
+    a2 = batch.a2
+    total = 0
+    for level, pos in enumerate(row):
+        linear = offsets[level] + pos
+        t = templates.get(linear)
+        if t is None:
+            t = planner.build_template(level, pos, t_search)
+            templates[linear] = t
+        kinds += t[0]
+        a1 += t[1]
+        a2 += t[2]
+        total += t[3]
+    batch.index_dram += total
+    return len(row)
+
+
+def _scanned_leaves(prep: Any, hi: int) -> list[IndexNode]:
+    """Leaves a range scan streams through ``hi`` after its walk's leaf.
+
+    The walk fetched the first leaf; the stream follows the leaf links
+    while each leaf's low bound is within the range.
+    """
+    leaf = _path_leaf(prep)
+    leaves: list[IndexNode] = []
+    if leaf.lo is None or leaf.lo > hi:
+        return leaves
+    leaf = getattr(leaf, "next_leaf", None)
+    while leaf is not None and leaf.lo is not None and leaf.lo <= hi:
+        leaves.append(leaf)
+        leaf = getattr(leaf, "next_leaf", None)
+    return leaves
+
+
+def _fetch_leaf(batch: Any, leaf: IndexNode) -> int:
+    """Append a scanned leaf's DRAM blocks (no search step); return their count."""
+    blocks = _blocks_for(leaf.address, leaf.nbytes)
+    for addr in blocks:
+        batch.kinds.append(K_DRAM)
+        batch.a1.append(addr)
+        batch.a2.append(0)
+    return len(blocks)
+
+
+def _stream_leaves(batch: Any, prep: Any, hi: int) -> int:
+    """Fetch every scanned leaf from DRAM; return how many were streamed."""
+    leaves = _scanned_leaves(prep, hi)
+    for leaf in leaves:
+        batch.index_dram += _fetch_leaf(batch, leaf)
+    return len(leaves)
+
+
 class MemorySystem(ABC):
-    """Turns walks into access traces while maintaining cache state."""
+    """Generates walks into a columnar access stream, maintaining cache state."""
 
     name: str = "abstract"
 
@@ -115,13 +244,9 @@ class MemorySystem(ABC):
         #: Optional FaultInjector (repro.faults). None on fault-free runs;
         #: only systems with corruptible state (the IX-cache) act on it.
         self.faults = None
-        # One immutable compute step shared by every walk: traces only
-        # ever read Access objects, so the hot loops skip an allocation
-        # per visited node.
-        self._search_step = Access("compute", cycles=self.sim.t_search)
         # Memoized namespace closures keyed by index_id (namespace_fn is
         # a pure function of the id, so sharing one closure per index is
-        # behavior-identical to the scalar per-walk construction).
+        # behavior-identical to building one per walk).
         self._ns_cache: dict[int, Callable[[int], int]] = {}
 
     def attach_faults(self, injector) -> None:
@@ -150,55 +275,15 @@ class MemorySystem(ABC):
         """Propagate the tracer into owned cache models (overridden)."""
 
     @abstractmethod
-    def process_walk(self, index: Any, key: int) -> WalkTrace:
-        """Produce the access trace for one point walk."""
-
-    def process_range_scan(self, index: Any, lo: int, hi: int) -> WalkTrace:
-        """Walk to ``lo`` then stream leaves through ``hi`` (Section 2.2).
-
-        Range scans are the other half of the paper's access mix ("both
-        range scans and point queries are common"). The walk to the low
-        edge is cacheable; the leaf stream that follows is sequential and
-        handled by :meth:`_scan_leaf` (DRAM by default — caches override
-        to serve cached leaves on-chip).
-        """
-        trace = self.process_walk(index, lo)
-        leaf = index.walk(lo)[-1]
-        leaves = 0
-        while leaf is not None and leaf.lo is not None and leaf.lo <= hi:
-            if leaves > 0:  # the first leaf was fetched by the walk
-                self._scan_leaf(index, leaf, trace.accesses)
-                trace.nodes_visited += 1
-            leaves += 1
-            leaf = getattr(leaf, "next_leaf", None)
-        return trace
-
-    def _scan_leaf(self, index: Any, leaf: IndexNode, accesses: list[Access]) -> None:
-        for addr in _node_blocks(leaf):
-            accesses.append(Access("dram", addr, BLOCK_SIZE))
-
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
-        """Emit one request chunk into a columnar ``TraceBatch``.
+        """Generate one request chunk into a columnar ``TraceBatch``.
 
-        ``prepared[i]`` is ``(planner, positions_row)`` when the batch
-        planner resolved request ``i``'s walk vectorized, else None.
-        The base implementation generates per request (:meth:`emit_walk`),
-        so order-sensitive systems (FA-OPT replay, the L2 hierarchy)
-        and range scans need no native emitter. Subclasses with native
-        emitters must preserve per-request cache mutation order exactly.
+        ``prepared[i]`` is request ``i``'s resolved path: a
+        ``(planner, positions_row)`` pair over a SoA index, else the node
+        list ``index.walk(key)``. Requests are generated in order, each
+        into exactly one walk closed by ``TraceBatch.finish_walk``; a
+        request with ``scan_hi`` set streams its leaves after the walk.
         """
-        for request in requests:
-            self.emit_walk(batch, request)
-
-    def emit_walk(self, batch: Any, request: Any) -> None:
-        """Generate one request's walk and append it to ``batch``."""
-        if request.scan_hi is not None:
-            trace = self.process_range_scan(
-                request.index, request.key, request.scan_hi
-            )
-        else:
-            trace = self.process_walk(request.index, request.key)
-        batch.add_trace(trace, request)
 
     def _ns_for(self, index: Any) -> Callable[[int], int]:
         index_id = getattr(index, "index_id", 0)
@@ -212,56 +297,19 @@ class MemorySystem(ABC):
     def cache_stats(self) -> CacheStats | None:
         return None
 
-    @property
-    def cache_accesses(self) -> int:
-        stats = self.cache_stats
-        return stats.accesses if stats is not None else 0
-
-    def _search(self) -> Access:
-        return self._search_step
-
 
 class StreamingMemSys(MemorySystem):
     """No index reuse: each visited node is a DRAM fetch (Aurochs/SJoin)."""
 
     name = "stream"
 
-    def process_walk(self, index: Any, key: int) -> WalkTrace:
-        path = index.walk(key)
-        accesses: list[Access] = []
-        append = accesses.append
-        search = self._search_step
-        for node in path:
-            for addr in _blocks_for(node.address, node.nbytes):
-                append(Access("dram", addr, BLOCK_SIZE))
-            append(search)
-        return WalkTrace(key, accesses, start_level=0, nodes_visited=len(path))
-
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
         t_search = self.sim.t_search
-        kinds = batch.kinds
-        a1 = batch.a1
-        a2 = batch.a2
         for request, prep in zip(requests, prepared):
-            if prep is None:
-                self.emit_walk(batch, request)
-                continue
-            planner, row = prep
-            templates = planner.template_map(t_search)
-            offsets = planner._level_offsets
-            index_dram = 0
-            for level, pos in enumerate(row):
-                linear = offsets[level] + pos
-                t = templates.get(linear)
-                if t is None:
-                    t = planner.build_template(level, pos, t_search)
-                    templates[linear] = t
-                kinds += t[0]
-                a1 += t[1]
-                a2 += t[2]
-                index_dram += t[3]
-            batch.index_dram += index_dram
-            batch.finish_walk(request, 0, planner.height, False, False)
+            visited = _emit_path(batch, prep, t_search)
+            if request.scan_hi is not None:
+                visited += _stream_leaves(batch, prep, request.scan_hi)
+            batch.finish_walk(request, 0, visited, False, False)
 
 
 class AddressCacheMemSys(MemorySystem):
@@ -295,32 +343,6 @@ class AddressCacheMemSys(MemorySystem):
     def _attach_components(self, tracer, registry=None) -> None:
         self.cache.attach_obs(tracer, registry)
 
-    def process_walk(self, index: Any, key: int) -> WalkTrace:
-        path = index.walk(key)
-        accesses: list[Access] = []
-        append = accesses.append
-        search = self._search_step
-        probe_cycles = self.sim.t_addr_probe
-        lookup = self.cache.lookup
-        insert = self.cache.insert
-        prefetch = self.prefetch
-        for node in path:
-            for block_addr in _blocks_for(node.address, node.nbytes):
-                append(Access(
-                    "sram", cycles=probe_cycles,
-                    port=block_addr // BLOCK_SIZE,
-                ))
-                if not lookup(block_addr):
-                    append(Access("dram", block_addr, BLOCK_SIZE))
-                    insert(block_addr)
-                    if prefetch:
-                        nxt = block_addr + BLOCK_SIZE
-                        if not self.cache.contains(nxt):
-                            append(Access("dram_prefetch", nxt, BLOCK_SIZE))
-                            insert(nxt)
-            append(search)
-        return WalkTrace(key, accesses, start_level=0, nodes_visited=len(path))
-
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
         t_probe = self.sim.t_addr_probe
         t_search = self.sim.t_search
@@ -331,15 +353,16 @@ class AddressCacheMemSys(MemorySystem):
         insert = self.cache.insert
         contains = self.cache.contains
         prefetch = self.prefetch
+        tracer = self.tracer
+        tracing = tracer.enabled
         block_size = BLOCK_SIZE
+        index_dram = 0
         for request, prep in zip(requests, prepared):
-            if prep is None:
-                self.emit_walk(batch, request)
-                continue
-            planner, row = prep
-            index_dram = 0
-            for level, pos in enumerate(row):
-                for block_addr in planner.blocks(level, pos):
+            if tracing:
+                tracer.walk = batch.num_walks
+            path = _path_blocks(prep)
+            for blocks in path:
+                for block_addr in blocks:
                     kinds.append(K_SRAM)
                     a1.append(block_addr // block_size)
                     a2.append(t_probe)
@@ -359,18 +382,24 @@ class AddressCacheMemSys(MemorySystem):
                 kinds.append(K_COMPUTE)
                 a1.append(t_search)
                 a2.append(0)
-            batch.index_dram += index_dram
-            batch.finish_walk(request, 0, planner.height, False, False)
-
-    def _scan_leaf(self, index: Any, leaf: IndexNode, accesses: list[Access]) -> None:
-        for block_addr in _node_blocks(leaf):
-            accesses.append(Access(
-                "sram", cycles=self.sim.t_addr_probe,
-                port=block_addr // BLOCK_SIZE,
-            ))
-            if not self.cache.lookup(block_addr):
-                accesses.append(Access("dram", block_addr, BLOCK_SIZE))
-                self.cache.insert(block_addr)
+            visited = len(path)
+            if request.scan_hi is not None:
+                # Scanned leaves probe block by block like the walk, but
+                # the sequential stream issues no prefetches.
+                for leaf in _scanned_leaves(prep, request.scan_hi):
+                    visited += 1
+                    for block_addr in _blocks_for(leaf.address, leaf.nbytes):
+                        kinds.append(K_SRAM)
+                        a1.append(block_addr // block_size)
+                        a2.append(t_probe)
+                        if not lookup(block_addr):
+                            kinds.append(K_DRAM)
+                            a1.append(block_addr)
+                            a2.append(0)
+                            index_dram += 1
+                            insert(block_addr)
+            batch.finish_walk(request, 0, visited, False, False)
+        batch.index_dram += index_dram
 
 
 class HierarchyMemSys(MemorySystem):
@@ -417,42 +446,61 @@ class HierarchyMemSys(MemorySystem):
         self.hierarchy.l1.attach_obs(tracer, registry, prefix="cache.address_l1")
         self.hierarchy.l2.attach_obs(tracer, registry)
 
-    def process_walk(self, index: Any, key: int) -> WalkTrace:
-        path = index.walk(key)
-        accesses: list[Access] = []
-        append = accesses.append
-        search = self._search_step
+    def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
+        t_search = self.sim.t_search
+        kinds = batch.kinds
+        a1 = batch.a1
+        a2 = batch.a2
         hierarchy = self.hierarchy
         lookup = hierarchy.lookup
+        insert = hierarchy.insert
         l1_cycles = hierarchy.latency_of(1)
         l2_cycles = hierarchy.latency_of(2)
         miss_cycles = hierarchy.miss_latency_cycles
-        for node in path:
-            for block_addr in _blocks_for(node.address, node.nbytes):
-                level = lookup(block_addr)
-                if level == 1:
-                    append(Access("sram", cycles=l1_cycles))
-                elif level == 2:
-                    append(Access(
-                        "sram", cycles=l2_cycles,
-                        port=block_addr // BLOCK_SIZE,
-                    ))
-                else:
-                    append(Access(
-                        "sram", cycles=miss_cycles,
-                        port=block_addr // BLOCK_SIZE,
-                    ))
-                    append(Access("dram", block_addr, BLOCK_SIZE))
-                    hierarchy.insert(block_addr)
-            append(search)
-        return WalkTrace(key, accesses, start_level=0, nodes_visited=len(path))
+        tracer = self.tracer
+        tracing = tracer.enabled
+        block_size = BLOCK_SIZE
+        index_dram = 0
+        for request, prep in zip(requests, prepared):
+            if tracing:
+                tracer.walk = batch.num_walks
+            path = _path_blocks(prep)
+            for blocks in path:
+                for block_addr in blocks:
+                    level = lookup(block_addr)
+                    if level == 1:
+                        # L1 hits are private: no crossbar port.
+                        kinds.append(K_LOCAL)
+                        a1.append(l1_cycles)
+                        a2.append(0)
+                    elif level == 2:
+                        kinds.append(K_SRAM)
+                        a1.append(block_addr // block_size)
+                        a2.append(l2_cycles)
+                    else:
+                        kinds.append(K_SRAM)
+                        a1.append(block_addr // block_size)
+                        a2.append(miss_cycles)
+                        kinds.append(K_DRAM)
+                        a1.append(block_addr)
+                        a2.append(0)
+                        index_dram += 1
+                        insert(block_addr)
+                kinds.append(K_COMPUTE)
+                a1.append(t_search)
+                a2.append(0)
+            visited = len(path)
+            if request.scan_hi is not None:
+                visited += _stream_leaves(batch, prep, request.scan_hi)
+            batch.finish_walk(request, 0, visited, False, False)
+        batch.index_dram += index_dram
 
 
 class FAOPTMemSys(MemorySystem):
     """Fully-associative address cache with Belady-OPT replacement.
 
     Built via :meth:`prepare` from the complete walk sequence; walks must
-    then be processed in exactly that order.
+    then be generated in exactly that order.
     """
 
     name = "fa_opt"
@@ -494,27 +542,49 @@ class FAOPTMemSys(MemorySystem):
     def cache_stats(self) -> CacheStats:
         return self.stats
 
-    def process_walk(self, index: Any, key: int) -> WalkTrace:
-        if self._walk_cursor >= len(self._walk_blocks):
-            raise IndexError("FA-OPT replayed more walks than prepared")
-        blocks = self._walk_blocks[self._walk_cursor]
-        self._walk_cursor += 1
-        accesses: list[Access] = []
-        for block in blocks:
-            # Fully-associative lookup = CAM match across every entry.
-            accesses.append(Access(
-                "sram", cycles=self.sim.t_fa_probe, port=block,
-            ))
-            hit = self._flags[self._flag_cursor]
-            self._flag_cursor += 1
-            self.stats.record(hit)
-            if self.tracer.enabled:
-                self.tracer.emit("opt_probe", block=block, hit=hit)
-            if not hit:
-                self.stats.insertions += 1
-                accesses.append(Access("dram", block * BLOCK_SIZE, BLOCK_SIZE))
-            accesses.append(self._search())
-        return WalkTrace(key, accesses, start_level=0, nodes_visited=len(blocks))
+    def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
+        # The walk's blocks come from the two-pass replay, not the path.
+        t_probe = self.sim.t_fa_probe
+        t_search = self.sim.t_search
+        kinds = batch.kinds
+        a1 = batch.a1
+        a2 = batch.a2
+        stats = self.stats
+        flags = self._flags
+        tracer = self.tracer
+        tracing = tracer.enabled
+        index_dram = 0
+        for request, prep in zip(requests, prepared):
+            if self._walk_cursor >= len(self._walk_blocks):
+                raise IndexError("FA-OPT replayed more walks than prepared")
+            if tracing:
+                tracer.walk = batch.num_walks
+            blocks = self._walk_blocks[self._walk_cursor]
+            self._walk_cursor += 1
+            for block in blocks:
+                # Fully-associative lookup = CAM match across every entry.
+                kinds.append(K_SRAM)
+                a1.append(block)
+                a2.append(t_probe)
+                hit = flags[self._flag_cursor]
+                self._flag_cursor += 1
+                stats.record(hit)
+                if tracing:
+                    tracer.emit("opt_probe", block=block, hit=hit)
+                if not hit:
+                    stats.insertions += 1
+                    kinds.append(K_DRAM)
+                    a1.append(block * BLOCK_SIZE)
+                    a2.append(0)
+                    index_dram += 1
+                kinds.append(K_COMPUTE)
+                a1.append(t_search)
+                a2.append(0)
+            visited = len(blocks)
+            if request.scan_hi is not None:
+                visited += _stream_leaves(batch, prep, request.scan_hi)
+            batch.finish_walk(request, 0, visited, False, False)
+        batch.index_dram += index_dram
 
 
 class XCacheMemSys(MemorySystem):
@@ -537,32 +607,6 @@ class XCacheMemSys(MemorySystem):
     def _attach_components(self, tracer, registry=None) -> None:
         self.cache.attach_obs(tracer, registry)
 
-    def process_walk(self, index: Any, key: int) -> WalkTrace:
-        ns = namespace_fn(index)
-        accesses: list[Access] = [
-            Access("sram", cycles=self.sim.t_addr_probe, port=hash(ns(key)) & 0xFFFF)
-        ]
-        leaf = self.cache.lookup(ns(key))
-        if leaf is not None:
-            # Fast path: the whole walk is short-circuited.
-            return WalkTrace(
-                key,
-                accesses,
-                start_level=getattr(leaf, "level", 0),
-                nodes_visited=0,
-                short_circuited=True,
-                full_hit=True,
-            )
-        path = index.walk(key)
-        append = accesses.append
-        search = self._search_step
-        for node in path:
-            for addr in _blocks_for(node.address, node.nbytes):
-                append(Access("dram", addr, BLOCK_SIZE))
-            append(search)
-        self.cache.insert(ns(key), path[-1])
-        return WalkTrace(key, accesses, start_level=0, nodes_visited=len(path))
-
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
         t_probe = self.sim.t_addr_probe
         t_search = self.sim.t_search
@@ -571,39 +615,28 @@ class XCacheMemSys(MemorySystem):
         a2 = batch.a2
         lookup = self.cache.lookup
         insert = self.cache.insert
+        tracer = self.tracer
+        tracing = tracer.enabled
         for request, prep in zip(requests, prepared):
-            if prep is None:
-                self.emit_walk(batch, request)
-                continue
-            planner, row = prep
-            ns = self._ns_for(request.index)
-            ns_key = ns(request.key)
+            if tracing:
+                tracer.walk = batch.num_walks
+            ns_key = self._ns_for(request.index)(request.key)
             kinds.append(K_SRAM)
             a1.append(hash(ns_key) & 0xFFFF)
             a2.append(t_probe)
             leaf = lookup(ns_key)
             if leaf is not None:
                 # Fast path: the whole walk is short-circuited.
-                batch.finish_walk(
-                    request, getattr(leaf, "level", 0), 0, True, True
-                )
-                continue
-            templates = planner.template_map(t_search)
-            offsets = planner._level_offsets
-            index_dram = 0
-            for level, pos in enumerate(row):
-                linear = offsets[level] + pos
-                t = templates.get(linear)
-                if t is None:
-                    t = planner.build_template(level, pos, t_search)
-                    templates[linear] = t
-                kinds += t[0]
-                a1 += t[1]
-                a2 += t[2]
-                index_dram += t[3]
-            insert(ns_key, planner.view(planner.height - 1, row[-1]))
-            batch.index_dram += index_dram
-            batch.finish_walk(request, 0, planner.height, False, False)
+                start_level = getattr(leaf, "level", 0)
+                visited = 0
+            else:
+                start_level = 0
+                visited = _emit_path(batch, prep, t_search)
+                insert(ns_key, _path_leaf(prep))
+            hit = leaf is not None
+            if request.scan_hi is not None:
+                visited += _stream_leaves(batch, prep, request.scan_hi)
+            batch.finish_walk(request, start_level, visited, hit, hit)
 
 
 class MetalMemSys(MemorySystem):
@@ -638,85 +671,12 @@ class MetalMemSys(MemorySystem):
 
         hooks.append(invalidate)
 
-    def process_walk(self, index: Any, key: int) -> WalkTrace:
-        self._track(index)
-        ns = namespace_fn(index)
-        height = index.height
-        faults = self.faults
-        if faults is not None and faults.storm():
-            # Invalidation storm: a span of key blocks around the probed
-            # key is invalidated wholesale (coherence storm / spurious
-            # structural-change signal), forcing re-misses.
-            cache = self.policy.cache
-            span = faults.plan.storm_span_blocks << cache.key_block_bits
-            center = ns(key)
-            faults.stats.storm_evictions += cache.invalidate_range(
-                max(0, center - span), center + span
-            )
-        self.policy.begin_walk(index.index_id, key)
-        accesses: list[Access] = [
-            Access("sram", cycles=self.sim.t_ix_probe,
-                   port=self.policy.cache.set_of(ns(key)))
-        ]
-        start = self.policy.probe(ns(key))
-        if start is not None and faults is not None and faults.tag_corrupted():
-            # The matched range tag failed its integrity check: trust
-            # nothing it covers — invalidate the entry and refetch via a
-            # full root-to-leaf walk (detected, recovered, accounted).
-            self.policy.cache.invalidate_range(ns(key), ns(key))
-            faults.stats.tag_refetches += 1
-            start = None
-        if start is not None and not start.covers(key):
-            # Stale hit: the index mutated under us and no invalidation
-            # hook was wired. Fall back to a full walk.
-            start = None
-        path = None
-        if start is not None:
-            try:
-                path = index.walk_from(start, key)
-            except KeyError:
-                # Stale node no longer part of the structure (rebuilt).
-                path = None
-        if path is not None and start is not None:
-            remaining = path[1:]  # the cached node itself is on-chip
-            start_level = start.level
-            short = True
-            if self.tracer.enabled:
-                self.tracer.emit("ix_short_circuit", key=key,
-                                 level=start_level, skipped=start_level)
-        else:
-            path = index.walk(key)
-            remaining = path
-            start_level = 0
-            short = False
-        append = accesses.append
-        search = self._search_step
-        consider = self.policy.consider
-        index_id = index.index_id
-        ns_key = ns(key)
-        for position, node in enumerate(remaining):
-            for addr in _blocks_for(node.address, node.nbytes):
-                append(Access("dram", addr, BLOCK_SIZE))
-            append(search)
-            consider(
-                index_id, node, height, ns, WalkContext(short, position),
-                key=ns_key,
-            )
-        self.policy.end_walk()
-        return WalkTrace(
-            key,
-            accesses,
-            start_level=start_level,
-            nodes_visited=len(remaining),
-            short_circuited=short,
-            full_hit=short and not remaining,
-        )
-
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
-        # The scalar probe/consider/end_walk pipeline with the dispatch
-        # chain (MetalIX.consider -> PatternController.decide ->
-        # descriptor.decide) inlined: same calls on the same state in the
-        # same order, minus two Python frames per visited node.
+        # The walk pipeline (begin_walk, IXCache.probe, consider, end_walk)
+        # with the dispatch chain (MetalIX.consider ->
+        # PatternController.decide -> descriptor.decide) inlined: same
+        # calls on the same state in the same order, minus two Python
+        # frames per visited node.
         policy = self.policy
         cache = policy.cache
         cache_insert = cache.insert
@@ -733,6 +693,9 @@ class MetalMemSys(MemorySystem):
         hit_levels = cache.hit_levels
         controller = policy.controller
         ctrl_tracer = controller.tracer if controller is not None else None
+        tracer = self.tracer
+        tracing = tracer.enabled
+        faults = self.faults
         t_probe = self.sim.t_ix_probe
         t_search = self.sim.t_search
         block_bytes = cache.params.block_bytes
@@ -745,24 +708,47 @@ class MetalMemSys(MemorySystem):
         cur_index = -1      # in the common case)
         wt_map: Any = None
         packed_map: Any = None
-        # Batch counters accumulated locally, flushed once after the loop.
+        # Probe counters accumulate locally; they are flushed into the
+        # cache statistics before batch tuning reads them and at the end.
         accesses = 0
         hits = 0
         index_dram = 0
+
+        def insert(node: Any, life: int) -> None:
+            # pack_node is pure in a SoA node's geometry (the tree is
+            # read-only), so SoA walks reuse packed entry lists; object
+            # nodes can change between walks and are packed on insert.
+            if pmap is None:
+                cache_insert(node, ns, life=life, key=ns_key)
+                return
+            packed = pmap.get(node)
+            if packed is None:
+                packed = pack_node(node, ns, block_bytes)
+                pmap[node] = packed
+            cache_insert(node, ns, life=life, key=ns_key, packed=packed)
+
         for request, prep in zip(requests, prepared):
-            if prep is None:
-                self.emit_walk(batch, request)
-                continue
-            planner, row = prep
             index = request.index
             key = request.key
             index_id = index.index_id
+            if tracing:
+                tracer.walk = batch.num_walks
             if index_id not in tracked:
                 self._track(index)
             ns = ns_cache.get(index_id)
             if ns is None:
                 ns = self._ns_for(index)
-            height = planner.height
+            ns_key = ns(key)
+            if faults is not None and faults.storm():
+                # Invalidation storm: a span of key blocks around the
+                # probed key is invalidated wholesale (coherence storm /
+                # spurious structural-change signal), forcing re-misses.
+                span = faults.plan.storm_span_blocks << kbb
+                faults.stats.storm_evictions += cache.invalidate_range(
+                    max(0, ns_key - span), ns_key + span
+                )
+            soa = type(prep) is tuple
+            height = prep[0].height if soa else index.height
             if controller is not None:
                 descriptor = controller._by_index.get(
                     index_id, controller._default
@@ -771,13 +757,12 @@ class MetalMemSys(MemorySystem):
                     descriptor.observe_key(key)
             else:
                 descriptor = None
-            ns_key = ns(key)
             kinds.append(K_SRAM)
             set_idx = (ns_key >> kbb) % num_sets
             a1.append(set_idx)
             a2.append(t_probe)
             # IXCache.probe inlined (same scans, same tie-break, same
-            # stats/utility updates; counters flushed after the loop).
+            # stats/utility updates and trace events).
             candidates = []
             for entry in sets[set_idx]:
                 tag = entry.tag
@@ -814,48 +799,69 @@ class MetalMemSys(MemorySystem):
                 if start is not None:
                     cache_tracer.emit("ix_hit", key=ns_key,
                                       level=entry.tag.level)
-            if start is not None and start.covers(key):
-                # A covering cached node is exactly the node the full
-                # walk routes through at its level (sibling ranges are
-                # disjoint and a parent's range covers its children's),
-                # so the rest of the path is the positions row below it
-                # — the scalar ``walk_from`` without the per-level
-                # ``child_for`` chain. The SoA tree is read-only, so
-                # the scalar path's stale-node KeyError cannot occur.
+            if start is not None and faults is not None and faults.tag_corrupted():
+                # The matched range tag failed its integrity check: trust
+                # nothing it covers — invalidate the entry and refetch via
+                # a full root-to-leaf walk (detected, recovered, accounted).
+                cache.invalidate_range(ns_key, ns_key)
+                faults.stats.tag_refetches += 1
+                start = None
+            if start is not None and not start.covers(key):
+                # Stale hit: the index mutated under us and no
+                # invalidation hook was wired. Fall back to a full walk.
+                start = None
+            nodes: Any = prep
+            if start is not None and not soa:
+                try:
+                    # The cached node itself is on-chip.
+                    nodes = index.walk_from(start, key)[1:]
+                except KeyError:
+                    # Stale node no longer part of the structure (rebuilt).
+                    start = None
+            if start is not None:
                 start_level = start.level
-                base_level = start_level + 1
                 short = True
                 ctx_row = _CTX_SHORT
+                if tracing:
+                    tracer.emit("ix_short_circuit", key=key,
+                                level=start_level, skipped=start_level)
             else:
                 start_level = 0
-                base_level = 0
                 short = False
                 ctx_row = _CTX_FULL
-            if planner is not cur_planner or index_id != cur_index:
-                cur_planner = planner
-                cur_index = index_id
-                wt_map = planner.walk_template_map(t_search)
-                packed_map = planner.packed_map(index_id, block_bytes)
-            wt_key = (base_level, row[-1])
-            wt = wt_map.get(wt_key)
-            if wt is None:
-                wt = planner.build_walk_template(base_level, row, t_search)
-                wt_map[wt_key] = wt
-            kinds += wt[0]
-            a1 += wt[1]
-            a2 += wt[2]
-            index_dram += wt[3]
-            nodes = wt[4]
+            if soa:
+                # A covering cached node is exactly the node the full walk
+                # routes through at its level (sibling ranges are disjoint
+                # and a parent's range covers its children's), so the rest
+                # of the path is the positions row below it: one memoized
+                # template per (first level, leaf).
+                planner, row = prep
+                if planner is not cur_planner or index_id != cur_index:
+                    cur_planner = planner
+                    cur_index = index_id
+                    wt_map = planner.walk_template_map(t_search)
+                    packed_map = planner.packed_map(index_id, block_bytes)
+                base_level = start_level + 1 if short else 0
+                wt_key = (base_level, row[-1])
+                wt = wt_map.get(wt_key)
+                if wt is None:
+                    wt = planner.build_walk_template(base_level, row, t_search)
+                    wt_map[wt_key] = wt
+                kinds += wt[0]
+                a1 += wt[1]
+                a2 += wt[2]
+                index_dram += wt[3]
+                nodes = wt[4]
+                pmap = packed_map
+            else:
+                index_dram += _emit_nodes(batch, nodes, t_search)
+                pmap = None
             if descriptor is None:
                 # Greedy insert-all (METAL-IX, or no governing
                 # descriptor): PatternController.decide returns
                 # INSERT_ALL without counting insertions.
-                for lp, node in nodes:
-                    packed = packed_map.get(lp)
-                    if packed is None:
-                        packed = pack_node(node, ns, block_bytes)
-                        packed_map[lp] = packed
-                    cache_insert(node, ns, key=ns_key, packed=packed)
+                for node in nodes:
+                    insert(node, 0)
             elif type(descriptor) is LevelDescriptor:
                 # LevelDescriptor.decide inlined: it only ever returns the
                 # two life-0 singletons, and tune() runs between walks, so
@@ -869,8 +875,8 @@ class MetalMemSys(MemorySystem):
                 frontier_walk = short and descriptor.frontier
                 admit = descriptor._filter.admit
                 position = 0
-                for lp, node in nodes:
-                    level = lp[0]
+                for node in nodes:
+                    level = node.level
                     if level < d_start or level > d_end or level >= height:
                         ins = False
                     elif frontier_walk:
@@ -878,22 +884,13 @@ class MetalMemSys(MemorySystem):
                     else:
                         ins = level < d_mid or admit(node.node_id)
                     position += 1
+                    if ctrl_enabled:
+                        ctrl_tracer.emit("desc_decision", level=level,
+                                         insert=ins, life=0)
                     if ins:
                         insertions[level] += 1
-                        if ctrl_enabled:
-                            ctrl_tracer.emit(
-                                "desc_decision", level=level,
-                                insert=True, life=0)
-                        packed = packed_map.get(lp)
-                        if packed is None:
-                            packed = pack_node(node, ns, block_bytes)
-                            packed_map[lp] = packed
-                        cache_insert(node, ns, key=ns_key, packed=packed)
+                        insert(node, 0)
                     else:
-                        if ctrl_enabled:
-                            ctrl_tracer.emit(
-                                "desc_decision", level=level,
-                                insert=False, life=0)
                         cache_stats.bypasses += 1
                         if cache_tracer.enabled:
                             cache_tracer.emit("ix_bypass", reason="pattern")
@@ -902,29 +899,19 @@ class MetalMemSys(MemorySystem):
                 ctrl_enabled = ctrl_tracer.enabled
                 decide = descriptor.decide
                 position = 0
-                for lp, node in nodes:
-                    level = lp[0]
+                for node in nodes:
                     ctx = (ctx_row[position] if position < _CTX_MAX
                            else WalkContext(short, position))
                     position += 1
                     decision = decide(node, height, ctx)
+                    if ctrl_enabled:
+                        ctrl_tracer.emit("desc_decision", level=node.level,
+                                         insert=decision.insert,
+                                         life=decision.life)
                     if decision.insert:
-                        insertions[level] += 1
-                        if ctrl_enabled:
-                            ctrl_tracer.emit(
-                                "desc_decision", level=level,
-                                insert=True, life=decision.life)
-                        packed = packed_map.get(lp)
-                        if packed is None:
-                            packed = pack_node(node, ns, block_bytes)
-                            packed_map[lp] = packed
-                        cache_insert(node, ns, life=decision.life,
-                                     key=ns_key, packed=packed)
+                        insertions[node.level] += 1
+                        insert(node, decision.life)
                     else:
-                        if ctrl_enabled:
-                            ctrl_tracer.emit(
-                                "desc_decision", level=level,
-                                insert=False, life=decision.life)
                         cache_stats.bypasses += 1
                         if cache_tracer.enabled:
                             cache_tracer.emit("ix_bypass", reason="pattern")
@@ -932,29 +919,36 @@ class MetalMemSys(MemorySystem):
                 walks = controller._walks_in_batch + 1
                 controller._walks_in_batch = walks
                 if walks >= controller.batch_walks:
+                    # Batch tuning reads this batch's hit rate.
+                    cache_stats.accesses += accesses
+                    cache_stats.hits += hits
+                    cache_stats.misses += accesses - hits
+                    accesses = 0
+                    hits = 0
                     controller._finish_batch()
-            batch.finish_walk(
-                request, start_level, len(nodes), short, short and not nodes
-            )
+            visited = len(nodes)
+            full = short and not nodes
+            if request.scan_hi is not None:
+                # The leaf stream follows the walk: each scanned leaf is
+                # probed, served on-chip when resident, else fetched and
+                # offered to the policy like a short-circuited walk's
+                # first node.
+                for leaf in _scanned_leaves(prep, request.scan_hi):
+                    visited += 1
+                    leaf_key = ns(leaf.lo)
+                    kinds.append(K_SRAM)
+                    a1.append((leaf_key >> kbb) % num_sets)
+                    a2.append(t_probe)
+                    if cache.peek(leaf_key) is leaf:
+                        continue
+                    index_dram += _fetch_leaf(batch, leaf)
+                    policy.consider(index_id, leaf, height, ns,
+                                    _CTX_SHORT[0], key=leaf_key)
+            batch.finish_walk(request, start_level, visited, short, full)
         cache_stats.accesses += accesses
         cache_stats.hits += hits
         cache_stats.misses += accesses - hits
         batch.index_dram += index_dram
-
-    def _scan_leaf(self, index: Any, leaf: IndexNode, accesses: list[Access]) -> None:
-        ns = namespace_fn(index)
-        accesses.append(Access(
-            "sram", cycles=self.sim.t_ix_probe,
-            port=self.policy.cache.set_of(ns(leaf.lo)) if leaf.lo is not None else -1,
-        ))
-        if leaf.lo is not None and self.policy.cache.peek(ns(leaf.lo)) is leaf:
-            return  # leaf already resident: served on-chip
-        for addr in _node_blocks(leaf):
-            accesses.append(Access("dram", addr, BLOCK_SIZE))
-        self.policy.consider(
-            index.index_id, leaf, index.height, ns,
-            WalkContext(True, 0), key=ns(leaf.lo) if leaf.lo is not None else None,
-        )
 
 
 def make_memsys(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.indexes.bplustree import BPlusTree
 from repro.params import BLOCK_SIZE, CacheParams
 from repro.sim.memsys import make_memsys
+from tests.walks import walk
 
 
 def tree_of(keys, fanout=4):
@@ -102,11 +103,11 @@ class TestDeleteWithIXCache:
             "metal_ix", cache_params=CacheParams(capacity_bytes=64 * BLOCK_SIZE)
         )
         for k in range(0, 400, 2):
-            ms.process_walk(t, k)
+            walk(ms, t, k)
         for k in range(0, 400, 8):
             t.delete(k)
         for k in range(2, 400, 8):
-            ms.process_walk(t, k)
+            walk(ms, t, k)
             leaf = t.walk(k)[-1]
             assert k in leaf.keys
         t.check_invariants()

@@ -90,7 +90,8 @@ class TestTimedRun:
         ]
         batch = TraceBatch()
         for walk, request in walks:
-            batch.add_trace(walk, request)
+            batch.add_accesses(walk.accesses)
+            batch.finish_walk(request, 0, 0, False, False)
         engine = Engine(sim(tiles=1, contexts=2))
         result = engine.run_batch(batch, record_latencies=True)
         assert result.walk_latencies == [160, 200]

@@ -4,9 +4,11 @@ import pytest
 
 from repro.mem.hierarchy import CacheHierarchy, HierarchyParams
 from repro.params import BLOCK_SIZE, CacheParams
+from repro.sim.engine import K_DRAM
 from repro.sim.memsys import HierarchyMemSys, make_memsys
 from repro.workloads.suite import build_workload
 from repro.bench.runner import run_workload
+from tests.walks import walk
 
 
 class TestCacheHierarchy:
@@ -55,20 +57,18 @@ class TestHierarchyMemSys:
 
         tree = BPlusTree.bulk_load([(k, k) for k in range(1_000)], fanout=4)
         ms = HierarchyMemSys(cache_params=CacheParams(capacity_bytes=16 * 1024))
-        first = ms.process_walk(tree, 500)
-        second = ms.process_walk(tree, 500)
-        dram = lambda t: sum(1 for a in t.accesses if a.kind == "dram")  # noqa: E731
-        assert dram(second) < dram(first)
+        first = walk(ms, tree, 500)
+        second = walk(ms, tree, 500)
+        assert second.count(K_DRAM) < first.count(K_DRAM)
 
     def test_l1_hits_bypass_crossbar(self):
         from repro.indexes.bplustree import BPlusTree
 
         tree = BPlusTree.bulk_load([(k, k) for k in range(1_000)], fanout=4)
         ms = HierarchyMemSys(cache_params=CacheParams(capacity_bytes=16 * 1024))
-        ms.process_walk(tree, 500)
-        warm = ms.process_walk(tree, 500)
-        l1_hits = [a for a in warm.accesses
-                   if a.kind == "sram" and a.port < 0]
+        walk(ms, tree, 500)
+        warm = walk(ms, tree, 500)
+        l1_hits = [port for port, _ in warm.probes() if port < 0]
         assert l1_hits  # some probes served locally, no crossbar port
 
     def test_hierarchy_beats_flat_address_on_hot_set(self):

@@ -12,6 +12,7 @@ from repro.indexes.bplustree import BPlusTree
 from repro.indexes.sparse_tensor import DynamicSparseTensor
 from repro.params import BLOCK_SIZE, CacheParams
 from repro.sim.memsys import make_memsys
+from tests.walks import walk
 
 
 def node(level, lo, hi):
@@ -105,7 +106,7 @@ class TestEndToEndCoherence:
                 tree.insert(k, k * 10)
                 present.append(k)
             key = rng.choice(present)
-            trace = ms.process_walk(tree, key)
+            trace = walk(ms, tree, key)
             assert trace.nodes_visited >= 0
             # Functional correctness: the tree still resolves the key.
             assert tree.get(key) == key * 10
@@ -120,13 +121,13 @@ class TestEndToEndCoherence:
         )
         # Warm the cache.
         for k in range(0, 300, 3):
-            ms.process_walk(tree, k)
+            walk(ms, tree, k)
         # Mutate heavily (forces splits across the key space).
         for k in range(1, 300, 3):
             tree.insert(k, -k)
         # Every subsequent walk must land on a leaf containing the key.
         for k in range(1, 300, 3):
-            ms.process_walk(tree, k)
+            walk(ms, tree, k)
             leaf = tree.walk(k)[-1]
             assert k in leaf.keys
 
@@ -139,12 +140,12 @@ class TestEndToEndCoherence:
             "metal_ix", cache_params=CacheParams(capacity_bytes=64 * BLOCK_SIZE)
         )
         for k in range(0, 200, 2):
-            ms.process_walk(tree, k)
+            walk(ms, tree, k)
         tree.on_structural_change.clear()  # sever the invalidation path
         for k in range(1, 200, 2):
             tree.insert(k, k)
         for k in range(1, 200, 2):
-            trace = ms.process_walk(tree, k)
+            trace = walk(ms, tree, k)
             assert trace is not None
             assert tree.get(k) == k
 
@@ -166,10 +167,10 @@ def test_property_probe_never_misroutes(build, extra, seed):
     )
     keys = sorted(build)
     for k in extra:
-        ms.process_walk(tree, rng.choice(keys))
+        walk(ms, tree, rng.choice(keys))
         tree.insert(k, k)
         keys = sorted(set(keys) | {k})
         probe_key = rng.choice(keys)
-        ms.process_walk(tree, probe_key)
+        walk(ms, tree, probe_key)
         leaf = tree.walk(probe_key)[-1]
         assert probe_key in leaf.keys

@@ -5,6 +5,7 @@ import pytest
 from repro.core.descriptors import LevelDescriptor, NodeDescriptor
 from repro.indexes.bplustree import BPlusTree
 from repro.params import BLOCK_SIZE, CacheParams, SimParams
+from repro.sim.engine import K_DRAM, K_SRAM
 from repro.sim.memsys import (
     AddressCacheMemSys,
     FAOPTMemSys,
@@ -16,6 +17,7 @@ from repro.sim.memsys import (
     namespace_fn,
     _node_blocks,
 )
+from tests.walks import walk
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +68,8 @@ class TestNodeBlocks:
 class TestStreaming:
     def test_every_node_hits_dram(self, tree):
         ms = StreamingMemSys()
-        trace = ms.process_walk(tree, 1_000)
-        drams = [a for a in trace.accesses if a.kind == "dram"]
-        assert len(drams) >= tree.height
+        trace = walk(ms, tree, 1_000)
+        assert trace.count(K_DRAM) >= tree.height
         assert trace.nodes_visited == tree.height
 
     def test_no_cache_stats(self, tree):
@@ -78,36 +79,33 @@ class TestStreaming:
 class TestAddressCache:
     def test_second_walk_hits(self, tree):
         ms = AddressCacheMemSys(cache_params=params())
-        t1 = ms.process_walk(tree, 500)
-        t2 = ms.process_walk(tree, 500)
-        dram1 = sum(1 for a in t1.accesses if a.kind == "dram")
-        dram2 = sum(1 for a in t2.accesses if a.kind == "dram")
-        assert dram2 < dram1
+        t1 = walk(ms, tree, 500)
+        t2 = walk(ms, tree, 500)
+        assert t2.count(K_DRAM) < t1.count(K_DRAM)
 
     def test_probe_cost_per_block(self, tree):
         ms = AddressCacheMemSys(cache_params=params())
-        trace = ms.process_walk(tree, 500)
-        srams = [a for a in trace.accesses if a.kind == "sram"]
-        assert len(srams) >= tree.height  # one probe per touched block
+        trace = walk(ms, tree, 500)
+        assert trace.count(K_SRAM) >= tree.height  # one probe per touched block
 
 
 class TestXCache:
     def test_hit_short_circuits_completely(self, tree):
         ms = XCacheMemSys(cache_params=params())
-        ms.process_walk(tree, 42)
-        trace = ms.process_walk(tree, 42)
+        walk(ms, tree, 42)
+        trace = walk(ms, tree, 42)
         assert trace.full_hit
-        assert not any(a.kind == "dram" for a in trace.accesses)
+        assert trace.count(K_DRAM) == 0
 
     def test_adjacent_key_misses(self, tree):
         ms = XCacheMemSys(cache_params=params())
-        ms.process_walk(tree, 42)
-        trace = ms.process_walk(tree, 43)  # same leaf, different key
+        walk(ms, tree, 42)
+        trace = walk(ms, tree, 43)  # same leaf, different key
         assert not trace.full_hit
 
     def test_miss_walks_root_to_leaf(self, tree):
         ms = XCacheMemSys(cache_params=params())
-        trace = ms.process_walk(tree, 99)
+        trace = walk(ms, tree, 99)
         assert trace.nodes_visited == tree.height
 
 
@@ -115,64 +113,62 @@ class TestFAOPT:
     def test_prepare_and_replay(self, tree):
         keys = [5, 10, 5, 10, 5]
         ms = FAOPTMemSys.prepare([(tree, k) for k in keys], params())
-        traces = [ms.process_walk(tree, k) for k in keys]
+        traces = [walk(ms, tree, k) for k in keys]
         # Later repeats should be cheaper than the first walk.
-        dram_first = sum(1 for a in traces[0].accesses if a.kind == "dram")
-        dram_last = sum(1 for a in traces[-1].accesses if a.kind == "dram")
-        assert dram_last < dram_first
+        assert traces[-1].count(K_DRAM) < traces[0].count(K_DRAM)
 
     def test_overrun_rejected(self, tree):
         ms = FAOPTMemSys.prepare([(tree, 1)], params())
-        ms.process_walk(tree, 1)
+        walk(ms, tree, 1)
         with pytest.raises(IndexError):
-            ms.process_walk(tree, 1)
+            walk(ms, tree, 1)
 
     def test_fa_probe_cost_used(self, tree):
         sim = SimParams()
         ms = FAOPTMemSys.prepare([(tree, 1)], params(), sim)
-        trace = ms.process_walk(tree, 1)
-        srams = [a for a in trace.accesses if a.kind == "sram"]
-        assert all(a.cycles == sim.t_fa_probe for a in srams)
+        trace = walk(ms, tree, 1)
+        assert trace.probes()
+        assert all(cycles == sim.t_fa_probe for _, cycles in trace.probes())
 
 
 class TestMetalMemSys:
     def test_miss_then_short_circuit(self, tree):
         ms = make_memsys("metal_ix", cache_params=params())
-        t1 = ms.process_walk(tree, 777)
+        t1 = walk(ms, tree, 777)
         assert not t1.short_circuited
-        t2 = ms.process_walk(tree, 777)
+        t2 = walk(ms, tree, 777)
         assert t2.short_circuited
         assert t2.start_level > 0
 
     def test_full_hit_at_leaf(self, tree):
         ms = make_memsys("metal_ix", cache_params=params())
-        ms.process_walk(tree, 777)
-        t2 = ms.process_walk(tree, 777)
+        walk(ms, tree, 777)
+        t2 = walk(ms, tree, 777)
         # Leaf was inserted on the first walk: complete short-circuit.
         assert t2.full_hit
-        assert not any(a.kind == "dram" for a in t2.accesses)
+        assert t2.count(K_DRAM) == 0
 
     def test_sibling_key_partial_short_circuit(self, tree):
         ms = make_memsys("metal_ix", cache_params=params())
-        ms.process_walk(tree, 1_000)
-        trace = ms.process_walk(tree, 1_900)
+        walk(ms, tree, 1_000)
+        trace = walk(ms, tree, 1_900)
         # Root is cached, so at minimum the walk starts below level 0...
         assert trace.short_circuited
 
     def test_metal_respects_descriptor(self, tree):
         desc = NodeDescriptor("leaf", life=1)
         ms = make_memsys("metal", cache_params=params(), descriptors=desc)
-        ms.process_walk(tree, 55)
+        walk(ms, tree, 55)
         stats = ms.cache_stats
         assert stats.bypasses > 0  # non-leaf nodes bypassed
 
     def test_probe_charged_once_per_walk(self, tree):
         sim = SimParams()
         ms = make_memsys("metal_ix", sim=sim, cache_params=params())
-        trace = ms.process_walk(tree, 3)
-        srams = [a for a in trace.accesses if a.kind == "sram"]
-        assert len(srams) == 1
-        assert srams[0].cycles == sim.t_ix_probe
+        trace = walk(ms, tree, 3)
+        probes = trace.probes()
+        assert len(probes) == 1
+        assert probes[0][1] == sim.t_ix_probe
 
 
 class TestFactory:
@@ -200,37 +196,31 @@ class TestFactory:
 class TestRangeScans:
     def test_scan_streams_leaves(self, tree):
         ms = StreamingMemSys()
-        point = ms.process_walk(tree, 100)
+        point = walk(ms, tree, 100)
         ms2 = StreamingMemSys()
-        scan = ms2.process_range_scan(tree, 100, 160)
-        point_dram = sum(1 for a in point.accesses if a.kind == "dram")
-        scan_dram = sum(1 for a in scan.accesses if a.kind == "dram")
-        assert scan_dram > point_dram
+        scan = walk(ms2, tree, 100, scan_hi=160)
+        assert scan.count(K_DRAM) > point.count(K_DRAM)
 
     def test_scan_bounded_by_hi(self, tree):
         ms = StreamingMemSys()
-        narrow = ms.process_range_scan(tree, 100, 110)
+        narrow = walk(ms, tree, 100, scan_hi=110)
         ms2 = StreamingMemSys()
-        wide = ms2.process_range_scan(tree, 100, 400)
+        wide = walk(ms2, tree, 100, scan_hi=400)
         assert wide.nodes_visited > narrow.nodes_visited
 
     def test_address_cache_serves_rescans(self, tree):
         ms = AddressCacheMemSys(cache_params=params(256))
-        first = ms.process_range_scan(tree, 100, 160)
-        second = ms.process_range_scan(tree, 100, 160)
-        dram1 = sum(1 for a in first.accesses if a.kind == "dram")
-        dram2 = sum(1 for a in second.accesses if a.kind == "dram")
-        assert dram2 < dram1
+        first = walk(ms, tree, 100, scan_hi=160)
+        second = walk(ms, tree, 100, scan_hi=160)
+        assert second.count(K_DRAM) < first.count(K_DRAM)
 
     def test_metal_serves_cached_scan_leaves(self, tree):
         ms = make_memsys("metal_ix", cache_params=params(256))
-        first = ms.process_range_scan(tree, 100, 160)
-        second = ms.process_range_scan(tree, 100, 160)
-        dram1 = sum(1 for a in first.accesses if a.kind == "dram")
-        dram2 = sum(1 for a in second.accesses if a.kind == "dram")
-        assert dram2 < dram1
+        first = walk(ms, tree, 100, scan_hi=160)
+        second = walk(ms, tree, 100, scan_hi=160)
+        assert second.count(K_DRAM) < first.count(K_DRAM)
 
     def test_empty_range_is_point_walk(self, tree):
         ms = StreamingMemSys()
-        scan = ms.process_range_scan(tree, 100, 100)
+        scan = walk(ms, tree, 100, scan_hi=100)
         assert scan.nodes_visited >= tree.height

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.indexes.pagetable import RadixPageTable
 from repro.params import BLOCK_SIZE, CacheParams
 from repro.sim.memsys import make_memsys
+from tests.walks import walk
 
 
 def small_pt(**kw):
@@ -101,8 +102,8 @@ class TestIXCacheIntegration:
         ms = make_memsys(
             "metal_ix", cache_params=CacheParams(capacity_bytes=64 * BLOCK_SIZE)
         )
-        cold = ms.process_walk(pt, 0x8000)
-        warm = ms.process_walk(pt, 0x8000)
+        cold = walk(ms, pt, 0x8000)
+        warm = walk(ms, pt, 0x8000)
         assert not cold.short_circuited
         assert warm.short_circuited
         assert warm.nodes_visited < cold.nodes_visited
@@ -114,9 +115,9 @@ class TestIXCacheIntegration:
         ms = make_memsys(
             "metal_ix", cache_params=CacheParams(capacity_bytes=64 * BLOCK_SIZE)
         )
-        ms.process_walk(pt, 0x0)
+        walk(ms, pt, 0x0)
         # A neighbouring page under the same table node short-circuits too.
-        trace = ms.process_walk(pt, 0x1000)
+        trace = walk(ms, pt, 0x1000)
         assert trace.short_circuited
 
     def test_unmap_invalidates_cached_walk(self):
@@ -125,9 +126,9 @@ class TestIXCacheIntegration:
         ms = make_memsys(
             "metal_ix", cache_params=CacheParams(capacity_bytes=64 * BLOCK_SIZE)
         )
-        ms.process_walk(pt, 0x5000)
+        walk(ms, pt, 0x5000)
         pt.unmap_page(0x5000)  # fires the shootdown hook
-        trace = ms.process_walk(pt, 0x5000)
+        trace = walk(ms, pt, 0x5000)
         assert trace is not None
         assert pt.translate(0x5000) is None
 

@@ -152,6 +152,33 @@ def test_run_results_byte_identical_across_backends(workload_name):
             f"{workload_name}/{kind}: backends disagree"
 
 
+def test_metal_tuning_feedback_identical_across_backends():
+    """Batch tuning reads up-to-date cache statistics on both backends.
+
+    The batch boundary (300 walks) falls inside a walk-generation chunk,
+    and a descriptor whose tuning reacts to the hit rate turns any stale
+    per-batch feedback into different decisions downstream.
+    """
+    from repro.core.descriptors import BranchDescriptor
+    from repro.sim.memsys import make_memsys
+
+    runs = {}
+    for backend in ("object", "soa"):
+        _reset_ids()
+        workload = build_workload("scan", scale=0.3, backend=backend)
+        sim = workload.config.sim_params()
+        memsys = make_memsys(
+            "metal", sim, batch_walks=300,
+            descriptors=BranchDescriptor(depth=2, grow_hit_rate=0.5),
+        )
+        run = simulate(
+            memsys, workload.requests, sim, workload.total_index_blocks
+        )
+        runs[backend] = (run.to_dict(), memsys.policy.controller.history)
+    assert runs["object"][1] == runs["soa"][1], "tuning histories disagree"
+    assert runs["object"][0] == runs["soa"][0], "backends disagree"
+
+
 def test_soa_rejects_bad_keys():
     with pytest.raises(ValueError):
         SoABPlusTree(np.asarray([], dtype=np.int64))

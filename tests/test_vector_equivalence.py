@@ -1,16 +1,20 @@
 """Byte-identity of the one timed pipeline across its generation paths.
 
-Untraced, fault-free runs generate walks through the native SoA
-``process_chunk`` emitters and time them with the engine's inline
-DRAM/crossbar code. Traced and faulted runs generate every walk through
-the per-request generators and time them through the engine's hooks.
-These tests hold both sides to committed goldens and to each other:
+Every run generates walks through each memory system's one generator,
+``process_chunk``. Untraced, fault-free runs time them with the
+engine's inline DRAM/crossbar code; traced and faulted runs fire the
+generators' trace and fault sites and time the stream through the
+engine's hooks. These tests hold both sides to committed goldens and to
+each other:
 
 * the traced run of every scan cell (six systems x both index backends,
   scale 0.01) matches a digest of every tracer event, in order, plus
   its ``RunResult.to_dict()`` — fault-free and under ``TRACED_PLAN``;
 * the faulted runs match ``to_dict`` digests under two
   ``FaultPlan.uniform`` plans;
+* off that matrix, ``address_pf``/``address_l2`` scans and range scans
+  (``select``) on every system match untraced (scan only), traced and
+  faulted digests;
 * the traced run's ``to_dict`` minus its counter snapshot equals the
   untraced run's, so the two generation paths agree on every cell;
 * walk-generation chunk boundaries never reach results.
@@ -47,6 +51,12 @@ FAULT_PLANS = {
 }
 #: The plan of the traced faulted cells (walk_end retry/degraded args).
 TRACED_PLAN = "uniform0.2"
+#: (workload, system) cells pinned outside the six-system scan matrix:
+#: the two address-cache variants, and range scans on every system.
+EXTRA_CELLS = (
+    [("scan", system) for system in ("address_pf", "address_l2")]
+    + [("select", system) for system in SYSTEMS]
+)
 
 
 def pinned_workload(backend: str, name: str = WORKLOAD):
@@ -56,8 +66,8 @@ def pinned_workload(backend: str, name: str = WORKLOAD):
         return build_workload(name, scale=SCALE, backend=backend)
 
 
-def cell_key(backend: str, system: str) -> str:
-    return f"{SCALE}/{WORKLOAD}/{backend}/{system}"
+def cell_key(backend: str, system: str, name: str = WORKLOAD) -> str:
+    return f"{SCALE}/{name}/{backend}/{system}"
 
 
 def _canon(data: dict) -> str:
@@ -86,7 +96,7 @@ def faulted_digest(workload, system: str, plan: FaultPlan) -> str:
 
 
 def assert_paths_agree(workload, system: str) -> None:
-    """Traced (per-request, hooked) == untraced (chunked, inline)."""
+    """Traced (hooked) == untraced (inline) on every RunResult field."""
     sim = workload.config.sim_params()
     untraced = run_workload(workload, system, sim=sim, record_latencies=True)
     traced = run_workload(workload, system, sim=replace(sim, trace=True))
@@ -105,8 +115,9 @@ def golden():
 
 def test_golden_covers_traced_and_faulted_matrix(golden):
     cells = len(BACKENDS) * len(SYSTEMS)
-    assert len(golden["traced"]) == cells * 2
-    assert len(golden["faulted"]) == cells * len(FAULT_PLANS)
+    extra = len(BACKENDS) * len(EXTRA_CELLS)
+    assert len(golden["traced"]) == cells * 2 + extra * 2
+    assert len(golden["faulted"]) == cells * len(FAULT_PLANS) + extra
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -131,9 +142,30 @@ def test_vectorized_byte_identical_scan(golden, system, backend):
     assert_paths_agree(workload, system)
 
 
-@pytest.mark.parametrize("system", ("metal", "metal_ix"))
-def test_vectorized_byte_identical_select(system):
-    assert_paths_agree(pinned_workload("soa", "select"), system)
+@pytest.mark.parametrize(("name", "system"), EXTRA_CELLS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_extra_cells_byte_identical(golden, name, system, backend):
+    """Untraced (scan only), traced, and faulted runs off the scan matrix."""
+    workload = pinned_workload(backend, name)
+    key = cell_key(backend, system, name)
+    if name == "scan":
+        untraced = run_workload(workload, system)
+        digest = hashlib.sha256(_canon(untraced.to_dict()).encode()).hexdigest()
+        assert digest == golden["digests"][key], (
+            f"{key}: untraced RunResult diverged from the golden"
+        )
+    assert traced_digest(workload, system) == golden["traced"][key], (
+        f"{key}: traced event stream diverged from the golden"
+    )
+    faulted_key = f"{key}/{TRACED_PLAN}"
+    plan = FAULT_PLANS[TRACED_PLAN]
+    assert traced_digest(workload, system, plan) == (
+        golden["traced"][faulted_key]
+    ), f"{faulted_key}: traced faulted event stream diverged from the golden"
+    assert faulted_digest(workload, system, plan) == (
+        golden["faulted"][faulted_key]
+    ), f"{faulted_key}: faulted RunResult diverged from the golden"
+    assert_paths_agree(workload, system)
 
 
 def test_odd_chunk_sizes_byte_identical(golden, monkeypatch):

@@ -2,7 +2,9 @@
 
 from repro.dsa.walker import MicrocodeTable, Walker, WalkerState
 from repro.indexes.bplustree import BPlusTree
+from repro.sim.engine import K_DRAM
 from repro.sim.memsys import StreamingMemSys
+from tests.walks import walk
 
 
 def tree():
@@ -53,8 +55,8 @@ class TestWalker:
         walker_dram = sum(
             1 for a in Walker().trace(t, 222) if a.kind == "dram"
         )
-        stream_trace = StreamingMemSys().process_walk(t, 222)
-        stream_dram = sum(1 for a in stream_trace.accesses if a.kind == "dram")
+        stream_trace = walk(StreamingMemSys(), t, 222)
+        stream_dram = stream_trace.count(K_DRAM)
         # The walker issues one fetch per node; streaming expands to the
         # binary-search footprint — node counts must agree.
         assert walker_dram == t.height
