@@ -1,22 +1,27 @@
 """Paper-scale sweep — streamed keygen + SoA storage up to 10M keys.
 
-The full sweep (``python -m repro.bench.scale_sweep --write-baseline``)
-commits BENCH_scale.json with the 1x point; the benchmark run keeps to
-the CI fractions so it stays push-cheap while exercising the identical
-path: tracemalloc-gated SoA build, fixed walk prefix, stream-vs-METAL
-trend predicates, and drift check against the committed baseline.
+The full sweep (``python -m repro.bench.scale_sweep --baseline
+--write-baseline``) commits BENCH_scale.json with the 1x point; the
+benchmark run keeps to the CI fractions so it stays push-cheap while
+exercising the identical path: tracemalloc-gated SoA build, fixed walk
+prefix, stream-vs-METAL trend predicates, and the gate against the
+committed baseline.
 """
+
+import argparse
 
 from conftest import run_once
 
+from repro import gate
 from repro.bench.scale_sweep import (
     CI_POINTS,
     DEFAULT_BASELINE,
-    check_against_baseline,
+    GATE,
     check_trends,
+    covered_by,
     format_sweep,
-    load_baseline,
     run_scale_sweep,
+    sweep_to_baseline,
 )
 
 
@@ -25,9 +30,10 @@ def test_scale_sweep_ci_points(benchmark):
     print()
     print(format_sweep(points))
     assert check_trends(points) == []
-    baseline = load_baseline(DEFAULT_BASELINE)
-    assert baseline is not None, f"{DEFAULT_BASELINE} must be committed"
-    assert check_against_baseline(points, baseline) == []
+    args = argparse.Namespace(baseline=DEFAULT_BASELINE, write_baseline=False)
+    assert gate.finish(args, sweep_to_baseline(points), GATE,
+                       covered=covered_by(points)) == 0
+    baseline = gate.load(DEFAULT_BASELINE)
     # The committed full sweep carries the paper-scale point and its
     # trends: 10M records built inside the declared budget, speedup
     # floor held from 0.01x through 1x.

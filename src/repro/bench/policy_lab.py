@@ -18,8 +18,8 @@ directly: a policy off the front is dominated — some other policy hits
 at least as often for no more tag energy.
 
 ``BENCH_policy.json`` stores the sweep's key metrics with a relative
-tolerance, same discipline as the other BENCH gates; ``--check`` exits
-2 when the baseline is missing and 3 on regression.
+tolerance; ``--baseline`` compares a run against it through
+:mod:`repro.gate`, answering only for the cells a subset sweep ran.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import argparse
 import json
 from typing import Any
 
+from repro import gate
 from repro.bench.format import render_table
 from repro.bench.runner import cache_params_for
 from repro.core.policy import POLICIES, make_policy, tag_energy_fj
@@ -35,10 +36,6 @@ from repro.exec.executor import Executor
 from repro.exec.spec import RunSpec
 
 BASELINE_SCHEMA = "policy-lab/1"
-BASELINE_DEFAULT_RTOL = 0.05
-BASELINE_DEFAULT_PATH = "BENCH_policy.json"
-EXIT_BASELINE_MISSING = 2
-EXIT_REGRESSION = 3
 
 #: The tuned variant's cell label: default policy + online threshold tuner.
 TUNED_LABEL = "utility_rrip+tuned"
@@ -179,7 +176,7 @@ def render(payload: dict[str, Any]) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Baseline gate (same write/compare discipline as bench.report)
+# Baseline gate (BENCH_policy.json)
 # --------------------------------------------------------------------- #
 
 
@@ -193,63 +190,38 @@ def extract_key_metrics(payload: dict[str, Any]) -> dict[str, float]:
     return metrics
 
 
-def write_baseline(path: str, payload: dict[str, Any], rtol: float) -> dict:
-    baseline = {
+def baseline_document(payload: dict[str, Any]) -> dict[str, Any]:
+    """The ``BENCH_policy.json`` document for one sweep payload."""
+    return {
         "schema": BASELINE_SCHEMA,
         "scale": payload["scale"],
         "system": payload["system"],
-        "rtol": rtol,
+        "rtol": gate.DEFAULT_RTOL,
         "metrics": extract_key_metrics(payload),
     }
-    with open(path, "w") as f:
-        json.dump(baseline, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return baseline
 
 
-def compare_baseline(
-    baseline: dict, payload: dict[str, Any], rtol: float | None = None
-) -> tuple[list[str], list[str]]:
-    """(regressions, notes) — same contract as bench.report's gate."""
-    tol = rtol if rtol is not None else baseline.get("rtol", BASELINE_DEFAULT_RTOL)
-    expected: dict[str, float] = baseline.get("metrics", {})
-    actual = extract_key_metrics(payload)
-    regressions: list[str] = []
-    notes: list[str] = []
-    if baseline.get("scale") != payload.get("scale"):
-        regressions.append(
-            f"scale mismatch: baseline {baseline.get('scale')} vs "
-            f"run {payload.get('scale')}"
-        )
-        return regressions, notes
-    covered_workloads = set(payload.get("workloads", ()))
-    covered_policies = set(payload.get("policies", ()))
-    for name, want in sorted(expected.items()):
-        if name not in actual:
-            # A subset sweep (CI smoke) only answers for the cells it ran:
-            # baseline cells outside the run's grid are not regressions.
-            _, workload, label, _ = name.split(".", 3)
-            if workload not in covered_workloads or label not in covered_policies:
-                continue
-            regressions.append(f"{name}: missing from run (baseline {want:.6g})")
-            continue
-        got = actual[name]
-        rel = abs(got - want) / max(abs(want), 1e-12)
-        if rel > tol:
-            regressions.append(
-                f"{name}: {got:.6g} vs baseline {want:.6g} "
-                f"({rel * 100:+.1f}% > {tol * 100:.1f}% tolerance)"
-            )
-    for name in sorted(set(actual) - set(expected)):
-        notes.append(f"{name}: new metric {actual[name]:.6g} (not in baseline)")
-    return regressions, notes
+GATE = gate.Rules(
+    flatten=lambda doc: {"scale": doc.get("scale"),
+                         "system": doc.get("system"),
+                         **doc.get("metrics", {})},
+    config=("scale", "system"),
+)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro policy",
-        description="Sweep IX-cache replacement policies (hit-rate vs tag-energy)",
-    )
+def covered_by(payload: dict[str, Any]):
+    """A subset sweep answers only for its own workload x policy cells."""
+    workloads = set(payload["workloads"])
+    policies = set(payload["policies"])
+
+    def covered(key: str) -> bool:
+        _, workload, label, _ = key.split(".", 3)
+        return workload in workloads and label in policies
+
+    return covered
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policies", default="",
                         help="comma list; default = every registered policy")
     parser.add_argument("--workloads", default=",".join(DEFAULT_WORKLOADS))
@@ -262,58 +234,35 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip the auto-tuned default-policy cells")
     parser.add_argument("--json", action="store_true",
                         help="emit the payload as JSON instead of tables")
-    parser.add_argument("--baseline", default=BASELINE_DEFAULT_PATH)
-    parser.add_argument("--write-baseline", action="store_true")
-    parser.add_argument("--check", action="store_true",
-                        help="compare against --baseline; exit 2 missing, 3 regressed")
-    parser.add_argument("--baseline-rtol", type=float, default=None)
-    args = parser.parse_args(argv)
+    gate.add_arguments(parser, "BENCH_policy.json")
 
-    policies = tuple(p for p in args.policies.split(",") if p)
-    workloads = tuple(w for w in args.workloads.split(",") if w)
+
+def run(args: argparse.Namespace) -> int:
+    gate.validate(args)
     payload = sweep(
-        policies=policies,
-        workloads=workloads,
+        policies=tuple(p for p in args.policies.split(",") if p),
+        workloads=tuple(w for w in args.workloads.split(",") if w),
         scale=args.scale,
         seed=args.seed,
         jobs=args.jobs,
         system=args.system,
         tuned=not args.no_tuned,
     )
-
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render(payload))
+    return gate.finish(args, baseline_document(payload), GATE,
+                       covered=covered_by(payload))
 
-    if args.write_baseline:
-        rtol = args.baseline_rtol if args.baseline_rtol is not None \
-            else BASELINE_DEFAULT_RTOL
-        write_baseline(args.baseline, payload, rtol)
-        print(f"baseline written to {args.baseline} (rtol {rtol})")
-        return 0
-    if args.check:
-        try:
-            with open(args.baseline) as f:
-                baseline = json.load(f)
-        except FileNotFoundError:
-            print(f"baseline {args.baseline} missing; run --write-baseline first")
-            return EXIT_BASELINE_MISSING
-        regressions, notes = compare_baseline(
-            baseline, payload, rtol=args.baseline_rtol
-        )
-        for note in notes:
-            print(f"note: {note}")
-        if regressions:
-            print(f"{len(regressions)} policy metric(s) regressed:")
-            for regression in regressions:
-                print(f"  {regression}")
-            return EXIT_REGRESSION
-        compared = len(
-            set(baseline.get("metrics", {})) & set(extract_key_metrics(payload))
-        )
-        print(f"policy gate ok: {compared} metrics within tolerance")
-    return 0
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro policy",
+        description="Sweep IX-cache replacement policies (hit-rate vs tag-energy)",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -6,33 +6,22 @@ Usage::
 
 Workloads are built once per scale and shared across experiments.
 
-Regression baselines: ``--baseline FILE --write-baseline`` stores the
+Regression baselines: ``--baseline [PATH] --write-baseline`` stores the
 per-figure key metrics (Fig. 18 speedups, headline ratios, Table-3
-geomeans) of this run; a later ``--baseline FILE`` run compares against
-them and exits nonzero when any metric moved beyond the relative
-tolerance. The simulation is deterministic integer-cycle, so at a fixed
-scale/seed the stored metrics are exactly reproducible across machines.
+geomeans) of this run; a later ``--baseline [PATH]`` run compares against
+them through :mod:`repro.gate`. The simulation is deterministic
+integer-cycle, so at a fixed scale/seed the stored metrics are exactly
+reproducible across machines.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
-#: Default relative tolerance for baseline comparison. Generous enough to
-#: absorb intentional small model adjustments; a genuine perf regression
-#: moves the headline ratios far more than this.
-BASELINE_DEFAULT_RTOL = 0.05
-#: Baseline file schema version (bump on incompatible layout changes).
-BASELINE_SCHEMA = 1
-
-#: Exit codes for the baseline path (also used by CI).
-EXIT_BASELINE_MISSING = 2
-EXIT_REGRESSION = 3
-
+from repro import gate
 from repro.bench import adaptivity, breakdown, energy, occupancy, scaling
 from repro.bench import speedup as speedup_mod
 from repro.bench import summary as summary_mod
@@ -196,56 +185,24 @@ def extract_key_metrics(payload: dict) -> dict[str, float]:
     return metrics
 
 
-def write_baseline(path: str, payload: dict, rtol: float) -> dict:
-    """Store this run's key metrics as the regression baseline."""
-    baseline = {
+#: Baseline file schema version (bump on incompatible layout changes).
+BASELINE_SCHEMA = 1
+
+
+def baseline_document(payload: dict) -> dict:
+    """The ``BENCH_baseline.json`` document for one report payload."""
+    return {
         "schema": BASELINE_SCHEMA,
         "scale": payload.get("scale"),
-        "rtol": rtol,
+        "rtol": gate.DEFAULT_RTOL,
         "metrics": extract_key_metrics(payload),
     }
-    with open(path, "w") as f:
-        json.dump(baseline, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return baseline
 
 
-def compare_baseline(
-    baseline: dict, payload: dict, rtol: float | None = None
-) -> tuple[list[str], list[str]]:
-    """Compare a run against a stored baseline.
-
-    Returns ``(regressions, notes)``. A metric regresses when its
-    relative difference exceeds ``rtol`` (the baseline's stored tolerance
-    unless overridden) or when it vanished from the run; metrics new in
-    the run are notes only — they regress nothing until baselined.
-    """
-    tol = rtol if rtol is not None else baseline.get("rtol", BASELINE_DEFAULT_RTOL)
-    expected: dict[str, float] = baseline.get("metrics", {})
-    actual = extract_key_metrics(payload)
-    regressions: list[str] = []
-    notes: list[str] = []
-    if baseline.get("scale") != payload.get("scale"):
-        regressions.append(
-            f"scale mismatch: baseline {baseline.get('scale')} vs "
-            f"run {payload.get('scale')} (metrics are scale-dependent)"
-        )
-        return regressions, notes
-    for name, want in sorted(expected.items()):
-        if name not in actual:
-            regressions.append(f"{name}: missing from run (baseline {want:.6g})")
-            continue
-        got = actual[name]
-        denom = max(abs(want), 1e-12)
-        rel = abs(got - want) / denom
-        if rel > tol:
-            regressions.append(
-                f"{name}: {got:.6g} vs baseline {want:.6g} "
-                f"({rel * 100:+.1f}% > {tol * 100:.1f}% tolerance)"
-            )
-    for name in sorted(set(actual) - set(expected)):
-        notes.append(f"{name}: new metric {actual[name]:.6g} (not in baseline)")
-    return regressions, notes
+GATE = gate.Rules(
+    flatten=lambda doc: {"scale": doc.get("scale"), **doc.get("metrics", {})},
+    config=("scale",),
+)
 
 
 def trace_overhead_check(
@@ -313,8 +270,7 @@ def trace_overhead_check(
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=0.25,
                         help="workload scale factor (1.0 = repo default sizes)")
     parser.add_argument("--out", type=str, default=None,
@@ -335,21 +291,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--verify-trace-overhead", action="store_true",
                         help="only check the observability layer: identical "
                              "aggregates with tracing on/off + overhead %%")
-    parser.add_argument("--baseline", type=str, default=None,
-                        help="compare key metrics against this baseline "
-                             "JSON; nonzero exit on regression")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="(re)write the --baseline file from this run")
-    parser.add_argument("--baseline-rtol", type=float, default=None,
-                        help="relative tolerance for baseline comparison "
-                             "(default: the baseline file's stored value)")
-    args = parser.parse_args(argv)
+    gate.add_arguments(parser, "BENCH_baseline.json")
+
+
+def run(args: argparse.Namespace) -> int:
     if args.verify_trace_overhead:
         print(trace_overhead_check(scale=args.scale))
         return 0
-    if args.write_baseline and not args.baseline:
-        parser.error("--write-baseline requires --baseline FILE")
-    payload: dict | None = {} if (args.json or args.baseline) else None
+    gate.validate(args)
+    payload: dict = {}
     store = None
     if not args.no_cache:
         store = ResultStore(root=args.cache_dir)
@@ -361,42 +311,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         with open(args.out, "w") as f:
             f.write(report)
-    if args.json and payload is not None:
+    if args.json:
         with open(args.json, "w") as f:
             json.dump(payload, f, indent=2)
-    if args.baseline:
-        assert payload is not None
-        if args.write_baseline:
-            baseline = write_baseline(
-                args.baseline, payload,
-                args.baseline_rtol if args.baseline_rtol is not None
-                else BASELINE_DEFAULT_RTOL,
-            )
-            print(f"baseline written to {args.baseline} "
-                  f"({len(baseline['metrics'])} metrics, "
-                  f"rtol {baseline['rtol']})")
-            return 0
-        if not os.path.exists(args.baseline):
-            print(f"baseline file not found: {args.baseline} "
-                  f"(create it with --write-baseline)", file=sys.stderr)
-            return EXIT_BASELINE_MISSING
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-        regressions, notes = compare_baseline(
-            baseline, payload, rtol=args.baseline_rtol
-        )
-        for note in notes:
-            print(f"note: {note}")
-        if regressions:
-            print(f"{len(regressions)} metric(s) regressed vs "
-                  f"{args.baseline}:", file=sys.stderr)
-            for regression in regressions:
-                print(f"  - {regression}", file=sys.stderr)
-            return EXIT_REGRESSION
-        print(f"baseline check passed: "
-              f"{len(baseline.get('metrics', {}))} metrics within "
-              f"tolerance of {args.baseline}")
-    return 0
+    return gate.finish(args, baseline_document(payload), GATE)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

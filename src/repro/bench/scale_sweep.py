@@ -17,19 +17,25 @@ exact prefix) on the stream baseline and on METAL, so makespan ratios
 across points reflect index growth, not walk volume.
 
 ``BENCH_scale.json`` commits the sweep: miss rates, speedups, block
-counts, and measured build peaks per point. ``--check`` re-runs a subset
-and verifies the trends (speedup floor, miss-rate ordering, memory
-budget) still hold; CI runs the 0.01/0.05 points on every push.
+counts, budgets, and measured build peaks per point. ``--baseline``
+re-runs a subset, verifies the trends (speedup floor, miss-rate
+ordering, memory budget) still hold, and gates the re-run points against
+the committed ones through :mod:`repro.gate`: sizes and budgets exactly,
+makespans and miss rates within tolerance. Because each budget is pinned
+to the committed one, no build peak can pass a budget the committed
+sweep did not record. CI runs the 0.01/0.05 points on every push.
 """
 
 from __future__ import annotations
 
-import json
+import argparse
 import resource
+import sys
 import tracemalloc
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import gate
 from repro.bench.format import render_table
 from repro.bench.runner import build_memsys
 from repro.sim.metrics import RunResult, simulate
@@ -55,12 +61,6 @@ BUDGET_PER_RECORD = 260
 DEFAULT_BASELINE = "BENCH_scale.json"
 #: Minimum METAL-over-stream speedup required at every point.
 MIN_SPEEDUP = 1.5
-#: Relative tolerance for --check against committed metrics.
-CHECK_RTOL = 0.05
-
-EXIT_TREND_VIOLATED = 1
-EXIT_BASELINE_MISSING = 2
-EXIT_REGRESSED = 3
 
 
 def point_budget_bytes(num_records: int) -> int:
@@ -201,59 +201,30 @@ def sweep_to_baseline(points: list[SweepPoint]) -> dict[str, Any]:
     }
 
 
-def write_baseline(points: list[SweepPoint], path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(sweep_to_baseline(points), f, indent=2, sort_keys=True)
-        f.write("\n")
+def _flatten(doc: dict[str, Any]) -> dict[str, Any]:
+    flat = {key: doc.get(key) for key in ("workload", "backend", "max_walks")}
+    for p in doc.get("points", ()):
+        prefix = f"frac{p['frac']:g}"
+        for name in ("num_records", "num_walks", "index_blocks",
+                     "budget_bytes"):
+            flat[f"{prefix}.{name}"] = p[name]
+        for kind, metrics in p["metrics"].items():
+            for name in ("makespan", "miss_rate"):
+                flat[f"{prefix}.{kind}.{name}"] = metrics[name]
+    return flat
 
 
-def load_baseline(path: str) -> dict[str, Any] | None:
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError):
-        return None
+GATE = gate.Rules(
+    flatten=_flatten,
+    config=("workload", "backend", "max_walks"),
+    exact=("num_records", "num_walks", "index_blocks", "budget_bytes"),
+)
 
 
-def check_against_baseline(
-    points: list[SweepPoint], baseline: dict[str, Any],
-    rtol: float = CHECK_RTOL,
-) -> list[str]:
-    """Compare re-run points to the committed sweep.
-
-    Makespans and miss rates are deterministic per (scale, seed), so the
-    tolerance only absorbs intentional small simulator changes; the
-    memory gate uses the committed budget, not the committed measurement
-    (allocator noise across Python versions is real, budgets are not).
-    """
-    by_frac = {p["frac"]: p for p in baseline.get("points", [])}
-    problems = []
-    for p in points:
-        ref = by_frac.get(p.frac)
-        if ref is None:
-            problems.append(f"frac {p.frac:g}: not in baseline")
-            continue
-        if p.build_peak_bytes > ref["budget_bytes"]:
-            problems.append(
-                f"frac {p.frac:g}: build peak {p.build_peak_bytes:,}B "
-                f"exceeds committed budget {ref['budget_bytes']:,}B"
-            )
-        for field_name in ("num_records", "num_walks", "index_blocks"):
-            if getattr(p, field_name) != ref[field_name]:
-                problems.append(
-                    f"frac {p.frac:g}: {field_name} {getattr(p, field_name)} "
-                    f"!= committed {ref[field_name]}"
-                )
-        for kind in SYSTEMS:
-            for metric in ("makespan", "miss_rate"):
-                got = p.metrics[kind][metric]
-                want = ref["metrics"][kind][metric]
-                if abs(got - want) > rtol * max(abs(want), 1e-12):
-                    problems.append(
-                        f"frac {p.frac:g}: {kind} {metric} {got:g} drifted "
-                        f"from committed {want:g} (rtol {rtol:g})"
-                    )
-    return problems
+def covered_by(points: list[SweepPoint]):
+    """A ``--points`` run answers only for the fractions it ran."""
+    prefixes = tuple(f"frac{p.frac:g}." for p in points)
+    return lambda key: key.startswith(prefixes)
 
 
 def format_sweep(points: list[SweepPoint]) -> str:
@@ -276,23 +247,16 @@ def format_sweep(points: list[SweepPoint]) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover
-    import argparse
-    import sys
-
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="paper-scale sweep (repro.bench.scale_sweep)"
     )
     parser.add_argument("--points", type=str, default=None,
                         help="comma-separated paper-scale fractions "
                              "(default: the committed sweep's points)")
-    parser.add_argument("--baseline", type=str, default=DEFAULT_BASELINE)
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="(re)write --baseline from this run")
-    parser.add_argument("--check", action="store_true",
-                        help="compare this run to --baseline; exit 3 on "
-                             "drift, 2 if the baseline is missing")
+    gate.add_arguments(parser, DEFAULT_BASELINE)
     args = parser.parse_args(argv)
+    gate.validate(args)
 
     points_arg = (
         tuple(float(x) for x in args.points.split(","))
@@ -305,31 +269,12 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover
         print("\nSCALE TRENDS VIOLATED:", file=sys.stderr)
         for problem in problems:
             print(f"  - {problem}", file=sys.stderr)
-        return EXIT_TREND_VIOLATED
+        return gate.EXIT_TRENDS
     print("\ntrend check: METAL speedup and miss-rate advantage hold at "
           "every point; builds stayed within their memory budgets")
-    if args.write_baseline:
-        write_baseline(points, args.baseline)
-        print(f"scale baseline written to {args.baseline}")
-        return 0
-    if args.check:
-        baseline = load_baseline(args.baseline)
-        if baseline is None:
-            print(f"baseline {args.baseline} missing or unreadable",
-                  file=sys.stderr)
-            return EXIT_BASELINE_MISSING
-        drift = check_against_baseline(points, baseline)
-        if drift:
-            print("\nSCALE SWEEP REGRESSED vs baseline:", file=sys.stderr)
-            for problem in drift:
-                print(f"  - {problem}", file=sys.stderr)
-            return EXIT_REGRESSED
-        print("baseline check: sweep matches the committed "
-              f"{args.baseline} (rtol {CHECK_RTOL:g})")
-    return 0
+    return gate.finish(args, sweep_to_baseline(points), GATE,
+                       covered=covered_by(points))
 
 
 if __name__ == "__main__":  # pragma: no cover
-    import sys
-
     sys.exit(main())

@@ -16,7 +16,7 @@ lands in the same place regardless of workload, scale, or tile count.
 Serve cells are ordinary spec submissions, so they flow through the exec
 layer's dedup, process pool, and content-addressed cache unchanged. The
 curve also serializes to a committed baseline (``BENCH_serve.json``)
-that CI gates on, mirroring the perf-suite checksum gate.
+that ``repro serve --baseline`` gates on through :mod:`repro.gate`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro import gate
 from repro.bench.format import render_table
 from repro.exec import Executor, default_executor
 from repro.serve.spec import ServeSpec
@@ -37,16 +38,6 @@ DEFAULT_LOADS: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.3)
 #: A load is past the knee when its p99 exceeds this factor times the
 #: p99 at the lightest swept load.
 KNEE_FACTOR = 3.0
-
-#: Baseline-gate exit codes (mirror repro.perf.harness).
-EXIT_BASELINE_MISSING = 2
-EXIT_REGRESSED = 3
-
-#: Relative tolerance for baseline float/percentile comparison. The
-#: simulation is deterministic, but percentiles quantize (2^-7 buckets)
-#: and throughput divides by the makespan, so a loose-but-meaningful
-#: band beats bitwise fragility across platforms.
-BASELINE_RTOL = 0.05
 
 
 @dataclass
@@ -373,11 +364,8 @@ def write_golden(golden_path: str = GOLDEN_PATH, scale: float = 0.01) -> None:
         requests_per_min=rpm, load=1.0, duration_ms=3, tiles=4,
         balancer="round_robin",
     )
-    golden = {"spec": spec.canonical_dict(),
-              "result": simulate_serve(spec).to_dict()}
-    with open(golden_path, "w") as f:
-        json.dump(golden, f, indent=2, sort_keys=True)
-        f.write("\n")
+    gate.write(golden_path, {"spec": spec.canonical_dict(),
+                             "result": simulate_serve(spec).to_dict()})
 
 
 # --------------------------------------------------------------------- #
@@ -397,7 +385,7 @@ def curve_to_baseline(curve: ServeCurve) -> dict[str, Any]:
         "requests_per_min": curve.requests_per_min,
         "duration_ms": curve.duration_ms,
         "knee": curve.knee(),
-        "rtol": BASELINE_RTOL,
+        "rtol": gate.DEFAULT_RTOL,
         "points": [
             {
                 "load": p.load,
@@ -413,71 +401,24 @@ def curve_to_baseline(curve: ServeCurve) -> dict[str, Any]:
     }
 
 
-def _close(measured: float, expected: float, rtol: float) -> bool:
-    return abs(measured - expected) <= rtol * max(abs(expected), 1e-12)
+def _flatten(doc: dict[str, Any]) -> dict[str, Any]:
+    flat = {key: value for key, value in doc.items()
+            if key not in ("points", "rtol")}
+    for i, point in enumerate(doc.get("points", ())):
+        flat.update((f"points.{i}.{key}", value)
+                    for key, value in point.items())
+    return flat
 
 
-def check_serve_baseline(
-    curve: ServeCurve, baseline: dict[str, Any],
-    rtol: float | None = None,
-) -> list[str]:
-    """Compare a fresh sweep against a committed baseline.
-
-    Returns human-readable problems; empty means every swept point's
-    latency percentiles, throughput, and utilization sit within ``rtol``
-    of the baseline and the knee landed on the same load.
-    """
-    problems: list[str] = []
-    rtol = baseline.get("rtol", BASELINE_RTOL) if rtol is None else rtol
-    for key in ("workload", "system", "scale", "seed", "users", "tiles",
-                "balancer", "duration_ms"):
-        mine = getattr(curve, key)
-        theirs = baseline.get(key)
-        if mine != theirs:
-            problems.append(
-                f"config mismatch: {key} is {mine!r}, baseline has {theirs!r}")
-    if problems:
-        return problems
-    base_points = baseline.get("points", [])
-    if len(base_points) != len(curve.points):
-        return [f"baseline has {len(base_points)} points, "
-                f"sweep has {len(curve.points)}"]
-    for mine, theirs in zip(curve.points, base_points):
-        if mine.load != theirs["load"]:
-            problems.append(
-                f"load grid drifted: {mine.load:g} vs {theirs['load']:g}")
-            continue
-        if mine.offered != theirs["offered"]:
-            problems.append(
-                f"load {mine.load:g}: offered {mine.offered} != "
-                f"baseline {theirs['offered']} (arrival stream changed)")
-        for key in ("p50", "p90", "p99", "throughput_rps", "utilization"):
-            measured = getattr(mine, key)
-            expected = theirs[key]
-            if not _close(measured, expected, rtol):
-                problems.append(
-                    f"load {mine.load:g}: {key} {measured:g} outside "
-                    f"{rtol:.0%} of baseline {expected:g}")
-    knee = curve.knee()
-    if knee != baseline.get("knee"):
-        problems.append(
-            f"saturation knee moved: {knee!r} vs baseline "
-            f"{baseline.get('knee')!r}")
-    return problems
-
-
-def load_baseline(path: str) -> dict[str, Any] | None:
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def write_baseline(curve: ServeCurve, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(curve_to_baseline(curve), f, indent=2, sort_keys=True)
-        f.write("\n")
+#: The saturation-curve gate. Percentiles quantize (2^-7 buckets) and
+#: throughput divides by the makespan, so they compare within the stored
+#: tolerance; the arrival stream, load grid, and knee must match exactly.
+GATE = gate.Rules(
+    flatten=_flatten,
+    config=("workload", "system", "scale", "seed", "users", "tiles",
+            "balancer", "duration_ms"),
+    exact=("offered", "knee", "load"),
+)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,9 +2,7 @@
 
 Subcommands:
 
-* ``report``    — regenerate every table/figure (see repro.bench.report);
-  ``--baseline`` compares key metrics against a stored baseline and
-  exits nonzero on regression.
+* ``report``    — regenerate every table/figure (repro.bench.report).
 * ``compare``   — run one workload across memory systems (with walk
   latency percentiles).
 * ``workloads`` — list the Table-2 workload registry; ``--stats`` prints
@@ -21,8 +19,7 @@ Subcommands:
   answers: per-component cycle attribution, walk-latency percentiles,
   gen/engine time series (CSV), and an OpenMetrics snapshot.
 * ``perf``      — microbenchmark the simulator's hot paths (repro.perf);
-  ``--baseline`` compares against a stored run, gating on checksum
-  equivalence while timing ratios stay informational.
+  the gate checks kernel checksums, timing ratios stay informational.
 * ``chaos``     — sweep a deterministic fault-injection rate over one
   workload/system cell (repro.faults) and print the resilience curve;
   exits nonzero unless degradation is graceful and no request is lost.
@@ -30,13 +27,21 @@ Subcommands:
   user population drives a client -> load-balancer -> N-tile topology
   (each tile one simulated METAL instance) across a load sweep, and the
   report shows p50/p90/p99 end-to-end latency, throughput, utilization,
-  and the saturation knee; ``--baseline`` gates against a committed
-  saturation curve. Serving observability rides on the same command:
+  and the saturation knee. Serving observability rides on the same command:
   ``--trace`` records per-request span trees and prints the tail-latency
   attribution, ``--spans-out`` exports them as a Perfetto trace,
   ``--series-out``/``--windows-out`` write windowed time-series CSVs,
   and ``--slo NS`` evaluates a latency objective (attainment % and
   error-budget burn per load point).
+* ``policy``    — replacement-policy lab (repro.bench.policy_lab): policies
+  x workloads, hit rate vs tag energy, and the Pareto front.
+
+``report``, ``perf``, ``serve`` and ``policy`` are gated (repro.gate):
+``--baseline [PATH]`` compares the run against a committed ``BENCH_*.json``
+(bare ``--baseline`` names the command's own file) and exits 2 if it is
+missing or unreadable, 3 on regression; ``--baseline [PATH]
+--write-baseline`` rewrites it. ``report`` and ``policy`` take their
+options from their modules' ``add_arguments``.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ import argparse
 import sys
 from dataclasses import replace
 
+from repro import gate
+from repro.bench import policy_lab
+from repro.bench import report as bench_report
 from repro.bench.format import render_table
 from repro.bench.runner import SYSTEMS
 from repro.exec import Executor, RunSpec
@@ -257,32 +265,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    # Delegate to the bench entry point so report/baseline semantics live
-    # in exactly one place (repro.bench.report).
-    from repro.bench.report import main as report_main
-
-    argv = ["--scale", str(args.scale)]
-    if args.out:
-        argv += ["--out", args.out]
-    if args.fast:
-        argv += ["--fast"]
-    if args.json:
-        argv += ["--json", args.json]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv += ["--write-baseline"]
-    if args.baseline_rtol is not None:
-        argv += ["--baseline-rtol", str(args.baseline_rtol)]
-    argv += ["--jobs", str(args.jobs)]
-    if args.no_cache:
-        argv += ["--no-cache"]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    return report_main(argv)
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.bench.runner import build_memsys
     from repro.obs.export import write_chrome_trace, write_jsonl
@@ -324,7 +306,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.bench.runner import build_memsys
     from repro.obs.export import write_openmetrics
-    from repro.obs.histogram import Histogram
     from repro.obs.profile import build_profile, format_profile, reconcile
     from repro.obs.series import engine_series, gen_series
     from repro.sim.metrics import simulate
@@ -388,18 +369,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf.harness import (
-        EXIT_BASELINE_MISSING,
-        EXIT_CHECKSUM_MISMATCH,
-        compare_reports,
-        format_comparison,
-        format_report,
-        run_suite,
-    )
+    from repro.perf import harness
     from repro.perf.kernels import KERNELS
 
+    gate.validate(args)
     names = tuple(args.kernels.split(",")) if args.kernels else None
     if names:
         unknown = sorted(set(names) - set(KERNELS))
@@ -407,33 +380,20 @@ def cmd_perf(args: argparse.Namespace) -> int:
             print(f"unknown kernels: {unknown} "
                   f"(choose from {', '.join(KERNELS)})", file=sys.stderr)
             return 2
-    report = run_suite(
+    report = harness.run_suite(
         names=names, scale=args.scale, repeat=args.repeat,
         warmup=args.warmup, progress=not args.quiet,
     )
-    print(format_report(report))
+    print(harness.format_report(report))
     if args.out:
         report.write(args.out)
         print(f"perf report written to {args.out}")
-    if args.write_baseline:
-        path = args.baseline or "BENCH_perf.json"
-        report.write(path)
-        print(f"perf baseline written to {path}")
-        return 0
-    if args.baseline is not None:
-        try:
-            with open(args.baseline) as f:
-                baseline = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"baseline {args.baseline} unreadable: {exc}",
-                  file=sys.stderr)
-            return EXIT_BASELINE_MISSING
-        speedups, mismatches = compare_reports(baseline, report, only=names)
-        print()
-        print(format_comparison(speedups, mismatches))
-        if mismatches:
-            return EXIT_CHECKSUM_MISMATCH
-    return 0
+    return gate.finish(
+        args, report.to_dict(), harness.GATE,
+        covered=harness.covered_by(names),
+        explain=lambda baseline: "\n" + harness.format_speedups(
+            harness.speedups(baseline, report)),
+    )
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -532,18 +492,15 @@ def _serve_span_reports(args: argparse.Namespace, curve, loads) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.bench.serve import (
-        EXIT_BASELINE_MISSING,
-        EXIT_REGRESSED,
-        check_serve_baseline,
+        GATE,
         curve_to_baseline,
         format_serve,
         format_slo,
-        load_baseline,
         run_serve_sweep,
-        write_baseline,
     )
     from repro.exec import Executor
 
+    gate.validate(args)
     if _reject_unknown_systems((args.system,)):
         return 2
     try:
@@ -604,34 +561,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   for cell in row] for row in burn.rows],
                 f"Error-budget burn over windows at load {loads[-1]:g}",
             ))
+    document = curve_to_baseline(curve)
     if args.json:
-        import json
-
-        with open(args.json, "w") as f:
-            json.dump(curve_to_baseline(curve), f, indent=2, sort_keys=True)
-            f.write("\n")
+        gate.write(args.json, document)
         print(f"curve data written to {args.json}")
-    if args.write_baseline:
-        path = args.baseline or "BENCH_serve.json"
-        write_baseline(curve, path)
-        print(f"serve baseline written to {path}")
-        return 0
-    if args.baseline is not None:
-        baseline = load_baseline(args.baseline)
-        if baseline is None:
-            print(f"baseline {args.baseline} missing or unreadable",
-                  file=sys.stderr)
-            return EXIT_BASELINE_MISSING
-        problems = check_serve_baseline(curve, baseline)
-        if problems:
-            print("\nSATURATION CURVE REGRESSED vs baseline:",
-                  file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return EXIT_REGRESSED
-        print("\nbaseline check: curve matches the committed saturation "
-              "curve (knee and SLO metrics within tolerance)")
-    return 0
+    return gate.finish(args, document, GATE)
 
 
 def cmd_ablation(args: argparse.Namespace) -> int:
@@ -645,31 +579,6 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     print()
     print(ablation.format_toggles(ablation.run_mechanism_toggles(workload)))
     return 0
-
-
-def cmd_policy(args: argparse.Namespace) -> int:
-    from repro.bench import policy_lab
-
-    argv = [
-        "--policies", args.policies,
-        "--workloads", args.workloads,
-        "--scale", str(args.scale),
-        "--seed", str(args.seed),
-        "--jobs", str(args.jobs),
-        "--system", args.system,
-        "--baseline", args.baseline,
-    ]
-    if args.no_tuned:
-        argv.append("--no-tuned")
-    if args.json:
-        argv.append("--json")
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.check:
-        argv.append("--check")
-    if args.baseline_rtol is not None:
-        argv += ["--baseline-rtol", str(args.baseline_rtol)]
-    return policy_lab.main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -751,27 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", help="regenerate every table and figure")
-    p.add_argument("--scale", type=float, default=0.25)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--fast", action="store_true")
-    p.add_argument("--json", type=str, default=None,
-                   help="write machine-readable figure data to this file")
-    p.add_argument("--baseline", type=str, default=None,
-                   help="compare per-figure key metrics against this "
-                        "baseline JSON; nonzero exit on regression")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="(re)write the --baseline file from this run")
-    p.add_argument("--baseline-rtol", type=float, default=None,
-                   help="relative tolerance for baseline comparison "
-                        "(default: the baseline file's stored tolerance)")
-    p.add_argument("--jobs", type=str, default="1",
-                   help="worker processes: a number or 'auto' (all cores)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore the on-disk result cache")
-    p.add_argument("--cache-dir", type=str, default=None,
-                   help="result cache root (default: $REPRO_CACHE_DIR "
-                        "or .repro_cache)")
-    p.set_defaults(func=cmd_report)
+    bench_report.add_arguments(p)
+    p.set_defaults(func=bench_report.run)
 
     p = sub.add_parser(
         "perf", help="microbenchmark the simulator's hot paths"
@@ -787,13 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated kernel subset")
     p.add_argument("--out", type=str, default=None,
                    help="write the JSON report to this path")
-    p.add_argument("--baseline", type=str, nargs="?",
-                   const="BENCH_perf.json", default=None,
-                   help="compare against this baseline report (bare "
-                        "--baseline means BENCH_perf.json); exits nonzero "
-                        "on checksum mismatch, timings are informational")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="(re)write the --baseline file from this run")
+    gate.add_arguments(p, "BENCH_perf.json")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-kernel progress on stderr")
     p.set_defaults(func=cmd_perf)
@@ -849,13 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes: a number or 'auto'")
     p.add_argument("--json", type=str, default=None,
                    help="write machine-readable curve data to this file")
-    p.add_argument("--baseline", type=str, nargs="?",
-                   const="BENCH_serve.json", default=None,
-                   help="compare against this committed saturation curve "
-                        "(bare --baseline means BENCH_serve.json); exit 2 "
-                        "if missing, 3 on regression")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="(re)write the --baseline file from this sweep")
+    gate.add_arguments(p, "BENCH_serve.json")
     p.add_argument("--trace", action="store_true",
                    help="record request span trees at every load point "
                         "and print the tail-latency attribution")
@@ -889,24 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="replacement-policy lab: sweep policies x workloads, "
              "Pareto (hit-rate vs tag-energy), BENCH_policy.json gate",
     )
-    p.add_argument("--policies", default="",
-                   help="comma list; default = every registered policy")
-    p.add_argument("--workloads",
-                   default=",".join(
-                       ("scan", "select", "sets_s", "rtree")))
-    p.add_argument("--scale", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", default="1")
-    p.add_argument("--system", default="metal", choices=("metal", "metal_ix"))
-    p.add_argument("--no-tuned", action="store_true",
-                   help="skip the auto-tuned default-policy cells")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--baseline", default="BENCH_policy.json")
-    p.add_argument("--write-baseline", action="store_true")
-    p.add_argument("--check", action="store_true",
-                   help="compare against --baseline; exit 2 missing, 3 regressed")
-    p.add_argument("--baseline-rtol", type=float, default=None)
-    p.set_defaults(func=cmd_policy)
+    policy_lab.add_arguments(p)
+    p.set_defaults(func=policy_lab.run)
 
     p = sub.add_parser("ablation", help="design-choice ablations")
     p.add_argument("--workload", default="scan", choices=sorted(WORKLOAD_BUILDERS))

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+from repro.frozen import FrozenSpec
 
 Scalar = (type(None), bool, int, float, str)
 
@@ -44,7 +45,7 @@ def _freeze_kwargs(value: Any, label: str) -> KwargItems:
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(FrozenSpec):
     """One simulation cell, ready to hash, ship to a worker, and cache.
 
     ``op`` selects the worker routine: ``"run"`` is the standard
@@ -137,20 +138,6 @@ class RunSpec:
         if "collect" in kwargs:
             kwargs["collect"] = tuple(kwargs["collect"])
         return cls(workload=workload, system=system, **kwargs)
-
-    def canonical(self) -> str:
-        """Stable JSON text: same meaning => same bytes => same digest."""
-        return json.dumps(
-            {f.name: getattr(self, f.name) for f in fields(self)},
-            sort_keys=True, separators=(",", ":"),
-        )
-
-    def canonical_dict(self) -> dict[str, Any]:
-        """The canonical form as plain JSON data (tuples become lists)."""
-        return json.loads(self.canonical())
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     def fault_plan(self):
         """The spec's FaultPlan, rebuilt from its stored items (or None)."""

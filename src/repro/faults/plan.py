@@ -15,13 +15,13 @@ is zero is *empty*: the simulator treats it exactly like ``faults=None``
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
+
+from repro.frozen import FrozenSpec
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(FrozenSpec):
     """Seeded schedule of injected adversity for one simulation.
 
     Fault taxonomy (see ``docs/robustness.md``):
@@ -120,16 +120,6 @@ class FaultPlan:
     def items(self) -> tuple[tuple[str, int | float], ...]:
         """Sorted (field, value) pairs — the RunSpec-embeddable form."""
         return tuple(sorted(asdict(self).items()))
-
-    def canonical(self) -> str:
-        """Stable JSON text: same meaning => same bytes => same digest."""
-        return json.dumps(
-            {f.name: getattr(self, f.name) for f in fields(self)},
-            sort_keys=True, separators=(",", ":"),
-        )
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     def label(self) -> str:
         """Short human-readable tag for tables and logs."""

@@ -16,10 +16,10 @@ Usage::
 from repro.perf.harness import (
     KernelResult,
     PerfReport,
-    compare_reports,
-    format_comparison,
     format_report,
+    format_speedups,
     run_suite,
+    speedups,
 )
 from repro.perf.kernels import KERNELS, kernel_names
 
@@ -27,9 +27,9 @@ __all__ = [
     "KERNELS",
     "KernelResult",
     "PerfReport",
-    "compare_reports",
-    "format_comparison",
     "format_report",
+    "format_speedups",
     "kernel_names",
     "run_suite",
+    "speedups",
 ]

@@ -6,16 +6,16 @@ A suite run produces a JSON-serializable :class:`PerfReport`:
 * per-kernel *checksums* — deterministic digests of the kernel's
   functional output.
 
-Baseline comparison (:func:`compare_reports`) is two-tier by design:
-checksum mismatches are hard failures (the hot path changed behaviour),
-while timing ratios are informational (shared CI runners make wall-clock
-numbers noisy). This mirrors the repo's byte-identical equivalence rule
-for performance PRs (docs/performance.md).
+Baseline comparison goes through :mod:`repro.gate` and is two-tier by
+design: checksums are gated exactly (a mismatch means the hot path
+changed behaviour), while timing ratios (:func:`speedups`) are printed
+for information only (shared CI runners make wall-clock numbers noisy).
+This mirrors the repo's byte-identical equivalence rule for performance
+PRs (docs/performance.md).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import sys
@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro import gate
 from repro.perf.kernels import KERNELS
 
 #: Report schema version (bump on incompatible layout changes).
@@ -30,10 +31,6 @@ PERF_SCHEMA = 1
 #: Default workload scale for the suite (small enough for CI smoke runs,
 #: large enough that the end-to-end kernel exercises real cache churn).
 DEFAULT_SCALE = 0.05
-
-#: Exit codes shared with the CLI subcommand.
-EXIT_BASELINE_MISSING = 2
-EXIT_CHECKSUM_MISMATCH = 3
 
 
 @dataclass
@@ -94,9 +91,7 @@ class PerfReport:
         }
 
     def write(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        gate.write(path, self.to_dict())
 
 
 def run_suite(
@@ -164,68 +159,45 @@ def format_report(report: PerfReport) -> str:
     )
 
 
-def compare_reports(
-    baseline: dict[str, Any], report: PerfReport,
-    only: Iterable[str] | None = None,
-) -> tuple[dict[str, float], list[str]]:
-    """Compare a run against a stored baseline report.
+def _flatten(doc: dict[str, Any]) -> dict[str, Any]:
+    flat = {"scale": doc.get("scale")}
+    for name, kernel in doc.get("kernels", {}).items():
+        flat[f"{name}.checksum"] = kernel.get("checksum")
+    return flat
 
-    Returns ``(speedups, mismatches)``: per-kernel speedup ratios
-    (baseline median / current median; >1 means this tree is faster) and
-    the hard failures — checksum mismatches or kernels missing from the
-    run. Ratios are only computed for kernels whose recorded scale
-    matches; a scale mismatch voids the whole comparison. ``only``
-    restricts the gate to an explicit kernel subset (a ``--kernels``
-    run), so the baseline's other kernels are not reported missing.
-    """
-    mismatches: list[str] = []
-    speedups: dict[str, float] = {}
-    base_scale = baseline.get("scale")
-    if base_scale != report.scale:
-        mismatches.append(
-            f"scale mismatch: baseline {base_scale} vs run {report.scale} "
-            f"(timings and checksums are scale-dependent)"
-        )
-        return speedups, mismatches
-    base_kernels: dict[str, Any] = baseline.get("kernels", {})
-    if only is not None:
-        wanted = set(only)
-        base_kernels = {
-            name: k for name, k in base_kernels.items() if name in wanted
-        }
-    for name, want in sorted(base_kernels.items()):
+
+#: The checksum gate: timings are never compared, and a scale mismatch
+#: voids the comparison (checksums are scale-dependent).
+GATE = gate.Rules(flatten=_flatten, config=("scale",), exact=("checksum",))
+
+
+def covered_by(names: Iterable[str] | None):
+    """A ``--kernels`` run answers only for the kernels it ran."""
+    if names is None:
+        return None
+    ran = set(names)
+    return lambda key: key.split(".", 1)[0] in ran
+
+
+def speedups(baseline: dict[str, Any], report: PerfReport) -> dict[str, float]:
+    """Baseline median / this run's median per kernel both ran (>1 means
+    this tree is faster); empty when the scales differ."""
+    if baseline.get("scale") != report.scale:
+        return {}
+    ratios: dict[str, float] = {}
+    for name, want in sorted(baseline.get("kernels", {}).items()):
         got = report.kernels.get(name)
-        if got is None:
-            mismatches.append(f"{name}: kernel missing from this run")
-            continue
-        if want.get("checksum") != got.checksum:
-            mismatches.append(
-                f"{name}: checksum {got.checksum[:16]} != baseline "
-                f"{str(want.get('checksum'))[:16]} — hot path changed "
-                f"behaviour (the optimization equivalence gate)"
-            )
         base_median = float(want.get("median_s") or 0.0)
-        if base_median > 0 and got.median_s > 0:
-            speedups[name] = base_median / got.median_s
-    return speedups, mismatches
+        if got is not None and base_median > 0 and got.median_s > 0:
+            ratios[name] = base_median / got.median_s
+    return ratios
 
 
-def format_comparison(
-    speedups: dict[str, float], mismatches: list[str]
-) -> str:
+def format_speedups(ratios: dict[str, float]) -> str:
     from repro.bench.format import render_table
 
-    lines = []
-    if speedups:
-        rows = [[name, f"{ratio:.2f}x"] for name, ratio in speedups.items()]
-        lines.append(render_table(
-            ["kernel", "speedup vs baseline"], rows,
-            "Baseline comparison (>1 = faster; informational)",
-        ))
-    if mismatches:
-        lines.append("EQUIVALENCE FAILURES (gating):")
-        lines.extend(f"  - {m}" for m in mismatches)
-    else:
-        lines.append("checksums match the baseline: hot paths are "
-                      "behaviour-identical")
-    return "\n".join(lines)
+    return render_table(
+        ["kernel", "speedup vs baseline"],
+        [[name, f"{ratio:.2f}x"] for name, ratio in ratios.items()],
+        "Baseline comparison (>1 = faster; informational)",
+    )

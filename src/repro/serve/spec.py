@@ -24,10 +24,10 @@ converts DSA cycles at :data:`repro.sim.tile_backend.CLOCK_MHZ`), except
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Sequence
+
+from repro.frozen import FrozenSpec
 
 #: Load-balancer policies (see repro.serve.engine).
 BALANCERS: tuple[str, ...] = ("round_robin", "least_loaded")
@@ -41,7 +41,7 @@ BACKENDS: tuple[str, ...] = ("sim", "fixed")
 
 
 @dataclass(frozen=True)
-class ServeSpec:
+class ServeSpec(FrozenSpec):
     """One open-loop serving simulation, ready to hash, ship, and cache."""
 
     #: Registry workload backing the tiles (also used by backend="fixed"
@@ -136,20 +136,6 @@ class ServeSpec:
         if speedups is not None:
             kwargs["tile_speedups"] = tuple(float(s) for s in speedups)
         return cls(workload=workload, **kwargs)
-
-    def canonical(self) -> str:
-        """Stable JSON text: same meaning => same bytes => same digest."""
-        return json.dumps(
-            {f.name: getattr(self, f.name) for f in fields(self)},
-            sort_keys=True, separators=(",", ":"),
-        )
-
-    def canonical_dict(self) -> dict[str, Any]:
-        """The canonical form as plain JSON data (tuples become lists)."""
-        return json.loads(self.canonical())
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     def duration_ns(self) -> int:
         return self.duration_ms * 1_000_000

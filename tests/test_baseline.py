@@ -1,27 +1,35 @@
-"""Bench regression baselines: extraction, comparison, and exit codes.
+"""Report regression baselines: extraction, comparison, and exit codes.
 
 The contract CI leans on: self-comparison passes (deterministic
 simulation => identical metrics), perturbation beyond tolerance exits
 nonzero, a missing baseline file is its own distinct failure, and scale
-mismatches are refused rather than silently compared.
+mismatches are refused rather than silently compared. Comparison runs
+through :mod:`repro.gate` with the report's rules.
 """
 
+import argparse
 import json
 
 import pytest
 
+from repro import gate
 from repro.bench.report import (
-    BASELINE_DEFAULT_RTOL,
-    EXIT_BASELINE_MISSING,
-    EXIT_REGRESSION,
-    compare_baseline,
+    GATE,
+    baseline_document,
     extract_key_metrics,
     generate_report,
-    write_baseline,
 )
 from repro.bench.report import main as report_main
 
 SCALE = 0.02
+
+
+def compare(baseline: dict, payload: dict, **kwargs):
+    """gate.compare on the report's flattened baseline and run."""
+    kwargs.setdefault("rtol", baseline["rtol"])
+    return gate.compare(GATE.flatten(baseline),
+                        GATE.flatten(baseline_document(payload)),
+                        config=GATE.config, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +63,11 @@ class TestExtraction:
 class TestCompare:
     def test_self_compare_clean(self, payload, tmp_path):
         path = tmp_path / "b.json"
-        baseline = write_baseline(str(path), payload, BASELINE_DEFAULT_RTOL)
-        assert json.loads(path.read_text()) == baseline
-        regressions, notes = compare_baseline(baseline, payload)
+        baseline = baseline_document(payload)
+        gate.write(str(path), baseline)
+        assert gate.load(str(path)) == baseline
+        assert baseline["rtol"] == gate.DEFAULT_RTOL
+        regressions, notes = compare(baseline, payload)
         assert regressions == []
         assert notes == []
 
@@ -68,7 +78,7 @@ class TestCompare:
         }
         name = next(iter(baseline["metrics"]))
         baseline["metrics"][name] *= 1.10  # 10% > 5% tolerance
-        regressions, _ = compare_baseline(baseline, payload)
+        regressions, _ = compare(baseline, payload)
         assert len(regressions) == 1
         assert name in regressions[0]
 
@@ -79,18 +89,25 @@ class TestCompare:
         }
         name = next(iter(baseline["metrics"]))
         baseline["metrics"][name] *= 1.02  # 2% < 5% tolerance
-        regressions, _ = compare_baseline(baseline, payload)
+        regressions, _ = compare(baseline, payload)
         assert regressions == []
 
-    def test_rtol_override_beats_stored_tolerance(self, payload):
+    def test_rtol_override_beats_stored_tolerance(self, payload, tmp_path,
+                                                   capsys):
         baseline = {
             "schema": 1, "scale": payload["scale"], "rtol": 0.5,
             "metrics": dict(extract_key_metrics(payload)),
         }
         name = next(iter(baseline["metrics"]))
         baseline["metrics"][name] *= 1.10
-        assert compare_baseline(baseline, payload)[0] == []
-        assert len(compare_baseline(baseline, payload, rtol=0.01)[0]) == 1
+        assert compare(baseline, payload)[0] == []
+        assert len(compare(baseline, payload, rtol=0.01)[0]) == 1
+        # The gate reads the tolerance the baseline file stores.
+        path = tmp_path / "b.json"
+        gate.write(str(path), baseline)
+        args = argparse.Namespace(baseline=str(path), write_baseline=False)
+        assert gate.finish(args, baseline_document(payload), GATE) == 0
+        assert "baseline check passed" in capsys.readouterr().out
 
     def test_missing_metric_is_a_regression(self, payload):
         baseline = {
@@ -98,7 +115,7 @@ class TestCompare:
             "metrics": {"fig18.gone.metal.speedup": 2.0,
                         **extract_key_metrics(payload)},
         }
-        regressions, _ = compare_baseline(baseline, payload)
+        regressions, _ = compare(baseline, payload)
         assert any("missing from run" in r for r in regressions)
 
     def test_new_metric_is_a_note_not_a_regression(self, payload):
@@ -107,14 +124,14 @@ class TestCompare:
         del metrics[dropped]
         baseline = {"schema": 1, "scale": payload["scale"], "rtol": 0.05,
                     "metrics": metrics}
-        regressions, notes = compare_baseline(baseline, payload)
+        regressions, notes = compare(baseline, payload)
         assert regressions == []
         assert any(dropped in note for note in notes)
 
     def test_scale_mismatch_refused(self, payload):
         baseline = {"schema": 1, "scale": 0.5, "rtol": 0.05,
                     "metrics": extract_key_metrics(payload)}
-        regressions, _ = compare_baseline(baseline, payload)
+        regressions, _ = compare(baseline, payload)
         assert len(regressions) == 1
         assert "scale mismatch" in regressions[0]
 
@@ -132,7 +149,7 @@ class TestMainExitCodes:
     def test_missing_baseline_file_exit(self, tmp_path, capsys):
         rc = report_main(["--scale", str(SCALE), "--fast",
                           "--baseline", str(tmp_path / "nope.json")])
-        assert rc == EXIT_BASELINE_MISSING
+        assert rc == gate.EXIT_MISSING
         assert "not found" in capsys.readouterr().err
 
     def test_perturbed_baseline_exit(self, tmp_path, capsys):
@@ -147,7 +164,7 @@ class TestMainExitCodes:
         path.write_text(json.dumps(stored))
         rc = report_main(["--scale", str(SCALE), "--fast",
                           "--baseline", str(path)])
-        assert rc == EXIT_REGRESSION
+        assert rc == gate.EXIT_REGRESSED
         err = capsys.readouterr().err
         assert "regressed" in err and name in err
 

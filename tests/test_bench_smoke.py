@@ -246,6 +246,16 @@ def test_serve_cli_end_to_end(capsys):
     assert_rows(out)
 
 
+def test_report_cli_verify_trace_overhead(capsys):
+    """`python -m repro report` takes the module's own options, so the
+    trace-overhead check is reachable from the CLI too."""
+    from repro.cli import main
+
+    rc = main(["report", "--verify-trace-overhead", "--scale", "0.01"])
+    assert rc == 0
+    assert "aggregates identical with tracing on/off" in capsys.readouterr().out
+
+
 def test_every_bench_file_has_a_smoke_entry():
     bench_files = {path.stem for path in BENCH_DIR.glob("bench_*.py")}
     assert bench_files, "benchmarks/ directory went missing"

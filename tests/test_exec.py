@@ -47,6 +47,23 @@ def test_spec_digest_distinguishes_fields():
                                          cache_bytes=4096).digest()
 
 
+def test_spec_digests_are_pinned():
+    """Digests key the result store and seed per-spec randomness, so the
+    canonical form must never move: these values are literal."""
+    from repro.faults import FaultPlan
+    from repro.serve.spec import ServeSpec
+
+    plan = FaultPlan.uniform(0.2, seed=7)
+    assert RunSpec.make("scan", "metal", scale=0.01).digest() == (
+        "d95d5dcf5be80d2ac08ea4cdd16d9a54a4656a95f750b36846a48408fe1b97d4")
+    assert RunSpec.make("scan", "metal", scale=0.01, faults=plan).digest() == (
+        "26099f566a96416cf4663f91c93af11ca66a870bd333aa7f9d30217d7713451c")
+    assert ServeSpec.make("scan").digest() == (
+        "5ed06bdb4999ccc933ca27dc5238747d5817783fef387e026be01677237f52eb")
+    assert plan.digest() == (
+        "2317aa892fc4d06d14520b041786b6ca7fa196879cd657a5820e105d072fa742")
+
+
 def test_spec_is_hashable_and_frozen():
     spec = RunSpec.make("scan", "metal", scale=SMALL)
     assert spec in {spec}

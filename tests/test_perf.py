@@ -4,20 +4,24 @@ import json
 
 import pytest
 
+from repro import gate
 from repro.perf import (
     KERNELS,
     PerfReport,
-    compare_reports,
-    format_comparison,
     format_report,
+    format_speedups,
     kernel_names,
     run_suite,
+    speedups,
 )
-from repro.perf.harness import (
-    EXIT_BASELINE_MISSING,
-    EXIT_CHECKSUM_MISMATCH,
-    PERF_SCHEMA,
-)
+from repro.perf.harness import GATE, PERF_SCHEMA, covered_by
+
+
+def compare(baseline: dict, report: PerfReport, only=None):
+    """gate.compare on the perf rules: checksums exact, scale config."""
+    return gate.compare(GATE.flatten(baseline), GATE.flatten(report.to_dict()),
+                        config=GATE.config, exact=GATE.exact,
+                        covered=covered_by(only))[0]
 
 
 @pytest.fixture(scope="module")
@@ -63,32 +67,36 @@ class TestRunSuite:
 
 class TestCompareReports:
     def test_self_comparison_is_clean(self, tiny_report):
-        speedups, mismatches = compare_reports(
-            tiny_report.to_dict(), tiny_report
-        )
-        assert not mismatches
-        assert set(speedups) == set(KERNELS)
-        assert all(ratio == pytest.approx(1.0) for ratio in speedups.values())
-        assert "checksums match" in format_comparison(speedups, [])
+        baseline = tiny_report.to_dict()
+        assert not compare(baseline, tiny_report)
+        ratios = speedups(baseline, tiny_report)
+        assert set(ratios) == set(KERNELS)
+        assert all(ratio == pytest.approx(1.0) for ratio in ratios.values())
+        table = format_speedups(ratios)
+        assert "informational" in table
+        assert all(name in table for name in KERNELS)
 
     def test_checksum_drift_is_a_hard_failure(self, tiny_report):
         baseline = tiny_report.to_dict()
         baseline["kernels"]["walk_gen"]["checksum"] = "bogus"
-        _, mismatches = compare_reports(baseline, tiny_report)
+        mismatches = compare(baseline, tiny_report)
         assert any("walk_gen" in m and "checksum" in m for m in mismatches)
 
     def test_scale_mismatch_voids_comparison(self, tiny_report):
         baseline = tiny_report.to_dict()
         baseline["scale"] = 0.5
-        speedups, mismatches = compare_reports(baseline, tiny_report)
-        assert not speedups
+        assert not speedups(baseline, tiny_report)
+        mismatches = compare(baseline, tiny_report)
         assert any("scale mismatch" in m for m in mismatches)
+        assert len(mismatches) == 1
 
     def test_missing_kernel_reported(self, tiny_report):
         baseline = tiny_report.to_dict()
         sliced = run_suite(names=("ix_probe_fill",), scale=0.01, repeat=1)
-        _, mismatches = compare_reports(baseline, sliced)
-        assert any("missing from this run" in m for m in mismatches)
+        mismatches = compare(baseline, sliced)
+        assert any("missing from run" in m for m in mismatches)
+        # A --kernels run answers only for the kernels it ran.
+        assert not compare(baseline, sliced, only=("ix_probe_fill",))
 
 
 class TestCLI:
@@ -112,7 +120,7 @@ class TestCLI:
             "--kernels", "ix_probe_fill", "--quiet",
             "--baseline", str(tmp_path / "absent.json"),
         ])
-        assert code == EXIT_BASELINE_MISSING
+        assert code == gate.EXIT_MISSING
 
     def test_tampered_baseline_exit_code(self, tmp_path):
         from repro.cli import main
@@ -124,4 +132,4 @@ class TestCLI:
         data = json.loads(baseline.read_text())
         data["kernels"]["ix_probe_fill"]["checksum"] = "tampered"
         baseline.write_text(json.dumps(data))
-        assert main(args + ["--baseline", str(baseline)]) == EXIT_CHECKSUM_MISMATCH
+        assert main(args + ["--baseline", str(baseline)]) == gate.EXIT_REGRESSED
