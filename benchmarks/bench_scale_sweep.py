@@ -1,6 +1,6 @@
 """Paper-scale sweep — streamed keygen + SoA storage up to 10M keys.
 
-The full sweep (``python -m repro.bench.scale_sweep --baseline
+The full sweep (``python -m repro scale --baseline
 --write-baseline``) commits BENCH_scale.json with the 1x point; the
 benchmark run keeps to the CI fractions so it stays push-cheap while
 exercising the identical path: tracemalloc-gated SoA build, fixed walk

@@ -12,12 +12,14 @@
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 
 from repro.bench.format import render_table
+from repro.cmdline import positive_float
 from repro.exec import Executor, RunSpec, default_executor
 from repro.sim.metrics import RunResult
-from repro.workloads.suite import Workload, build_workload
+from repro.workloads.suite import WORKLOAD_BUILDERS, Workload, build_workload
 
 
 def _ablation_workload(
@@ -217,16 +219,17 @@ def format_scheduling(results: dict[str, RunResult]) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    workload = build_workload("scan", scale=0.25)
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workload", default="scan",
+                        choices=sorted(WORKLOAD_BUILDERS))
+    parser.add_argument("--scale", type=positive_float, default=0.25)
+
+
+def run(args: argparse.Namespace) -> int:
+    workload = build_workload(args.workload, scale=args.scale)
     print(format_geometry(run_geometry_sweep(workload)))
     print()
     print(format_shared_vs_private(run_shared_vs_private(workload)))
     print()
     print(format_toggles(run_mechanism_toggles(workload)))
-    print()
-    print(format_scheduling(run_scheduling(workload)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return 0

@@ -78,11 +78,3 @@ def format_fig22(result: AdaptivityResult) -> str:
         f"Fig. 22 — Level-pattern adaptivity per walk window ({result.workload}): "
         "the cached frontier deepens as parameters tune",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_fig22(run_adaptivity()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -166,11 +166,3 @@ def format_fig20(results: list[BreakdownResult]) -> str:
         headers, rows,
         "Fig. 20 — Speedup vs streaming, by contributing factor",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_fig20(run_breakdown()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,9 +16,17 @@ exec layer's dedup, process pool, and content-addressed cache unchanged.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
 
 from repro.bench.format import render_table
+from repro.bench.runner import reject_unknown_systems
+from repro.cmdline import (
+    add_workload,
+    float_list,
+    positive_float,
+    report_problems,
+)
 from repro.exec import Executor, RunSpec, default_executor
 from repro.faults import FaultPlan
 from repro.sim.metrics import RunResult
@@ -202,12 +210,35 @@ def format_chaos(curve: ChaosCurve) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    for system in ("metal", "xcache"):
-        curve = run_chaos(system=system)
-        print(format_chaos(curve))
-        print()
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_workload(parser)
+    parser.add_argument("--system", default="metal",
+                        help="memory system to stress (default: metal)")
+    parser.add_argument("--scale", type=positive_float, default=0.1)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="workload generator seed")
+    parser.add_argument("--plan-seed", type=int, default=0,
+                        help="fault-schedule seed (same seed => same faults)")
+    parser.add_argument("--rates", type=float_list(0.0, 1.0, closed=True),
+                        default=DEFAULT_RATES,
+                        help="comma-separated per-opportunity fault rates")
+    parser.add_argument("--jobs", type=str, default="1",
+                        help="worker processes: a number or 'auto'")
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run(args: argparse.Namespace) -> int:
+    """Print one resilience curve; exit 1 unless it degrades gracefully."""
+    if reject_unknown_systems((args.system,)):
+        return 2
+    with Executor(jobs=args.jobs) as executor:
+        curve = run_chaos(
+            workload=args.workload, system=args.system, rates=args.rates,
+            scale=args.scale, seed=args.seed, plan_seed=args.plan_seed,
+            executor=executor,
+        )
+    print(format_chaos(curve))
+    if report_problems("RESILIENCE CHECK FAILED", check_graceful(curve)):
+        return 1
+    print("\nresilience check: degradation is monotone and bounded; every "
+          "injected fault was retried to success or accounted as degraded")
+    return 0

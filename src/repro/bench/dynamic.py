@@ -138,11 +138,3 @@ def format_dynamic_mix(results: list[DynamicMixResult]) -> str:
         headers, rows,
         "Extension — read/insert mix on a live B+tree (base: first row)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_dynamic_mix(run_dynamic_mix()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -126,14 +126,3 @@ def format_fig25(results: list[EnergyResult]) -> str:
         headers, rows,
         "Fig. 25 — Cache energy (top) and on-chip energy breakdown (bottom)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    results = run_energy()
-    print(format_fig19(results))
-    print()
-    print(format_fig25(results))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

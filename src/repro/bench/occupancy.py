@@ -76,11 +76,3 @@ def format_fig21(results: list[OccupancyResult]) -> str:
     return render_table(
         headers, rows, "Fig. 21 — IX-cache entries per index level"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_fig21(run_occupancy()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

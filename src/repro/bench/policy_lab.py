@@ -31,9 +31,11 @@ from typing import Any
 from repro import gate
 from repro.bench.format import render_table
 from repro.bench.runner import cache_params_for
+from repro.cmdline import name_list, positive_float
 from repro.core.policy import POLICIES, make_policy, tag_energy_fj
 from repro.exec.executor import Executor
 from repro.exec.spec import RunSpec
+from repro.workloads.suite import WORKLOAD_BUILDERS
 
 BASELINE_SCHEMA = "policy-lab/1"
 
@@ -222,10 +224,12 @@ def covered_by(payload: dict[str, Any]):
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policies", default="",
+    parser.add_argument("--policies", type=name_list(sorted(POLICIES)),
+                        default=(),
                         help="comma list; default = every registered policy")
-    parser.add_argument("--workloads", default=",".join(DEFAULT_WORKLOADS))
-    parser.add_argument("--scale", type=float, default=0.01)
+    parser.add_argument("--workloads", type=name_list(WORKLOAD_BUILDERS),
+                        default=DEFAULT_WORKLOADS)
+    parser.add_argument("--scale", type=positive_float, default=0.01)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", default="1")
     parser.add_argument("--system", default=DEFAULT_SYSTEM,
@@ -240,8 +244,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 def run(args: argparse.Namespace) -> int:
     gate.validate(args)
     payload = sweep(
-        policies=tuple(p for p in args.policies.split(",") if p),
-        workloads=tuple(w for w in args.workloads.split(",") if w),
+        policies=args.policies,
+        workloads=args.workloads,
         scale=args.scale,
         seed=args.seed,
         jobs=args.jobs,
@@ -254,16 +258,3 @@ def run(args: argparse.Namespace) -> int:
         print(render(payload))
     return gate.finish(args, baseline_document(payload), GATE,
                        covered=covered_by(payload))
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro policy",
-        description="Sweep IX-cache replacement policies (hit-rate vs tag-energy)",
-    )
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

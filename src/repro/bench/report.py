@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.bench.report [--scale 0.25] [--out report.txt]
+    python -m repro report [--scale 0.25] [--out report.txt]
 
 Workloads are built once per scale and shared across experiments.
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 
 from repro import gate
@@ -26,6 +25,7 @@ from repro.bench import adaptivity, breakdown, energy, occupancy, scaling
 from repro.bench import speedup as speedup_mod
 from repro.bench import summary as summary_mod
 from repro.bench import sweep, tables, tagmatch, trends
+from repro.cmdline import positive_float, report_problems
 from repro.exec import ExecError, Executor, ResultStore
 from repro.workloads.suite import WORKLOAD_BUILDERS, build_workload
 
@@ -207,13 +207,13 @@ GATE = gate.Rules(
 
 def trace_overhead_check(
     scale: float = 0.1, workload_name: str = "scan", system: str = "metal"
-) -> str:
+) -> tuple[str, list[str]]:
     """Measure the observability layer's cost on one (workload, system).
 
-    Runs the same simulation with tracing off and on, asserts the
+    Runs the same simulation with tracing off and on, checks the
     aggregate numbers are identical (instrumentation must not perturb the
     model), and reports the wall-clock overhead plus the counter snapshot
-    of the traced run.
+    of the traced run. Returns the report text and the list of problems.
     """
     from dataclasses import replace
 
@@ -221,7 +221,6 @@ def trace_overhead_check(
     from repro.bench.runner import build_memsys
     from repro.sim.metrics import simulate
 
-    lines: list[str] = []
     workload = build_workload(workload_name, scale=scale)
     timings: dict[bool, float] = {}
     results = {}
@@ -237,41 +236,39 @@ def trace_overhead_check(
         )
         timings[trace] = time.perf_counter() - started
     off, on = results[False], results[True]
-    for attr in ("makespan", "num_walks", "total_walk_cycles",
-                 "short_circuited", "index_dram_accesses"):
-        a, b = getattr(off, attr), getattr(on, attr)
-        if a != b:
-            raise AssertionError(
-                f"tracing perturbed {attr}: off={a} on={b}"
-            )
+    problems = [
+        f"tracing perturbed {attr}: off={getattr(off, attr)} "
+        f"on={getattr(on, attr)}"
+        for attr in ("makespan", "num_walks", "total_walk_cycles",
+                     "short_circuited", "index_dram_accesses")
+        if getattr(off, attr) != getattr(on, attr)
+    ]
     on_dict = dict(on.to_dict())
     on_dict.pop("counters", None)  # tracing-only by construction
     off_json = json.dumps(off.to_dict(), sort_keys=True)
     on_json = json.dumps(on_dict, sort_keys=True)
     if off_json != on_json:
-        raise AssertionError(
+        problems.append(
             "tracing perturbed the to_dict() summary (counters aside):\n"
-            f"off: {off_json}\non:  {on_json}"
-        )
-    overhead = (timings[True] - timings[False]) / max(timings[False], 1e-9)
-    lines.append(
-        f"{workload.name} / {system}: aggregates identical with tracing "
-        f"on/off (to_dict byte-identical, counters aside); wall-clock "
-        f"overhead {overhead * 100:+.1f}% "
-        f"({timings[False]:.3f}s -> {timings[True]:.3f}s)"
-    )
+            f"off: {off_json}\non:  {on_json}")
     assert on.tracer is not None and on.counters is not None
-    lines.append(
-        f"{len(on.tracer)} events buffered, {on.tracer.dropped} dropped"
-    )
+    overhead = (timings[True] - timings[False]) / max(timings[False], 1e-9)
+    verdict = ("aggregates identical with tracing on/off (to_dict "
+               "byte-identical, counters aside)" if not problems
+               else "AGGREGATES DIFFER with tracing on/off")
     rows = [[name, value] for name, value in on.counters.items()
             if name.startswith(("events.", "cache.", "dram.", "engine."))]
-    lines.append(render_table(["counter", "value"], rows, "Counter snapshot"))
-    return "\n".join(lines)
+    return "\n".join([
+        f"{workload.name} / {system}: {verdict}; wall-clock overhead "
+        f"{overhead * 100:+.1f}% "
+        f"({timings[False]:.3f}s -> {timings[True]:.3f}s)",
+        f"{len(on.tracer)} events buffered, {on.tracer.dropped} dropped",
+        render_table(["counter", "value"], rows, "Counter snapshot"),
+    ]), problems
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=0.25,
+    parser.add_argument("--scale", type=positive_float, default=0.25,
                         help="workload scale factor (1.0 = repo default sizes)")
     parser.add_argument("--out", type=str, default=None,
                         help="write the report to this file as well as stdout")
@@ -290,14 +287,25 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "or .repro_cache)")
     parser.add_argument("--verify-trace-overhead", action="store_true",
                         help="only check the observability layer: identical "
-                             "aggregates with tracing on/off + overhead %%")
+                             "aggregates with tracing on/off + overhead %%, "
+                             "and the serving span check against the "
+                             "committed BENCH_serve_result.json golden")
     gate.add_arguments(parser, "BENCH_baseline.json")
 
 
 def run(args: argparse.Namespace) -> int:
     if args.verify_trace_overhead:
-        print(trace_overhead_check(scale=args.scale))
-        return 0
+        from repro.bench import serve
+
+        failed = False
+        for title, check in (
+                ("TRACE OVERHEAD CHECK FAILED",
+                 lambda: trace_overhead_check(scale=args.scale)),
+                ("SPAN OVERHEAD CHECK FAILED", serve.trace_overhead_check)):
+            text, problems = check()
+            print(text)
+            failed |= report_problems(title, problems)
+        return 1 if failed else 0
     gate.validate(args)
     payload: dict = {}
     store = None
@@ -315,13 +323,3 @@ def run(args: argparse.Namespace) -> int:
         with open(args.json, "w") as f:
             json.dump(payload, f, indent=2)
     return gate.finish(args, baseline_document(payload), GATE)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

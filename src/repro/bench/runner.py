@@ -7,7 +7,12 @@ descriptors per run, and the FA-OPT two-pass construction.
 
 from __future__ import annotations
 
+import argparse
+import sys
 from typing import Any
+
+from repro.bench.format import render_table
+from repro.cmdline import add_workload, positive_float
 
 from repro.core.ix_cache import block_bits_for
 from repro.params import CacheParams, IXCACHE_ENERGY_FJ, SimParams
@@ -19,6 +24,29 @@ from repro.workloads.suite import Workload
 SYSTEMS: tuple[str, ...] = ("stream", "address", "fa_opt", "xcache", "metal_ix", "metal")
 #: The cache-bearing subset (Fig. 15-17 trends).
 CACHE_SYSTEMS: tuple[str, ...] = ("fa_opt", "xcache", "metal_ix", "metal")
+#: Variant systems accepted everywhere SYSTEMS is, but excluded from the
+#: default Fig. 18 lineup (next-line-prefetch address cache, two-level
+#: address hierarchy).
+EXTRA_SYSTEMS: tuple[str, ...] = ("address_pf", "address_l2")
+
+
+def known_systems() -> tuple[str, ...]:
+    """Every memory-system kind a subcommand may name."""
+    return SYSTEMS + EXTRA_SYSTEMS
+
+
+def unknown_systems(kinds) -> list[str]:
+    """The subset of ``kinds`` no subcommand can build, sorted."""
+    return sorted(set(kinds) - set(known_systems()))
+
+
+def reject_unknown_systems(kinds) -> bool:
+    """Shared ``--system``/``--systems`` validation; True when invalid."""
+    unknown = unknown_systems(kinds)
+    if unknown:
+        print(f"unknown systems: {unknown} "
+              f"(choose from {', '.join(known_systems())})", file=sys.stderr)
+    return bool(unknown)
 
 
 def cache_params_for(kind: str, cache_bytes: int, ways: int = 16, banks: int = 16) -> CacheParams:
@@ -97,3 +125,69 @@ def compare_systems(
                            record_latencies=record_latencies)
         for kind in kinds
     }
+
+
+# --------------------------------------------------------------------- #
+# python -m repro compare
+# --------------------------------------------------------------------- #
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_workload(parser)
+    parser.add_argument("--scale", type=positive_float, default=0.25)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--systems", type=str, default=None,
+                        help="comma-separated subset, e.g. stream,metal")
+    parser.add_argument("--cache-kb", type=int, default=None)
+    parser.add_argument("--backend", choices=("object", "soa"), default=None,
+                        help="index storage backend (soa enables batched "
+                             "walk generation)")
+    parser.add_argument("--jobs", type=str, default="1",
+                        help="worker processes: a number or 'auto'")
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run one workload across memory systems, with latency percentiles."""
+    from repro.exec import Executor, RunSpec
+    from repro.workloads.suite import build_workload
+
+    kinds = tuple(args.systems.split(",")) if args.systems else SYSTEMS
+    if reject_unknown_systems(kinds):
+        return 2
+    workload_kwargs = {"backend": args.backend} if args.backend else {}
+    workload = build_workload(
+        args.workload, scale=args.scale, seed=args.seed, **workload_kwargs
+    )
+    print(f"{workload.name}: {workload.notes}")
+    specs = [
+        RunSpec(
+            workload=workload.name, system=kind, scale=workload.scale,
+            seed=workload.seed,
+            cache_bytes=args.cache_kb * 1024 if args.cache_kb else None,
+            record_latencies=True,
+            workload_kwargs=tuple(sorted(workload_kwargs.items())),
+        )
+        for kind in kinds
+    ]
+    with Executor(jobs=args.jobs) as executor:
+        executor.seed_workloads([workload])
+        results = dict(zip(kinds, executor.run_results(specs)))
+    base = results.get("stream") or next(iter(results.values()))
+    rows = []
+    for name, result in results.items():
+        pct = result.latency_percentiles() or {}
+        rows.append([
+            name,
+            base.makespan / max(1, result.makespan),
+            result.avg_walk_latency,
+            pct.get("p50", "-"),
+            pct.get("p99", "-"),
+            result.miss_rate,
+            result.working_set_fraction,
+            result.dram_energy_fj / 1e6,
+        ])
+    print(render_table(
+        ["system", "speedup", "walk lat", "p50", "p99", "miss",
+         "working set", "DRAM nJ"],
+        rows,
+    ))
+    return 0

@@ -82,14 +82,3 @@ def format_scale_sensitivity(points: list[ScalePoint], workload: str) -> str:
         headers, rows,
         f"Scale sensitivity ({workload}) — orderings {stable} across scales",
     )
-
-
-def main() -> None:  # pragma: no cover
-    for name in ("scan", "join"):
-        points = run_scale_sensitivity(name)
-        print(format_scale_sensitivity(points, name))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import resource
-import sys
 import tracemalloc
 from dataclasses import dataclass, field
 from typing import Any
@@ -38,6 +37,7 @@ from typing import Any
 from repro import gate
 from repro.bench.format import render_table
 from repro.bench.runner import build_memsys
+from repro.cmdline import float_list, report_problems
 from repro.sim.metrics import RunResult, simulate
 from repro.workloads.suite import PAPER_SCALE, build_workload, scaled
 
@@ -247,34 +247,21 @@ def format_sweep(points: list[SweepPoint]) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="paper-scale sweep (repro.bench.scale_sweep)"
-    )
-    parser.add_argument("--points", type=str, default=None,
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--points", type=float_list(0.0, 1.0),
+                        default=DEFAULT_POINTS,
                         help="comma-separated paper-scale fractions "
                              "(default: the committed sweep's points)")
     gate.add_arguments(parser, DEFAULT_BASELINE)
-    args = parser.parse_args(argv)
-    gate.validate(args)
 
-    points_arg = (
-        tuple(float(x) for x in args.points.split(","))
-        if args.points else DEFAULT_POINTS
-    )
-    points = run_scale_sweep(points=points_arg)
+
+def run(args: argparse.Namespace) -> int:
+    gate.validate(args)
+    points = run_scale_sweep(points=args.points)
     print(format_sweep(points))
-    problems = check_trends(points)
-    if problems:
-        print("\nSCALE TRENDS VIOLATED:", file=sys.stderr)
-        for problem in problems:
-            print(f"  - {problem}", file=sys.stderr)
+    if report_problems("SCALE TRENDS VIOLATED", check_trends(points)):
         return gate.EXIT_TRENDS
     print("\ntrend check: METAL speedup and miss-rate advantage hold at "
           "every point; builds stayed within their memory budgets")
     return gate.finish(args, sweep_to_baseline(points), GATE,
                        covered=covered_by(points))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

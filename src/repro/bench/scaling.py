@@ -112,14 +112,3 @@ def format_fig23b(cells: dict[int, dict[str, float]]) -> str:
     return render_table(
         headers, rows, "Fig. 23b — Walk latency vs index depth (JOIN)"
     )
-
-
-def main() -> None:  # pragma: no cover
-    result = run_scaling()
-    print(format_fig23a(result.records_sweep))
-    print()
-    print(format_fig23b(result.depth_sweep))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

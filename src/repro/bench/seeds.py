@@ -70,13 +70,3 @@ def format_seed_sweep(sweep: SeedSweep) -> str:
         f"Robustness — METAL advantage on {sweep.workload} over "
         f"{len(sweep.seeds)} seeds",
     )
-
-
-def main() -> None:  # pragma: no cover
-    for name in ("scan", "join", "spmm"):
-        print(format_seed_sweep(run_seed_sweep(name)))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

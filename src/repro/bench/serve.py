@@ -29,8 +29,16 @@ from typing import Any
 
 from repro import gate
 from repro.bench.format import render_table
+from repro.bench.runner import reject_unknown_systems
+from repro.cmdline import (
+    add_workload,
+    float_list,
+    positive_float,
+    positive_int,
+    report_problems,
+)
 from repro.exec import Executor, default_executor
-from repro.serve.spec import ServeSpec
+from repro.serve.spec import BALANCERS, ServeSpec
 
 #: The swept offered-load multipliers (1.0 = calibrated fleet capacity).
 DEFAULT_LOADS: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.3)
@@ -105,29 +113,6 @@ class ServeCurve:
         return None
 
 
-def serve_spec(
-    workload: str,
-    system: str,
-    load: float,
-    scale: float,
-    seed: int = 0,
-    users: int = 32,
-    tiles: int = 4,
-    balancer: str = "round_robin",
-    requests_per_min: float = 60.0,
-    duration_ms: int = 5,
-    tile_speedups: tuple[float, ...] = (),
-    trace: bool = False,
-) -> ServeSpec:
-    """The ServeSpec for one swept point."""
-    return ServeSpec.make(
-        workload, system=system, scale=scale, seed=seed, users=users,
-        requests_per_min=requests_per_min, load=load, duration_ms=duration_ms,
-        tiles=tiles, balancer=balancer, tile_speedups=tile_speedups,
-        trace=trace,
-    )
-
-
 def calibrated_rpm(
     workload: str,
     system: str,
@@ -178,11 +163,12 @@ def run_serve_sweep(
         requests_per_min = calibrated_rpm(
             workload, system, scale, seed, users, tiles)
     specs = [
-        serve_spec(workload, system, load, scale, seed=seed, users=users,
-                   tiles=tiles, balancer=balancer,
-                   requests_per_min=requests_per_min,
-                   duration_ms=duration_ms, tile_speedups=tile_speedups,
-                   trace=trace)
+        ServeSpec.make(
+            workload, system=system, scale=scale, seed=seed, users=users,
+            requests_per_min=requests_per_min, load=load,
+            duration_ms=duration_ms, tiles=tiles, balancer=balancer,
+            tile_speedups=tile_speedups, trace=trace,
+        )
         for load in loads
     ]
     outcomes = executor.run(specs)
@@ -274,7 +260,7 @@ def format_slo(curve: ServeCurve, objective) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Span-overhead gate (CI serve-trace-overhead job)
+# Span-overhead gate (repro report --verify-trace-overhead)
 # --------------------------------------------------------------------- #
 
 #: Committed golden ServeResult payload (spans off, scale 0.01).
@@ -297,7 +283,7 @@ def _golden_spec(golden: dict[str, Any]) -> ServeSpec:
 
 
 def trace_overhead_check(
-    golden_path: str = GOLDEN_PATH, scale: float | None = None,
+    golden_path: str = GOLDEN_PATH,
 ) -> tuple[str, list[str]]:
     """Run the golden spec with spans off and on; report any drift.
 
@@ -321,16 +307,14 @@ def trace_overhead_check(
     except (OSError, json.JSONDecodeError) as exc:
         return "", [f"golden {golden_path} unreadable: {exc}"]
     spec = _golden_spec(golden)
-    if scale is not None and spec.scale != scale:
-        problems.append(
-            f"golden was written at scale {spec.scale:g}, not {scale:g}")
     off = simulate_serve(spec).to_dict()
     canon = lambda d: json.dumps(d, sort_keys=True)
     if canon(off) != canon(golden["result"]):
         problems.append(
             "spans-off ServeResult drifted from the committed golden "
             f"({golden_path}); if the serving engine changed on purpose, "
-            "regenerate with python -m repro.bench.serve --write-golden")
+            "regenerate with python -c \"from repro.bench.serve import "
+            "write_golden; write_golden()\"")
     traced = simulate_serve(replace(spec, trace=True))
     on = traced.to_dict()
     spans = on.pop("spans", None)
@@ -354,13 +338,13 @@ def trace_overhead_check(
     return "\n".join(lines), problems
 
 
-def write_golden(golden_path: str = GOLDEN_PATH, scale: float = 0.01) -> None:
-    """(Re)write the committed spans-off golden payload."""
+def write_golden(golden_path: str = GOLDEN_PATH) -> None:
+    """(Re)write the committed spans-off golden payload (scale 0.01)."""
     from repro.serve.engine import simulate_serve
 
-    rpm = calibrated_rpm("scan", "metal", scale, 0, 32, 4)
+    rpm = calibrated_rpm("scan", "metal", 0.01, 0, 32, 4)
     spec = ServeSpec.make(
-        "scan", system="metal", scale=scale, seed=0, users=32,
+        "scan", system="metal", scale=0.01, seed=0, users=32,
         requests_per_min=rpm, load=1.0, duration_ms=3, tiles=4,
         balancer="round_robin",
     )
@@ -421,41 +405,187 @@ GATE = gate.Rules(
 )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--verify-trace-overhead", action="store_true",
-                        help="only check the serving observability layer: "
-                             "spans-off payload byte-identical to the "
-                             "committed golden, traced payload identical "
-                             "minus spans, span trees reconcile")
-    parser.add_argument("--write-golden", action="store_true",
-                        help="(re)write the committed spans-off golden "
-                             "payload from the current engine")
-    parser.add_argument("--golden", type=str, default=GOLDEN_PATH,
-                        help=f"golden payload path (default {GOLDEN_PATH})")
-    parser.add_argument("--scale", type=float, default=None,
-                        help="expected golden scale (sanity check for "
-                             "--verify-trace-overhead; the golden file "
-                             "pins the actual spec)")
-    args = parser.parse_args(argv)
-    if args.write_golden:
-        write_golden(args.golden, args.scale if args.scale else 0.01)
-        print(f"serve golden written to {args.golden}")
-        return 0
-    if args.verify_trace_overhead:
-        text, problems = trace_overhead_check(args.golden, args.scale)
-        print(text)
-        if problems:
-            print("\nSPAN OVERHEAD CHECK FAILED:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
+# --------------------------------------------------------------------- #
+# python -m repro serve
+# --------------------------------------------------------------------- #
+
+def add_serving_arguments(parser: argparse.ArgumentParser) -> None:
+    """The serving topology options ``serve`` and ``run`` share."""
+    add_workload(parser)
+    parser.add_argument("--system", default="metal",
+                        help="memory system each tile runs (default: metal)")
+    parser.add_argument("--scale", type=positive_float, default=0.05,
+                        help="workload scale of the per-tile backend "
+                             "simulation")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master seed (population, arrival streams)")
+    parser.add_argument("--users", type=positive_int, default=32,
+                        help="mean active users (Poisson population)")
+    parser.add_argument("--tiles", type=positive_int, default=4,
+                        help="tiles behind the load balancer")
+    parser.add_argument("--rpm", type=positive_float, default=None,
+                        help="requests/min per user (default: calibrated "
+                             "so load 1.0 saturates the fleet)")
+    parser.add_argument("--duration-ms", type=positive_int, default=5,
+                        help="arrival horizon per swept load, probe or "
+                             "phase")
+    parser.add_argument("--balancer", default="round_robin",
+                        choices=BALANCERS)
+    parser.add_argument("--jobs", type=str, default="1",
+                        help="worker processes: a number or 'auto'")
+    parser.add_argument("--json", type=str, default=None,
+                        help="write machine-readable results to this file")
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_serving_arguments(parser)
+    parser.add_argument("--skew", type=float_list(0.0), default=(),
+                        help="comma-separated per-tile speed multipliers "
+                             "(skewed-fleet balancer studies)")
+    parser.add_argument("--loads", type=float_list(0.0),
+                        default=DEFAULT_LOADS,
+                        help="comma-separated offered-load multipliers")
+    gate.add_arguments(parser, "BENCH_serve.json")
+    parser.add_argument("--trace", action="store_true",
+                        help="record request span trees at every load "
+                             "point and print the tail-latency attribution")
+    parser.add_argument("--slo", type=int, default=None, metavar="NS",
+                        help="latency objective in ns; print attainment and "
+                             "error-budget burn per load point (with spans, "
+                             "also burn over time at the hottest load)")
+    parser.add_argument("--slo-target", type=float, default=0.99,
+                        help="required attainment fraction (default 0.99)")
+    parser.add_argument("--spans-out", type=str, default=None, metavar="PATH",
+                        help="write a Perfetto-loadable Chrome trace of the "
+                             "request spans (implies --trace; multi-load "
+                             "sweeps get a _load<x> tag per point)")
+    parser.add_argument("--series-out", type=str, default=None,
+                        metavar="PATH",
+                        help="write the completion time series CSV "
+                             "(repro.obs.series.request_series; implies "
+                             "--trace)")
+    parser.add_argument("--windows-out", type=str, default=None,
+                        metavar="PATH",
+                        help="write windowed serving metrics CSV — "
+                             "throughput, p50/p99, queue depths, per-tile "
+                             "utilization (repro.obs.series.serve_windows; "
+                             "implies --trace)")
+    parser.add_argument("--windows", type=positive_int, default=50,
+                        help="window count for --series-out/--windows-out")
+    parser.add_argument("--tail-pct", type=float, default=99.0,
+                        help="percentile cutoff for the tail attribution "
+                             "report (default 99)")
+
+
+def _load_tagged(path: str, load: float, multi: bool) -> str:
+    """Insert a ``_load<g>`` tag before the extension for multi-load
+    sweeps so every swept point gets its own artifact file."""
+    if not multi:
+        return path
+    stem, dot, ext = path.rpartition(".")
+    if dot:
+        return f"{stem}_load{load:g}.{ext}"
+    return f"{path}_load{load:g}"
+
+
+def _span_reports(args: argparse.Namespace, curve: ServeCurve) -> int:
+    """Span-derived artifacts and reports for a traced sweep."""
+    from repro.obs.export import write_serve_trace
+    from repro.obs.series import request_series, serve_windows
+    from repro.obs.spans import (
+        format_tail_attribution,
+        reconcile_spans,
+        tail_attribution,
+    )
+    from repro.serve import ServeResult
+
+    loads = args.loads
+    results = [ServeResult.from_dict(data) for data in curve.results]
+    for load, result in zip(loads, results):
+        assert result.spans is not None
+        if report_problems(f"SPAN TREES DO NOT RECONCILE at load {load:g}",
+                           reconcile_spans(result.spans, result)):
             return 1
-        return 0
-    for balancer in ("round_robin", "least_loaded"):
-        print(format_serve(run_serve_sweep(balancer=balancer)))
-        print()
+    multi = len(results) > 1
+    for load, result in zip(loads, results):
+        log = result.spans
+        if args.spans_out:
+            path = _load_tagged(args.spans_out, load, multi)
+            write_serve_trace(log, path, meta={
+                "workload": curve.workload, "system": curve.system,
+                "load": load, "balancer": curve.balancer,
+            })
+            print(f"span trace for load {load:g} written to {path} "
+                  f"(open at https://ui.perfetto.dev)")
+        if args.series_out:
+            path = _load_tagged(args.series_out, load, multi)
+            request_series(log.completions(),
+                           windows=args.windows).write_csv(path)
+            print(f"completion series for load {load:g} written to {path}")
+        if args.windows_out:
+            path = _load_tagged(args.windows_out, load, multi)
+            serve_windows(log, windows=args.windows,
+                          tiles=curve.tiles).write_csv(path)
+            print(f"windowed metrics for load {load:g} written to {path}")
+    print()
+    print(format_tail_attribution(
+        tail_attribution(results[-1].spans, args.tail_pct),
+        title=f"p{args.tail_pct:g} tail attribution at load {loads[-1]:g} "
+              f"(spans reconcile exactly with end-to-end latency)"))
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+def run(args: argparse.Namespace) -> int:
+    """Sweep offered load, print the saturation curve, and gate it."""
+    from repro.serve.slo import SLObjective
+
+    gate.validate(args)
+    if reject_unknown_systems((args.system,)):
+        return 2
+    if args.skew and len(args.skew) != args.tiles:
+        print(f"invalid --skew: {len(args.skew)} multipliers for "
+              f"{args.tiles} tiles", file=sys.stderr)
+        return 2
+    objective = None
+    if args.slo is not None:
+        try:
+            objective = SLObjective(args.slo, args.slo_target)
+        except ValueError as exc:
+            print(f"invalid SLO: {exc}", file=sys.stderr)
+            return 2
+    trace = bool(args.trace or args.spans_out or args.series_out
+                 or args.windows_out)
+    with Executor(jobs=args.jobs) as executor:
+        curve = run_serve_sweep(
+            workload=args.workload, system=args.system, loads=args.loads,
+            scale=args.scale, seed=args.seed, users=args.users,
+            tiles=args.tiles, balancer=args.balancer,
+            duration_ms=args.duration_ms, requests_per_min=args.rpm,
+            tile_speedups=args.skew, executor=executor,
+            trace=trace, keep_results=trace or objective is not None,
+        )
+    print(format_serve(curve))
+    if trace and _span_reports(args, curve):
+        return 1
+    if objective is not None:
+        print()
+        print(format_slo(curve, objective))
+        if trace:
+            from repro.serve import ServeResult
+            from repro.serve.slo import windowed_slo
+
+            hottest = ServeResult.from_dict(curve.results[-1])
+            burn = windowed_slo(hottest.spans, objective, windows=10)
+            print()
+            print(render_table(
+                burn.columns,
+                [[cell if not isinstance(cell, float) else round(cell, 3)
+                  for cell in row] for row in burn.rows],
+                f"Error-budget burn over windows at load "
+                f"{args.loads[-1]:g}",
+            ))
+    document = curve_to_baseline(curve)
+    if args.json:
+        gate.write(args.json, document)
+        print(f"curve data written to {args.json}")
+    return gate.finish(args, document, GATE)

@@ -85,11 +85,3 @@ def format_fig18(results: list[SpeedupResult]) -> str:
         + ", ".join(f"{k}: {v:.2f}x" for k, v in ratios.items())
     )
     return table + "\n" + bars + summary
-
-
-def main() -> None:  # pragma: no cover
-    print(format_fig18(run_speedups()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -65,11 +65,3 @@ def format_table3(summary: SummaryResult) -> str:
          f"{lo:.2f}x - {hi:.2f}x over METAL-IX"],
     ]
     return render_table(["Question", "Answer"], rows, "Table 3 — Evaluation summary")
-
-
-def main() -> None:  # pragma: no cover
-    print(format_table3(run_summary()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -112,16 +112,3 @@ def format_fig24(cells: list[SweepCell]) -> str:
         headers, rows,
         "Fig. 24 — Speedup vs cache size and tile count (base: small streaming DSA)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    cells = run_sweep()
-    print(format_fig24(cells))
-    for name in DEFAULT_WORKLOADS:
-        p = pareto_point(cells, name)
-        print(f"Pareto {name}: {p.tiles} tiles, {p.cache_bytes // 1024}KB "
-              f"-> {p.speedup:.2f}x ({p.region})")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -41,11 +41,3 @@ def format_fig7(designs: tuple[TagMatchDesign, ...]) -> str:
         f"(< {IXCACHE_ENERGY_FJ:.0f} fJ total IX access cost — consistent)"
     )
     return table + note
-
-
-def main() -> None:  # pragma: no cover
-    print(format_fig7(run_tagmatch()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

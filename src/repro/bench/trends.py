@@ -100,16 +100,3 @@ def format_fig17(results: list[TrendResult]) -> str:
     return _table(
         results, "walk_latencies", "Fig. 17 — Average walk latency in cycles"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    results = run_trends()
-    print(format_fig15(results))
-    print()
-    print(format_fig16(results))
-    print()
-    print(format_fig17(results))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -26,10 +26,16 @@ spec: the digest must not depend on float noise in the bisection.
 
 from __future__ import annotations
 
+import argparse
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro import gate
+from repro.bench.format import render_table
+from repro.bench.runner import reject_unknown_systems
+from repro.bench.serve import add_serving_arguments, calibrated_rpm
 from repro.exec import Executor, default_executor
 from repro.exec.spec import RunSpec, trace_digest
 from repro.serve.spec import ServeSpec
@@ -44,25 +50,6 @@ DEFAULT_MAX_UTIL = 0.9
 def _q6(value: float) -> float:
     """Quantize to 6 significant digits (stable spec-digest floats)."""
     return float(f"{value:.6g}")
-
-
-def _serve_spec(
-    workload: str,
-    system: str,
-    load: float,
-    scale: float,
-    seed: int,
-    users: int,
-    tiles: int,
-    requests_per_min: float,
-    duration_ms: int,
-    balancer: str,
-) -> ServeSpec:
-    return ServeSpec.make(
-        workload, system=system, scale=scale, seed=seed, users=users,
-        requests_per_min=requests_per_min, load=load,
-        duration_ms=duration_ms, tiles=tiles, balancer=balancer,
-    )
 
 
 @dataclass
@@ -155,8 +142,6 @@ def find_max_rate(
         raise ValueError(f"need 0 < lo < hi, got lo={lo} hi={hi}")
     executor = executor or default_executor()
     if requests_per_min is None:
-        from repro.bench.serve import calibrated_rpm
-
         requests_per_min = calibrated_rpm(
             workload, system, scale, seed, users, tiles)
 
@@ -164,9 +149,10 @@ def find_max_rate(
 
     def probe(load: float) -> ProbePoint:
         load = _q6(load)
-        spec = _serve_spec(
-            workload, system, load, scale, seed, users, tiles,
-            requests_per_min, duration_ms, balancer,
+        spec = ServeSpec.make(
+            workload, system=system, scale=scale, seed=seed, users=users,
+            requests_per_min=requests_per_min, load=load,
+            duration_ms=duration_ms, tiles=tiles, balancer=balancer,
         )
         data = executor.run([spec])[0].check().data
         point = ProbePoint.from_payload(load, data, max_util, slo_p99_ns)
@@ -306,15 +292,14 @@ def run_schedule(
     """
     executor = executor or default_executor()
     if requests_per_min is None:
-        from repro.bench.serve import calibrated_rpm
-
         requests_per_min = calibrated_rpm(
             workload, system, scale, seed, users, tiles)
     loads = parse_schedule(profile)
     specs = [
-        _serve_spec(
-            workload, system, load, scale, seed + phase, users, tiles,
-            requests_per_min, duration_ms, balancer,
+        ServeSpec.make(
+            workload, system=system, scale=scale, seed=seed + phase,
+            users=users, requests_per_min=requests_per_min, load=load,
+            duration_ms=duration_ms, tiles=tiles, balancer=balancer,
         )
         for phase, load in enumerate(loads)
     ]
@@ -368,8 +353,6 @@ def replay_trace(
 
 def format_max_rate(result: MaxRateResult) -> str:
     """Probe table + verdict, ready to print."""
-    from repro.bench.format import render_table
-
     rows = [
         [
             f"{p.load:g}", p.offered, f"{p.throughput_rps / 1e6:.3f}M",
@@ -397,8 +380,6 @@ def format_max_rate(result: MaxRateResult) -> str:
 
 def format_schedule(result: ScheduleResult) -> str:
     """Phase table for a schedule run, ready to print."""
-    from repro.bench.format import render_table
-
     rows = [
         [
             p.phase, f"{p.load:g}", p.offered, p.completed,
@@ -412,6 +393,102 @@ def format_schedule(result: ScheduleResult) -> str:
         ["phase", "load", "offered", "done", "thr rps", "p50 us", "p99 us", "util"],
         rows,
     )
+
+
+# --------------------------------------------------------------------- #
+# python -m repro run
+# --------------------------------------------------------------------- #
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_serving_arguments(parser)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--max-rate", action="store_true",
+                      help="binary-search the highest sustainable "
+                           "offered load of the serving topology")
+    mode.add_argument("--schedule", type=str, default=None,
+                      metavar="PROFILE",
+                      help="offered-load profile: 'ramp:lo:hi:n' or "
+                           "'step:l1,l2,...' (one serve phase per load)")
+    mode.add_argument("--pipe", type=str, default=None, metavar="TRACE",
+                      help="replay a captured walk trace (trace_io JSONL, "
+                           ".gz ok) through --system at the --scale it was "
+                           "captured at")
+    parser.add_argument("--lo", type=float, default=0.1,
+                        help="--max-rate bracket lower bound (load "
+                             "multiplier)")
+    parser.add_argument("--hi", type=float, default=2.0,
+                        help="--max-rate bracket upper bound")
+    parser.add_argument("--iters", type=int, default=DEFAULT_ITERS,
+                        help="--max-rate bisection steps after the bracket")
+    parser.add_argument("--max-util", type=float, default=DEFAULT_MAX_UTIL,
+                        help="sustainable-utilization bound for --max-rate")
+    parser.add_argument("--slo-p99-ns", type=int, default=None,
+                        help="optional p99 latency bound for --max-rate")
+
+
+def run(args: argparse.Namespace) -> int:
+    from repro.exec.executor import ExecError
+    from repro.sim.metrics import RunResult
+    from repro.workloads.trace_io import TraceTruncated
+
+    if reject_unknown_systems((args.system,)):
+        return 2
+    if args.schedule:
+        try:
+            parse_schedule(args.schedule)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+    serving = dict(
+        workload=args.workload, system=args.system, scale=args.scale,
+        seed=args.seed, users=args.users, tiles=args.tiles,
+        requests_per_min=args.rpm, duration_ms=args.duration_ms,
+        balancer=args.balancer,
+    )
+    with Executor(jobs=args.jobs) as executor:
+        if args.max_rate:
+            result = find_max_rate(
+                lo=args.lo, hi=args.hi, iters=args.iters,
+                max_util=args.max_util, slo_p99_ns=args.slo_p99_ns,
+                executor=executor, **serving,
+            )
+            print(format_max_rate(result))
+            payload = result.to_dict()
+        elif args.schedule:
+            result = run_schedule(profile=args.schedule, executor=executor,
+                                  **serving)
+            print(format_schedule(result))
+            payload = result.to_dict()
+        else:
+            try:
+                payload = replay_trace(
+                    args.workload, args.pipe, system=args.system,
+                    scale=args.scale, seed=args.seed, executor=executor,
+                )
+            except ExecError as exc:
+                # Worker-side failure: the original error is the last
+                # line of the captured traceback.
+                reason = str(exc).strip().splitlines()[-1]
+                print(f"trace replay failed: {reason}", file=sys.stderr)
+                return 1
+            except (TraceTruncated, ValueError, KeyError, OSError) as exc:
+                print(f"trace replay failed: {exc}", file=sys.stderr)
+                return 1
+            replay = RunResult.from_dict(payload["result"])
+            pct = replay.latency_percentiles() or {}
+            print(render_table(
+                ["walks", "makespan", "avg walk lat", "p99", "miss",
+                 "working set"],
+                [[replay.num_walks, replay.makespan, replay.avg_walk_latency,
+                  pct.get("p99", "-"), replay.miss_rate,
+                  replay.working_set_fraction]],
+                f"trace replay: {args.pipe} -> {args.workload}/"
+                f"{args.system}@{args.scale:g}",
+            ))
+    if args.json:
+        gate.write(args.json, payload)
+        print(f"run data written to {args.json}")
+    return 0
 
 
 __all__ = [

@@ -16,6 +16,7 @@ PRs (docs/performance.md).
 
 from __future__ import annotations
 
+import argparse
 import os
 import platform
 import sys
@@ -24,6 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro import gate
+from repro.bench.format import render_table
+from repro.cmdline import name_list, positive_float, positive_int
 from repro.perf.kernels import KERNELS
 
 #: Report schema version (bump on incompatible layout changes).
@@ -140,8 +143,6 @@ def run_suite(
 
 
 def format_report(report: PerfReport) -> str:
-    from repro.bench.format import render_table
-
     rows = []
     for name, kernel in report.kernels.items():
         rows.append([
@@ -194,10 +195,47 @@ def speedups(baseline: dict[str, Any], report: PerfReport) -> dict[str, float]:
 
 
 def format_speedups(ratios: dict[str, float]) -> str:
-    from repro.bench.format import render_table
-
     return render_table(
         ["kernel", "speedup vs baseline"],
         [[name, f"{ratio:.2f}x"] for name, ratio in ratios.items()],
         "Baseline comparison (>1 = faster; informational)",
+    )
+
+
+# --------------------------------------------------------------------- #
+# python -m repro perf
+# --------------------------------------------------------------------- #
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scale", type=positive_float, default=DEFAULT_SCALE,
+                        help="kernel input scale (default 0.05; the "
+                             "committed BENCH_perf.json baseline uses this "
+                             "scale)")
+    parser.add_argument("--repeat", type=positive_int, default=5,
+                        help="timed repetitions per kernel (median reported)")
+    parser.add_argument("--warmup", type=int, default=1,
+                        help="discarded warmup runs per kernel")
+    parser.add_argument("--kernels", type=name_list(KERNELS), default=None,
+                        help="comma-separated kernel subset")
+    parser.add_argument("--out", type=str, default=None,
+                        help="write the JSON report to this path")
+    gate.add_arguments(parser, "BENCH_perf.json")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-kernel progress on stderr")
+
+
+def run(args: argparse.Namespace) -> int:
+    gate.validate(args)
+    report = run_suite(
+        names=args.kernels or None, scale=args.scale, repeat=args.repeat,
+        warmup=args.warmup, progress=not args.quiet,
+    )
+    print(format_report(report))
+    if args.out:
+        report.write(args.out)
+        print(f"perf report written to {args.out}")
+    return gate.finish(
+        args, report.to_dict(), GATE, covered=covered_by(args.kernels or None),
+        explain=lambda baseline: "\n" + format_speedups(
+            speedups(baseline, report)),
     )

@@ -29,8 +29,8 @@ above as contiguous child spans whose durations sum exactly to the
 recorded end-to-end latency, with ``service`` spans carrying the
 backend walk ordinal they replay (the link into the sim-side walk-span
 profiler). Tracing off is the default and leaves the result payload
-byte-identical to pre-span builds — the serve-trace-overhead CI gate
-holds the layer to that.
+byte-identical to pre-span builds — ``repro report
+--verify-trace-overhead`` holds the layer to that.
 """
 
 from __future__ import annotations

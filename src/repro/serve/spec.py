@@ -88,8 +88,8 @@ class ServeSpec(FrozenSpec):
     timeline_windows: int = 0
     #: Record a per-request span tree (repro.obs.spans.SpanLog) on the
     #: result. Off by default; with tracing off the ServeResult payload
-    #: is byte-identical to an untraced run (the serve-trace-overhead
-    #: CI gate pins this).
+    #: is byte-identical to an untraced run (``repro report
+    #: --verify-trace-overhead`` pins this).
     trace: bool = False
 
     def __post_init__(self) -> None:

@@ -19,7 +19,7 @@ from repro.bench.report import (
     extract_key_metrics,
     generate_report,
 )
-from repro.bench.report import main as report_main
+from repro.cli import main as cli_main
 
 SCALE = 0.02
 
@@ -139,39 +139,39 @@ class TestCompare:
 class TestMainExitCodes:
     def test_round_trip_write_then_pass(self, tmp_path, capsys):
         path = tmp_path / "b.json"
-        assert report_main(["--scale", str(SCALE), "--fast",
-                            "--baseline", str(path),
-                            "--write-baseline"]) == 0
-        assert report_main(["--scale", str(SCALE), "--fast",
-                            "--baseline", str(path)]) == 0
+        assert cli_main(["report", "--scale", str(SCALE), "--fast",
+                         "--baseline", str(path),
+                         "--write-baseline"]) == 0
+        assert cli_main(["report", "--scale", str(SCALE), "--fast",
+                         "--baseline", str(path)]) == 0
         assert "baseline check passed" in capsys.readouterr().out
 
     def test_missing_baseline_file_exit(self, tmp_path, capsys):
-        rc = report_main(["--scale", str(SCALE), "--fast",
-                          "--baseline", str(tmp_path / "nope.json")])
+        rc = cli_main(["report", "--scale", str(SCALE), "--fast",
+                       "--baseline", str(tmp_path / "nope.json")])
         assert rc == gate.EXIT_MISSING
         assert "not found" in capsys.readouterr().err
 
     def test_perturbed_baseline_exit(self, tmp_path, capsys):
         path = tmp_path / "b.json"
-        report_main(["--scale", str(SCALE), "--fast",
-                     "--baseline", str(path), "--write-baseline"])
+        cli_main(["report", "--scale", str(SCALE), "--fast",
+                  "--baseline", str(path), "--write-baseline"])
         capsys.readouterr()
         stored = json.loads(path.read_text())
         name = next(k for k in stored["metrics"]
                     if k.startswith("headline."))
         stored["metrics"][name] *= 1.5
         path.write_text(json.dumps(stored))
-        rc = report_main(["--scale", str(SCALE), "--fast",
-                          "--baseline", str(path)])
+        rc = cli_main(["report", "--scale", str(SCALE), "--fast",
+                       "--baseline", str(path)])
         assert rc == gate.EXIT_REGRESSED
         err = capsys.readouterr().err
         assert "regressed" in err and name in err
 
     def test_write_baseline_requires_baseline_path(self):
         with pytest.raises(SystemExit):
-            report_main(["--scale", str(SCALE), "--fast",
-                         "--write-baseline"])
+            cli_main(["report", "--scale", str(SCALE), "--fast",
+                      "--write-baseline"])
 
     def test_committed_baseline_matches_repo(self):
         # The file CI gates on must self-compare cleanly at its scale.

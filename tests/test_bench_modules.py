@@ -101,10 +101,10 @@ class TestReport:
             assert marker in report
 
     def test_report_written_to_file(self, tmp_path):
-        from repro.bench.report import main as report_main
+        from repro.cli import main as cli_main
 
         out = tmp_path / "report.txt"
-        rc = report_main(["--scale", "0.03", "--fast", "--out", str(out)])
+        rc = cli_main(["report", "--scale", "0.03", "--fast", "--out", str(out)])
         assert rc == 0
         assert out.exists()
         assert "Table 3" in out.read_text()
@@ -112,10 +112,10 @@ class TestReport:
     def test_report_json_export(self, tmp_path):
         import json
 
-        from repro.bench.report import main as report_main
+        from repro.cli import main as cli_main
 
         out = tmp_path / "data.json"
-        rc = report_main(["--scale", "0.03", "--fast", "--json", str(out)])
+        rc = cli_main(["report", "--scale", "0.03", "--fast", "--json", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert "fig18" in payload and "table3" in payload

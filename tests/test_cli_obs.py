@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.cli import main, unknown_systems
+from repro.bench.runner import unknown_systems
+from repro.cli import main
 from repro.obs.tracer import Tracer
 
 
@@ -63,7 +64,7 @@ class TestDroppedWarning:
         assert "warning" not in capsys.readouterr().err
 
     def test_warn_dropped_unit(self, capsys):
-        from repro.cli import _warn_dropped
+        from repro.obs.traced import _warn_dropped
 
         tracer = Tracer(capacity=4)
         for i in range(11):
@@ -74,7 +75,7 @@ class TestDroppedWarning:
         assert "--buffer 16" in err  # next pow2 >= 11
 
     def test_warn_dropped_silent_when_complete(self, capsys):
-        from repro.cli import _warn_dropped
+        from repro.obs.traced import _warn_dropped
 
         tracer = Tracer(capacity=16)
         tracer.emit("x", ts=0)

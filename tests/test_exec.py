@@ -322,25 +322,25 @@ def test_faulted_spec_roundtrips_store_byte_identically(tmp_path):
 # --------------------------------------------------------------------- #
 
 def test_report_prints_pipeline_summary(capsys, tmp_path):
-    from repro.bench.report import main as report_main
+    from repro.cli import main as cli_main
 
     out = tmp_path / "cache"
-    assert report_main(["--scale", "0.01", "--fast",
-                        "--cache-dir", str(out)]) == 0
+    assert cli_main(["report", "--scale", "0.01", "--fast",
+                     "--cache-dir", str(out)]) == 0
     text = capsys.readouterr().out
     line = next(l for l in text.splitlines() if l.startswith("Run pipeline:"))
     assert "cells requested" in line and "served from cache" in line
     assert "0 served from cache" in line
 
     # Warm re-run: every cell comes from the store, zero simulations.
-    assert report_main(["--scale", "0.01", "--fast",
-                        "--cache-dir", str(out)]) == 0
+    assert cli_main(["report", "--scale", "0.01", "--fast",
+                     "--cache-dir", str(out)]) == 0
     warm = capsys.readouterr().out
     line = next(l for l in warm.splitlines() if l.startswith("Run pipeline:"))
     assert "0 computed" in line
 
     # --no-cache forces recomputation even with a warm store present.
-    assert report_main(["--scale", "0.01", "--fast", "--no-cache"]) == 0
+    assert cli_main(["report", "--scale", "0.01", "--fast", "--no-cache"]) == 0
     nocache = capsys.readouterr().out
     line = next(l for l in nocache.splitlines()
                 if l.startswith("Run pipeline:"))

@@ -17,7 +17,6 @@ from typing import Callable
 import pytest
 
 from repro import gate
-from repro.bench import scale_sweep
 from repro.cli import build_parser
 from repro.cli import main as cli_main
 
@@ -77,8 +76,8 @@ GATES = {
     "serve": Gate(cli_main, ("serve", "scan", "--scale", "0.01",
                              "--duration-ms", "1", "--loads", "0.5,1.1"),
                   _perturb_serve),
-    "scale": Gate(scale_sweep.main, ("--points", "0.0001,0.0005"),
-                  _perturb_scale, subset=("--points", "0.0005")),
+    "scale": Gate(cli_main, ("scale", "--points", "0.0001,0.0005"),
+                  _perturb_scale, subset=("scale", "--points", "0.0005")),
     "perf": Gate(cli_main, PERF + ("ix_probe_fill,walk_gen",), _perturb_perf,
                  subset=PERF + ("ix_probe_fill",)),
 }
@@ -161,7 +160,7 @@ def test_gated_subcommands_share_one_option_set(command, capsys):
 
 def test_scale_sweep_help_has_no_check(capsys):
     with pytest.raises(SystemExit):
-        scale_sweep.main(["--help"])
+        cli_main(["scale", "--help"])
     help_text = capsys.readouterr().out
     assert "--baseline [PATH]" in help_text
     assert "--check" not in help_text

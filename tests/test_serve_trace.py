@@ -5,7 +5,7 @@ is byte-identical to what the engine produced before spans existed (the
 committed golden ``BENCH_serve_result.json`` pins that forever), and a
 traced run differs from an untraced one by exactly its ``spans`` key.
 These tests mirror the sim engine's trace-overhead gate and back the CI
-``serve-trace-overhead`` job.
+``trace-overhead`` job (``repro report --verify-trace-overhead``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.serve import GOLDEN_PATH, trace_overhead_check
+from repro.bench.serve import (
+    GOLDEN_PATH,
+    _golden_spec,
+    trace_overhead_check,
+    write_golden,
+)
 from repro.exec import Executor
 from repro.serve import ServeResult, ServeSpec, simulate_serve
 
@@ -74,6 +79,18 @@ def test_trace_overhead_check_detects_drift(tmp_path):
     drifted.write_text(json.dumps(golden))
     _, problems = trace_overhead_check(str(drifted))
     assert any("drifted" in p for p in problems)
+
+
+def test_write_golden_reproduces_the_committed_golden(tmp_path):
+    """The refresh path rewrites the same result under the same spec. The
+    committed file predates ``ServeSpec.trace``, so the rewritten spec
+    gains that one key and the files are not byte-identical."""
+    path = tmp_path / "golden.json"
+    write_golden(str(path))
+    written = json.loads(path.read_text())
+    committed = json.loads((REPO_ROOT / GOLDEN_PATH).read_text())
+    assert written["result"] == committed["result"]
+    assert _golden_spec(written) == _golden_spec(committed)
 
 
 def test_serve_result_roundtrip_with_spans_byte_identical():
