@@ -80,21 +80,16 @@ class IXEntry:
 
     __slots__ = ("tag", "parts", "utility", "life", "nbytes", "seq", "stamp")
 
-    def __init__(self, tag: RangeTag, parts: list[tuple[RangeTag, IndexNode]], life: int = 0):
+    def __init__(self, tag: RangeTag, parts: list[tuple[RangeTag, IndexNode]],
+                 life: int, nbytes: int):
         self.tag = tag
         self.parts = parts
         self.utility = _UTILITY_INSERT
         self.life = life
-        self.nbytes = sum(min(n.byte_size(), BLOCK_SIZE) for _, n in parts)
+        #: Bytes of the packed parts, each capped at one block.
+        self.nbytes = nbytes
         self.seq = next(_entry_seq)
         self.stamp = 0
-
-    def select(self, key: int) -> IndexNode | None:
-        """Pick the constituent node whose exact range covers the key."""
-        for part_tag, node in self.parts:
-            if part_tag.matches(key):
-                return node
-        return None
 
     @property
     def pinned(self) -> bool:
@@ -245,14 +240,27 @@ class IXCache:
         return best_node
 
     def peek(self, key: int) -> IndexNode | None:
-        """Probe without touching statistics or utility (for tests)."""
-        best: tuple[int, IndexNode] | None = None
-        for entry in self._sets[self.set_of(key)] + self._wide:
-            if entry.tag.matches(key):
-                node = entry.select(key)
-                if node is not None and (best is None or entry.tag.level > best[0]):
-                    best = (entry.tag.level, node)
-        return best[1] if best else None
+        """Probe without touching statistics or utility.
+
+        METAL's range-scan path calls this once per scanned leaf, so the
+        set and the wide array are scanned in place (no concatenated
+        list) and the tag and part matches are inlined. The result is
+        :meth:`probe`'s node: the highest-level covering node, first in
+        scan order (set, then wide array) among equal levels.
+        """
+        best_level = -1
+        best: IndexNode | None = None
+        for ways in (self._sets[(key >> self.key_block_bits) % self.num_sets],
+                     self._wide):
+            for entry in ways:
+                tag = entry.tag
+                if tag.lo <= key <= tag.hi and (best is None or tag.level > best_level):
+                    for part_tag, node in entry.parts:
+                        if part_tag.lo <= key <= part_tag.hi:
+                            best_level = tag.level
+                            best = node
+                            break
+        return best
 
     # ------------------------------------------------------------------ #
     # Insert / bypass
@@ -280,14 +288,38 @@ class IXCache:
         if packed is None:
             packed = pack_node(node, ns, self.params.block_bytes)
         if key is not None and len(packed) > 1:
-            covering = [(tag, n) for tag, n in packed if tag.matches(key)]
+            covering = [part for part in packed
+                        if part[0].lo <= key <= part[0].hi]
             if covering:
                 packed = covering
         if not packed:
             return False
         placed_any = False
+        bits = self.key_block_bits
         for tag, part_node in packed:
-            if self._place(tag, part_node, life):
+            # Sized once per placement, however many sets the clipped
+            # sub-ranges land in.
+            size = part_node.byte_size()
+            first = tag.lo >> bits
+            last = tag.hi >> bits
+            if not self.associative:
+                placed = self._place_in_set(0, tag, part_node, life, size)
+            elif last - first + 1 > self.replication_limit:
+                placed = self._place_wide(tag, part_node, life, size)
+            elif first == last:
+                # Single key block: the clip is the identity (the tag
+                # lies wholly inside the block), so place it unclipped.
+                placed = self._place_in_set(first % self.num_sets, tag,
+                                            part_node, life, size)
+            else:
+                placed = False
+                for block in range(first, last + 1):
+                    block_lo = block << bits
+                    clipped = tag.clip(block_lo, block_lo + (1 << bits) - 1)
+                    if self._place_in_set(block % self.num_sets, clipped,
+                                          part_node, life, size):
+                        placed = True
+            if placed:
                 placed_any = True
         if not placed_any:
             self.stats.bypasses += 1
@@ -301,77 +333,64 @@ class IXCache:
         if self.tracer.enabled:
             self.tracer.emit("ix_bypass", reason="pattern")
 
-    def _place(self, tag: RangeTag, node: IndexNode, life: int) -> bool:
-        if not self.associative:
-            return self._place_in_set(0, tag, node, life)
-        bits = self.key_block_bits
-        first = tag.lo >> bits
-        last = tag.hi >> bits
-        if last - first + 1 > self.replication_limit:
-            return self._place_wide(tag, node, life)
-        if first == last:
-            # Single key block: the clip is the identity (the tag lies
-            # wholly inside the block), so place it unclipped.
-            return self._place_in_set(first % self.num_sets, tag, node, life)
-        placed = False
-        for block in range(first, last + 1):
-            block_lo = block << bits
-            block_hi = block_lo + (1 << bits) - 1
-            clipped = tag.clip(block_lo, block_hi)
-            if self._place_in_set(block % self.num_sets, clipped, node, life):
-                placed = True
-        return placed
+    def _place_in_set(self, set_idx: int, tag: RangeTag, node: IndexNode,
+                      life: int, size: int) -> bool:
+        """Place one entry in a set; ``size`` is ``node.byte_size()``.
 
-    def _place_in_set(self, set_idx: int, tag: RangeTag, node: IndexNode, life: int) -> bool:
+        One pass over the ways finds both a duplicate (same tag, same
+        node) and the first legal Case-3 coalescing partner; a duplicate
+        anywhere in the set wins over the partner.
+        """
         ways = self._sets[set_idx]
+        block_bytes = self.params.block_bytes
+        node_bytes = size if size < block_bytes else block_bytes
+        tag_lo, tag_hi, tag_level = tag
+        # Case-3 coalescing (Fig. 5): merge with an adjacent same-level
+        # small entry. A pinned insertion never coalesces. The
+        # ``can_coalesce`` legality check is inlined.
+        seek = self.coalesce and life == 0
+        room = block_bytes - node_bytes
+        tag_ns = tag_lo // NS_STRIDE
+        tag_width = tag_hi - tag_lo + 1
+        partner: IXEntry | None = None
         for entry in ways:
-            if entry.tag == tag:
+            etag = entry.tag
+            if etag == tag:
                 for _, part_node in entry.parts:
                     if part_node is node:
                         if self._default_policy:
-                            entry.utility = min(_UTILITY_MAX, entry.utility + 1)
+                            if entry.utility < _UTILITY_MAX:
+                                entry.utility += 1
                         else:
                             self.policy.on_hit(entry)
-                        entry.life = max(entry.life, life)
+                        if entry.life < life:
+                            entry.life = life
                         return True
-        block_bytes = self.params.block_bytes
-        node_bytes = min(node.byte_size(), block_bytes)
-        if self.coalesce and life == 0:
-            # Case-3 coalescing: merge with an adjacent same-level small
-            # entry. (A pinned insertion never coalesces — the original
-            # scan skipped every candidate when life > 0.) The
-            # ``can_coalesce`` legality check is inlined: this scan runs
-            # per way on every insert.
-            tag_level = tag.level
-            tag_lo = tag.lo
-            tag_hi = tag.hi
-            tag_ns = tag_lo // NS_STRIDE
-            tag_width = tag_hi - tag_lo + 1
-            for entry in ways:
-                if entry.life > 0:
-                    continue
-                etag = entry.tag
-                if (etag.level != tag_level
-                        or entry.nbytes + node_bytes > block_bytes):
-                    continue
-                elo = etag.lo
-                ehi = etag.hi
-                if elo // NS_STRIDE != tag_ns:
-                    continue
-                if elo <= tag_hi and tag_lo <= ehi:
-                    continue  # overlapping ranges never coalesce
-                gap = ((elo if elo > tag_lo else tag_lo)
-                       - (ehi if ehi < tag_hi else tag_hi) - 1)
-                if gap <= (ehi - elo + 1) + tag_width:
-                    entry.parts.append((tag, node))
-                    entry.tag = coalesced_tag(etag, tag)
-                    entry.nbytes += node_bytes
-                    self.stats.insertions += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit("ix_insert", level=tag.level,
-                                         lo=tag.lo, hi=tag.hi, coalesced=True)
-                    return True
-        owner = tag.lo // NS_STRIDE
+                continue  # equal ranges overlap: never a partner
+            if (not seek or entry.nbytes > room or etag.level != tag_level
+                    or entry.life > 0):
+                continue
+            elo = etag.lo
+            ehi = etag.hi
+            if elo // NS_STRIDE != tag_ns:
+                continue
+            if elo <= tag_hi and tag_lo <= ehi:
+                continue  # overlapping ranges never coalesce
+            gap = ((elo if elo > tag_lo else tag_lo)
+                   - (ehi if ehi < tag_hi else tag_hi) - 1)
+            if gap <= (ehi - elo + 1) + tag_width:
+                partner = entry
+                seek = False  # keep scanning for a duplicate only
+        if partner is not None:
+            partner.parts.append((tag, node))
+            partner.tag = coalesced_tag(partner.tag, tag)
+            partner.nbytes += node_bytes
+            self.stats.insertions += 1
+            if self.tracer.enabled:
+                self.tracer.emit("ix_insert", level=tag_level,
+                                 lo=tag_lo, hi=tag_hi, coalesced=True)
+            return True
+        owner = tag_ns
         if self.partition is not None and owner in self.partition:
             owned = [e for e in ways if e.tag.lo // NS_STRIDE == owner]
             if len(owned) >= self.partition[owner]:
@@ -386,9 +405,10 @@ class IXCache:
         if len(ways) >= self.ways and not self._evict_from(ways):
             self.stats.bypasses += 1
             if self.tracer.enabled:
-                self.tracer.emit("ix_bypass", level=tag.level, reason="pinned_set")
+                self.tracer.emit("ix_bypass", level=tag_level, reason="pinned_set")
             return False
-        entry = IXEntry(tag, [(tag, node)], life)
+        entry = IXEntry(tag, [(tag, node)], life,
+                        size if size < BLOCK_SIZE else BLOCK_SIZE)
         if not self._default_policy:
             # The default's insertion metadata (utility 3) is already set
             # by the IXEntry constructor; other policies stamp here.
@@ -396,15 +416,17 @@ class IXCache:
         ways.append(entry)
         self.stats.insertions += 1
         if self.tracer.enabled:
-            self.tracer.emit("ix_insert", level=tag.level,
-                             lo=tag.lo, hi=tag.hi, set=set_idx)
+            self.tracer.emit("ix_insert", level=tag_level,
+                             lo=tag_lo, hi=tag_hi, set=set_idx)
         return True
 
-    def _place_wide(self, tag: RangeTag, node: IndexNode, life: int) -> bool:
+    def _place_wide(self, tag: RangeTag, node: IndexNode, life: int,
+                    size: int) -> bool:
         for entry in self._wide:
             if entry.tag == tag and any(n is node for _, n in entry.parts):
                 if self._default_policy:
-                    entry.utility = min(_UTILITY_MAX, entry.utility + 1)
+                    if entry.utility < _UTILITY_MAX:
+                        entry.utility += 1
                 else:
                     self.policy.on_hit(entry)
                 return True
@@ -413,7 +435,8 @@ class IXCache:
             if self.tracer.enabled:
                 self.tracer.emit("ix_bypass", level=tag.level, reason="pinned_wide")
             return False
-        entry = IXEntry(tag, [(tag, node)], life)
+        entry = IXEntry(tag, [(tag, node)], life,
+                        size if size < BLOCK_SIZE else BLOCK_SIZE)
         if not self._default_policy:
             self.policy.on_insert(entry)
         self._wide.append(entry)

@@ -135,12 +135,24 @@ class UtilityRRIPPolicy(ReplacementPolicy):
             entry.utility += 1
 
     def select_victim(self, candidates: "list[IXEntry]") -> "IXEntry":
-        return min(candidates, key=lambda e: (e.utility, e.seq))
+        # The first (utility, seq)-minimal candidate, as
+        # ``min(candidates, key=lambda e: (e.utility, e.seq))`` returns,
+        # without a key tuple per candidate: this runs on every eviction.
+        victim = candidates[0]
+        best = victim.utility
+        for entry in candidates:
+            utility = entry.utility
+            if utility < best or (utility == best and entry.seq < victim.seq):
+                victim = entry
+                best = utility
+        return victim
 
     def epoch_decay(self, survivors: "Iterable[IXEntry]", victim: "IXEntry") -> None:
+        # Saturating decrement: max(0, utility - 1) on 4-bit counters.
         if victim.utility > 0:
             for entry in survivors:
-                entry.utility = max(0, entry.utility - 1)
+                if entry.utility > 0:
+                    entry.utility -= 1
 
 
 class TrueLRUPolicy(ReplacementPolicy):

@@ -708,6 +708,14 @@ class MetalMemSys(MemorySystem):
         cur_index = -1      # in the common case)
         wt_map: Any = None
         packed_map: Any = None
+        # Per-index invariants, memoized like cur_planner. No index
+        # mutates inside one chunk: a mutating workload (rw_mix, the
+        # dynamic mix) generates one request per chunk, so its next
+        # chunk re-reads the height of the grown tree.
+        obj_index = -1
+        obj_height = 0
+        desc_index = -1
+        descriptor: Any = None
         # Probe counters accumulate locally; they are flushed into the
         # cache statistics before batch tuning reads them and at the end.
         accesses = 0
@@ -719,13 +727,13 @@ class MetalMemSys(MemorySystem):
             # read-only), so SoA walks reuse packed entry lists; object
             # nodes can change between walks and are packed on insert.
             if pmap is None:
-                cache_insert(node, ns, life=life, key=ns_key)
+                cache_insert(node, ns, life, ns_key)
                 return
             packed = pmap.get(node)
             if packed is None:
                 packed = pack_node(node, ns, block_bytes)
                 pmap[node] = packed
-            cache_insert(node, ns, life=life, key=ns_key, packed=packed)
+            cache_insert(node, ns, life, ns_key, packed)
 
         for request, prep in zip(requests, prepared):
             index = request.index
@@ -748,15 +756,21 @@ class MetalMemSys(MemorySystem):
                     max(0, ns_key - span), ns_key + span
                 )
             soa = type(prep) is tuple
-            height = prep[0].height if soa else index.height
+            if soa:
+                height = prep[0].height
+            else:
+                if index_id != obj_index:
+                    obj_index = index_id
+                    obj_height = index.height
+                height = obj_height
             if controller is not None:
-                descriptor = controller._by_index.get(
-                    index_id, controller._default
-                )
+                if index_id != desc_index:
+                    desc_index = index_id
+                    descriptor = controller._by_index.get(
+                        index_id, controller._default
+                    )
                 if descriptor is not None:
                     descriptor.observe_key(key)
-            else:
-                descriptor = None
             kinds.append(K_SRAM)
             set_idx = (ns_key >> kbb) % num_sets
             a1.append(set_idx)

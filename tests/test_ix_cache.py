@@ -64,6 +64,19 @@ class TestHitPath:
         c.peek(5)
         assert c.stats.accesses == 0
 
+    def test_peek_breaks_level_ties_in_scan_order(self):
+        # Two distinct nodes with one range and level (a rebuilt index's
+        # stale copy): both resident, and peek and probe both return
+        # the first in scan order.
+        c = cache(coalesce=False)
+        first = node(3, 0, 10)
+        second = node(3, 0, 10)
+        c.insert(first)
+        c.insert(second)
+        assert len(c) == 2
+        assert c.peek(5) is first
+        assert c.probe(5) is first
+
 
 class TestSetMapping:
     def test_same_key_block_same_set(self):
@@ -202,6 +215,25 @@ class TestCoalescingInCache:
         # Both reachable regardless of whether they merged.
         assert c.probe(1) is a
         assert c.probe(4) is b
+
+    def test_duplicate_wins_over_an_earlier_coalescing_partner(self):
+        # P is resident before X but was pinned when X arrived, so X got
+        # its own entry. Once P's lease runs out, P becomes a legal
+        # Case-3 partner for X; re-inserting X must still hit X's own
+        # entry (a duplicate anywhere in the set beats the first partner).
+        c = cache(key_block_bits=30)
+        p = node(5, 0, 4)
+        x = node(5, 6, 10)
+        c.insert(p, life=2)
+        c.insert(x)
+        c.probe(0)
+        c.probe(0)
+        [p_entry, x_entry] = c.entries()
+        assert p_entry.life == 0 and x_entry.utility == 3
+        c.insert(x)
+        assert c.stats.insertions == 2
+        assert [n for _, n in p_entry.parts] == [p]
+        assert x_entry.utility == 4
 
 
 class TestIntrospection:

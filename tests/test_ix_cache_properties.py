@@ -124,21 +124,25 @@ class TestProbeDeepest:
             )
             assert result.covers(key)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(keys=keys_strategy, fanout=st.integers(2, 8),
            probes=st.lists(st.integers(0, 5000), min_size=1, max_size=20))
     def test_probe_agrees_with_peek(self, keys, fanout, probes):
+        # peek returns probe's node on the same state and moves no
+        # statistics, utility or lease.
         tree, cache = tree_and_cache(keys, fanout)
         for key in sorted(set(keys)):
             walk_and_insert(tree, cache, key)
+
+        def state():
+            return (repr(cache.stats), dict(cache.hit_levels),
+                    [(e.seq, e.utility, e.life) for e in cache.entries()])
+
         for key in probes:
+            before = state()
             peeked = cache.peek(key)
-            probed = cache.probe(key)
-            if peeked is None:
-                assert probed is None
-            else:
-                assert probed is not None
-                assert probed.level == peeked.level
+            assert state() == before, "peek moved stats, utility or lease"
+            assert cache.probe(key) is peeked
 
 
 class TestEvictionIntegrity:
