@@ -232,7 +232,7 @@ def trace_overhead_check(
         # histograms exist on both sides of the byte-identity check.
         results[trace] = simulate(
             memsys, workload.requests, sim, workload.total_index_blocks,
-            record_latencies=True,
+            record_latencies=True, walks=workload.walks,
         )
         timings[trace] = time.perf_counter() - started
     off, on = results[False], results[True]

@@ -85,6 +85,7 @@ def build_memsys(
         )
     if kind == "fa_opt":
         kwargs["requests"] = workload.faopt_pairs()
+        kwargs["walks"] = workload.walks
     kwargs.update(overrides)
     return make_memsys(kind, sim, params, **kwargs)
 
@@ -108,6 +109,7 @@ def run_workload(
         workload.total_index_blocks,
         timed=timed,
         record_latencies=record_latencies,
+        walks=workload.walks,
     )
 
 

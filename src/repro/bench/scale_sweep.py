@@ -132,7 +132,8 @@ def run_point(
         sim = workload.config.sim_params()
         memsys = build_memsys(kind, workload, workload.default_cache_bytes, sim)
         runs[kind] = simulate(
-            memsys, workload.requests, sim, workload.total_index_blocks
+            memsys, workload.requests, sim, workload.total_index_blocks,
+            walks=workload.walks,
         )
     point.metrics = {
         kind: {

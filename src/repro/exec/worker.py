@@ -180,6 +180,7 @@ def _execute_run(spec: RunSpec) -> dict[str, Any]:
     result = simulate(
         memsys, requests, sim, workload.total_index_blocks,
         timed=spec.timed, record_latencies=spec.record_latencies,
+        walks=workload.walks,
     )
     return {
         "op": "run",

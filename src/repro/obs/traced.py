@@ -65,7 +65,8 @@ def _traced_run(args: argparse.Namespace):
     )
     cache_bytes = args.cache_kb * 1024 if args.cache_kb else None
     memsys = build_memsys(args.system, workload, cache_bytes, sim)
-    result = simulate(memsys, workload.requests, sim, workload.total_index_blocks)
+    result = simulate(memsys, workload.requests, sim, workload.total_index_blocks,
+                      walks=workload.walks)
     assert result.tracer is not None and result.counters is not None
     _warn_dropped(result.tracer)
     return workload, result

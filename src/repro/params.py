@@ -31,6 +31,21 @@ PTR_BYTES = 8
 NS_STRIDE = 1 << 52
 
 
+def _check(params: object, counts: tuple[str, ...]) -> None:
+    """Reject a count below 1 or a negative ``t_*`` latency, by name."""
+    for name in counts:
+        value = getattr(params, name)
+        if value < 1:
+            raise ValueError(
+                f"{type(params).__name__}.{name} must be >= 1, got {value!r}"
+            )
+    for name, value in vars(params).items():
+        if name.startswith("t_") and value < 0:
+            raise ValueError(
+                f"{type(params).__name__}.{name} must be >= 0, got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class DRAMParams:
     """HBM-like DRAM timing and energy.
@@ -56,6 +71,9 @@ class DRAMParams:
     #: Peak bandwidth in bytes per DSA cycle (HBM-class; used to classify
     #: bandwidth-limited regions in the Fig. 24 sweep).
     peak_bytes_per_cycle: int = 256
+
+    def __post_init__(self) -> None:
+        _check(self, ("banks",))
 
 
 @dataclass(frozen=True)
@@ -99,6 +117,9 @@ class CrossbarParams:
     ports: int = 16
     t_occupancy: int = 2
 
+    def __post_init__(self) -> None:
+        _check(self, ("ports",))
+
 
 @dataclass(frozen=True)
 class TileParams:
@@ -114,6 +135,9 @@ class TileParams:
     #: Local scratchpad for staging leaf data objects (bytes).
     scratchpad_bytes: int = 16 * 1024
 
+    def __post_init__(self) -> None:
+        _check(self, ("walker_contexts",))
+
 
 @dataclass(frozen=True)
 class SimParams:
@@ -121,7 +145,9 @@ class SimParams:
 
     Every run takes the same timed pipeline (``repro.sim.batch``); only
     ``trace`` and ``faults`` change what it does, by binding the event
-    loop's hooks.
+    loop's hooks. Counts must be at least 1 and ``t_*`` latencies at
+    least 0 here and in the nested params; a bad value raises
+    ``ValueError`` naming the field.
     """
 
     dram: DRAMParams = field(default_factory=DRAMParams)
@@ -153,6 +179,9 @@ class SimParams:
     #: None — and, contractually, any plan whose rates are all zero —
     #: leaves every hot path byte-identical to the fault-free simulator.
     faults: "FaultPlan | None" = None
+
+    def __post_init__(self) -> None:
+        _check(self, ("tiles", "trace_buffer"))
 
 
 DEFAULT_SIM = SimParams()

@@ -12,16 +12,20 @@
 
 Every run, traced, faulted or plain, generates through each memory
 system's one generator, ``process_chunk``. This module resolves every
-request's path once per chunk and hands it over: the planner's
-positions row for indexes with SoA level arrays, ``index.walk(key)``
-for the rest (the object backend, skip lists, radix tables). The same
-resolution counts the streaming-baseline blocks. The golden digests in
+request's path and hands it over: the planner's positions row for
+indexes with SoA level arrays, ``index.walk(key)`` for the rest (the
+object backend, skip lists, radix tables). The same resolution counts
+the streaming-baseline blocks. Object-index paths are memoized per
+(index, key) in a :data:`WalkMemo`: for one run, or for every run over
+the workload when the caller passes
+:attr:`~repro.workloads.suite.Workload.walks`. The golden digests in
 ``tests/`` pin the generated streams.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
@@ -44,6 +48,10 @@ from repro.workloads.stream import chunked
 
 #: Requests per walk-generation chunk. Chunking never reaches results.
 WALK_CHUNK = 256
+
+#: ``(id(index), key) -> (node list, streaming-baseline blocks)`` for
+#: object indexes (no SoA level arrays).
+WalkMemo = dict[tuple[int, Any], tuple[Any, int]]
 
 
 class BatchWalkPlanner:
@@ -210,40 +218,45 @@ def _planner_for(
 def _plan_chunk(
     requests: list[Any],
     planners: dict[int, BatchWalkPlanner | None],
-    paths: dict[tuple[int, int], tuple[list[Any], int]],
+    walks: WalkMemo,
 ) -> tuple[list[Any], int]:
     """Resolve one request chunk: every request's path + the baseline count.
 
-    Returns ``prepared`` (per request: ``(planner, positions_row)`` over
-    SoA indexes, the node list ``index.walk(key)`` otherwise) and the
+    ``requests`` holds WalkRequests or ``(index, key)`` pairs. Returns
+    ``prepared`` (per request: ``(planner, positions_row)`` over SoA
+    indexes, the node list ``index.walk(key)`` otherwise) and the
     chunk's streaming-baseline increment: the blocks of the point walk
-    to each request's key, range scans included. ``paths`` memoizes
+    to each request's key, range scans included. ``walks`` memoizes
     object-backend paths and their block counts per (index, key) for
-    the run; indexes do not change while a run generates.
+    the workload (:attr:`~repro.workloads.suite.Workload.walks`); a
+    workload's indexes do not change once built, so only misses are
+    walked. SoA keys are planned with one vectorised ``positions`` call
+    per chunk and never enter ``walks``.
     """
     prepared: list[Any] = [None] * len(requests)
     baseline = 0
     groups: dict[int, tuple[BatchWalkPlanner, list[int]]] = {}
     for i, request in enumerate(requests):
-        planner = _planner_for(request.index, planners)
+        index, key = request[0], request[1]
+        planner = _planner_for(index, planners)
         if planner is None:
-            walk_id = (id(request.index), request.key)
-            resolved = paths.get(walk_id)
+            walk_id = (id(index), key)
+            resolved = walks.get(walk_id)
             if resolved is None:
-                path = request.index.walk(request.key)
+                path = index.walk(key)
                 resolved = (path, sum(len(_node_blocks(node)) for node in path))
-                paths[walk_id] = resolved
+                walks[walk_id] = resolved
             prepared[i] = resolved[0]
             baseline += resolved[1]
         else:
-            group = groups.get(id(request.index))
+            group = groups.get(id(index))
             if group is None:
-                groups[id(request.index)] = (planner, [i])
+                groups[id(index)] = (planner, [i])
             else:
                 group[1].append(i)
     for planner, members in groups.values():
         keys = np.fromiter(
-            (requests[i].key for i in members), dtype=np.int64,
+            (requests[i][1] for i in members), dtype=np.int64,
             count=len(members),
         )
         rows = planner.positions(keys)
@@ -251,6 +264,31 @@ def _plan_chunk(
         for i, row in zip(members, rows.tolist()):
             prepared[i] = (planner, row)
     return prepared, baseline
+
+
+def _planned(
+    requests: list[Any], walks: WalkMemo | None
+) -> Iterator[tuple[list[Any], list[Any], int]]:
+    """``(chunk, prepared, baseline)`` per ``WALK_CHUNK`` of requests.
+
+    Without a workload memo, a memo for this pass alone is used.
+    """
+    if walks is None:
+        walks = {}
+    planners: dict[int, BatchWalkPlanner | None] = {}
+    for part in chunked(requests, WALK_CHUNK):
+        yield (part, *_plan_chunk(part, planners, walks))
+
+
+def resolve_walks(
+    pairs: list[tuple[Any, int]],
+    walks: WalkMemo | None = None,
+) -> list[Any]:
+    """Every ``(index, key)`` pair's resolved path, through the memo.
+
+    FA-OPT's first pass reads its walk blocks from these paths.
+    """
+    return [path for _, prepared, _ in _planned(pairs, walks) for path in prepared]
 
 
 def _windowed_working_set(
@@ -262,23 +300,26 @@ def _windowed_working_set(
     steady window of walks actually pulls from DRAM, over the index's
     total blocks. Data-region accesses are excluded (identical across
     cache designs). Every DRAM entry is one 64B block, so distinct
-    (window, block) pairs fall out of one ``np.unique`` over an encoded
-    pair array; the fractions are averaged in python floats, in window
-    order.
+    (window, block) pairs are the first of each run of equal codes in
+    one sorted, encoded pair array; the fractions are averaged in
+    python floats, in window order.
     """
     num_walks = batch.num_walks
     if total_index_blocks <= 0 or num_walks == 0:
         return 0.0
     kinds_arr, a1_arr, _ = batch.arrays()
     index = np.flatnonzero((kinds_arr == K_DRAM) & (a1_arr < batch.data_base))
-    walk_of = np.searchsorted(batch.offsets, index, side="right") - 1
-    windows = walk_of // window
+    offsets = np.asarray(batch.offsets, dtype=np.int64)
+    windows = (np.searchsorted(offsets, index, side="right") - 1) // window
     blocks = a1_arr[index] // BLOCK_SIZE
     num_windows = -(-num_walks // window)
     # Index blocks sit below DATA_BASE // 64 < 2**25; window ids fit
     # alongside them in an int64 without collision.
-    codes = np.unique((windows << 36) | blocks)
-    counts = np.bincount(codes >> 36, minlength=num_windows)
+    codes = np.sort((windows << 36) | blocks)
+    first = np.empty(len(codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    counts = np.bincount(codes[first] >> 36, minlength=num_windows)
     fractions = [
         min(1.0, count / total_index_blocks) for count in counts.tolist()
     ]
@@ -286,14 +327,14 @@ def _windowed_working_set(
 
 
 def _generate(
-    memsys: MemorySystem, requests: list[Any], batch: TraceBatch
+    memsys: MemorySystem,
+    requests: list[Any],
+    batch: TraceBatch,
+    walks: WalkMemo | None = None,
 ) -> int:
     """Generate every walk into ``batch``; return the streaming baseline."""
-    planners: dict[int, BatchWalkPlanner | None] = {}
-    paths: dict[tuple[int, int], tuple[list[Any], int]] = {}
     baseline = 0
-    for part in chunked(requests, WALK_CHUNK):
-        prepared, chunk_baseline = _plan_chunk(part, planners, paths)
+    for part, prepared, chunk_baseline in _planned(requests, walks):
         baseline += chunk_baseline
         memsys.process_chunk(batch, part, prepared)
     return baseline
@@ -310,6 +351,7 @@ def simulate_batched(
     tracer: Tracer | None = None,
     registry: Registry | None = None,
     injector: Any = None,
+    walks: WalkMemo | None = None,
 ) -> RunResult:
     """Generate, time, and measure one run (see :func:`~repro.sim.metrics.simulate`).
 
@@ -318,7 +360,7 @@ def simulate_batched(
     memory-system trace and fault sites fire in request order.
     """
     batch = TraceBatch()
-    baseline = _generate(memsys, requests, batch)
+    baseline = _generate(memsys, requests, batch, walks)
     engine = Engine(sim, DRAM(sim.dram))
     if tracer is not None:
         tracer.walk = -1  # engine events carry explicit walk ids
@@ -396,5 +438,7 @@ def simulate_batched(
 __all__ = [
     "BatchWalkPlanner",
     "WALK_CHUNK",
+    "WalkMemo",
+    "resolve_walks",
     "simulate_batched",
 ]

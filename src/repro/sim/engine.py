@@ -380,7 +380,7 @@ class Engine:
 
     @property
     def contexts(self) -> int:
-        return max(1, self.params.tiles * self.params.tile.walker_contexts)
+        return self.params.tiles * self.params.tile.walker_contexts
 
     def run(self, traces: list[WalkTrace], record_latencies: bool = False) -> EngineResult:
         """Timed run over WalkTraces: columnarize, then :meth:`run_batch`."""

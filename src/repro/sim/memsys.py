@@ -524,15 +524,24 @@ class FAOPTMemSys(MemorySystem):
         requests: Iterable[tuple[Any, int]],
         cache_params: CacheParams | None = None,
         sim: SimParams | None = None,
+        walks: dict | None = None,
     ) -> "FAOPTMemSys":
-        """Two-pass construction from (index, key) walk requests."""
+        """Two-pass construction from (index, key) walk requests.
+
+        ``walks`` is the workload's walk memo (``Workload.walks``): the
+        first pass resolves only the walks no earlier run has.
+        """
+        from repro.sim.batch import resolve_walks  # avoid an import cycle
+
         params = cache_params or CacheParams()
         walk_blocks: list[list[int]] = []
         flat: list[int] = []
-        for index, key in requests:
-            blocks = []
-            for node in index.walk(key):
-                blocks.extend(addr // BLOCK_SIZE for addr in _node_blocks(node))
+        for prep in resolve_walks(list(requests), walks):
+            blocks = [
+                addr // BLOCK_SIZE
+                for node_blocks in _path_blocks(prep)
+                for addr in node_blocks
+            ]
             walk_blocks.append(blocks)
             flat.extend(blocks)
         flags = belady_hit_flags(flat, params.entries)
@@ -973,12 +982,14 @@ def make_memsys(
     requests: Sequence[tuple[Any, int]] | None = None,
     batch_walks: int = 1_000,
     tune: bool = True,
+    walks: dict | None = None,
     **metal_kwargs,
 ) -> MemorySystem:
     """Factory over every organization the evaluation compares.
 
     ``descriptors`` is required for ``metal``; ``requests`` is required for
-    ``fa_opt`` (the two-pass OPT construction).
+    ``fa_opt`` (the two-pass OPT construction), which resolves them
+    through the ``walks`` memo when one is given.
     """
     if kind == "stream":
         return StreamingMemSys(sim)
@@ -991,7 +1002,7 @@ def make_memsys(
     if kind == "fa_opt":
         if requests is None:
             raise ValueError("fa_opt needs the full request sequence")
-        return FAOPTMemSys.prepare(requests, cache_params, sim)
+        return FAOPTMemSys.prepare(requests, cache_params, sim, walks)
     if kind == "xcache":
         return XCacheMemSys(sim, cache_params)
     if kind == "metal_ix":

@@ -249,6 +249,7 @@ def simulate(
     working_set_window: int = 2_000,
     tracer: Tracer | None = None,
     registry: Registry | None = None,
+    walks: dict | None = None,
 ) -> RunResult:
     """Run a workload through a memory system and time it.
 
@@ -263,6 +264,11 @@ def simulate(
     system, engine, DRAM, and crossbar; the result carries the tracer plus
     a counter snapshot. With tracing off (the default) the engine binds no
     hooks and the hot paths see only a ``NULL_TRACER.enabled`` check.
+
+    ``walks`` is the workload's walk memo (``Workload.walks``): pass it
+    when ``requests`` walk that workload's own indexes, and every run
+    over the workload resolves each (index, key) walk once. It never
+    changes a result; without it the memo lasts one run.
     """
     from repro.sim.batch import simulate_batched  # avoid an import cycle
 
@@ -294,4 +300,5 @@ def simulate(
         tracer=tracer,
         registry=registry,
         injector=injector,
+        walks=walks,
     )

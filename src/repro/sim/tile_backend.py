@@ -100,7 +100,7 @@ def build_service_model(
     memsys = build_memsys(system, built, None, built.config.sim_params())
     result = simulate(
         memsys, built.requests, memsys.sim, built.total_index_blocks,
-        record_latencies=True,
+        record_latencies=True, walks=built.walks,
     )
     base_ns = [cycles_to_ns(lat, clock_mhz) for lat in result.walk_latencies]
     model = TileServiceModel(base_ns, tiles)

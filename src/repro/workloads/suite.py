@@ -113,6 +113,15 @@ class Workload:
     scale: float = 1.0
     seed: int = 0
     _blocks: int | None = field(default=None, repr=False)
+    #: Walk memo (``repro.sim.batch.WalkMemo``), filled by every
+    #: ``simulate(..., walks=workload.walks)`` over this workload's
+    #: indexes, which never change once built: each object-index
+    #: (index, key) walk is resolved once for every memory system and
+    #: FA-OPT's first pass (SoA keys are planned per chunk and never
+    #: enter it). Keyed by ``id(index)``, so it lives and dies with the
+    #: workload and is never copied (``init=False``).
+    walks: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def total_index_blocks(self) -> int:
