@@ -10,7 +10,7 @@ the shared IX-cache across *both* trees of a join.
 
 from repro import LevelDescriptor, compare_systems
 from repro.bench.runner import run_workload
-from repro.dsa.gorgon import ANALYTICS_CONFIG, Gorgon
+from repro.dsa.gorgon import ANALYTICS_CONFIG, join_requests
 from repro.indexes.table import RecordTable
 from repro.workloads.keygen import zipf_stream
 from repro.workloads.suite import build_analytics_join
@@ -57,8 +57,7 @@ def functional_queries(orders: RecordTable, customers: RecordTable) -> None:
 def simulated_join(orders: RecordTable, customers: RecordTable) -> None:
     """Time the join's index traffic under different cache organizations."""
     print("=== Simulated JOIN walk traffic ===")
-    gorgon = Gorgon(ANALYTICS_CONFIG)
-    requests = gorgon.join_requests(orders, customers, "customer")
+    requests = join_requests(ANALYTICS_CONFIG, orders, customers, "customer")
     print(f"{len(requests)} inner-index probes, customers index "
           f"{customers.height} levels deep")
 
@@ -66,7 +65,7 @@ def simulated_join(orders: RecordTable, customers: RecordTable) -> None:
     from repro.sim.memsys import make_memsys
     from repro.params import CacheParams
 
-    sim = gorgon.config.sim_params()
+    sim = ANALYTICS_CONFIG.sim_params()
     results = {}
     for kind in ("stream", "address", "xcache"):
         ms = make_memsys(kind, sim, CacheParams(capacity_bytes=8 * 1024))

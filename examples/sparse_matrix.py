@@ -10,7 +10,7 @@ variant shows why '-S' workloads gain less.
 """
 
 from repro import CompositeDescriptor, LevelDescriptor, NodeDescriptor
-from repro.dsa.capstan import Capstan, SPMM_CONFIG
+from repro.dsa.capstan import SPMM_CONFIG, spmm, spmm_requests
 from repro.indexes.fiber import FiberMatrix
 from repro.indexes.sparse_tensor import DynamicSparseTensor
 from repro.params import CacheParams
@@ -32,7 +32,7 @@ def functional_check() -> None:
         (4, 4), [(0, 0, 2.0), (1, 1, 3.0), (0, 1, 1.0)]
     )
     a_rows = [[(0, 1.0)], [(0, 2.0), (1, 1.0)]]
-    out = Capstan.spmm(a_rows, b, 4)
+    out = spmm(a_rows, b, 4)
     print(f"C rows: {out}")
 
     # Dynamic updates grow the same index in place.
@@ -45,12 +45,11 @@ def simulated_spmm(deep: bool) -> None:
     print(f"=== Simulated SpMM over {label} ===")
     b = build_b(deep=deep)
     a_rows = inner_product_rows(600, 12, 2_048, bandwidth=96, seed=12)
-    capstan = Capstan(SPMM_CONFIG)
-    requests = capstan.spmm_requests(a_rows, b)
+    requests = spmm_requests(SPMM_CONFIG, a_rows, b)
     print(f"B index: {b.height} levels, {b.nnz} nonzeros; "
           f"{len(requests)} coordinate walks")
 
-    sim = capstan.config.sim_params()
+    sim = SPMM_CONFIG.sim_params()
     params = CacheParams(capacity_bytes=8 * 1024)
     results = {}
     for kind in ("stream", "xcache"):

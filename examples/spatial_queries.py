@@ -8,7 +8,7 @@ Branch descriptor tracks the moving key cluster with its median pivot.
 """
 
 from repro import BranchDescriptor, CompositeDescriptor, LevelDescriptor
-from repro.dsa.aurochs import Aurochs, RTREE_CONFIG
+from repro.dsa.aurochs import RTREE_CONFIG, rtree_requests
 from repro.indexes.rtree import Rect, RTree2D
 from repro.params import CacheParams
 from repro.sim.memsys import make_memsys
@@ -41,11 +41,10 @@ def simulated_embedding() -> None:
 
     xs = sorted({r.x_lo for r in rects})
     query_idx = clustered_stream(len(xs), 800, num_clusters=5, seed=22)
-    aurochs = Aurochs(RTREE_CONFIG)
-    requests = aurochs.rtree_requests(rtree, [xs[i] for i in query_idx])
+    requests = rtree_requests(RTREE_CONFIG, rtree, [xs[i] for i in query_idx])
     print(f"{len(requests)} walks (x-tree + correlated y-tree scans)")
 
-    sim = aurochs.config.sim_params()
+    sim = RTREE_CONFIG.sim_params()
     params = CacheParams(capacity_bytes=8 * 1024)
     results = {}
     for kind in ("stream", "address", "xcache"):

@@ -6,12 +6,12 @@ Reproduction of the ASPLOS'24 paper. The package layers:
   lists/sorted sets, R-tree, sparse tensors/fibers, adjacency lists,
   record tables).
 * :mod:`repro.mem` — DRAM model and baseline caches (address, Belady
-  FA-OPT, X-cache, scratchpad + DMA streaming).
+  FA-OPT, X-cache).
 * :mod:`repro.core` — the contribution: range-tagged IX-cache, reuse
   descriptors (Node / Level / Branch), pattern controller, and the
   ``Metal`` / ``MetalIX`` configurations.
-* :mod:`repro.dsa` — the four target DSA models with Table-2 intensities
-  and the microcoded walker FSM.
+* :mod:`repro.dsa` — the target DSAs as Table-2 intensities plus the
+  functions lowering their operators to walk requests.
 * :mod:`repro.sim` — cycle-approximate event engine and memory-system
   organizations under comparison.
 * :mod:`repro.workloads` — the eight Table-2 applications as synthetic,

@@ -4,7 +4,7 @@ The only entry point of the reproduction harness. Each subcommand lives
 next to the code it drives: its module exposes ``add_arguments(parser)``
 and ``run(args) -> int``, and :data:`COMMANDS` lists them.
 
-``report``, ``perf``, ``serve``, ``scale`` and ``policy`` are gated
+``report``, ``serve``, ``scale`` and ``policy`` are gated
 (repro.gate): ``--baseline [PATH]`` compares the run against a committed
 ``BENCH_*.json`` (bare ``--baseline`` names the command's own file) and
 exits 2 if it is missing or unreadable, 3 on regression; ``--baseline
@@ -28,7 +28,6 @@ from repro.bench import (
     tables,
 )
 from repro.obs import traced
-from repro.perf import harness
 
 #: ``(name, help, add_arguments, run)`` per subcommand, in help order.
 COMMANDS = (
@@ -42,8 +41,6 @@ COMMANDS = (
      runner.add_arguments, runner.run),
     ("report", "regenerate every table and figure",
      report.add_arguments, report.run),
-    ("perf", "microbenchmark the simulator's hot paths",
-     harness.add_arguments, harness.run),
     ("chaos", "fault-injection resilience curve (repro.faults)",
      chaos.add_arguments, chaos.run),
     ("serve", "open-loop serving load sweep with saturation knee "

@@ -1,31 +1,12 @@
-"""Domain-specific architecture models (Section 2.1, Fig. 2, Fig. 4).
+"""Domain-specific architecture parameters (Section 2.1, Table 2).
 
-The four DSAs METAL is incorporated into — Gorgon (relational), Capstan
-(sparse tensor), Aurochs (dataflow threads), Widx (database walkers) — are
-modeled as tile grids issuing index walks with the arithmetic intensities
-of Table 2. The microcoded walker FSM of Fig. 9 is implemented in
-:mod:`repro.dsa.walker`.
+The evaluation treats each DSA METAL is incorporated into — Gorgon
+(relational), Capstan (sparse tensor), Aurochs (dataflow threads) — as an
+engine that issues index walks at its Table-2 arithmetic intensities. Each
+module holds those intensities as :class:`DSAConfig` constants beside the
+``*_requests`` functions that lower the DSA's operators to walk requests.
 """
 
-from repro.dsa.aurochs import Aurochs
-from repro.dsa.capstan import Capstan
 from repro.dsa.config import DSAConfig
-from repro.dsa.gorgon import Gorgon
-from repro.dsa.grid import TileGrid
-from repro.dsa.tile import ComputeTile
-from repro.dsa.walker import MicrocodeTable, Walker, WalkerState, WalkProgram
-from repro.dsa.widx import Widx
 
-__all__ = [
-    "Aurochs",
-    "Capstan",
-    "ComputeTile",
-    "DSAConfig",
-    "Gorgon",
-    "MicrocodeTable",
-    "TileGrid",
-    "Walker",
-    "WalkerState",
-    "WalkProgram",
-    "Widx",
-]
+__all__ = ["DSAConfig"]

@@ -8,72 +8,54 @@ PageRank-push workloads (Table 2) with task-parallel tiles.
 from __future__ import annotations
 
 from repro.dsa.config import DSAConfig
-from repro.dsa.grid import TileGrid
 from repro.indexes.adjacency import AdjacencyList
 from repro.indexes.rtree import RTree2D
 from repro.sim.metrics import WalkRequest
 
 #: Table 2 intensities.
-RTREE_CONFIG = DSAConfig(
-    "aurochs", parallelism="task", ops_per_walk=130, ops_per_compute=206
-)
-PAGERANK_CONFIG = DSAConfig(
-    "aurochs", parallelism="task", ops_per_walk=142, ops_per_compute=141
-)
+RTREE_CONFIG = DSAConfig("aurochs", ops_per_walk=130, ops_per_compute=206)
+PAGERANK_CONFIG = DSAConfig("aurochs", ops_per_walk=142, ops_per_compute=141)
 
 
-class Aurochs:
-    """Dataflow-thread DSA: spatial and graph scans as walk requests."""
+def rtree_requests(
+    config: DSAConfig, rtree: RTree2D, x_queries: list[int], y_per_x: int = 4
+) -> list[WalkRequest]:
+    """Spatial analysis (quadrilateral embedding, Section 4.3): for each
+    random x, walk the x-tree, then the correlated y keys.
 
-    def __init__(self, config: DSAConfig | None = None) -> None:
-        self.config = config or RTREE_CONFIG
-        self.grid = TileGrid(self.config)
+    "Once we reach the leaf, we get the y-tree keys that correlate to
+    these x keys to form quadrilaterals" — the y-tree scans cluster
+    around the x hit, producing the branch-reuse pattern.
+    """
+    compute = config.compute_cycles_per_walk
+    requests = []
+    for x in x_queries:
+        requests.append(WalkRequest(rtree.x_tree, x, compute_cycles=compute))
+        y_keys = rtree.correlated_y_keys(x, window=2)[:y_per_x]
+        for y in y_keys:
+            requests.append(WalkRequest(rtree.y_tree, y, compute_cycles=compute))
+    return requests
 
-    # ------------------------------------------------------------------ #
-    # Spatial analysis (quadrilateral embedding, Section 4.3)
-    # ------------------------------------------------------------------ #
 
-    def rtree_requests(
-        self, rtree: RTree2D, x_queries: list[int], y_per_x: int = 4
-    ) -> list[WalkRequest]:
-        """For each random x: walk the x-tree, then the correlated y keys.
+def pagerank_requests(
+    config: DSAConfig, graph: AdjacencyList, frontier: list[int]
+) -> list[WalkRequest]:
+    """PageRank-push: one vertex-directory walk per pushed vertex.
 
-        "Once we reach the leaf, we get the y-tree keys that correlate to
-        these x keys to form quadrilaterals" — the y-tree scans cluster
-        around the x hit, producing the branch-reuse pattern.
-        """
-        compute = self.config.compute_cycles_per_walk
-        requests = []
-        for x in x_queries:
-            requests.append(WalkRequest(rtree.x_tree, x, compute_cycles=compute))
-            y_keys = rtree.correlated_y_keys(x, window=2)[:y_per_x]
-            for y in y_keys:
-                requests.append(WalkRequest(rtree.y_tree, y, compute_cycles=compute))
-        return requests
-
-    # ------------------------------------------------------------------ #
-    # PageRank-push
-    # ------------------------------------------------------------------ #
-
-    def pagerank_requests(
-        self, graph: AdjacencyList, frontier: list[int]
-    ) -> list[WalkRequest]:
-        """One vertex-directory walk per pushed vertex.
-
-        Pushing a vertex walks the adjacency index for its record, then
-        streams its edge list (the data access).
-        """
-        compute = self.config.compute_cycles_per_walk
-        requests = []
-        for v in frontier:
-            record = graph.record(v)
-            requests.append(
-                WalkRequest(
-                    graph,
-                    v,
-                    compute_cycles=compute + (record.degree if record else 0),
-                    data_address=record.address if record else None,
-                    data_bytes=max(64, (record.degree if record else 0) * 8),
-                )
+    Pushing a vertex walks the adjacency index for its record, then
+    streams its edge list (the data access).
+    """
+    compute = config.compute_cycles_per_walk
+    requests = []
+    for v in frontier:
+        record = graph.record(v)
+        requests.append(
+            WalkRequest(
+                graph,
+                v,
+                compute_cycles=compute + (record.degree if record else 0),
+                data_address=record.address if record else None,
+                data_bytes=max(64, (record.degree if record else 0) * 8),
             )
-        return requests
+        )
+    return requests

@@ -1,4 +1,4 @@
-"""DSA configuration: parallelism style, tile grid geometry, intensities."""
+"""DSA configuration: tile grid geometry and Table-2 intensities."""
 
 from __future__ import annotations
 
@@ -17,19 +17,11 @@ class DSAConfig:
     """
 
     name: str
-    parallelism: str  # 'task' | 'vector' | 'loop'
     tiles: int = 16
     walker_contexts: int = 4
     ops_per_cycle: int = 4
     ops_per_walk: int = 64
     ops_per_compute: int = 32
-
-    def walk_overhead_cycles(self, nodes_visited: int, height: int) -> int:
-        """Walker ops attributable to the nodes actually visited."""
-        if height <= 0:
-            return 0
-        per_node = self.ops_per_walk / height
-        return int(per_node * nodes_visited / self.ops_per_cycle)
 
     @property
     def compute_cycles_per_walk(self) -> int:
@@ -41,7 +33,6 @@ class DSAConfig:
         tile = TileParams(
             ops_per_cycle=self.ops_per_cycle,
             walker_contexts=self.walker_contexts,
-            scratchpad_bytes=base.tile.scratchpad_bytes,
         )
         return replace(base, tiles=self.tiles, tile=tile)
 

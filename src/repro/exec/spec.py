@@ -52,6 +52,10 @@ class RunSpec(FrozenSpec):
     build-workload/build-memsys/simulate cell; ``"dynamic_mix"`` is the
     mutating-index extension (bench.dynamic), where ``workload_kwargs``
     carries the mix parameters instead of builder arguments.
+
+    Out-of-range values raise ``ValueError`` at construction: ``scale``
+    must be > 0, ``tiles``/``cache_bytes``/``cache_factor`` >= 1 when
+    set, and ``requests_slice`` needs offset >= 0 and step >= 1.
     """
 
     workload: str
@@ -107,6 +111,21 @@ class RunSpec(FrozenSpec):
     #: "attribution", "index_heights"). Part of the hash: a cached payload
     #: must contain what the consumer asked for.
     collect: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.scale > 0:
+            raise ValueError(f"RunSpec.scale must be > 0, got {self.scale!r}")
+        for name in ("tiles", "cache_bytes", "cache_factor"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(
+                    f"RunSpec.{name} must be >= 1 when set, got {value!r}")
+        if self.requests_slice is not None:
+            offset, step = self.requests_slice
+            if offset < 0 or step < 1:
+                raise ValueError(
+                    "RunSpec.requests_slice needs offset >= 0 and step >= 1, "
+                    f"got {tuple(self.requests_slice)!r}")
 
     @classmethod
     def make(cls, workload: str, system: str, **kwargs: Any) -> "RunSpec":

@@ -1,7 +1,7 @@
 """The baseline gate behind every committed ``BENCH_*.json`` file.
 
 Each gated ``python -m repro`` subcommand (``report``, ``policy``,
-``serve``, ``perf`` and ``scale``) builds one JSON document from its run. With
+``serve`` and ``scale``) builds one JSON document from its run. With
 ``--baseline [PATH]`` that document is compared against the committed
 one; with ``--baseline [PATH] --write-baseline`` it replaces it. A
 command only supplies its document and :class:`Rules`: how to flatten a

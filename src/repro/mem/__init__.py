@@ -2,16 +2,15 @@
 
 These are the pieces METAL is evaluated against (Section 5): an HBM-like
 DRAM, a set-associative address cache (Widx-style), a fully-associative
-Belady-OPT address cache, the X-cache leaf cache [50], and the scratchpad +
-DMA streaming path.
+Belady-OPT address cache, and the X-cache leaf cache [50]. The streaming
+baseline needs no substrate of its own: every node it visits is a DRAM
+fetch (``repro.sim.memsys.StreamingMemSys``).
 """
 
 from repro.mem.address_cache import AddressCache
-from repro.mem.dma import DMAEngine, StreamBuffer
 from repro.mem.dram import DRAM
 from repro.mem.layout import Allocator, Region
 from repro.mem.opt_cache import BeladyCache, belady_hit_flags
-from repro.mem.scratchpad import Scratchpad
 from repro.mem.stats import CacheStats, DRAMStats
 from repro.mem.xcache import XCache
 
@@ -20,12 +19,9 @@ __all__ = [
     "Allocator",
     "BeladyCache",
     "CacheStats",
-    "DMAEngine",
     "DRAM",
     "DRAMStats",
     "Region",
-    "Scratchpad",
-    "StreamBuffer",
     "XCache",
     "belady_hit_flags",
 ]

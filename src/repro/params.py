@@ -31,8 +31,11 @@ PTR_BYTES = 8
 NS_STRIDE = 1 << 52
 
 
-def _check(params: object, counts: tuple[str, ...]) -> None:
-    """Reject a count below 1 or a negative ``t_*`` latency, by name."""
+def _check(
+    params: object, counts: tuple[str, ...], nonnegative: tuple[str, ...] = ()
+) -> None:
+    """Reject a count below 1, or a negative ``t_*`` latency or other
+    ``nonnegative`` field, by name."""
     for name in counts:
         value = getattr(params, name)
         if value < 1:
@@ -40,7 +43,7 @@ def _check(params: object, counts: tuple[str, ...]) -> None:
                 f"{type(params).__name__}.{name} must be >= 1, got {value!r}"
             )
     for name, value in vars(params).items():
-        if name.startswith("t_") and value < 0:
+        if (name.startswith("t_") or name in nonnegative) and value < 0:
             raise ValueError(
                 f"{type(params).__name__}.{name} must be >= 0, got {value!r}"
             )
@@ -78,7 +81,11 @@ class DRAMParams:
 
 @dataclass(frozen=True)
 class CacheParams:
-    """Geometry + per-access cost of an on-chip cache."""
+    """Geometry + per-access cost of an on-chip cache.
+
+    Sizes and counts must be at least 1, ``t_hit`` and ``e_access`` at
+    least 0; a bad value raises ``ValueError`` naming the field.
+    """
 
     capacity_bytes: int = 64 * 1024
     block_bytes: int = BLOCK_SIZE
@@ -89,6 +96,10 @@ class CacheParams:
     #: Per-access dynamic energy (fJ). Paper Section 5.7: 7000 fJ for
     #: address/X-cache, 9000 fJ for IX-cache (range match costs more).
     e_access: float = 7_000.0
+
+    def __post_init__(self) -> None:
+        _check(self, ("capacity_bytes", "block_bytes", "ways", "banks"),
+               nonnegative=("e_access",))
 
     @property
     def entries(self) -> int:
@@ -132,8 +143,6 @@ class TileParams:
 
     ops_per_cycle: int = 4
     walker_contexts: int = 4
-    #: Local scratchpad for staging leaf data objects (bytes).
-    scratchpad_bytes: int = 16 * 1024
 
     def __post_init__(self) -> None:
         _check(self, ("walker_contexts",))

@@ -9,7 +9,7 @@ sequence in bounded numpy blocks instead, so builders consume keys
 chunk-by-chunk and peak memory is O(chunk + universe), not O(count).
 
 Byte-identity is a hard contract, not a goal: the committed baselines
-(BENCH_baseline.json, the perf checksums) were produced by the eager
+(BENCH_baseline.json, the hot-path checksum goldens) were produced by the eager
 generators, so every stream here replicates its eager twin bit for bit.
 The mechanics rely on two numpy PCG64 facts, pinned by the hypothesis
 suite in ``tests/test_workload_stream.py``:

@@ -49,10 +49,11 @@ from repro.core.descriptors import (
     NodeDescriptor,
     ReuseDescriptor,
 )
-from repro.dsa.aurochs import Aurochs, PAGERANK_CONFIG, RTREE_CONFIG
-from repro.dsa.capstan import Capstan, SPMM_CONFIG
+from repro.dsa import aurochs, capstan, gorgon
+from repro.dsa.aurochs import PAGERANK_CONFIG, RTREE_CONFIG
+from repro.dsa.capstan import SPMM_CONFIG
 from repro.dsa.config import DSAConfig
-from repro.dsa.gorgon import ANALYTICS_CONFIG, Gorgon, SCAN_CONFIG, SETS_CONFIG
+from repro.dsa.gorgon import ANALYTICS_CONFIG, SCAN_CONFIG, SETS_CONFIG
 from repro.indexes.adjacency import AdjacencyList
 from repro.indexes.base import count_blocks
 from repro.indexes.bplustree import BPlusTree
@@ -202,11 +203,10 @@ def build_scan(
     num_records = scaled(40_000, scale, 2_000)
     num_walks = scaled(8_000, scale, 500)
     table = _make_table(num_records, depth=10, seed=seed, backend=backend)
-    gorgon = Gorgon(SCAN_CONFIG)
     keys = KeyStream.zipf(num_records, num_walks, skew=0.8, seed=seed)
     if max_walks is not None:
         keys = keys.head(max_walks)
-    requests = gorgon.scan_requests(table, keys)
+    requests = gorgon.scan_requests(SCAN_CONFIG, table, keys)
     height = table.height
 
     def descriptors() -> ReuseDescriptor:
@@ -245,8 +245,7 @@ def build_sets(scale: float = 1.0, seed: int = 0, deep: bool = True) -> Workload
     for i, score in enumerate(scores):
         sset.add(f"member-{i}", score)
     lookups = KeyStream.zipf(len(scores), num_walks, skew=0.9, seed=seed + 2)
-    gorgon = Gorgon(SETS_CONFIG)
-    compute = gorgon.config.compute_cycles_per_walk
+    compute = SETS_CONFIG.compute_cycles_per_walk
     requests = [
         WalkRequest(sset, scores[i], compute_cycles=compute) for i in lookups
     ]
@@ -285,8 +284,7 @@ def build_spmm(scale: float = 1.0, seed: int = 0, deep: bool = True) -> Workload
     else:
         b = FiberMatrix((dim, dim), triples)
     a_rows = inner_product_rows(num_a_rows, 12, dim, bandwidth=96, col_skew=0.9, seed=seed + 1)
-    capstan = Capstan(SPMM_CONFIG)
-    requests = capstan.spmm_requests(a_rows, b)
+    requests = capstan.spmm_requests(SPMM_CONFIG, a_rows, b)
 
     height = b.height
 
@@ -322,12 +320,11 @@ def build_analytics_select(
     num_records = scaled(40_000, scale, 1_000)
     num_queries = scaled(2_500, scale, 200)
     table = _make_table(num_records, depth=8, seed=seed, backend=backend)
-    gorgon = Gorgon(ANALYTICS_CONFIG)
     starts = KeyStream.zipf(num_records, num_queries, skew=0.8, seed=seed)
     if max_walks is not None:
         starts = starts.head(max_walks)
     ranges = range_spans(starts, span=16, universe=num_records)
-    requests = gorgon.select_requests(table, ranges)
+    requests = gorgon.select_requests(ANALYTICS_CONFIG, table, ranges)
     height = table.height
 
     def descriptors() -> ReuseDescriptor:
@@ -350,7 +347,6 @@ def build_analytics_where(
     num_records = scaled(40_000, scale, 1_000)
     num_walks = scaled(6_000, scale, 500)
     table = _make_table(num_records, depth=8, seed=seed, backend=backend)
-    gorgon = Gorgon(ANALYTICS_CONFIG)
     # Nested clause: the probed key is derived from the previous record's
     # value column (data-dependent chain, zipf-seeded).
     seeds = KeyStream.zipf(num_records, num_walks, skew=0.7, seed=seed)
@@ -362,7 +358,7 @@ def build_analytics_where(
         record = table.get(key)
         key = (record["value"] + s) % num_records if record else s
         keys.append(key)
-    requests = gorgon.scan_requests(table, keys)
+    requests = gorgon.scan_requests(ANALYTICS_CONFIG, table, keys)
     height = table.height
 
     def descriptors() -> ReuseDescriptor:
@@ -405,8 +401,7 @@ def build_analytics_join(
             ({"id": i, "fk": fk} for i, fk in enumerate(fk_stream)),
             fanout=outer_fanout,
         )
-    gorgon = Gorgon(ANALYTICS_CONFIG)
-    compute = gorgon.config.compute_cycles_per_walk
+    compute = ANALYTICS_CONFIG.compute_cycles_per_walk
     # The join touches both trees: walk the outer index for the record,
     # then probe the inner index with the foreign key.
     requests: list[WalkRequest] = []
@@ -454,8 +449,7 @@ def build_rtree(scale: float = 1.0, seed: int = 0) -> Workload:
     xs = sorted({r.x_lo for r in rects})
     query_idx = KeyStream.clustered(len(xs), num_queries, num_clusters=6, seed=seed + 1)
     x_queries = [xs[i] for i in query_idx]
-    aurochs = Aurochs(RTREE_CONFIG)
-    requests = aurochs.rtree_requests(rtree, x_queries, y_per_x=4)
+    requests = aurochs.rtree_requests(RTREE_CONFIG, rtree, x_queries, y_per_x=4)
     xh, yh = rtree.x_tree.height, rtree.y_tree.height
 
     def descriptors() -> dict[int, ReuseDescriptor]:
@@ -490,8 +484,7 @@ def build_pagerank(scale: float = 1.0, seed: int = 0) -> Workload:
     graph = AdjacencyList(
         edges, num_vertices=num_vertices, fanout=_depth_fanout(num_vertices, 8)
     )
-    aurochs = Aurochs(PAGERANK_CONFIG)
-    compute = aurochs.config.compute_cycles_per_walk
+    compute = PAGERANK_CONFIG.compute_cycles_per_walk
     # Pushes land on edge destinations (zipf-hub heavy); each push walks
     # the vertex directory for the destination's record.
     dsts = [d for _, d in edges]

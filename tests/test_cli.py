@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import build_parser, main
 
-SUBCOMMANDS = ("workloads", "run", "compare", "report", "perf", "chaos",
+SUBCOMMANDS = ("workloads", "run", "compare", "report", "chaos",
                "serve", "scale", "policy", "ablation", "trace", "profile")
 
 

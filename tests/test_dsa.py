@@ -1,14 +1,10 @@
-"""Tests for the DSA models: tiles, grids, and the four architectures."""
+"""Tests for the DSA parameters and each DSA's ``*_requests`` functions."""
 
-import pytest
-
-from repro.dsa.aurochs import Aurochs, PAGERANK_CONFIG, RTREE_CONFIG
-from repro.dsa.capstan import Capstan, SPMM_CONFIG
+from repro.dsa import aurochs, capstan, gorgon
+from repro.dsa.aurochs import PAGERANK_CONFIG, RTREE_CONFIG
+from repro.dsa.capstan import SPMM_CONFIG
 from repro.dsa.config import DSAConfig
-from repro.dsa.gorgon import ANALYTICS_CONFIG, Gorgon, SCAN_CONFIG
-from repro.dsa.grid import TileGrid
-from repro.dsa.tile import ComputeTile
-from repro.dsa.widx import Widx, WIDX_CONFIG
+from repro.dsa.gorgon import ANALYTICS_CONFIG, SCAN_CONFIG
 from repro.indexes.adjacency import AdjacencyList
 from repro.indexes.rtree import Rect, RTree2D
 from repro.indexes.sparse_tensor import DynamicSparseTensor
@@ -23,15 +19,11 @@ def table(n=100):
 
 class TestDSAConfig:
     def test_compute_cycles(self):
-        cfg = DSAConfig("x", "task", ops_per_cycle=4, ops_per_compute=100)
+        cfg = DSAConfig("x", ops_per_cycle=4, ops_per_compute=100)
         assert cfg.compute_cycles_per_walk == 25
 
-    def test_walk_overhead_scales_with_nodes(self):
-        cfg = DSAConfig("x", "task", ops_per_walk=80)
-        assert cfg.walk_overhead_cycles(10, 10) > cfg.walk_overhead_cycles(2, 10)
-
     def test_sim_params_geometry(self):
-        cfg = DSAConfig("x", "task", tiles=32, walker_contexts=8)
+        cfg = DSAConfig("x", tiles=32, walker_contexts=8)
         sim = cfg.sim_params()
         assert sim.tiles == 32
         assert sim.tile.walker_contexts == 8
@@ -41,71 +33,30 @@ class TestDSAConfig:
         assert SCAN_CONFIG.scaled(64).ops_per_walk == SCAN_CONFIG.ops_per_walk
 
 
-class TestTile:
-    def test_execute_requires_configuration(self):
-        tile = ComputeTile(0)
-        with pytest.raises(RuntimeError):
-            tile.execute(1)
-
-    def test_execute_counts_ops(self):
-        tile = ComputeTile(0)
-        tile.configure(lambda x: x * 2)
-        assert tile.execute(21, ops=5) == 42
-        assert tile.ops_executed == 5
-
-    def test_compute_cycles_rounds_up(self):
-        tile = ComputeTile(0)
-        assert tile.compute_cycles(5) == -(-5 // tile.params.ops_per_cycle)
-
-    def test_stage_leaf(self):
-        tile = ComputeTile(0)
-        tile.stage_leaf("obj", 128)
-        assert "obj" in tile.scratchpad
-
-
-class TestGrid:
-    def test_tile_count(self):
-        grid = TileGrid(DSAConfig("x", "task", tiles=8))
-        assert len(grid) == 8
-
-    def test_round_robin_distribution(self):
-        grid = TileGrid(DSAConfig("x", "task", tiles=3))
-        buckets = grid.map_work(list(range(10)))
-        assert [len(b) for b in buckets] == [4, 3, 3]
-
-    def test_execute_all(self):
-        grid = TileGrid(DSAConfig("x", "task", tiles=4))
-        grid.configure_all(lambda x: x + 1)
-        assert sorted(grid.execute_all([1, 2, 3])) == [2, 3, 4]
-
-    def test_total_contexts(self):
-        grid = TileGrid(DSAConfig("x", "task", tiles=4, walker_contexts=3))
-        assert grid.total_contexts == 12
-
-
 class TestGorgon:
     def test_scan_requests_carry_data_addresses(self):
-        g = Gorgon(SCAN_CONFIG)
-        reqs = g.scan_requests(table(), [1, 2, 3])
+        reqs = gorgon.scan_requests(SCAN_CONFIG, table(), [1, 2, 3])
         assert len(reqs) == 3
         assert all(r.data_address is not None for r in reqs)
 
     def test_join_requests_probe_inner(self):
-        g = Gorgon(ANALYTICS_CONFIG)
         outer, inner = table(20), table(50)
-        reqs = g.join_requests(outer, inner, "fk")
+        reqs = gorgon.join_requests(ANALYTICS_CONFIG, outer, inner, "fk")
         assert len(reqs) == 20
         assert all(r.index is inner for r in reqs)
 
     def test_join_functional_semantics(self):
         outer, inner = table(20), table(20)
-        joined = Gorgon.join(outer, inner, "fk")
+        joined = list(outer.join(inner, "fk"))
         assert all(l["fk"] == r["id"] for l, r in joined)
 
     def test_select_range_bounded_compute(self):
-        g = Gorgon(ANALYTICS_CONFIG)
-        reqs = g.select_requests(table(), [(0, 1000)])
-        assert reqs[0].compute_cycles <= g.config.compute_cycles_per_walk * 8
+        reqs = gorgon.select_requests(ANALYTICS_CONFIG, table(), [(0, 1000)])
+        assert reqs[0].compute_cycles <= ANALYTICS_CONFIG.compute_cycles_per_walk * 8
+
+    def test_select_requests_carry_scan_hi(self):
+        reqs = gorgon.select_requests(ANALYTICS_CONFIG, table(), [(10, 30)])
+        assert [(r.key, r.scan_hi) for r in reqs] == [(10, 30)]
 
 
 class TestCapstan:
@@ -113,17 +64,24 @@ class TestCapstan:
         b = DynamicSparseTensor.from_coo(
             (10, 10), [(r, c, 1.0) for r in range(3) for c in range(3)]
         )
-        cap = Capstan(SPMM_CONFIG)
         a_rows = [[(0, 1.0), (2, 1.0)], [(1, 1.0)]]
-        reqs = cap.spmm_requests(a_rows, b)
-        assert len(reqs) == 3
-        assert {r.key for r in reqs} == {0, 1, 2}
+        reqs = capstan.spmm_requests(SPMM_CONFIG, a_rows, b)
+        # One walk per nonzero of A, keyed by its column, in row order.
+        assert [r.key for r in reqs] == [c for row in a_rows for c, _ in row]
+        assert all(r.index is b for r in reqs)
+
+    def test_spmm_requests(self):
+        b = DynamicSparseTensor.from_coo(
+            (20, 20), [(r, c, 1.0) for r in range(4) for c in range(4)]
+        )
+        reqs = capstan.spmm_requests(SPMM_CONFIG, [[(0, 1.0), (2, 1.0)]], b)
+        assert [r.key for r in reqs] == [0, 2]
 
     def test_spmm_functional_matches_dense(self):
         triples = [(0, 0, 2.0), (1, 1, 3.0), (0, 1, 4.0)]
         b = DynamicSparseTensor.from_coo((2, 2), triples)
         a_rows = [[(0, 1.0), (1, 1.0)]]
-        out = Capstan.spmm(a_rows, b, 2)
+        out = capstan.spmm(a_rows, b, 2)
         # C[0][j] = sum_k A[0,k] B[k,j] = B[0,j] + B[1,j]
         assert out[0] == {0: 2.0, 1: 7.0}
 
@@ -132,33 +90,12 @@ class TestAurochs:
     def test_rtree_requests_mix_trees(self):
         rects = [Rect(i, i * 10, i * 10 + 5, i * 3, i * 3 + 5) for i in range(50)]
         rt = RTree2D(rects)
-        au = Aurochs(RTREE_CONFIG)
-        reqs = au.rtree_requests(rt, [100, 250], y_per_x=2)
+        reqs = aurochs.rtree_requests(RTREE_CONFIG, rt, [100, 250], y_per_x=2)
         indexes = {id(r.index) for r in reqs}
         assert id(rt.x_tree) in indexes
 
     def test_pagerank_requests_have_edge_payload(self):
         g = AdjacencyList([(v, (v + 1) % 20) for v in range(20)])
-        au = Aurochs(PAGERANK_CONFIG)
-        reqs = au.pagerank_requests(g, [0, 1, 2])
+        reqs = aurochs.pagerank_requests(PAGERANK_CONFIG, g, [0, 1, 2])
         assert len(reqs) == 3
         assert all(r.data_address is not None for r in reqs)
-
-
-class TestWidx:
-    def test_uses_address_cache(self):
-        w = Widx(WIDX_CONFIG)
-        from repro.sim.memsys import AddressCacheMemSys
-
-        assert isinstance(w.memsys, AddressCacheMemSys)
-
-    def test_lookup_requests(self):
-        w = Widx()
-        reqs = w.lookup_requests(table(), [5, 6])
-        assert len(reqs) == 2
-
-    def test_join_requests(self):
-        w = Widx()
-        outer, inner = table(10), table(30)
-        reqs = w.join_requests(outer, inner, "fk")
-        assert len(reqs) == 10

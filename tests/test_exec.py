@@ -76,6 +76,30 @@ def test_spec_rejects_non_scalar_kwargs():
         RunSpec.make("scan", "metal", memsys_kwargs={"bad": [1, 2]})
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("scale", 0.0, "must be > 0"),
+    ("scale", -1.0, "must be > 0"),
+    ("tiles", 0, "must be >= 1"),
+    ("cache_bytes", 0, "must be >= 1"),
+    ("cache_bytes", -8192, "must be >= 1"),
+    ("cache_factor", 0, "must be >= 1"),
+    ("requests_slice", (-1, 2), "needs offset >= 0 and step >= 1"),
+    ("requests_slice", (0, 0), "needs offset >= 0 and step >= 1"),
+])
+def test_spec_rejects_out_of_range_values(field, value, message):
+    # Each used to run: zero tiles/cache_bytes silently became the
+    # defaults while hashing as a different spec, and the rest simulated
+    # nonsense or failed deep inside the worker.
+    with pytest.raises(ValueError, match=rf"RunSpec\.{field} {message}"):
+        RunSpec.make("scan", "metal", **{field: value})
+
+
+def test_spec_accepts_the_smallest_valid_values():
+    spec = RunSpec.make("scan", "metal", scale=SMALL, tiles=1, cache_bytes=1,
+                        cache_factor=1, requests_slice=(0, 1))
+    assert spec.requests_slice == (0, 1)
+
+
 def test_code_version_is_hex_and_cached():
     version = code_version()
     assert len(version) == 64

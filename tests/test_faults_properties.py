@@ -185,38 +185,3 @@ class TestInjectorAccounting:
         injector = FaultInjector(plan)
         # rate 1.0: every draw fails, so the count must stop at limit + 1.
         assert injector.walker_failures() == plan.walker_retry_limit + 1
-
-
-class TestWalkerFSM:
-    def test_retry_steps_reissue_the_fetch(self):
-        from repro.dsa.walker import Walker, WalkerState
-
-        workload = get_workload()
-        index = workload.indexes[0]
-        key = workload.requests[0].key
-        plan = FaultPlan(seed=1, walker_fail_rate=0.9, walker_retry_limit=2)
-        walker = Walker(injector=FaultInjector(plan))
-        steps = list(walker.run(index, key))
-        retries = [s for s in steps if s.state is WalkerState.RETRY]
-        assert retries, "a 90% fail rate produced no RETRY steps"
-        # Every RETRY is followed by a WAIT re-fetch of the same node.
-        for i, step in enumerate(steps[:-1]):
-            if step.state is WalkerState.RETRY:
-                follow = steps[i + 1]
-                assert follow.state is WalkerState.WAIT
-                assert follow.node is step.node
-                assert follow.access.kind == "dram"
-                assert follow.access.address == step.node.address
-        assert walker.injector.stats.retries > 0
-
-    def test_fault_free_walker_trace_unchanged(self):
-        from repro.dsa.walker import Walker
-
-        workload = get_workload()
-        index = workload.indexes[0]
-        key = workload.requests[0].key
-        plain = Walker().trace(index, key)
-        wired = Walker(injector=None).trace(index, key)
-        assert [
-            (a.kind, a.address, a.cycles) for a in plain
-        ] == [(a.kind, a.address, a.cycles) for a in wired]

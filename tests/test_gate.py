@@ -43,11 +43,6 @@ def _perturb_scale(doc: dict) -> str:
     return "frac0.0001.metal.makespan"
 
 
-def _perturb_perf(doc: dict) -> str:
-    doc["kernels"]["walk_gen"]["checksum"] = "tampered"
-    return "walk_gen.checksum"
-
-
 @dataclass(frozen=True)
 class Gate:
     """One gated command at smoke size."""
@@ -60,8 +55,6 @@ class Gate:
     subset: tuple[str, ...] | None = None
 
 
-PERF = ("perf", "--scale", "0.01", "--repeat", "1", "--warmup", "0",
-        "--quiet", "--kernels")
 POLICY = ("policy", "--scale", "0.01", "--no-tuned")
 
 GATES = {
@@ -78,8 +71,6 @@ GATES = {
                   _perturb_serve),
     "scale": Gate(cli_main, ("scale", "--points", "0.0001,0.0005"),
                   _perturb_scale, subset=("scale", "--points", "0.0005")),
-    "perf": Gate(cli_main, PERF + ("ix_probe_fill,walk_gen",), _perturb_perf,
-                 subset=PERF + ("ix_probe_fill",)),
 }
 
 EXPECTED = {"passing": 0, "missing": gate.EXIT_MISSING,
@@ -146,7 +137,7 @@ def test_subset_run_passes_against_full_baseline(name, written, capsys):
     assert "missing from run" not in out + err
 
 
-@pytest.mark.parametrize("command", ["report", "policy", "serve", "perf"])
+@pytest.mark.parametrize("command", ["report", "policy", "serve"])
 def test_gated_subcommands_share_one_option_set(command, capsys):
     with pytest.raises(SystemExit):
         cli_main([command, "--help"])

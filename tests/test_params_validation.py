@@ -1,8 +1,10 @@
 """Simulation parameters fail loudly at construction, naming the field.
 
 Counts (tiles, walker contexts, DRAM banks, crossbar ports, the trace
-buffer) must be at least 1 and every ``t_*`` latency at least 0. A spec's
-``sim_kwargs`` reach the same checks through ``dataclasses.replace``.
+buffer, and a cache's capacity, block size, ways and banks) must be at
+least 1, and every ``t_*`` latency and a cache's access energy at least 0.
+A spec's ``sim_kwargs`` reach the same checks through
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ import pytest
 
 from repro.exec import RunSpec
 from repro.exec.worker import execute_spec
-from repro.params import CrossbarParams, DRAMParams, SimParams, TileParams
+from repro.params import (
+    CacheParams,
+    CrossbarParams,
+    DRAMParams,
+    SimParams,
+    TileParams,
+)
 
 COUNTS = [
     (SimParams, "tiles"),
@@ -21,10 +29,14 @@ COUNTS = [
     (TileParams, "walker_contexts"),
     (DRAMParams, "banks"),
     (CrossbarParams, "ports"),
+    (CacheParams, "capacity_bytes"),
+    (CacheParams, "block_bytes"),
+    (CacheParams, "ways"),
+    (CacheParams, "banks"),
 ]
 LATENCIES = [
     (cls, f.name)
-    for cls in (SimParams, TileParams, DRAMParams, CrossbarParams)
+    for cls in (SimParams, TileParams, DRAMParams, CrossbarParams, CacheParams)
     for f in fields(cls)
     if f.name.startswith("t_")
 ]
@@ -35,7 +47,7 @@ def _ids(cases):
 
 
 def test_every_latency_is_covered():
-    assert len(LATENCIES) == 8
+    assert len(LATENCIES) == 9
 
 
 @pytest.mark.parametrize("cls,name", COUNTS, ids=_ids(COUNTS))
@@ -59,6 +71,12 @@ def test_negative_latency_raises(cls, name):
 @pytest.mark.parametrize("cls,name", LATENCIES, ids=_ids(LATENCIES))
 def test_zero_latency_is_accepted(cls, name):
     assert getattr(cls(**{name: 0}), name) == 0
+
+
+def test_negative_cache_energy_raises():
+    with pytest.raises(ValueError, match=r"CacheParams\.e_access must be >= 0"):
+        CacheParams(e_access=-1.0)
+    assert CacheParams(e_access=0.0).e_access == 0.0
 
 
 def test_replace_is_checked():

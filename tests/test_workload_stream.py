@@ -1,9 +1,10 @@
 """KeyStream vs eager keygen: byte-identity is a hard contract.
 
-The committed baselines (BENCH_baseline.json, perf checksums) were
-produced by the eager generators in ``repro.workloads.keygen``; the
-streamed twins in ``repro.workloads.stream`` must replicate them bit for
-bit — across seeds, skews, universes, and *any* chunk size, since the
+The committed baselines (BENCH_baseline.json, the hot-path checksums in
+test_kernel_goldens.py) were produced by the eager generators in
+``repro.workloads.keygen``; the streamed twins in
+``repro.workloads.stream`` must replicate them bit for bit — across
+seeds, skews, universes, and *any* chunk size, since the
 chunking is exactly what changes between a laptop run and a paper-scale
 run. Hypothesis owns that surface; a few example tests pin the structural
 properties (prefix heads, restartability, sizing helpers).
