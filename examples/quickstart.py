@@ -44,13 +44,15 @@ def direct_cache_usage() -> None:
         f"walk shortened from {len(path)} to {len(remaining)} nodes"
     )
 
-    # The same cache, managed by a reuse pattern instead.
+    # The same cache, managed by a reuse pattern instead: the pattern
+    # controller brackets each walk, and every fetched node is offered
+    # to it before it reaches the cache.
     metal = Metal(LevelDescriptor(1, tree.height - 1))
     ns = lambda k: k  # noqa: E731 - single index, no namespacing needed
-    metal.begin_walk(0, key)
+    metal.controller.begin_walk(0, key)
     for node in tree.walk(key):
         metal.consider(0, node, tree.height, ns)
-    metal.end_walk()
+    metal.controller.end_walk()
     print(f"pattern-managed cache now holds {len(metal.cache)} entries\n")
 
 

@@ -289,7 +289,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="only check the observability layer: identical "
                              "aggregates with tracing on/off + overhead %%, "
                              "and the serving span check against the "
-                             "committed BENCH_serve_result.json golden")
+                             "result digest in the committed "
+                             "BENCH_serve_result.json golden")
     gate.add_arguments(parser, "BENCH_baseline.json")
 
 

@@ -39,7 +39,7 @@ from repro.bench.format import render_table
 from repro.bench.runner import build_memsys
 from repro.cmdline import float_list, report_problems
 from repro.sim.metrics import RunResult, simulate
-from repro.workloads.suite import PAPER_SCALE, build_workload, scaled
+from repro.workloads.suite import PAPER_SCALE, build_workload, sized
 
 #: Paper-scale fractions the committed baseline covers. 1.0 is the
 #: paper's 10M-key scan index.
@@ -116,7 +116,7 @@ def run_point(
         _, build_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    num_records = scaled(40_000, scale, 2_000)
+    num_records = sized(workload_name, "records", scale)
     point = SweepPoint(
         frac=frac,
         scale=scale,

@@ -22,6 +22,7 @@ that ``repro serve --baseline`` gates on through :mod:`repro.gate`.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -263,8 +264,16 @@ def format_slo(curve: ServeCurve, objective) -> str:
 # Span-overhead gate (repro report --verify-trace-overhead)
 # --------------------------------------------------------------------- #
 
-#: Committed golden ServeResult payload (spans off, scale 0.01).
+#: Committed golden: the spans-off ServeResult's digest (scale 0.01)
+#: beside the spec that produced it.
 GOLDEN_PATH = "BENCH_serve_result.json"
+
+
+def result_digest(result: dict[str, Any]) -> str:
+    """SHA-256 of a ServeResult payload's canonical JSON (sorted keys)."""
+    return hashlib.sha256(
+        json.dumps(result, sort_keys=True).encode()
+    ).hexdigest()
 
 
 def _golden_spec(golden: dict[str, Any]) -> ServeSpec:
@@ -289,7 +298,7 @@ def trace_overhead_check(
 
     Three invariants, mirroring the sim engine's trace-overhead gate:
 
-    1. the spans-off payload is byte-identical to the committed golden
+    1. the spans-off payload's digest equals the committed golden's
        (observability changes may not move a single serving number),
     2. the traced payload minus its ``spans`` key is byte-identical to
        the spans-off payload (recording spans perturbs nothing), and
@@ -304,17 +313,20 @@ def trace_overhead_check(
     try:
         with open(golden_path) as f:
             golden = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        return "", [f"golden {golden_path} unreadable: {exc}"]
-    spec = _golden_spec(golden)
+        expected = golden["result_sha256"]
+        spec = _golden_spec(golden)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return "", [f"golden {golden_path} unreadable: {exc!r}"]
     off = simulate_serve(spec).to_dict()
     canon = lambda d: json.dumps(d, sort_keys=True)
-    if canon(off) != canon(golden["result"]):
+    actual = result_digest(off)
+    if actual != expected:
         problems.append(
-            "spans-off ServeResult drifted from the committed golden "
-            f"({golden_path}); if the serving engine changed on purpose, "
-            "regenerate with python -c \"from repro.bench.serve import "
-            "write_golden; write_golden()\"")
+            f"spans-off ServeResult drifted from the committed golden "
+            f"({golden_path}): sha256 {actual} != {expected}; if the "
+            "serving engine changed on purpose, regenerate with "
+            "python -c \"from repro.bench.serve import write_golden; "
+            "write_golden()\"")
     traced = simulate_serve(replace(spec, trace=True))
     on = traced.to_dict()
     spans = on.pop("spans", None)
@@ -333,13 +345,14 @@ def trace_overhead_check(
     if not problems:
         lines.append(
             "span overhead check: spans-off payload byte-identical to the "
-            "committed golden; traced payload identical minus 'spans'; "
+            "committed golden digest; traced payload identical minus 'spans'; "
             "every span tree reconciles with its end-to-end latency")
     return "\n".join(lines), problems
 
 
 def write_golden(golden_path: str = GOLDEN_PATH) -> None:
-    """(Re)write the committed spans-off golden payload (scale 0.01)."""
+    """(Re)write the committed golden: the spec and its spans-off
+    ServeResult digest (scale 0.01)."""
     from repro.serve.engine import simulate_serve
 
     rpm = calibrated_rpm("scan", "metal", 0.01, 0, 32, 4)
@@ -348,8 +361,10 @@ def write_golden(golden_path: str = GOLDEN_PATH) -> None:
         requests_per_min=rpm, load=1.0, duration_ms=3, tiles=4,
         balancer="round_robin",
     )
-    gate.write(golden_path, {"spec": spec.canonical_dict(),
-                             "result": simulate_serve(spec).to_dict()})
+    gate.write(golden_path, {
+        "spec": spec.canonical_dict(),
+        "result_sha256": result_digest(simulate_serve(spec).to_dict()),
+    })
 
 
 # --------------------------------------------------------------------- #

@@ -68,17 +68,17 @@ class PatternController:
         #: One entry per completed batch: descriptor params + batch stats.
         self.history: list[dict[str, Any]] = []
 
-    def descriptor_for(self, index_id: int) -> ReuseDescriptor | None:
-        return self._by_index.get(index_id, self._default)
-
     # ------------------------------------------------------------------ #
     # Walk pipeline hooks
     # ------------------------------------------------------------------ #
 
-    def begin_walk(self, index_id: int, key: int) -> None:
+    def begin_walk(self, index_id: int, key: int) -> ReuseDescriptor | None:
+        """Start a walk: the descriptor governing ``index_id`` observes
+        ``key`` and is returned (None: greedy insert-all)."""
         descriptor = self._by_index.get(index_id, self._default)
         if descriptor is not None:
             descriptor.observe_key(key)
+        return descriptor
 
     def decide(
         self,
@@ -87,7 +87,6 @@ class PatternController:
         height: int,
         ctx: WalkContext | None = None,
     ) -> InsertDecision:
-        # descriptor_for() inlined: decide() runs once per visited node.
         descriptor = self._by_index.get(index_id, self._default)
         if descriptor is None:
             return INSERT_ALL

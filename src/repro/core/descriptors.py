@@ -235,14 +235,6 @@ class LevelDescriptor(ReuseDescriptor):
         self._filter = TouchFilter(filter_capacity, min_touches)
         self._low_streak = 0
 
-    def _filter_from(self) -> int:
-        """Levels at/below this require repeated touches before caching.
-
-        The upper half of the band holds few, heavily-shared nodes — always
-        worth caching; the lower half is where streaming cold nodes live.
-        """
-        return (self.start + self.end + 1) // 2 + 1
-
     def decide(
         self, node: IndexNode, height: int, ctx: WalkContext | None = None
     ) -> InsertDecision:
@@ -259,6 +251,9 @@ class LevelDescriptor(ReuseDescriptor):
             if not self._filter.admit(node.node_id):
                 return BYPASS
             return INSERT_ALL
+        # The upper half of the band holds few, heavily-shared nodes, always
+        # worth caching; the lower half, where streaming cold nodes live,
+        # must be touched repeatedly before it is cached.
         if (level >= (self.start + self.end + 1) // 2 + 1
                 and not self._filter.admit(node.node_id)):
             return BYPASS

@@ -21,28 +21,17 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import attrgetter
 from typing import Any
 
-from repro.core.packing import blocks_needed, coalesced_tag, pack_node
-from repro.core.policy import (
-    UTILITY_INSERT,
-    UTILITY_MAX,
-    ReplacementPolicy,
-    UtilityRRIPPolicy,
-    make_policy,
-)
+from repro.core.packing import coalesced_tag, pack_node
+from repro.core.policy import UTILITY_INSERT, ReplacementPolicy, make_policy
 from repro.core.range_tag import RangeTag
 from repro.indexes.base import IndexNode
 from repro.mem.stats import CacheStats
 from repro.obs.tracer import NULL_TRACER
 from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams, IXCACHE_ENERGY_FJ
 
-#: Back-compat aliases: the counter geometry now lives in repro.core.policy
-#: (the hot loops in repro.sim.memsys import the max through here).
-_UTILITY_MAX = UTILITY_MAX
 _entry_seq = itertools.count()
-_entry_level = attrgetter("tag.level")
 
 
 def _identity(k: int) -> int:
@@ -66,10 +55,6 @@ def block_bits_for(key_universe: int, params: CacheParams | None = None,
     return max(4, per_set.bit_length() - 1)
 
 
-#: Utility a fresh entry starts with (see repro.core.policy).
-_UTILITY_INSERT = UTILITY_INSERT
-
-
 class IXEntry:
     """One cache block: a match tag and the node(s) packed behind it.
 
@@ -84,7 +69,7 @@ class IXEntry:
                  life: int, nbytes: int):
         self.tag = tag
         self.parts = parts
-        self.utility = _UTILITY_INSERT
+        self.utility = UTILITY_INSERT
         self.life = life
         #: Bytes of the packed parts, each capped at one block.
         self.nbytes = nbytes
@@ -121,10 +106,8 @@ class IXCache:
         self.tracer = NULL_TRACER
         #: Replacement policy (repro.core.policy): victim selection and
         #: per-entry metadata maintenance. The default reproduces the
-        #: paper's utility scheme byte-for-byte; the hot paths keep their
-        #: inlined counter updates for it and dispatch for everything else.
+        #: paper's utility scheme; every policy runs through the same hooks.
         self.policy = make_policy(policy)
-        self._default_policy = type(self.policy) is UtilityRRIPPolicy
         self.key_block_bits = key_block_bits
         self.replication_limit = replication_limit
         self.associative = associative
@@ -183,72 +166,21 @@ class IXCache:
     def set_of(self, key: int) -> int:
         return (key >> self.key_block_bits) % self.num_sets
 
-    def _key_block(self, key: int) -> int:
-        return key >> self.key_block_bits
-
     # ------------------------------------------------------------------ #
     # Hit path
     # ------------------------------------------------------------------ #
 
-    def probe(self, key: int) -> IndexNode | None:
+    def _match(self, key: int) -> tuple[IXEntry | None, IndexNode | None]:
         """Match stage + tie-break + child select (Fig. 6).
 
-        Returns the deepest cached node covering ``key`` (walk restarts
-        from it), or None on a miss.
-        """
-        # The match stage touches every way in the set plus the wide array
-        # on each probe, so the tag comparison and part scan are inlined
-        # (no RangeTag.matches / IXEntry.select dispatch on this path).
-        candidates: list[IXEntry] = []
-        for entry in self._sets[(key >> self.key_block_bits) % self.num_sets]:
-            tag = entry.tag
-            if tag.lo <= key <= tag.hi:
-                candidates.append(entry)
-        for entry in self._wide:
-            tag = entry.tag
-            if tag.lo <= key <= tag.hi:
-                candidates.append(entry)
-        best_node: IndexNode | None = None
-        best_entry: IXEntry | None = None
-        if len(candidates) > 1:
-            # Tie-break sort only when several entries cover the key.
-            # reverse=True is stable (equal levels keep scan order), so
-            # this matches sorting ascending on -level.
-            candidates.sort(key=_entry_level, reverse=True)
-        for entry in candidates:
-            for part_tag, node in entry.parts:
-                if part_tag.lo <= key <= part_tag.hi:
-                    best_entry, best_node = entry, node
-                    break
-            if best_node is not None:
-                break
-        hit = best_node is not None
-        self.stats.record(hit)
-        if hit and best_entry is not None:
-            if self._default_policy:
-                if best_entry.utility < _UTILITY_MAX:
-                    best_entry.utility += 1
-            else:
-                self.policy.on_hit(best_entry)
-            if best_entry.life > 0:
-                best_entry.life -= 1
-            self.hit_levels[best_entry.tag.level] += 1
-        if self.tracer.enabled:
-            self.tracer.emit("ix_probe", key=key, hit=hit)
-            if hit and best_entry is not None:
-                self.tracer.emit("ix_hit", key=key, level=best_entry.tag.level)
-        return best_node
-
-    def peek(self, key: int) -> IndexNode | None:
-        """Probe without touching statistics or utility.
-
-        METAL's range-scan path calls this once per scanned leaf, so the
-        set and the wide array are scanned in place (no concatenated
-        list) and the tag and part matches are inlined. The result is
-        :meth:`probe`'s node: the highest-level covering node, first in
-        scan order (set, then wide array) among equal levels.
+        One scan of the key's set, then the wide array: the entry whose
+        tag covers ``key`` and which packs a part covering it, preferring
+        the highest level (the node closest to the leaf) and, among equal
+        levels, the first in scan order. Returns ``(None, None)`` on a
+        miss. The tag and part matches are inlined: every probe runs this.
         """
         best_level = -1
+        best_entry: IXEntry | None = None
         best: IndexNode | None = None
         for ways in (self._sets[(key >> self.key_block_bits) % self.num_sets],
                      self._wide):
@@ -258,9 +190,35 @@ class IXCache:
                     for part_tag, node in entry.parts:
                         if part_tag.lo <= key <= part_tag.hi:
                             best_level = tag.level
+                            best_entry = entry
                             best = node
                             break
-        return best
+        return best_entry, best
+
+    def probe(self, key: int) -> IndexNode | None:
+        """Look ``key`` up and account for it.
+
+        Returns the deepest cached node covering ``key`` (walk restarts
+        from it), or None on a miss. A hit promotes its entry through the
+        replacement policy, spends one access of its lifetime lease and
+        counts toward :attr:`hit_levels`.
+        """
+        entry, node = self._match(key)
+        self.stats.record(entry is not None)
+        if entry is not None:
+            self.policy.on_hit(entry)
+            if entry.life > 0:
+                entry.life -= 1
+            self.hit_levels[entry.tag.level] += 1
+        if self.tracer.enabled:
+            self.tracer.emit("ix_probe", key=key, hit=entry is not None)
+            if entry is not None:
+                self.tracer.emit("ix_hit", key=key, level=entry.tag.level)
+        return node
+
+    def peek(self, key: int) -> IndexNode | None:
+        """:meth:`probe`'s node without touching statistics or utility."""
+        return self._match(key)[1]
 
     # ------------------------------------------------------------------ #
     # Insert / bypass
@@ -358,11 +316,7 @@ class IXCache:
             if etag == tag:
                 for _, part_node in entry.parts:
                     if part_node is node:
-                        if self._default_policy:
-                            if entry.utility < _UTILITY_MAX:
-                                entry.utility += 1
-                        else:
-                            self.policy.on_hit(entry)
+                        self.policy.on_hit(entry)
                         if entry.life < life:
                             entry.life = life
                         return True
@@ -409,10 +363,7 @@ class IXCache:
             return False
         entry = IXEntry(tag, [(tag, node)], life,
                         size if size < BLOCK_SIZE else BLOCK_SIZE)
-        if not self._default_policy:
-            # The default's insertion metadata (utility 3) is already set
-            # by the IXEntry constructor; other policies stamp here.
-            self.policy.on_insert(entry)
+        self.policy.on_insert(entry)
         ways.append(entry)
         self.stats.insertions += 1
         if self.tracer.enabled:
@@ -424,11 +375,7 @@ class IXCache:
                     size: int) -> bool:
         for entry in self._wide:
             if entry.tag == tag and any(n is node for _, n in entry.parts):
-                if self._default_policy:
-                    if entry.utility < _UTILITY_MAX:
-                        entry.utility += 1
-                else:
-                    self.policy.on_hit(entry)
+                self.policy.on_hit(entry)
                 return True
         if len(self._wide) >= self.wide_capacity and not self._evict_from(self._wide):
             self.stats.bypasses += 1
@@ -437,8 +384,7 @@ class IXCache:
             return False
         entry = IXEntry(tag, [(tag, node)], life,
                         size if size < BLOCK_SIZE else BLOCK_SIZE)
-        if not self._default_policy:
-            self.policy.on_insert(entry)
+        self.policy.on_insert(entry)
         self._wide.append(entry)
         self.stats.insertions += 1
         if self.tracer.enabled:
@@ -545,7 +491,3 @@ class IXCache:
         # Cross-entry policy state (LRU ticks, step counters) resets with
         # the contents: a cleared cache must behave like a fresh one.
         self.policy.clear()
-
-    @staticmethod
-    def entries_for(node: IndexNode) -> int:
-        return blocks_needed(node)

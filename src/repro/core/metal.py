@@ -6,8 +6,10 @@
 * :class:`Metal` — IX-cache + pattern controller with descriptors and
   (optionally) dynamic parameter tuning. Section 5's "METAL".
 
-The memory system drives these through a tiny interface: ``probe`` on walk
-start, ``begin_walk``/``consider``/``end_walk`` along the walk pipeline.
+Each holds an :class:`IXCache` (``cache``) and, for METAL, a
+:class:`PatternController` (``controller``); the memory system drives both
+directly. ``consider`` is the one walk-pipeline step kept here: offer a
+fetched node to the controller (or insert it greedily) and then the cache.
 """
 
 from __future__ import annotations
@@ -39,18 +41,6 @@ class MetalIX:
         if self.controller is not None:
             self.controller.tracer = tracer
 
-    # ------------------------------------------------------------------ #
-    # Walk pipeline interface
-    # ------------------------------------------------------------------ #
-
-    def probe(self, ns_key: int) -> IndexNode | None:
-        """Hit path: return the deepest cached node covering the key."""
-        return self.cache.probe(ns_key)
-
-    def begin_walk(self, index_id: int, key: int) -> None:
-        if self.controller is not None:
-            self.controller.begin_walk(index_id, key)
-
     def consider(
         self,
         index_id: int,
@@ -68,10 +58,6 @@ class MetalIX:
             self.cache.note_bypass()
             return False
         return self.cache.insert(node, ns, life=decision.life, key=key)
-
-    def end_walk(self) -> None:
-        if self.controller is not None:
-            self.controller.end_walk()
 
     @property
     def stats(self):

@@ -59,9 +59,10 @@ class ResultStore:
                 data = json.load(f)
         except (OSError, json.JSONDecodeError):
             return None
-        if data.get("spec") != spec.canonical_dict():
+        if not isinstance(data, dict) or data.get("spec") != spec.canonical_dict():
             return None
-        return data.get("payload")
+        payload = data.get("payload")
+        return payload if isinstance(payload, dict) else None
 
     def put(self, spec: RunSpec, payload: dict[str, Any]) -> None:
         path = self.path_for(spec)

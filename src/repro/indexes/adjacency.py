@@ -83,9 +83,6 @@ class AdjacencyList:
     def record(self, vertex: int) -> VertexRecord | None:
         return self._tree.get(vertex)
 
-    def vertices_with_edges(self) -> list[int]:
-        return [v for v, _ in self._tree.items()]
-
     # ------------------------------------------------------------------ #
     # Reference algorithms (functional semantics for tests/examples)
     # ------------------------------------------------------------------ #

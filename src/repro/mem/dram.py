@@ -154,15 +154,6 @@ class DRAM:
             stats.touched_blocks.update(range(first_block, last_block + 1))
         return start + latency
 
-    def untimed_access(self, address: int, *, write: bool = False, nbytes: int = BLOCK_SIZE) -> int:
-        """Access without bank timing; returns the nominal latency.
-
-        Used by the functional (non-event-driven) simulation passes, which
-        only need traffic/energy/working-set accounting.
-        """
-        done = self.access(address, 0, write=write, nbytes=nbytes)
-        return done
-
     def bandwidth_utilization(self, total_cycles: int) -> float:
         """Fraction of peak bandwidth consumed over ``total_cycles``."""
         if total_cycles <= 0:

@@ -34,7 +34,6 @@ from functools import lru_cache
 from typing import Any
 
 from repro.core.descriptors import LevelDescriptor, WalkContext
-from repro.core.ix_cache import _UTILITY_MAX, _entry_level
 from repro.core.metal import Metal, MetalIX
 from repro.core.packing import pack_node
 from repro.indexes.base import IndexNode
@@ -681,25 +680,20 @@ class MetalMemSys(MemorySystem):
         hooks.append(invalidate)
 
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
-        # The walk pipeline (begin_walk, IXCache.probe, consider, end_walk)
-        # with the dispatch chain (MetalIX.consider ->
-        # PatternController.decide -> descriptor.decide) inlined: same
-        # calls on the same state in the same order, minus two Python
-        # frames per visited node.
+        # One driver for the walk pipeline, calling the cache and the
+        # controller through their own methods: begin_walk, probe, an
+        # insert-or-bypass decision per fetched node, end_walk. Only the
+        # per-node decision (MetalIX.consider -> PatternController.decide
+        # -> descriptor.decide) is inlined: same calls on the same state
+        # in the same order, minus two Python frames per visited node.
         policy = self.policy
         cache = policy.cache
+        cache_probe = cache.probe
         cache_insert = cache.insert
         cache_stats = cache.stats
         cache_tracer = cache.tracer
-        # Replacement-policy dispatch, hoisted like the rest: the default
-        # keeps its inlined counter bump; other policies get their on_hit.
-        default_policy = cache._default_policy
-        policy_on_hit = cache.policy.on_hit
-        sets = cache._sets
-        wide = cache._wide
         kbb = cache.key_block_bits
         num_sets = cache.num_sets
-        hit_levels = cache.hit_levels
         controller = policy.controller
         ctrl_tracer = controller.tracer if controller is not None else None
         tracer = self.tracer
@@ -717,18 +711,13 @@ class MetalMemSys(MemorySystem):
         cur_index = -1      # in the common case)
         wt_map: Any = None
         packed_map: Any = None
-        # Per-index invariants, memoized like cur_planner. No index
-        # mutates inside one chunk: a mutating workload (rw_mix, the
-        # dynamic mix) generates one request per chunk, so its next
-        # chunk re-reads the height of the grown tree.
+        # Per-index height, memoized like cur_planner. No index mutates
+        # inside one chunk: a mutating workload (rw_mix, the dynamic mix)
+        # generates one request per chunk, so its next chunk re-reads the
+        # height of the grown tree.
         obj_index = -1
         obj_height = 0
-        desc_index = -1
         descriptor: Any = None
-        # Probe counters accumulate locally; they are flushed into the
-        # cache statistics before batch tuning reads them and at the end.
-        accesses = 0
-        hits = 0
         index_dram = 0
 
         def insert(node: Any, life: int) -> None:
@@ -773,55 +762,12 @@ class MetalMemSys(MemorySystem):
                     obj_height = index.height
                 height = obj_height
             if controller is not None:
-                if index_id != desc_index:
-                    desc_index = index_id
-                    descriptor = controller._by_index.get(
-                        index_id, controller._default
-                    )
-                if descriptor is not None:
-                    descriptor.observe_key(key)
+                # The governing descriptor (None: greedy insert-all).
+                descriptor = controller.begin_walk(index_id, key)
             kinds.append(K_SRAM)
-            set_idx = (ns_key >> kbb) % num_sets
-            a1.append(set_idx)
+            a1.append((ns_key >> kbb) % num_sets)
             a2.append(t_probe)
-            # IXCache.probe inlined (same scans, same tie-break, same
-            # stats/utility updates and trace events).
-            candidates = []
-            for entry in sets[set_idx]:
-                tag = entry.tag
-                if tag.lo <= ns_key <= tag.hi:
-                    candidates.append(entry)
-            for entry in wide:
-                tag = entry.tag
-                if tag.lo <= ns_key <= tag.hi:
-                    candidates.append(entry)
-            start = None
-            accesses += 1
-            if candidates:
-                if len(candidates) > 1:
-                    candidates.sort(key=_entry_level, reverse=True)
-                for entry in candidates:
-                    for part_tag, part_node in entry.parts:
-                        if part_tag.lo <= ns_key <= part_tag.hi:
-                            start = part_node
-                            break
-                    if start is not None:
-                        hits += 1
-                        if default_policy:
-                            if entry.utility < _UTILITY_MAX:
-                                entry.utility += 1
-                        else:
-                            policy_on_hit(entry)
-                        if entry.life > 0:
-                            entry.life -= 1
-                        hit_levels[entry.tag.level] += 1
-                        break
-            if cache_tracer.enabled:
-                cache_tracer.emit("ix_probe", key=ns_key,
-                                  hit=start is not None)
-                if start is not None:
-                    cache_tracer.emit("ix_hit", key=ns_key,
-                                      level=entry.tag.level)
+            start = cache_probe(ns_key)
             if start is not None and faults is not None and faults.tag_corrupted():
                 # The matched range tag failed its integrity check: trust
                 # nothing it covers — invalidate the entry and refetch via
@@ -939,16 +885,7 @@ class MetalMemSys(MemorySystem):
                         if cache_tracer.enabled:
                             cache_tracer.emit("ix_bypass", reason="pattern")
             if controller is not None:
-                walks = controller._walks_in_batch + 1
-                controller._walks_in_batch = walks
-                if walks >= controller.batch_walks:
-                    # Batch tuning reads this batch's hit rate.
-                    cache_stats.accesses += accesses
-                    cache_stats.hits += hits
-                    cache_stats.misses += accesses - hits
-                    accesses = 0
-                    hits = 0
-                    controller._finish_batch()
+                controller.end_walk()
             visited = len(nodes)
             full = short and not nodes
             if request.scan_hi is not None:
@@ -968,9 +905,6 @@ class MetalMemSys(MemorySystem):
                     policy.consider(index_id, leaf, height, ns,
                                     _CTX_SHORT[0], key=leaf_key)
             batch.finish_walk(request, start_level, visited, short, full)
-        cache_stats.accesses += accesses
-        cache_stats.hits += hits
-        cache_stats.misses += accesses - hits
         batch.index_dram += index_dram
 
 

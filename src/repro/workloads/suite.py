@@ -86,6 +86,33 @@ def scaled(count: int, scale: float, floor: int) -> int:
     return max(floor, int(count * scale))
 
 
+#: Declarative sizing per workload: dimension -> (count at scale 1.0,
+#: floor). The "records" row sizes the primary index; "walks" sizes the
+#: request-driving sequence (for join the request count is 2x the outer
+#: table; rtree queries expand ~5x into walk requests). The ``--stats``
+#: CLI reads this table, so reported counts match built counts by
+#: construction, and every ``build_*`` function sizes itself through
+#: :func:`sized`.
+WORKLOAD_SIZINGS: dict[str, dict[str, tuple[int, int]]] = {
+    "scan": {"records": (40_000, 2_000), "walks": (8_000, 500)},
+    "sets": {"records": (20_000, 1_000), "walks": (8_000, 500)},
+    "sets_s": {"records": (20_000, 1_000), "walks": (8_000, 500)},
+    "spmm": {"dim": (8_192, 512), "nnz": (60_000, 4_000), "walks": (2_000, 150)},
+    "spmm_s": {"dim": (8_192, 512), "nnz": (60_000, 4_000), "walks": (2_000, 150)},
+    "select": {"records": (40_000, 1_000), "walks": (2_500, 200)},
+    "where": {"records": (40_000, 1_000), "walks": (6_000, 500)},
+    "join": {"records": (40_000, 1_000), "outer": (6_000, 400)},
+    "rtree": {"records": (20_000, 1_000), "walks": (2_000, 200)},
+    "pagerank": {"records": (20_000, 1_000), "edges": (50_000, 3_000), "walks": (10_000, 500)},
+}
+
+
+def sized(name: str, dim: str, scale: float) -> int:
+    """One :data:`WORKLOAD_SIZINGS` dimension of a workload at ``scale``."""
+    count, floor = WORKLOAD_SIZINGS[name][dim]
+    return scaled(count, scale, floor)
+
+
 @dataclass
 class Workload:
     """One application ready for the simulator."""
@@ -200,8 +227,8 @@ def build_scan(
     prefix (the full-stream rank permutation is preserved), bounding
     simulation time independently of index size.
     """
-    num_records = scaled(40_000, scale, 2_000)
-    num_walks = scaled(8_000, scale, 500)
+    num_records = sized("scan", "records", scale)
+    num_walks = sized("scan", "walks", scale)
     table = _make_table(num_records, depth=10, seed=seed, backend=backend)
     keys = KeyStream.zipf(num_records, num_walks, skew=0.8, seed=seed)
     if max_walks is not None:
@@ -229,8 +256,9 @@ def build_scan(
 
 def build_sets(scale: float = 1.0, seed: int = 0, deep: bool = True) -> Workload:
     """Redis-style sorted-set lookups (Table 2: Sets / Sets-S)."""
-    num_records = scaled(20_000, scale, 1_000)
-    num_walks = scaled(8_000, scale, 500)
+    name = "sets" if deep else "sets_s"
+    num_records = sized(name, "records", scale)
+    num_walks = sized(name, "walks", scale)
     score_space = 1 << 20
     if deep:
         num_buckets, max_height = 4, 14
@@ -259,7 +287,6 @@ def build_sets(scale: float = 1.0, seed: int = 0, deep: bool = True) -> Workload
         # EXPERIMENTS.md.)
         return _sweep_band(height)
 
-    name = "sets" if deep else "sets_s"
     return Workload(
         name, "gorgon", "node", SETS_CONFIG, requests, [sset], descriptors,
         key_universe=score_space,
@@ -273,9 +300,10 @@ def build_sets(scale: float = 1.0, seed: int = 0, deep: bool = True) -> Workload
 
 def build_spmm(scale: float = 1.0, seed: int = 0, deep: bool = True) -> Workload:
     """Inner-product SpMM over B's coordinate index (Table 2: SpMM)."""
-    dim = scaled(8_192, scale, 512)
-    nnz = scaled(60_000, scale, 4_000)
-    num_a_rows = scaled(2_000, scale, 150)
+    name = "spmm" if deep else "spmm_s"
+    dim = sized(name, "dim", scale)
+    nnz = sized(name, "nnz", scale)
+    num_a_rows = sized(name, "walks", scale)
     triples = powerlaw_coo((dim, dim), nnz, col_skew=0.9, seed=seed)
     b: DynamicSparseTensor | FiberMatrix
     if deep:
@@ -297,7 +325,6 @@ def build_spmm(scale: float = 1.0, seed: int = 0, deep: bool = True) -> Workload
             [NodeDescriptor(target="leaf", life=2), _sweep_band(height)]
         )
 
-    name = "spmm" if deep else "spmm_s"
     return Workload(
         name, "capstan", "node", SPMM_CONFIG, requests, [b], descriptors,
         key_universe=dim,
@@ -317,8 +344,8 @@ def build_analytics_select(
     max_walks: int | None = None,
 ) -> Workload:
     """Nested SELECT BETWEEN range queries (Fig. 18: Nest.SEL)."""
-    num_records = scaled(40_000, scale, 1_000)
-    num_queries = scaled(2_500, scale, 200)
+    num_records = sized("select", "records", scale)
+    num_queries = sized("select", "walks", scale)
     table = _make_table(num_records, depth=8, seed=seed, backend=backend)
     starts = KeyStream.zipf(num_records, num_queries, skew=0.8, seed=seed)
     if max_walks is not None:
@@ -344,8 +371,8 @@ def build_analytics_where(
     max_walks: int | None = None,
 ) -> Workload:
     """Data-dependent WHERE-clause probes (Fig. 18: WHERE)."""
-    num_records = scaled(40_000, scale, 1_000)
-    num_walks = scaled(6_000, scale, 500)
+    num_records = sized("where", "records", scale)
+    num_walks = sized("where", "walks", scale)
     table = _make_table(num_records, depth=8, seed=seed, backend=backend)
     # Nested clause: the probed key is derived from the previous record's
     # value column (data-dependent chain, zipf-seeded).
@@ -379,8 +406,8 @@ def build_analytics_join(
     ``depth`` controls the inner tree's level count (Fig. 23b sweeps it
     10-18 in the paper; deeper means a smaller fan-out here).
     """
-    inner_records = scaled(40_000, scale, 1_000)
-    outer_records = scaled(6_000, scale, 400)
+    inner_records = sized("join", "records", scale)
+    outer_records = sized("join", "outer", scale)
     inner = _make_table(inner_records, depth=depth, seed=seed, backend=backend)
     fk_stream = KeyStream.zipf(inner_records, outer_records, skew=0.85, seed=seed + 1)
     outer_fanout = _depth_fanout(outer_records, 6)
@@ -437,8 +464,8 @@ def build_analytics_join(
 
 def build_rtree(scale: float = 1.0, seed: int = 0) -> Workload:
     """Quadrilateral embedding over paired x/y B-trees (§4.3)."""
-    num_rects = scaled(20_000, scale, 1_000)
-    num_queries = scaled(2_000, scale, 200)
+    num_rects = sized("rtree", "records", scale)
+    num_queries = sized("rtree", "walks", scale)
     universe = 1 << 20
     rects = clustered_rects(num_rects, universe=universe, seed=seed)
     rtree = RTree2D(
@@ -477,9 +504,9 @@ def build_rtree(scale: float = 1.0, seed: int = 0) -> Workload:
 
 def build_pagerank(scale: float = 1.0, seed: int = 0) -> Workload:
     """Push-style PageRank: walks to the destination vertex per edge."""
-    num_vertices = scaled(20_000, scale, 1_000)
-    num_edges = scaled(50_000, scale, 3_000)
-    num_pushes = scaled(10_000, scale, 500)
+    num_vertices = sized("pagerank", "records", scale)
+    num_edges = sized("pagerank", "edges", scale)
+    num_pushes = sized("pagerank", "walks", scale)
     edges = powerlaw_edges(num_vertices, num_edges, skew=0.9, seed=seed)
     graph = AdjacencyList(
         edges, num_vertices=num_vertices, fanout=_depth_fanout(num_vertices, 8)
@@ -571,25 +598,6 @@ PAPER_LABELS = {
     "pagerank": "PageRank",
 }
 
-#: Declarative sizing per workload: dimension -> (count at scale 1.0,
-#: floor). The "records" row sizes the primary index; "walks" sizes the
-#: request-driving sequence (for join the request count is 2x the outer
-#: table; rtree queries expand ~5x into walk requests). The ``--stats``
-#: CLI reads this table, so reported counts match built counts by
-#: construction.
-WORKLOAD_SIZINGS: dict[str, dict[str, tuple[int, int]]] = {
-    "scan": {"records": (40_000, 2_000), "walks": (8_000, 500)},
-    "sets": {"records": (20_000, 1_000), "walks": (8_000, 500)},
-    "sets_s": {"records": (20_000, 1_000), "walks": (8_000, 500)},
-    "spmm": {"dim": (8_192, 512), "nnz": (60_000, 4_000), "walks": (2_000, 150)},
-    "spmm_s": {"dim": (8_192, 512), "nnz": (60_000, 4_000), "walks": (2_000, 150)},
-    "select": {"records": (40_000, 1_000), "walks": (2_500, 200)},
-    "where": {"records": (40_000, 1_000), "walks": (6_000, 500)},
-    "join": {"records": (40_000, 1_000), "outer": (6_000, 400)},
-    "rtree": {"records": (20_000, 1_000), "walks": (2_000, 200)},
-    "pagerank": {"records": (20_000, 1_000), "edges": (50_000, 3_000), "walks": (10_000, 500)},
-}
-
 #: Workloads whose primary index supports ``backend="soa"``.
 SOA_WORKLOADS = frozenset({"scan", "select", "where", "join"})
 
@@ -615,7 +623,7 @@ def workload_stats(name: str, scale: float = 1.0) -> dict[str, Any]:
         raise ValueError(
             f"unknown workload {name!r}; choose from {sorted(WORKLOAD_SIZINGS)}"
         ) from None
-    counts = {dim: scaled(per_unit, scale, floor) for dim, (per_unit, floor) in sizing.items()}
+    counts = {dim: sized(name, dim, scale) for dim in sizing}
     if name == "join":
         counts["records"] = counts["records"] + counts["outer"]
         counts["walks"] = 2 * counts["outer"]

@@ -35,6 +35,17 @@ FORMAT_VERSION = 2
 MIN_FORMAT_VERSION = 1
 
 
+#: A record's optional integer fields, in WalkRequest order: (name,
+#: default when absent, smallest legal value or None). None is legal
+#: only where it is the default.
+_OPTIONAL_FIELDS = (
+    ("compute", 0, 0),
+    ("data_address", None, 0),
+    ("data_bytes", 64, 1),
+    ("scan_hi", None, None),
+)
+
+
 class TraceTruncated(ValueError):
     """A v2 trace ended without its trailer — the file is incomplete."""
 
@@ -82,6 +93,20 @@ def save_trace(
     return count
 
 
+def _parse_line(path: Path, line_no: int, line: str) -> dict[str, Any]:
+    """One JSON-object line of a trace, or ValueError naming ``path:line``."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{line_no}: invalid JSON ({exc})") from None
+    if not isinstance(record, dict):
+        raise ValueError(
+            f"{path}:{line_no}: expected a JSON object, got "
+            f"{type(record).__name__}"
+        )
+    return record
+
+
 def iter_trace(
     path: str | Path,
     indexes: dict[str, Any],
@@ -91,11 +116,14 @@ def iter_trace(
     Yields one :class:`WalkRequest` per record without materializing the
     list. For v2 traces, raises :class:`TraceTruncated` if the file ends
     before the trailer or the trailer count disagrees with the records
-    actually read; v1 traces (no trailer) end at EOF.
+    actually read; v1 traces (no trailer) end at EOF. A malformed line
+    (bad JSON, not an object, no ``index``/``key``, a key or optional
+    field that is not an integer in range) raises ValueError naming
+    ``path:line``; an index name missing from ``indexes`` raises KeyError.
     """
     path = Path(path)
     with _open(path, "r") as f:
-        header = json.loads(f.readline())
+        header = _parse_line(path, 1, f.readline())
         if header.get("kind") != "repro-walk-trace":
             raise ValueError(f"{path} is not a repro walk trace")
         version = header.get("version")
@@ -110,7 +138,7 @@ def iter_trace(
         for line_no, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            record = _parse_line(path, line_no, line)
             if record.get("trailer"):
                 declared = record.get("count")
                 if declared != count:
@@ -120,6 +148,30 @@ def iter_trace(
                     )
                 saw_trailer = True
                 break
+            for field in ("index", "key"):
+                if field not in record:
+                    raise ValueError(
+                        f"{path}:{line_no}: record has no {field!r} field"
+                    )
+            key = record["key"]
+            if not isinstance(key, int) or isinstance(key, bool):
+                raise ValueError(
+                    f"{path}:{line_no}: key must be an integer, got {key!r}"
+                )
+            fields = []
+            for field, default, low in _OPTIONAL_FIELDS:
+                value = record.get(field, default)
+                if value is None and default is None:
+                    fields.append(value)
+                    continue
+                if (not isinstance(value, int) or isinstance(value, bool)
+                        or (low is not None and value < low)):
+                    bound = "" if low is None else f" >= {low}"
+                    raise ValueError(
+                        f"{path}:{line_no}: {field} must be an integer"
+                        f"{bound}, got {value!r}"
+                    )
+                fields.append(value)
             name = record["index"]
             index = indexes.get(name)
             if index is None:
@@ -128,14 +180,7 @@ def iter_trace(
                     f"{name!r}; provide it in `indexes`"
                 )
             count += 1
-            yield WalkRequest(
-                index=index,
-                key=record["key"],
-                compute_cycles=record.get("compute", 0),
-                data_address=record.get("data_address"),
-                data_bytes=record.get("data_bytes", 64),
-                scan_hi=record.get("scan_hi"),
-            )
+            yield WalkRequest(index, key, *fields)
         if expects_trailer and not saw_trailer:
             raise TraceTruncated(
                 f"{path}: reached end of file after {count} requests "

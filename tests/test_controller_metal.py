@@ -84,14 +84,14 @@ class TestMetalIX:
         policy = MetalIX(CacheParams(capacity_bytes=32 * BLOCK_SIZE))
         n = node(2, 0, 10)
         assert policy.consider(0, n, HEIGHT, lambda k: k)
-        assert policy.probe(5) is n
+        assert policy.cache.probe(5) is n
 
     def test_no_controller(self):
         assert MetalIX().controller is None
 
     def test_stats_exposed(self):
         policy = MetalIX()
-        policy.probe(1)
+        policy.cache.probe(1)
         assert policy.stats.accesses == 1
 
 
@@ -101,7 +101,7 @@ class TestMetal:
         upper = node(0, 0, 10)
         assert not policy.consider(0, upper, HEIGHT, lambda k: k)
         assert policy.cache.stats.bypasses == 1
-        assert policy.probe(5) is None
+        assert policy.cache.probe(5) is None
 
     def test_insert_with_life(self):
         policy = Metal(NodeDescriptor("leaf", life=9))
@@ -113,10 +113,10 @@ class TestMetal:
     def test_walk_lifecycle_batches(self):
         policy = Metal(LevelDescriptor(1, 3, min_touches=1), batch_walks=2)
         for i in range(4):
-            policy.begin_walk(0, i)
+            policy.controller.begin_walk(0, i)
             policy.consider(0, node(2, i * 50, i * 50 + 5), HEIGHT,
                             lambda k: k, WalkContext(False, 0))
-            policy.end_walk()
+            policy.controller.end_walk()
         assert len(policy.controller.history) == 2
 
     def test_key_focused_insert_forwarded(self):

@@ -262,6 +262,30 @@ def test_store_miss_on_corruption(tmp_path):
     assert ResultStore(root=tmp_path).get(spec) is None
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "7", '"x"', "null", "true"],
+                         ids=["list", "int", "string", "null", "bool"])
+def test_store_miss_on_valid_json_that_is_not_an_object(tmp_path, text):
+    spec = RunSpec.make("scan", "stream", scale=SMALL)
+    store = ResultStore(root=tmp_path)
+    path = store.path_for(spec)
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    assert store.get(spec) is None
+
+
+def test_store_miss_on_a_payload_that_is_not_an_object(tmp_path):
+    """A file whose spec matches but whose payload is not an object is a
+    miss, not a cache hit handing the caller a bare number."""
+    spec = RunSpec.make("scan", "stream", scale=SMALL)
+    store = ResultStore(root=tmp_path)
+    store.put(spec, 7)
+    assert store.get(spec) is None
+    with Executor(jobs=1, store=store) as ex:
+        outcome = ex.run([spec])[0]
+    assert not outcome.cached
+    assert isinstance(outcome.check().payload, dict)
+
+
 def test_store_invalidates_on_version_change(tmp_path):
     spec = RunSpec.make("scan", "stream", scale=SMALL)
     old = ResultStore(root=tmp_path, version="0" * 64)

@@ -16,7 +16,8 @@ disjointness structure the hardware would see.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ix_cache import _UTILITY_MAX, IXCache
+from repro.core.ix_cache import IXCache
+from repro.core.policy import UTILITY_MAX
 from repro.indexes.bplustree import BPlusTree
 from repro.params import BLOCK_SIZE, CacheParams
 
@@ -57,7 +58,7 @@ def check_structural_invariants(cache: IXCache, live_nodes: set[int]) -> None:
     assert len(cache._wide) <= max(cache.wide_capacity, 0)
     for _, entry, tag, node in all_parts(cache):
         assert entry.parts, "entry with no constituent nodes"
-        assert 0 <= entry.utility <= _UTILITY_MAX
+        assert 0 <= entry.utility <= UTILITY_MAX
         assert entry.life >= 0
         # Entry tag must cover every part (coalescing widens, never shrinks).
         assert entry.tag.lo <= tag.lo <= tag.hi <= entry.tag.hi

@@ -114,13 +114,29 @@ class TestVictimContract:
                 target.probe(key)
         assert resident_tags(c) == resident_tags(fresh)
 
-    def test_default_policy_flag_detects_subclasses(self):
-        # LevelCostPolicy subclasses UtilityRRIPPolicy but overrides the
-        # victim score: the inlined fast path must not swallow it.
-        c = cache(policy="level_cost")
-        assert not c._default_policy
-        assert c._default_policy is False
-        assert cache()._default_policy is True
+    def test_hooks_dispatch_for_policy_subclasses(self):
+        # Every policy, the paper's default and its subclasses alike, runs
+        # through the same on_insert/on_hit hooks: a subclass that only
+        # records the calls sees every insertion, probe hit and duplicate.
+        calls = []
+
+        class Recording(UtilityRRIPPolicy):
+            def on_insert(self, entry):
+                calls.append("insert")
+                super().on_insert(entry)
+
+            def on_hit(self, entry):
+                calls.append("hit")
+                super().on_hit(entry)
+
+        c = cache(coalesce=False, policy=Recording())
+        n = node(5, 0, 4)
+        c.insert(n)
+        c.insert(n)  # duplicate: promoted, not re-inserted
+        c.probe(2)
+        c.probe(100)  # miss: no hook
+        assert calls == ["insert", "hit", "hit"]
+        assert c.entries()[0].utility == 5
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown replacement policy"):

@@ -2,7 +2,7 @@
 
 ``ServeSpec.trace`` must be observationally free: the spans-off payload
 is byte-identical to what the engine produced before spans existed (the
-committed golden ``BENCH_serve_result.json`` pins that forever), and a
+committed golden ``BENCH_serve_result.json`` pins its SHA-256), and a
 traced run differs from an untraced one by exactly its ``spans`` key.
 These tests mirror the sim engine's trace-overhead gate and back the CI
 ``trace-overhead`` job (``repro report --verify-trace-overhead``).
@@ -18,6 +18,7 @@ import pytest
 from repro.bench.serve import (
     GOLDEN_PATH,
     _golden_spec,
+    result_digest,
     trace_overhead_check,
     write_golden,
 )
@@ -72,9 +73,21 @@ def test_trace_overhead_check_reports_unreadable_golden(tmp_path):
     assert problems and "unreadable" in problems[0]
 
 
+def test_trace_overhead_check_reports_golden_without_digest(tmp_path):
+    golden = json.loads((REPO_ROOT / GOLDEN_PATH).read_text())
+    del golden["result_sha256"]
+    path = tmp_path / "no_digest.json"
+    path.write_text(json.dumps(golden))
+    _, problems = trace_overhead_check(str(path))
+    assert problems and "unreadable" in problems[0]
+
+
 def test_trace_overhead_check_detects_drift(tmp_path):
     golden = json.loads((REPO_ROOT / GOLDEN_PATH).read_text())
-    golden["result"]["offered"] += 1
+    # The digest of a payload with one more offered request.
+    result = simulate_serve(_golden_spec(golden)).to_dict()
+    result["offered"] += 1
+    golden["result_sha256"] = result_digest(result)
     drifted = tmp_path / "drifted.json"
     drifted.write_text(json.dumps(golden))
     _, problems = trace_overhead_check(str(drifted))
@@ -82,14 +95,15 @@ def test_trace_overhead_check_detects_drift(tmp_path):
 
 
 def test_write_golden_reproduces_the_committed_golden(tmp_path):
-    """The refresh path rewrites the same result under the same spec. The
-    committed file predates ``ServeSpec.trace``, so the rewritten spec
+    """The refresh path rewrites the same digest under the same spec. The
+    committed spec predates ``ServeSpec.trace``, so the rewritten spec
     gains that one key and the files are not byte-identical."""
     path = tmp_path / "golden.json"
     write_golden(str(path))
     written = json.loads(path.read_text())
     committed = json.loads((REPO_ROOT / GOLDEN_PATH).read_text())
-    assert written["result"] == committed["result"]
+    assert sorted(written) == sorted(committed) == ["result_sha256", "spec"]
+    assert written["result_sha256"] == committed["result_sha256"]
     assert _golden_spec(written) == _golden_spec(committed)
 
 

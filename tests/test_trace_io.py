@@ -10,6 +10,7 @@ and the replay run mode that rides on all three (``RunSpec.trace_path``
 
 import gzip
 import json
+import re
 
 import pytest
 
@@ -104,6 +105,43 @@ def test_unsupported_version_rejected(workload, tmp_path):
     header["version"] = FORMAT_VERSION + 1
     path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
     with pytest.raises(ValueError, match="unsupported trace version"):
+        load_trace(path, {"index0": workload.indexes[0]})
+
+
+_HEADER = json.dumps({"version": FORMAT_VERSION, "kind": "repro-walk-trace"})
+_RECORD = json.dumps({"index": "index0", "key": 5})
+
+
+@pytest.mark.parametrize("lines, line_no", [
+    (["[1]"], 1),
+    (["{not json"], 1),
+    ([_HEADER, _RECORD, '"x"'], 3),
+    ([_HEADER, _RECORD, "[1, 2]"], 3),
+    ([_HEADER, _RECORD, "7"], 3),
+    ([_HEADER, _RECORD, '{"index": "index0", "key": '], 3),
+    ([_HEADER, _RECORD, '{"index": "index0"}'], 3),
+    ([_HEADER, _RECORD, '{"key": 5}'], 3),
+    ([_HEADER, _RECORD, '{"index": "index0", "key": "abc"}'], 3),
+    ([_HEADER, _RECORD, '{"index": "index0", "key": 1.5}'], 3),
+    ([_HEADER, _RECORD, '{"index": "index0", "key": true}'], 3),
+    ([_HEADER, _RECORD, '{"index": "index0", "key": 5, "scan_hi": "abc"}'], 3),
+    ([_HEADER, _RECORD, '{"index": "index0", "key": 5, "compute": "x"}'], 3),
+    ([_HEADER, _RECORD, '{"index": "index0", "key": 5, "compute": null}'], 3),
+    ([_HEADER, _RECORD, '{"index": "index0", "key": 5, "data_bytes": -5}'], 3),
+    ([_HEADER, _RECORD,
+      '{"index": "index0", "key": 5, "data_address": 1.5}'], 3),
+], ids=["header-not-object", "header-bad-json", "record-string",
+        "record-list", "record-number", "record-bad-json", "missing-key",
+        "missing-index", "string-key", "float-key", "bool-key",
+        "string-scan-hi", "string-compute", "null-compute",
+        "negative-data-bytes", "float-data-address"])
+def test_malformed_line_names_path_and_line(workload, tmp_path, lines,
+                                            line_no):
+    """Bad input fails at the boundary with its location, not later in
+    the simulator or as a bare KeyError/AttributeError."""
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line_no}:")):
         load_trace(path, {"index0": workload.indexes[0]})
 
 

@@ -144,3 +144,40 @@ def test_workload_stats_counts_match_scaled_sizing():
     assert join["walks"] == 2 * 6_000  # probe + chase per outer row
     with pytest.raises(ValueError):
         workload_stats("nope")
+
+
+_BUILT = {
+    # dimension -> what the built workload exposes of it
+    "walks": lambda w: len(w.requests),
+    "outer": lambda w: len(w.requests) // 2,  # probe + chase per outer row
+    "dim": lambda w: w.key_universe,
+    "records": lambda w: len(w.indexes[0]),
+}
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("scan", "walks"), ("sets", "walks"), ("sets_s", "walks"),
+    ("spmm", "dim"), ("spmm_s", "dim"), ("select", "walks"),
+    ("where", "walks"), ("join", "outer"), ("rtree", "records"),
+    ("pagerank", "walks"),
+])
+def test_builders_size_from_the_table(monkeypatch, name, dim):
+    """Each builder reads WORKLOAD_SIZINGS: moving a floor in the table
+    moves the built workload, with no literal left behind."""
+    from repro.workloads import suite
+
+    count, floor = suite.WORKLOAD_SIZINGS[name][dim]
+    sizing = dict(suite.WORKLOAD_SIZINGS[name], **{dim: (count, floor + 7)})
+    monkeypatch.setitem(suite.WORKLOAD_SIZINGS, name, sizing)
+    workload = suite.build_workload(name, scale=0.001)
+    assert _BUILT[dim](workload) == floor + 7
+
+
+def test_scale_sweep_sizes_the_named_workload():
+    """run_point reports the records of the workload it builds, not
+    scan's: select's floor is 1,000 records, scan's 2,000."""
+    from repro.bench.scale_sweep import run_point
+    from repro.workloads.suite import sized
+
+    point = run_point(0.0001, "select", max_walks=50)
+    assert point.num_records == sized("select", "records", point.scale) == 1_000
