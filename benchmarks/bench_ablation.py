@@ -12,10 +12,10 @@ from repro.bench.ablation import (
 )
 
 
-def test_ablation_geometry(benchmark, workloads):
+def test_ablation_geometry(benchmark, workloads, bench_scale):
     results = run_once(
-        benchmark, run_geometry_sweep, workloads["scan"],
-        ways_options=(1, 4, 16),
+        benchmark, run_geometry_sweep, "scan",
+        ways_options=(1, 4, 16), scale=bench_scale,
     )
     print()
     print(format_geometry(results))
@@ -23,9 +23,10 @@ def test_ablation_geometry(benchmark, workloads):
     assert results[16].makespan <= results[1].makespan * 1.02
 
 
-def test_ablation_shared_vs_private(benchmark, workloads):
+def test_ablation_shared_vs_private(benchmark, workloads, bench_scale):
     result = run_once(
-        benchmark, run_shared_vs_private, workloads["scan"], partitions=4
+        benchmark, run_shared_vs_private, "scan", partitions=4,
+        scale=bench_scale,
     )
     print()
     print(format_shared_vs_private(result))
@@ -33,8 +34,10 @@ def test_ablation_shared_vs_private(benchmark, workloads):
     assert result.shared.cache_stats.hit_rate >= result.private_hit_rate
 
 
-def test_ablation_mechanisms(benchmark, workloads):
-    results = run_once(benchmark, run_mechanism_toggles, workloads["scan"])
+def test_ablation_mechanisms(benchmark, workloads, bench_scale):
+    results = run_once(
+        benchmark, run_mechanism_toggles, "scan", scale=bench_scale
+    )
     print()
     print(format_toggles(results))
     by_label = {r.label: r.run for r in results}
@@ -44,10 +47,10 @@ def test_ablation_mechanisms(benchmark, workloads):
             > by_label["address"].dram.accesses)
 
 
-def test_ablation_scheduling(benchmark, workloads):
+def test_ablation_scheduling(benchmark, workloads, bench_scale):
     from repro.bench.ablation import format_scheduling, run_scheduling
 
-    results = run_once(benchmark, run_scheduling, workloads["scan"])
+    results = run_once(benchmark, run_scheduling, "scan", scale=bench_scale)
     print()
     print(format_scheduling(results))
     # Key-adjacent issue shares index paths: traffic never increases.

@@ -7,7 +7,7 @@ from repro.bench.trends import format_fig15, run_trends
 
 def test_fig15_miss_rate(benchmark, workloads, bench_scale):
     results = run_once(
-        benchmark, run_trends, scale=bench_scale, prebuilt=workloads
+        benchmark, run_trends, scale=bench_scale
     )
     print()
     print(format_fig15(results))

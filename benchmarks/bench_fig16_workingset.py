@@ -7,7 +7,7 @@ from repro.bench.trends import format_fig16, run_trends
 
 def test_fig16_working_set(benchmark, workloads, bench_scale):
     results = run_once(
-        benchmark, run_trends, scale=bench_scale, prebuilt=workloads
+        benchmark, run_trends, scale=bench_scale
     )
     print()
     print(format_fig16(results))

@@ -8,7 +8,7 @@ from repro.bench.trends import format_fig17, run_trends
 
 def test_fig17_walk_latency(benchmark, workloads, bench_scale):
     results = run_once(
-        benchmark, run_trends, scale=bench_scale, prebuilt=workloads
+        benchmark, run_trends, scale=bench_scale
     )
     print()
     print(format_fig17(results))

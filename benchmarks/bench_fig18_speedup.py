@@ -7,7 +7,7 @@ from repro.bench.speedup import format_fig18, headline_ratios, run_speedups
 
 def test_fig18_speedup(benchmark, workloads, bench_scale):
     results = run_once(
-        benchmark, run_speedups, scale=bench_scale, prebuilt=workloads
+        benchmark, run_speedups, scale=bench_scale
     )
     print()
     print(format_fig18(results))

@@ -8,7 +8,7 @@ from repro.bench.format import geomean
 
 def test_fig19_dram_energy(benchmark, workloads, bench_scale):
     results = run_once(
-        benchmark, run_energy, scale=bench_scale, prebuilt=workloads
+        benchmark, run_energy, scale=bench_scale
     )
     print()
     print(format_fig19(results))

@@ -7,7 +7,7 @@ from repro.bench.breakdown import format_fig20, run_breakdown
 
 def test_fig20_breakdown(benchmark, workloads, bench_scale):
     results = run_once(
-        benchmark, run_breakdown, scale=bench_scale, prebuilt=workloads
+        benchmark, run_breakdown, scale=bench_scale
     )
     print()
     print(format_fig20(results))

@@ -7,7 +7,7 @@ from repro.bench.occupancy import format_fig21, run_occupancy
 
 def test_fig21_occupancy(benchmark, workloads, bench_scale):
     results = run_once(
-        benchmark, run_occupancy, scale=bench_scale, prebuilt=workloads
+        benchmark, run_occupancy, scale=bench_scale
     )
     print()
     print(format_fig21(results))

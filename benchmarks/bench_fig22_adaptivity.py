@@ -8,7 +8,6 @@ from repro.bench.adaptivity import format_fig22, run_adaptivity
 def test_fig22_adaptivity(benchmark, workloads, bench_scale):
     result = run_once(
         benchmark, run_adaptivity, scale=bench_scale,
-        prebuilt=workloads["scan"],
     )
     print()
     print(format_fig22(result))

@@ -12,7 +12,6 @@ def test_fig24_design_sweep(benchmark, workloads, bench_scale):
         tiles=(4, 8, 16),
         caches=(2 * 1024, 8 * 1024, 32 * 1024),
         scale=bench_scale,
-        prebuilt=workloads,
     )
     print()
     print(format_fig24(cells))

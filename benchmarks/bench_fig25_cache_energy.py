@@ -7,7 +7,7 @@ from repro.bench.energy import format_fig25, run_energy
 
 def test_fig25_cache_energy(benchmark, workloads, bench_scale):
     results = run_once(
-        benchmark, run_energy, scale=bench_scale, prebuilt=workloads
+        benchmark, run_energy, scale=bench_scale
     )
     print()
     print(format_fig25(results))

@@ -1,15 +1,18 @@
 """Shared fixtures for the figure/table benchmarks.
 
-Workloads are built once per session and shared; set ``REPRO_BENCH_SCALE``
-to change the workload scale (default 0.15 keeps the whole suite fast;
-1.0 reproduces the repo's full default sizes).
+Workloads are built once per session, into the exec worker's memo, so
+the timed runs (which name their cells by workload and scale) measure
+simulation only; set ``REPRO_BENCH_SCALE`` to change the workload scale
+(default 0.15 keeps the whole suite fast; 1.0 reproduces the repo's full
+default sizes).
 """
 
 import os
 
 import pytest
 
-from repro.workloads.suite import WORKLOAD_BUILDERS, build_workload
+from repro.exec import get_workload
+from repro.workloads.suite import WORKLOAD_BUILDERS
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
 
@@ -21,11 +24,8 @@ def bench_scale() -> float:
 
 @pytest.fixture(scope="session")
 def workloads(bench_scale):
-    """Every Table-2 workload, built once."""
-    return {
-        name: build_workload(name, scale=bench_scale)
-        for name in WORKLOAD_BUILDERS
-    }
+    """Every Table-2 workload, built once and left in the worker memo."""
+    return {name: get_workload(name, bench_scale) for name in WORKLOAD_BUILDERS}
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -17,19 +17,9 @@ from dataclasses import dataclass
 
 from repro.bench.format import render_table
 from repro.cmdline import positive_float
-from repro.exec import Executor, RunSpec, default_executor
+from repro.exec import Executor, RunSpec, default_executor, get_workload
 from repro.sim.metrics import RunResult
-from repro.workloads.suite import WORKLOAD_BUILDERS, Workload, build_workload
-
-
-def _ablation_workload(
-    workload: Workload | None, scale: float, executor: Executor,
-    default_name: str = "scan",
-) -> Workload:
-    """Resolve the prebuilt-or-default workload and donate it to workers."""
-    workload = workload or build_workload(default_name, scale=scale)
-    executor.seed_workloads([workload])
-    return workload
+from repro.workloads.suite import WORKLOAD_BUILDERS
 
 
 # --------------------------------------------------------------------- #
@@ -37,17 +27,15 @@ def _ablation_workload(
 # --------------------------------------------------------------------- #
 
 def run_geometry_sweep(
-    workload: Workload | None = None,
+    workload_name: str = "scan",
     ways_options: tuple[int, ...] = (1, 4, 8, 16, 32),
     scale: float = 0.25,
     executor: Executor | None = None,
 ) -> dict[int, RunResult]:
     executor = executor or default_executor()
-    workload = _ablation_workload(workload, scale, executor)
     specs = [
         RunSpec.make(
-            workload.name, "metal", scale=workload.scale, seed=workload.seed,
-            cache_kwargs={"ways": ways},
+            workload_name, "metal", scale=scale, cache_kwargs={"ways": ways},
         )
         for ways in ways_options
     ]
@@ -76,7 +64,7 @@ class SharedVsPrivate:
 
 
 def run_shared_vs_private(
-    workload: Workload | None = None,
+    workload_name: str = "scan",
     partitions: int = 4,
     scale: float = 0.25,
     executor: Executor | None = None,
@@ -87,18 +75,17 @@ def run_shared_vs_private(
     group cannot short-circuit another group's walks.
     """
     executor = executor or default_executor()
-    workload = _ablation_workload(workload, scale, executor)
-    name, scale, seed = workload.name, workload.scale, workload.seed
+    workload = get_workload(workload_name, scale)
 
     # Each private slice serves one tile group: 1/partitions of the tiles,
     # 1/partitions of the capacity, 1/partitions of the walks. Wall time is
     # the slowest group (they run concurrently).
     group_tiles = max(1, workload.config.tiles // partitions)
     slice_bytes = max(1024, workload.default_cache_bytes // partitions)
-    specs = [RunSpec(workload=name, system="metal", scale=scale, seed=seed)]
+    specs = [RunSpec(workload=workload_name, system="metal", scale=scale)]
     specs.extend(
         RunSpec(
-            workload=name, system="metal", scale=scale, seed=seed,
+            workload=workload_name, system="metal", scale=scale,
             tiles=group_tiles, cache_bytes=slice_bytes,
             requests_slice=(i, partitions),
         )
@@ -144,33 +131,27 @@ class ToggleResult:
 
 
 def run_mechanism_toggles(
-    workload: Workload | None = None, scale: float = 0.25,
+    workload_name: str = "scan", scale: float = 0.25,
     executor: Executor | None = None,
 ) -> list[ToggleResult]:
     executor = executor or default_executor()
-    workload = _ablation_workload(workload, scale, executor)
-    base = dict(scale=workload.scale, seed=workload.seed)
-    cells = [
-        ("metal (default)",
-         RunSpec.make(workload.name, "metal", **base)),
+    variants = [
+        ("metal (default)", "metal", {}),
         # Case-3 coalescing off.
-        ("no coalescing",
-         RunSpec.make(workload.name, "metal", **base,
-                      memsys_kwargs={"coalesce": False})),
+        ("no coalescing", "metal", {"coalesce": False}),
         # Fully-associative IX-cache (no key-block sets).
-        ("fully associative",
-         RunSpec.make(workload.name, "metal", **base,
-                      memsys_kwargs={"associative": False})),
+        ("fully associative", "metal", {"associative": False}),
         # Address baseline variants: flat, next-line prefetch, two-level.
-        ("address", RunSpec.make(workload.name, "address", **base)),
-        ("address + prefetch",
-         RunSpec.make(workload.name, "address_pf", **base)),
-        ("address L1+L2",
-         RunSpec.make(workload.name, "address_l2", **base)),
+        ("address", "address", {}),
+        ("address + prefetch", "address_pf", {}),
+        ("address L1+L2", "address_l2", {}),
     ]
-    folded = executor.run_results([spec for _, spec in cells])
+    folded = executor.run_results([
+        RunSpec.make(workload_name, system, scale=scale, memsys_kwargs=kwargs)
+        for _, system, kwargs in variants
+    ])
     return [ToggleResult(label, run)
-            for (label, _), run in zip(cells, folded)]
+            for (label, _, _), run in zip(variants, folded)]
 
 
 def format_toggles(results: list[ToggleResult]) -> str:
@@ -187,18 +168,17 @@ def format_toggles(results: list[ToggleResult]) -> str:
 # --------------------------------------------------------------------- #
 
 def run_scheduling(
-    workload: Workload | None = None, scale: float = 0.25,
+    workload_name: str = "scan", scale: float = 0.25,
     executor: Executor | None = None,
 ) -> dict[str, RunResult]:
     """Request-reorder policies (repro.sim.scheduler) under METAL-IX."""
     from repro.sim.scheduler import POLICIES
 
     executor = executor or default_executor()
-    workload = _ablation_workload(workload, scale, executor)
     specs = [
         RunSpec(
-            workload=workload.name, system="metal_ix",
-            scale=workload.scale, seed=workload.seed, schedule=policy,
+            workload=workload_name, system="metal_ix", scale=scale,
+            schedule=policy,
         )
         for policy in POLICIES
     ]
@@ -226,10 +206,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    workload = build_workload(args.workload, scale=args.scale)
-    print(format_geometry(run_geometry_sweep(workload)))
+    cell = dict(workload_name=args.workload, scale=args.scale)
+    print(format_geometry(run_geometry_sweep(**cell)))
     print()
-    print(format_shared_vs_private(run_shared_vs_private(workload)))
+    print(format_shared_vs_private(run_shared_vs_private(**cell)))
     print()
-    print(format_toggles(run_mechanism_toggles(workload)))
+    print(format_toggles(run_mechanism_toggles(**cell)))
     return 0

@@ -11,7 +11,6 @@ from typing import Any
 
 from repro.bench.format import render_table
 from repro.exec import Executor, RunSpec, default_executor
-from repro.workloads.suite import Workload
 
 
 @dataclass
@@ -24,17 +23,11 @@ def run_adaptivity(
     workload_name: str = "scan",
     scale: float = 0.25,
     num_windows: int = 10,
-    prebuilt: Workload | None = None,
     executor: Executor | None = None,
 ) -> AdaptivityResult:
     executor = executor or default_executor()
-    if prebuilt is not None:
-        executor.seed_workloads([prebuilt])
-        scale, seed = prebuilt.scale, prebuilt.seed
-    else:
-        seed = 0
     spec = RunSpec.make(
-        workload_name, "metal", scale=scale, seed=seed,
+        workload_name, "metal", scale=scale,
         memsys_kwargs={"batch_windows": num_windows, "tune": True},
         collect=("controller_history", "start_levels"),
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.bench.format import render_table
 from repro.exec import Executor, RunSpec, default_executor
-from repro.workloads.suite import PAPER_LABELS, Workload
+from repro.workloads.suite import PAPER_LABELS
 
 DEFAULT_WORKLOADS = (
     "scan", "sets", "spmm", "select", "where", "join", "rtree", "pagerank",
@@ -35,17 +35,12 @@ class BreakdownResult:
 def run_breakdown(
     workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
     scale: float = 0.25,
-    prebuilt: dict[str, Workload] | None = None,
     executor: Executor | None = None,
 ) -> list[BreakdownResult]:
     executor = executor or default_executor()
-    executor.seed_workloads(prebuilt)
     specs: list[RunSpec] = []
     for name in workloads:
-        workload = (prebuilt or {}).get(name)
-        cell_scale = workload.scale if workload is not None else scale
-        seed = workload.seed if workload is not None else 0
-        base = dict(workload=name, scale=cell_scale, seed=seed)
+        base = dict(workload=name, scale=scale)
         specs.append(RunSpec(system="stream", **base))
         specs.append(RunSpec(system="metal_ix", **base))
         specs.append(RunSpec.make(
@@ -90,7 +85,6 @@ def run_attribution(
     workloads: tuple[str, ...] = ATTRIBUTION_WORKLOADS,
     systems: tuple[str, ...] = ATTRIBUTION_SYSTEMS,
     scale: float = 0.25,
-    prebuilt: dict[str, Workload] | None = None,
     trace_buffer: int = 1 << 22,
     executor: Executor | None = None,
 ) -> list[AttributionResult]:
@@ -103,17 +97,13 @@ def run_attribution(
     walk latency — unless the ring buffer dropped events (``dropped``).
     """
     executor = executor or default_executor()
-    executor.seed_workloads(prebuilt)
     specs: list[RunSpec] = []
     cells: list[tuple[str, str]] = []
     for name in workloads:
-        workload = (prebuilt or {}).get(name)
-        cell_scale = workload.scale if workload is not None else scale
-        seed = workload.seed if workload is not None else 0
         for system in systems:
             cells.append((name, system))
             specs.append(RunSpec.make(
-                name, system, scale=cell_scale, seed=seed,
+                name, system, scale=scale,
                 sim_kwargs={"trace": True, "trace_buffer": trace_buffer},
                 collect=("attribution",),
             ))

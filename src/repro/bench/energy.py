@@ -18,7 +18,7 @@ from repro.core.energy_model import (
 )
 from repro.exec import Executor, RunSpec, default_executor
 from repro.sim.metrics import RunResult
-from repro.workloads.suite import PAPER_LABELS, WORKLOAD_CONFIGS, Workload
+from repro.workloads.suite import PAPER_LABELS, WORKLOAD_CONFIGS
 
 DEFAULT_WORKLOADS = (
     "scan", "sets", "sets_s", "spmm", "spmm_s", "select", "where", "join",
@@ -64,25 +64,18 @@ class EnergyResult:
 def run_energy(
     workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
     scale: float = 0.25,
-    prebuilt: dict[str, Workload] | None = None,
     executor: Executor | None = None,
 ) -> list[EnergyResult]:
     executor = executor or default_executor()
-    executor.seed_workloads(prebuilt)
-    specs: list[RunSpec] = []
-    for name in workloads:
-        workload = (prebuilt or {}).get(name)
-        cell_scale = workload.scale if workload is not None else scale
-        seed = workload.seed if workload is not None else 0
-        specs.extend(
-            RunSpec(workload=name, system=kind, scale=cell_scale, seed=seed)
-            for kind in SYSTEMS
-        )
+    specs = [
+        RunSpec(workload=name, system=kind, scale=scale)
+        for name in workloads
+        for kind in SYSTEMS
+    ]
     folded = executor.run_results(specs)
     results = []
     for i, name in enumerate(workloads):
-        workload = (prebuilt or {}).get(name)
-        config = workload.config if workload is not None else WORKLOAD_CONFIGS[name]
+        config = WORKLOAD_CONFIGS[name]
         runs = dict(zip(SYSTEMS, folded[i * len(SYSTEMS):(i + 1) * len(SYSTEMS)]))
         # One compute op bundle per walk (Table-2 intensity is uniform
         # across a workload's requests).

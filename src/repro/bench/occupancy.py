@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.bench.format import render_table
 from repro.exec import Executor, RunSpec, default_executor
-from repro.workloads.suite import PAPER_LABELS, Workload
+from repro.workloads.suite import PAPER_LABELS
 
 DEFAULT_WORKLOADS = ("scan", "spmm", "sets", "spmm_s")
 
@@ -27,22 +27,18 @@ class OccupancyResult:
 def run_occupancy(
     workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
     scale: float = 0.25,
-    prebuilt: dict[str, Workload] | None = None,
     executor: Executor | None = None,
 ) -> list[OccupancyResult]:
     executor = executor or default_executor()
-    executor.seed_workloads(prebuilt)
     kinds = ("metal_ix", "metal")
-    specs: list[RunSpec] = []
-    for name in workloads:
-        workload = (prebuilt or {}).get(name)
-        cell_scale = workload.scale if workload is not None else scale
-        seed = workload.seed if workload is not None else 0
-        for kind in kinds:
-            specs.append(RunSpec.make(
-                name, kind, scale=cell_scale, seed=seed,
-                collect=("occupancy_by_level", "index_heights"),
-            ))
+    specs = [
+        RunSpec.make(
+            name, kind, scale=scale,
+            collect=("occupancy_by_level", "index_heights"),
+        )
+        for name in workloads
+        for kind in kinds
+    ]
     outcomes = executor.run(specs)
     results = []
     for i, name in enumerate(workloads):

@@ -4,7 +4,9 @@ Usage::
 
     python -m repro report [--scale 0.25] [--out report.txt]
 
-Workloads are built once per scale and shared across experiments.
+Every cell names its workload by registry name and scale; the exec
+worker's memo (:func:`repro.exec.get_workload`) builds each one once per
+process and shares it across experiments.
 
 Regression baselines: ``--baseline [PATH] --write-baseline`` stores the
 per-figure key metrics (Fig. 18 speedups, headline ratios, Table-3
@@ -26,7 +28,7 @@ from repro.bench import speedup as speedup_mod
 from repro.bench import summary as summary_mod
 from repro.bench import sweep, tables, tagmatch, trends
 from repro.cmdline import positive_float, report_problems
-from repro.exec import ExecError, Executor, ResultStore
+from repro.exec import ExecError, Executor, ResultStore, get_workload
 from repro.workloads.suite import WORKLOAD_BUILDERS, build_workload
 
 
@@ -48,9 +50,6 @@ def generate_report(
     started = time.time()
     own_executor = executor is None
     executor = executor or Executor(jobs=1)
-    prebuilt = {
-        name: build_workload(name, scale=scale) for name in WORKLOAD_BUILDERS
-    }
 
     def add(title: str, body: str) -> None:
         sections.append(f"{'=' * 72}\n{title}\n{'=' * 72}\n{body}\n")
@@ -63,18 +62,21 @@ def generate_report(
             add(f"{getattr(block, '__name__', 'section')} FAILED", str(exc))
 
     add("Fig. 7", tagmatch.format_fig7(tagmatch.run_tagmatch()))
-    add("Table 2", tables.format_table2(list(prebuilt.values())))
+    # Table 2 fills the worker memo before any cell runs, so a pool forked
+    # later inherits every build.
+    add("Table 2", tables.format_table2(
+        [get_workload(name, scale) for name in WORKLOAD_BUILDERS]))
 
     def figs_15_17() -> None:
         trend_results = trends.run_trends(
-            scale=scale, prebuilt=prebuilt, executor=executor)
+            scale=scale, executor=executor)
         add("Fig. 15", trends.format_fig15(trend_results))
         add("Fig. 16", trends.format_fig16(trend_results))
         add("Fig. 17", trends.format_fig17(trend_results))
 
     def fig_18() -> None:
         speedup_results = speedup_mod.run_speedups(
-            scale=scale, prebuilt=prebuilt, executor=executor)
+            scale=scale, executor=executor)
         add("Fig. 18", speedup_mod.format_fig18(speedup_results))
         if collect_json is not None:
             collect_json["fig18"] = {
@@ -86,38 +88,35 @@ def generate_report(
 
     def figs_19_25() -> None:
         energy_results = energy.run_energy(
-            scale=scale, prebuilt=prebuilt, executor=executor)
+            scale=scale, executor=executor)
         add("Fig. 19", energy.format_fig19(energy_results))
         add("Fig. 25", energy.format_fig25(energy_results))
 
     def fig_20() -> None:
         add("Fig. 20", breakdown.format_fig20(
             breakdown.run_breakdown(
-                scale=scale, prebuilt=prebuilt, executor=executor)))
+                scale=scale, executor=executor)))
 
     def attribution() -> None:
         add("Cycle attribution", breakdown.format_attribution(
             breakdown.run_attribution(
-                scale=scale, prebuilt=prebuilt, executor=executor)))
+                scale=scale, executor=executor)))
 
     def fig_21() -> None:
         add("Fig. 21", occupancy.format_fig21(
             occupancy.run_occupancy(
-                scale=scale, prebuilt=prebuilt, executor=executor)))
+                scale=scale, executor=executor)))
 
     def fig_22() -> None:
         add("Fig. 22", adaptivity.format_fig22(
-            adaptivity.run_adaptivity(
-                scale=scale, prebuilt=prebuilt.get("scan"),
-                executor=executor)))
+            adaptivity.run_adaptivity(scale=scale, executor=executor)))
 
     def figs_23_24() -> None:
         scaling_result = scaling.run_scaling(executor=executor)
         add("Fig. 23a", scaling.format_fig23a(scaling_result.records_sweep))
         add("Fig. 23b", scaling.format_fig23b(scaling_result.depth_sweep))
         add("Fig. 24", sweep.format_fig24(
-            sweep.run_sweep(scale=scale, prebuilt=prebuilt,
-                            executor=executor)))
+            sweep.run_sweep(scale=scale, executor=executor)))
 
     def table_3() -> None:
         table3 = summary_mod.run_summary(scale=scale, executor=executor)

@@ -15,7 +15,9 @@ from repro.bench.format import render_table
 from repro.cmdline import add_workload, positive_float
 
 from repro.core.ix_cache import block_bits_for
-from repro.params import CacheParams, IXCACHE_ENERGY_FJ, SimParams
+from repro.params import (
+    ADDRESS_CACHE_ENERGY_FJ, CacheParams, IXCACHE_ENERGY_FJ, SimParams,
+)
 from repro.sim.memsys import MemorySystem, make_memsys
 from repro.sim.metrics import RunResult, simulate
 from repro.workloads.suite import Workload
@@ -50,7 +52,7 @@ def reject_unknown_systems(kinds) -> bool:
 
 
 def cache_params_for(kind: str, cache_bytes: int, ways: int = 16, banks: int = 16) -> CacheParams:
-    energy = IXCACHE_ENERGY_FJ if kind.startswith("metal") else 7_000.0
+    energy = IXCACHE_ENERGY_FJ if kind.startswith("metal") else ADDRESS_CACHE_ENERGY_FJ
     return CacheParams(
         capacity_bytes=cache_bytes, ways=ways, banks=banks, e_access=energy
     )
@@ -149,29 +151,25 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Run one workload across memory systems, with latency percentiles."""
-    from repro.exec import Executor, RunSpec
-    from repro.workloads.suite import build_workload
+    from repro.exec import Executor, RunSpec, get_workload
 
     kinds = tuple(args.systems.split(",")) if args.systems else SYSTEMS
     if reject_unknown_systems(kinds):
         return 2
     workload_kwargs = {"backend": args.backend} if args.backend else {}
-    workload = build_workload(
-        args.workload, scale=args.scale, seed=args.seed, **workload_kwargs
+    workload = get_workload(
+        args.workload, args.scale, args.seed, **workload_kwargs
     )
     print(f"{workload.name}: {workload.notes}")
     specs = [
-        RunSpec(
-            workload=workload.name, system=kind, scale=workload.scale,
-            seed=workload.seed,
+        RunSpec.make(
+            args.workload, kind, scale=args.scale, seed=args.seed,
             cache_bytes=args.cache_kb * 1024 if args.cache_kb else None,
-            record_latencies=True,
-            workload_kwargs=tuple(sorted(workload_kwargs.items())),
+            record_latencies=True, workload_kwargs=workload_kwargs,
         )
         for kind in kinds
     ]
     with Executor(jobs=args.jobs) as executor:
-        executor.seed_workloads([workload])
         results = dict(zip(kinds, executor.run_results(specs)))
     base = results.get("stream") or next(iter(results.values()))
     rows = []

@@ -84,7 +84,7 @@ def run_depth_sweep(
     return cells
 
 
-def run_scaling(executor: Executor | None = None, **kw) -> ScalingResult:
+def run_scaling(executor: Executor | None = None) -> ScalingResult:
     return ScalingResult(
         records_sweep=run_records_sweep(executor=executor),
         depth_sweep=run_depth_sweep(executor=executor),

@@ -14,7 +14,7 @@ from repro.bench.format import geomean, render_bars, render_table
 from repro.bench.runner import SYSTEMS
 from repro.exec import Executor, RunSpec, default_executor
 from repro.sim.metrics import RunResult
-from repro.workloads.suite import PAPER_LABELS, WORKLOAD_BUILDERS, Workload
+from repro.workloads.suite import PAPER_LABELS, WORKLOAD_BUILDERS
 
 ALL_WORKLOADS = tuple(WORKLOAD_BUILDERS)
 
@@ -32,20 +32,14 @@ class SpeedupResult:
 def run_speedups(
     workloads: tuple[str, ...] = ALL_WORKLOADS,
     scale: float = 0.25,
-    prebuilt: dict[str, Workload] | None = None,
     executor: Executor | None = None,
 ) -> list[SpeedupResult]:
     executor = executor or default_executor()
-    executor.seed_workloads(prebuilt)
-    specs: list[RunSpec] = []
-    for name in workloads:
-        workload = (prebuilt or {}).get(name)
-        cell_scale = workload.scale if workload is not None else scale
-        seed = workload.seed if workload is not None else 0
-        specs.extend(
-            RunSpec(workload=name, system=kind, scale=cell_scale, seed=seed)
-            for kind in SYSTEMS
-        )
+    specs = [
+        RunSpec(workload=name, system=kind, scale=scale)
+        for name in workloads
+        for kind in SYSTEMS
+    ]
     folded = executor.run_results(specs)
     results = []
     for i, name in enumerate(workloads):

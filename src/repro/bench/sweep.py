@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.bench.format import render_table
 from repro.exec import Executor, RunSpec, default_executor
-from repro.workloads.suite import PAPER_LABELS, Workload
+from repro.workloads.suite import PAPER_LABELS
 
 DEFAULT_WORKLOADS = ("join", "spmm", "rtree")
 DEFAULT_TILES = (4, 8, 16, 32)
@@ -47,27 +47,21 @@ def run_sweep(
     caches: tuple[int, ...] = DEFAULT_CACHES,
     scale: float = 0.25,
     base_tiles: int = 4,
-    prebuilt: dict[str, Workload] | None = None,
     executor: Executor | None = None,
 ) -> list[SweepCell]:
     """Normalized speedup grid; base = small-tile streaming DSA."""
     executor = executor or default_executor()
-    executor.seed_workloads(prebuilt)
     specs: list[RunSpec] = []
     grid: list[tuple[str, int, int]] = []
     for name in workloads:
-        workload = (prebuilt or {}).get(name)
-        cell_scale = workload.scale if workload is not None else scale
-        seed = workload.seed if workload is not None else 0
         specs.append(RunSpec(
-            workload=name, system="stream", scale=cell_scale, seed=seed,
-            tiles=base_tiles,
+            workload=name, system="stream", scale=scale, tiles=base_tiles,
         ))
         grid.append((name, base_tiles, 0))
         for tile_count in tiles:
             for cache_bytes in caches:
                 specs.append(RunSpec(
-                    workload=name, system="metal", scale=cell_scale, seed=seed,
+                    workload=name, system="metal", scale=scale,
                     tiles=tile_count, cache_bytes=cache_bytes,
                 ))
                 grid.append((name, tile_count, cache_bytes))

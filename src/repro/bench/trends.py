@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.bench.format import render_table
 from repro.exec import Executor, RunSpec, default_executor
 from repro.sim.metrics import RunResult
-from repro.workloads.suite import PAPER_LABELS, Workload
+from repro.workloads.suite import PAPER_LABELS
 
 #: Organizations of Figs. 15-17, plus the 16x FA cache of Observation 6.
 TREND_SYSTEMS = ("fa_opt", "xcache", "metal_ix", "metal")
@@ -41,29 +41,20 @@ def run_trends(
     workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
     scale: float = 0.25,
     big_factor: int = 16,
-    prebuilt: dict[str, Workload] | None = None,
     executor: Executor | None = None,
 ) -> list[TrendResult]:
     """Run the Fig. 15-17 comparison; includes the big FA address cache."""
     executor = executor or default_executor()
-    executor.seed_workloads(prebuilt)
     cell_systems = (*TREND_SYSTEMS, "fa_big", "stream")
     specs: list[RunSpec] = []
     for name in workloads:
-        workload = (prebuilt or {}).get(name)
-        cell_scale = workload.scale if workload is not None else scale
-        seed = workload.seed if workload is not None else 0
         for kind in TREND_SYSTEMS:
-            specs.append(
-                RunSpec(workload=name, system=kind, scale=cell_scale, seed=seed)
-            )
+            specs.append(RunSpec(workload=name, system=kind, scale=scale))
         specs.append(RunSpec(
-            workload=name, system="fa_opt", scale=cell_scale, seed=seed,
+            workload=name, system="fa_opt", scale=scale,
             cache_factor=big_factor,
         ))
-        specs.append(
-            RunSpec(workload=name, system="stream", scale=cell_scale, seed=seed)
-        )
+        specs.append(RunSpec(workload=name, system="stream", scale=scale))
     folded = executor.run_results(specs)
     results = []
     stride = len(cell_systems)

@@ -5,6 +5,8 @@
   fan-out (``jobs``), and structured failure capture.
 * :class:`ResultStore` — content-addressed on-disk cache keyed by spec
   digest + code version.
+* :func:`get_workload` — the per-process memo of built registry
+  workloads that every cell (and any caller needing a built one) reads.
 """
 
 from repro.exec.executor import (
@@ -17,6 +19,7 @@ from repro.exec.executor import (
 )
 from repro.exec.spec import RunSpec, code_version
 from repro.exec.store import ResultStore, default_cache_dir
+from repro.exec.worker import get_workload
 
 __all__ = [
     "ExecError",
@@ -28,5 +31,6 @@ __all__ = [
     "code_version",
     "default_cache_dir",
     "default_executor",
+    "get_workload",
     "resolve_jobs",
 ]

@@ -188,15 +188,16 @@ class Executor:
         return [outcome.require() for outcome in self.run(specs)]
 
     def seed_workloads(
-        self, workloads: Iterable[Workload] | dict[str, Workload] | None
+        self, workloads: Iterable[Workload] | dict[str, Workload]
     ) -> None:
-        """Donate prebuilt registry workloads to the worker memo.
+        """Donate registry workloads built elsewhere to the worker memo.
 
-        Serial runs reuse them directly; a forked pool inherits them
-        copy-on-write (the pool is created lazily, after seeding).
+        For the benchmark harness (which times builds apart from runs)
+        and tests; bench code names cells by workload and scale and lets
+        :func:`repro.exec.worker.get_workload` build. Serial runs reuse
+        them directly; a forked pool created later inherits them
+        copy-on-write.
         """
-        if workloads is None:
-            return
         if isinstance(workloads, dict):
             workloads = workloads.values()
         for workload in workloads:

@@ -9,10 +9,17 @@ caller byte-identical data: parallelism and caching cannot change a
 single reported number.
 
 Workloads are built worker-side from the spec (registry name + scale +
-seed + builder kwargs) and memoized per process with a small LRU;
-:func:`seed_workload` lets a caller that already built a workload (the
-report's Table-2 prebuilds, test fixtures) donate it to the in-process
-memo. With a forked pool the memo is inherited copy-on-write.
+seed + builder kwargs) and memoized per process with a small LRU.
+:func:`get_workload` is that memo's only entrance for code that needs a
+built registry workload, in a worker or in the calling process (the
+report's Table 2, ``compare``'s notes line, the ablation's
+shared-vs-private sizing, the serving tile model), so
+each (name, scale, seed, kwargs) key is built once per process. With a
+forked pool the memo is inherited copy-on-write.
+
+:func:`seed_workload` donates a workload built elsewhere; it is for the
+benchmark harness, which times the build apart from the simulation, and
+for tests.
 """
 
 from __future__ import annotations
@@ -60,14 +67,15 @@ def _remember(key: tuple, workload: Workload) -> None:
         _WORKLOAD_MEMO.popitem(last=False)
 
 
-def _get_workload(spec: RunSpec) -> Workload:
-    key = _memo_key(spec.workload, spec.scale, spec.seed, spec.workload_kwargs)
+def get_workload(
+    name: str, scale: float, seed: int = 0, **builder_kwargs: Any
+) -> Workload:
+    """The registry workload ``name`` at ``scale``/``seed``, built once
+    per process and memoized by (name, scale, seed, builder kwargs)."""
+    key = _memo_key(name, scale, seed, tuple(sorted(builder_kwargs.items())))
     workload = _WORKLOAD_MEMO.get(key)
     if workload is None:
-        workload = build_workload(
-            spec.workload, scale=spec.scale, seed=spec.seed,
-            **dict(spec.workload_kwargs),
-        )
+        workload = build_workload(name, scale=scale, seed=seed, **builder_kwargs)
         _remember(key, workload)
     else:
         _WORKLOAD_MEMO.move_to_end(key)
@@ -124,7 +132,8 @@ def _load_trace_requests(spec: RunSpec, workload: Workload) -> list:
 
 
 def _execute_run(spec: RunSpec) -> dict[str, Any]:
-    workload = _get_workload(spec)
+    workload = get_workload(
+        spec.workload, spec.scale, spec.seed, **dict(spec.workload_kwargs))
     config = workload.config
     sim = (config.scaled(spec.tiles) if spec.tiles else config).sim_params()
     if spec.sim_kwargs:

@@ -8,7 +8,7 @@ memory-system models can cache it.
 """
 
 from repro.indexes.adjacency import AdjacencyList
-from repro.indexes.base import IndexNode, WalkableIndex
+from repro.indexes.base import IndexNode
 from repro.indexes.bplustree import BPlusTree
 from repro.indexes.fiber import FiberMatrix
 from repro.indexes.pagetable import RadixPageTable
@@ -34,5 +34,4 @@ __all__ = [
     "SoANode",
     "SoARecordTable",
     "SortedSet",
-    "WalkableIndex",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Sequence
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 from repro.mem.layout import Allocator
 from repro.params import KEY_BYTES, PTR_BYTES
@@ -112,23 +112,6 @@ def _branch_index(separators: Sequence[Any], key: Any) -> int:
         else:
             lo = mid + 1
     return lo
-
-
-@runtime_checkable
-class WalkableIndex(Protocol):
-    """What the walkers and cache models need from any index."""
-
-    allocator: Allocator
-
-    @property
-    def root(self) -> IndexNode: ...
-
-    @property
-    def height(self) -> int: ...
-
-    def walk(self, key: Any) -> list[IndexNode]: ...
-
-    def nodes(self) -> Iterator[IndexNode]: ...
 
 
 def assign_addresses(nodes: Iterator[IndexNode], allocator: Allocator) -> int:

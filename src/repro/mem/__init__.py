@@ -10,14 +10,13 @@ fetch (``repro.sim.memsys.StreamingMemSys``).
 from repro.mem.address_cache import AddressCache
 from repro.mem.dram import DRAM
 from repro.mem.layout import Allocator, Region
-from repro.mem.opt_cache import BeladyCache, belady_hit_flags
+from repro.mem.opt_cache import belady_hit_flags
 from repro.mem.stats import CacheStats, DRAMStats
 from repro.mem.xcache import XCache
 
 __all__ = [
     "AddressCache",
     "Allocator",
-    "BeladyCache",
     "CacheStats",
     "DRAM",
     "DRAMStats",

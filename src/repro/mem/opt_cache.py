@@ -2,12 +2,9 @@
 
 The paper's Section 5.1 compares against "a fully-associative address cache
 with OPT policy (FA-OPT)" to show that address caches are limited by working
-set, not policy. OPT needs the future, so we provide:
-
-* :func:`belady_hit_flags` — offline two-pass computation of the hit/miss
-  flag per access of a block trace;
-* :class:`BeladyCache` — an online-looking wrapper that replays those flags
-  while keeping normal :class:`CacheStats`.
+set, not policy. OPT needs the future, so :func:`belady_hit_flags` is an
+offline two-pass computation of the hit/miss flag per access of a block
+trace; ``repro.sim.memsys.FAOPTMemSys`` replays those flags walk by walk.
 """
 
 from __future__ import annotations
@@ -15,9 +12,6 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from collections.abc import Sequence
-
-from repro.mem.stats import CacheStats
-from repro.params import CacheParams
 
 
 def belady_hit_flags(trace: Sequence[int], capacity_blocks: int) -> list[bool]:
@@ -59,34 +53,3 @@ def belady_hit_flags(trace: Sequence[int], capacity_blocks: int) -> list[bool]:
             resident.add(block)
         heapq.heappush(heap, (-upcoming, block))
     return flags
-
-
-class BeladyCache:
-    """Replay wrapper exposing the same probe interface as AddressCache.
-
-    Construct it from the *complete* block trace the workload will issue,
-    then call :meth:`lookup` in exactly that order.
-    """
-
-    def __init__(self, trace: Sequence[int], params: CacheParams | None = None) -> None:
-        self.params = params or CacheParams()
-        self.stats = CacheStats()
-        self._flags = belady_hit_flags(list(trace), self.params.entries)
-        self._cursor = 0
-        self._trace = list(trace)
-
-    def lookup(self, block: int) -> bool:
-        if self._cursor >= len(self._flags):
-            raise IndexError("BeladyCache replayed past the recorded trace")
-        expected = self._trace[self._cursor]
-        if block != expected:
-            raise ValueError(
-                f"BeladyCache trace divergence at access {self._cursor}: "
-                f"expected block {expected}, got {block}"
-            )
-        hit = self._flags[self._cursor]
-        self._cursor += 1
-        self.stats.record(hit)
-        if not hit:
-            self.stats.insertions += 1
-        return hit

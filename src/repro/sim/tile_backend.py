@@ -91,12 +91,10 @@ def build_service_model(
         return model
 
     from repro.bench.runner import build_memsys
-    from repro.exec.spec import RunSpec
-    from repro.exec.worker import _get_workload
+    from repro.exec.worker import get_workload
     from repro.sim.metrics import simulate
 
-    spec = RunSpec(workload=workload, system=system, scale=scale, seed=seed)
-    built = _get_workload(spec)
+    built = get_workload(workload, scale, seed)
     memsys = build_memsys(system, built, None, built.config.sim_params())
     result = simulate(
         memsys, built.requests, memsys.sim, built.total_index_blocks,

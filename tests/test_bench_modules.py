@@ -4,14 +4,14 @@ import pytest
 
 from repro.bench import adaptivity, breakdown, occupancy, seeds, speedup, summary, trends
 from repro.bench.runner import SYSTEMS, build_memsys, run_workload
-from repro.workloads.suite import build_workload
+from repro.exec import get_workload
 
 SCALE = 0.05
 
 
 @pytest.fixture(scope="module")
 def tiny_workloads():
-    return {name: build_workload(name, scale=SCALE) for name in ("scan", "spmm")}
+    return {name: get_workload(name, SCALE) for name in ("scan", "spmm")}
 
 
 class TestRunner:
@@ -35,8 +35,8 @@ class TestRunner:
 
 
 class TestTrends:
-    def test_run_and_format(self, tiny_workloads):
-        results = trends.run_trends(("scan",), prebuilt=tiny_workloads)
+    def test_run_and_format(self):
+        results = trends.run_trends(("scan",), scale=SCALE)
         assert len(results) == 1
         for fmt in (trends.format_fig15, trends.format_fig16, trends.format_fig17):
             out = fmt(results)
@@ -44,8 +44,8 @@ class TestTrends:
 
 
 class TestSpeedup:
-    def test_run_and_headline(self, tiny_workloads):
-        results = speedup.run_speedups(("scan",), prebuilt=tiny_workloads)
+    def test_run_and_headline(self):
+        results = speedup.run_speedups(("scan",), scale=SCALE)
         ratios = speedup.headline_ratios(results)
         assert set(ratios) == {"stream", "address", "xcache", "metal_ix"}
         assert all(v > 0 for v in ratios.values())
@@ -53,18 +53,18 @@ class TestSpeedup:
 
 
 class TestBreakdownOccupancyAdaptivity:
-    def test_breakdown(self, tiny_workloads):
-        results = breakdown.run_breakdown(("scan",), prebuilt=tiny_workloads)
+    def test_breakdown(self):
+        results = breakdown.run_breakdown(("scan",), scale=SCALE)
         assert results[0].ix > 0
         assert "IX only" in breakdown.format_fig20(results)
 
-    def test_occupancy(self, tiny_workloads):
-        results = occupancy.run_occupancy(("scan",), prebuilt=tiny_workloads)
+    def test_occupancy(self):
+        results = occupancy.run_occupancy(("scan",), scale=SCALE)
         assert "metal" in results[0].by_level
         assert "L0" in occupancy.format_fig21(results)
 
-    def test_adaptivity(self, tiny_workloads):
-        result = adaptivity.run_adaptivity(prebuilt=tiny_workloads["scan"])
+    def test_adaptivity(self):
+        result = adaptivity.run_adaptivity(scale=SCALE)
         assert result.windows
         assert "window" in adaptivity.format_fig22(result)
 
@@ -122,3 +122,48 @@ class TestReport:
         assert payload["headline"]["stream"] > 1.0
         scan = payload["fig18"]["scan"]
         assert scan["metal"]["num_walks"] > 0
+
+
+class TestOneBuildPerWorkload:
+    """Cells name their workload by (name, scale); the exec worker's memo
+    is the one place a built registry workload lives."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from collections import Counter
+
+        from repro.exec import worker
+        from repro.workloads import suite
+
+        counts: Counter = Counter()
+        real = suite.build_workload
+
+        def counting(name, scale=1.0, seed=0, **kwargs):
+            counts[name] += 1
+            return real(name, scale=scale, seed=seed, **kwargs)
+
+        monkeypatch.setattr(worker, "build_workload", counting)
+        monkeypatch.setattr(suite, "build_workload", counting)
+        worker.clear_workload_memo()
+        yield counts
+        worker.clear_workload_memo()
+
+    def test_figure_grids_share_one_build(self, builds):
+        from repro.exec import Executor
+
+        # A private executor: the shared default one may already hold
+        # these cells' outcomes from other tests, and would build nothing.
+        executor = Executor(jobs=1)
+        speedup.run_speedups(("scan",), scale=0.02, executor=executor)
+        trends.run_trends(("scan",), scale=0.02, executor=executor)
+        occupancy.run_occupancy(("scan",), scale=0.02, executor=executor)
+        assert builds == {"scan": 1}
+
+    def test_compare_with_backend_builds_once(self, builds, capsys):
+        from repro.cli import main as cli_main
+
+        rc = cli_main(["compare", "scan", "--scale", "0.02", "--backend",
+                       "soa", "--systems", "stream,metal"])
+        assert rc == 0
+        assert "scan:" in capsys.readouterr().out
+        assert builds == {"scan": 1}

@@ -31,7 +31,8 @@ from repro.bench import (
 )
 from repro.bench import speedup as speedup_mod
 from repro.bench import summary as summary_mod
-from repro.workloads.suite import WORKLOAD_BUILDERS, build_workload
+from repro.exec import get_workload
+from repro.workloads.suite import WORKLOAD_BUILDERS
 
 SCALE = 0.01
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -58,20 +59,13 @@ def assert_rows(text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def workloads():
-    return {
-        name: build_workload(name, scale=SCALE) for name in WORKLOAD_BUILDERS
-    }
+def trend_results():
+    return trends.run_trends(scale=SCALE)
 
 
 @pytest.fixture(scope="module")
-def trend_results(workloads):
-    return trends.run_trends(scale=SCALE, prebuilt=workloads)
-
-
-@pytest.fixture(scope="module")
-def energy_results(workloads):
-    return energy.run_energy(scale=SCALE, prebuilt=workloads)
+def energy_results():
+    return energy.run_energy(scale=SCALE)
 
 
 @smokes("bench_fig07_tagmatch")
@@ -80,8 +74,9 @@ def test_fig07_tagmatch():
 
 
 @smokes("bench_table2_workloads")
-def test_table2_workloads(workloads):
-    assert_rows(tables.format_table2(list(workloads.values())))
+def test_table2_workloads():
+    assert_rows(tables.format_table2(
+        [get_workload(name, SCALE) for name in WORKLOAD_BUILDERS]))
 
 
 @smokes("bench_fig15_missrate")
@@ -100,8 +95,8 @@ def test_fig17_walklatency(trend_results):
 
 
 @smokes("bench_fig18_speedup")
-def test_fig18_speedup(workloads):
-    results = speedup_mod.run_speedups(scale=SCALE, prebuilt=workloads)
+def test_fig18_speedup():
+    results = speedup_mod.run_speedups(scale=SCALE)
     assert_rows(speedup_mod.format_fig18(results))
 
 
@@ -116,20 +111,20 @@ def test_fig25_cache_energy(energy_results):
 
 
 @smokes("bench_fig20_breakdown")
-def test_fig20_breakdown(workloads):
-    results = breakdown.run_breakdown(scale=SCALE, prebuilt=workloads)
+def test_fig20_breakdown():
+    results = breakdown.run_breakdown(scale=SCALE)
     assert_rows(breakdown.format_fig20(results))
 
 
 @smokes("bench_fig21_occupancy")
-def test_fig21_occupancy(workloads):
-    results = occupancy.run_occupancy(scale=SCALE, prebuilt=workloads)
+def test_fig21_occupancy():
+    results = occupancy.run_occupancy(scale=SCALE)
     assert_rows(occupancy.format_fig21(results))
 
 
 @smokes("bench_fig22_adaptivity")
-def test_fig22_adaptivity(workloads):
-    result = adaptivity.run_adaptivity(scale=SCALE, prebuilt=workloads["scan"])
+def test_fig22_adaptivity():
+    result = adaptivity.run_adaptivity(scale=SCALE)
     assert_rows(adaptivity.format_fig22(result))
 
 
@@ -142,10 +137,10 @@ def test_fig23_scaling():
 
 
 @smokes("bench_fig24_sweep")
-def test_fig24_sweep(workloads):
+def test_fig24_sweep():
     cells = sweep.run_sweep(
         workloads=("join",), tiles=(4, 8), caches=(2 * 1024, 8 * 1024),
-        scale=SCALE, prebuilt=workloads,
+        scale=SCALE,
     )
     assert_rows(sweep.format_fig24(cells))
 
@@ -185,14 +180,15 @@ def test_ext_dynamic():
 
 
 @smokes("bench_ablation")
-def test_ablation(workloads):
-    scan = workloads["scan"]
+def test_ablation():
+    scan = dict(workload_name="scan", scale=SCALE)
     assert_rows(ablation.format_geometry(
-        ablation.run_geometry_sweep(scan, ways_options=(1, 4))))
+        ablation.run_geometry_sweep(ways_options=(1, 4), **scan)))
     assert_rows(ablation.format_shared_vs_private(
-        ablation.run_shared_vs_private(scan, partitions=4)))
-    assert_rows(ablation.format_toggles(ablation.run_mechanism_toggles(scan)))
-    assert_rows(ablation.format_scheduling(ablation.run_scheduling(scan)))
+        ablation.run_shared_vs_private(partitions=4, **scan)))
+    assert_rows(ablation.format_toggles(
+        ablation.run_mechanism_toggles(**scan)))
+    assert_rows(ablation.format_scheduling(ablation.run_scheduling(**scan)))
 
 
 @smokes("bench_table3_summary")

@@ -9,6 +9,7 @@ from repro.bench.ablation import (
 )
 from repro.bench.runner import run_workload
 from repro.cli import main as cli_main
+from repro.exec import get_workload
 from repro.workloads.suite import build_workload
 from repro.workloads.trace_io import load_trace, save_trace, workload_index_names
 
@@ -18,29 +19,29 @@ SCALE = 0.06
 
 @pytest.fixture(scope="module")
 def scan_workload():
-    return build_workload("scan", scale=SCALE)
+    return get_workload("scan", SCALE)
 
 
 class TestGeometryAblation:
-    def test_more_ways_not_worse(self, scan_workload):
-        results = run_geometry_sweep(scan_workload, ways_options=(1, 16))
+    def test_more_ways_not_worse(self):
+        results = run_geometry_sweep(ways_options=(1, 16), scale=SCALE)
         assert results[16].makespan <= results[1].makespan * 1.05
 
-    def test_all_ways_run(self, scan_workload):
-        results = run_geometry_sweep(scan_workload, ways_options=(4, 8))
+    def test_all_ways_run(self):
+        results = run_geometry_sweep(ways_options=(4, 8), scale=SCALE)
         assert set(results) == {4, 8}
 
 
 class TestSharedVsPrivate:
-    def test_shared_has_better_hit_rate(self, scan_workload):
-        result = run_shared_vs_private(scan_workload, partitions=4)
+    def test_shared_has_better_hit_rate(self):
+        result = run_shared_vs_private(partitions=4, scale=SCALE)
         shared_hit = result.shared.cache_stats.hit_rate
         assert shared_hit >= result.private_hit_rate
 
 
 class TestMechanismToggles:
-    def test_all_configs_run(self, scan_workload):
-        results = run_mechanism_toggles(scan_workload)
+    def test_all_configs_run(self):
+        results = run_mechanism_toggles(scale=SCALE)
         labels = {r.label for r in results}
         assert "metal (default)" in labels
         assert "address + prefetch" in labels

@@ -15,9 +15,7 @@ SCALE = 0.12
 
 @pytest.fixture(scope="module")
 def trends():
-    prebuilt = {"scan": build_workload("scan", scale=SCALE),
-                "join": build_workload("join", scale=SCALE)}
-    return run_trends(("scan", "join"), scale=SCALE, prebuilt=prebuilt)
+    return run_trends(("scan", "join"), scale=SCALE)
 
 
 class TestObservation1:

@@ -1,12 +1,8 @@
 """Tests for Belady-OPT replacement, including optimality properties."""
 
-import random
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mem.opt_cache import BeladyCache, belady_hit_flags
-from repro.params import BLOCK_SIZE, CacheParams
+from repro.mem.opt_cache import belady_hit_flags
 
 
 def lru_hits(trace, capacity):
@@ -81,41 +77,3 @@ class TestBeladyFlags:
             if block not in seen:
                 assert flag is False
                 seen.add(block)
-
-
-class TestBeladyCache:
-    def params(self, entries):
-        return CacheParams(capacity_bytes=entries * BLOCK_SIZE)
-
-    def test_replay_matches_flags(self):
-        trace = [1, 2, 1, 3, 2, 1]
-        cache = BeladyCache(trace, self.params(2))
-        flags = belady_hit_flags(trace, 2)
-        assert [cache.lookup(b) for b in trace] == flags
-
-    def test_divergent_replay_rejected(self):
-        cache = BeladyCache([1, 2], self.params(2))
-        cache.lookup(1)
-        with pytest.raises(ValueError):
-            cache.lookup(99)
-
-    def test_overrun_rejected(self):
-        cache = BeladyCache([1], self.params(2))
-        cache.lookup(1)
-        with pytest.raises(IndexError):
-            cache.lookup(1)
-
-    def test_stats_recorded(self):
-        trace = [5, 5, 5]
-        cache = BeladyCache(trace, self.params(4))
-        for b in trace:
-            cache.lookup(b)
-        assert cache.stats.accesses == 3
-        assert cache.stats.hits == 2
-
-    def test_random_trace_consistency(self):
-        rng = random.Random(7)
-        trace = [rng.randrange(30) for _ in range(300)]
-        cache = BeladyCache(trace, self.params(8))
-        hits = sum(cache.lookup(b) for b in trace)
-        assert hits == sum(belady_hit_flags(trace, 8))

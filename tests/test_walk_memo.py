@@ -20,9 +20,9 @@ import pytest
 from repro.bench.runner import SYSTEMS, build_memsys, cache_params_for
 from repro.exec import RunSpec
 from repro.exec.worker import (
-    _get_workload,
     clear_workload_memo,
     execute_spec,
+    get_workload,
     seed_workload,
 )
 from repro.mem.opt_cache import belady_hit_flags
@@ -129,7 +129,7 @@ def test_sliced_and_scheduled_specs_share_the_memo(system):
     _run(workload, "stream", workload.walks)
     size = len(workload.walks)
     try:
-        assert _get_workload(spec) is workload
+        assert get_workload("scan", SCALE) is workload
         warm = execute_spec(spec)
     finally:
         clear_workload_memo()
