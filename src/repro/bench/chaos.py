@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.bench.format import render_table
 from repro.bench.runner import reject_unknown_systems
 from repro.cmdline import (
+    add_jobs,
     add_workload,
     float_list,
     positive_float,
@@ -222,8 +223,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rates", type=float_list(0.0, 1.0, closed=True),
                         default=DEFAULT_RATES,
                         help="comma-separated per-opportunity fault rates")
-    parser.add_argument("--jobs", type=str, default="1",
-                        help="worker processes: a number or 'auto'")
+    add_jobs(parser)
 
 
 def run(args: argparse.Namespace) -> int:

@@ -31,7 +31,7 @@ from typing import Any
 from repro import gate
 from repro.bench.format import render_table
 from repro.bench.runner import cache_params_for
-from repro.cmdline import name_list, positive_float
+from repro.cmdline import add_jobs, name_list, positive_float
 from repro.core.policy import POLICIES, make_policy, tag_energy_fj
 from repro.exec.executor import Executor
 from repro.exec.spec import RunSpec
@@ -231,7 +231,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         default=DEFAULT_WORKLOADS)
     parser.add_argument("--scale", type=positive_float, default=0.01)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", default="1")
+    add_jobs(parser)
     parser.add_argument("--system", default=DEFAULT_SYSTEM,
                         choices=("metal", "metal_ix"))
     parser.add_argument("--no-tuned", action="store_true",

@@ -27,7 +27,7 @@ from repro.bench import adaptivity, breakdown, energy, occupancy, scaling
 from repro.bench import speedup as speedup_mod
 from repro.bench import summary as summary_mod
 from repro.bench import sweep, tables, tagmatch, trends
-from repro.cmdline import positive_float, report_problems
+from repro.cmdline import add_jobs, positive_float, report_problems
 from repro.exec import ExecError, Executor, ResultStore, get_workload
 from repro.workloads.suite import WORKLOAD_BUILDERS, build_workload
 
@@ -275,9 +275,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="write machine-readable figure data to this file")
     parser.add_argument("--fast", action="store_true",
                         help="skip the slow Fig. 23/24 sweeps")
-    parser.add_argument("--jobs", type=str, default="1",
-                        help="worker processes for simulation cells: a "
-                             "number or 'auto' (all cores); 1 = in-process")
+    add_jobs(parser)
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore the on-disk result cache and recompute "
                              "every cell")

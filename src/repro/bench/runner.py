@@ -12,7 +12,7 @@ import sys
 from typing import Any
 
 from repro.bench.format import render_table
-from repro.cmdline import add_workload, positive_float
+from repro.cmdline import add_jobs, add_workload, positive_float, positive_int
 
 from repro.core.ix_cache import block_bits_for
 from repro.params import (
@@ -141,17 +141,21 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--systems", type=str, default=None,
                         help="comma-separated subset, e.g. stream,metal")
-    parser.add_argument("--cache-kb", type=int, default=None)
+    parser.add_argument("--cache-kb", type=positive_int, default=None)
     parser.add_argument("--backend", choices=("object", "soa"), default=None,
                         help="index storage backend (soa enables batched "
                              "walk generation)")
-    parser.add_argument("--jobs", type=str, default="1",
-                        help="worker processes: a number or 'auto'")
+    add_jobs(parser)
+    parser.add_argument("--replay", type=str, default=None, metavar="TRACE",
+                        help="simulate a captured walk trace (trace_io "
+                             "JSONL, .gz ok) instead of the workload's own "
+                             "requests; give the --scale it was captured at")
 
 
 def run(args: argparse.Namespace) -> int:
     """Run one workload across memory systems, with latency percentiles."""
-    from repro.exec import Executor, RunSpec, get_workload
+    from repro.exec import ExecError, Executor, RunSpec, get_workload
+    from repro.exec.spec import trace_digest
 
     kinds = tuple(args.systems.split(",")) if args.systems else SYSTEMS
     if reject_unknown_systems(kinds):
@@ -161,16 +165,31 @@ def run(args: argparse.Namespace) -> int:
         args.workload, args.scale, args.seed, **workload_kwargs
     )
     print(f"{workload.name}: {workload.notes}")
-    specs = [
-        RunSpec.make(
-            args.workload, kind, scale=args.scale, seed=args.seed,
-            cache_bytes=args.cache_kb * 1024 if args.cache_kb else None,
-            record_latencies=True, workload_kwargs=workload_kwargs,
-        )
-        for kind in kinds
-    ]
-    with Executor(jobs=args.jobs) as executor:
-        results = dict(zip(kinds, executor.run_results(specs)))
+    try:
+        replay = {}
+        if args.replay:
+            replay = {"trace_path": args.replay,
+                      "trace_sha256": trace_digest(args.replay)}
+        specs = [
+            RunSpec.make(
+                args.workload, kind, scale=args.scale, seed=args.seed,
+                cache_bytes=args.cache_kb * 1024 if args.cache_kb else None,
+                record_latencies=True, workload_kwargs=workload_kwargs,
+                **replay,
+            )
+            for kind in kinds
+        ]
+        with Executor(jobs=args.jobs) as executor:
+            results = dict(zip(kinds, executor.run_results(specs)))
+    except (ExecError, ValueError, KeyError, OSError) as exc:
+        if not args.replay:
+            raise
+        # A worker-side failure carries its traceback; the original error
+        # is the last line.
+        reason = (str(exc).strip().splitlines()[-1]
+                  if isinstance(exc, ExecError) else exc)
+        print(f"trace replay failed: {reason}", file=sys.stderr)
+        return 1
     base = results.get("stream") or next(iter(results.values()))
     rows = []
     for name, result in results.items():

@@ -32,6 +32,7 @@ from repro import gate
 from repro.bench.format import render_table
 from repro.bench.runner import reject_unknown_systems
 from repro.cmdline import (
+    add_jobs,
     add_workload,
     float_list,
     positive_float,
@@ -424,8 +425,7 @@ GATE = gate.Rules(
 # python -m repro serve
 # --------------------------------------------------------------------- #
 
-def add_serving_arguments(parser: argparse.ArgumentParser) -> None:
-    """The serving topology options ``serve`` and ``run`` share."""
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     add_workload(parser)
     parser.add_argument("--system", default="metal",
                         help="memory system each tile runs (default: metal)")
@@ -442,24 +442,19 @@ def add_serving_arguments(parser: argparse.ArgumentParser) -> None:
                         help="requests/min per user (default: calibrated "
                              "so load 1.0 saturates the fleet)")
     parser.add_argument("--duration-ms", type=positive_int, default=5,
-                        help="arrival horizon per swept load, probe or "
-                             "phase")
+                        help="arrival horizon per swept load")
     parser.add_argument("--balancer", default="round_robin",
                         choices=BALANCERS)
-    parser.add_argument("--jobs", type=str, default="1",
-                        help="worker processes: a number or 'auto'")
+    add_jobs(parser)
     parser.add_argument("--json", type=str, default=None,
                         help="write machine-readable results to this file")
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    add_serving_arguments(parser)
     parser.add_argument("--skew", type=float_list(0.0), default=(),
                         help="comma-separated per-tile speed multipliers "
                              "(skewed-fleet balancer studies)")
     parser.add_argument("--loads", type=float_list(0.0),
                         default=DEFAULT_LOADS,
-                        help="comma-separated offered-load multipliers")
+                        help="comma-separated offered-load multipliers "
+                             "(swept in ascending order)")
     gate.add_arguments(parser, "BENCH_serve.json")
     parser.add_argument("--trace", action="store_true",
                         help="record request span trees at every load "
@@ -568,6 +563,9 @@ def run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"invalid SLO: {exc}", file=sys.stderr)
             return 2
+    # The knee reads points[0] as the lightest load, and the tail and
+    # burn reports read the last point as the hottest.
+    args.loads = tuple(sorted(set(args.loads)))
     trace = bool(args.trace or args.spans_out or args.series_out
                  or args.windows_out)
     with Executor(jobs=args.jobs) as executor:

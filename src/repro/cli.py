@@ -4,6 +4,12 @@ The only entry point of the reproduction harness. Each subcommand lives
 next to the code it drives: its module exposes ``add_arguments(parser)``
 and ``run(args) -> int``, and :data:`COMMANDS` lists them.
 
+Each kind of run has one home. A grid of (workload, memory system)
+cells, the paper's Section-5 evaluation, is ``compare`` (one workload,
+or a captured walk trace with ``--replay TRACE``) and ``report`` (every
+figure). A serving load sweep is ``serve`` (``--loads`` for the grid,
+``--slo NS`` for per-load attainment).
+
 ``report``, ``serve``, ``scale`` and ``policy`` are gated
 (repro.gate): ``--baseline [PATH]`` compares the run against a committed
 ``BENCH_*.json`` (bare ``--baseline`` names the command's own file) and
@@ -16,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 
-from repro import modes
 from repro.bench import (
     ablation,
     chaos,
@@ -34,10 +39,7 @@ COMMANDS = (
     ("workloads", "list the Table-2 workloads; --stats sizes them at "
                   "--scale without building anything",
      tables.add_arguments, tables.run),
-    ("run", "dbworkload-style run modes: --max-rate throughput search, "
-            "--schedule load profiles, --pipe trace replay (repro.modes)",
-     modes.add_arguments, modes.run),
-    ("compare", "run one workload across systems",
+    ("compare", "run one workload (or replay a walk trace) across systems",
      runner.add_arguments, runner.run),
     ("report", "regenerate every table and figure",
      report.add_arguments, report.run),

@@ -37,6 +37,18 @@ def positive_int(text: str) -> int:
     return value
 
 
+def jobs(text: str) -> int | str:
+    """A worker-process count: a positive integer or ``auto``."""
+    return text if text == "auto" else positive_int(text)
+
+
+def add_jobs(parser: argparse.ArgumentParser) -> None:
+    """The ``--jobs`` option of every command that runs an Executor."""
+    parser.add_argument("--jobs", type=jobs, default=1,
+                        help="worker processes: a number or 'auto' (all "
+                             "cores); 1 = in-process")
+
+
 def float_list(lo: float, hi: float = math.inf, closed: bool = False):
     """Comma list of finite floats in ``(lo, hi]``, or ``[lo, hi]`` when
     ``closed``."""

@@ -41,18 +41,18 @@ _WORKLOAD_MEMO: OrderedDict[tuple, Workload] = OrderedDict()
 _MEMO_LIMIT = 16
 
 
-def _memo_key(name: str, scale: float, seed: int,
-              kwargs: tuple = ()) -> tuple:
+def _memo_key(name: str, scale: float, seed: int, kwargs: tuple) -> tuple:
     return (name, scale, seed, kwargs)
 
 
 def seed_workload(workload: Workload) -> None:
     """Donate an already-built registry workload to the in-process memo.
 
-    Keyed by the scale/seed stamped by ``build_workload`` — only donate
-    workloads built through the registry with default builder kwargs.
+    Keyed by the scale, seed and builder kwargs stamped by
+    ``build_workload`` — only donate workloads built through the registry.
     """
-    _remember(_memo_key(workload.name, workload.scale, workload.seed), workload)
+    _remember(_memo_key(workload.name, workload.scale, workload.seed,
+                        workload.builder_kwargs), workload)
 
 
 def clear_workload_memo() -> None:

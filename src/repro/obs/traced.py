@@ -49,7 +49,7 @@ def add_arguments(parser: argparse.ArgumentParser, verb: str) -> None:
                         help=f"memory system to {verb} (default: metal)")
     parser.add_argument("--scale", type=positive_float, default=0.05)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cache-kb", type=int, default=None)
+    parser.add_argument("--cache-kb", type=positive_int, default=None)
     parser.add_argument("--buffer", type=positive_int, default=1 << 20,
                         help="tracer ring-buffer capacity in events")
 

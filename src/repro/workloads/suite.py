@@ -140,6 +140,9 @@ class Workload:
     #: the arguments actually used.
     scale: float = 1.0
     seed: int = 0
+    #: The extra builder kwargs as sorted ``(name, value)`` items; ``()``
+    #: for a default build.
+    builder_kwargs: tuple = ()
     _blocks: int | None = field(default=None, repr=False)
     #: Walk memo (``repro.sim.batch.WalkMemo``), filled by every
     #: ``simulate(..., walks=workload.walks)`` over this workload's
@@ -647,8 +650,9 @@ def build_workload(
 
     Extra ``kwargs`` go to the builder (e.g. ``depth=...`` for ``join``,
     ``backend="soa"``/``max_walks=...`` for the table workloads). The
-    built workload is stamped with its ``scale``/``seed`` so the run
-    pipeline can rebuild an identical copy in a worker process.
+    built workload is stamped with its ``scale``/``seed`` and builder
+    kwargs so the run pipeline can rebuild an identical copy in a worker
+    process.
     """
     try:
         builder = WORKLOAD_BUILDERS[name]
@@ -659,4 +663,5 @@ def build_workload(
     workload = builder(scale=scale, seed=seed, **kwargs)
     workload.scale = scale
     workload.seed = seed
+    workload.builder_kwargs = tuple(sorted(kwargs.items()))
     return workload

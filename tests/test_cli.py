@@ -9,8 +9,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
-SUBCOMMANDS = ("workloads", "run", "compare", "report", "chaos",
-               "serve", "scale", "policy", "ablation", "trace", "profile")
+SUBCOMMANDS = ("workloads", "compare", "report", "chaos", "serve",
+               "scale", "policy", "ablation", "trace", "profile")
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:
@@ -56,6 +56,20 @@ BAD_INPUTS = {
                            "--scale", "0"),
     "chaos-negative-scale": (["chaos", "scan", "--scale", "-1"],
                              "--scale", "-1"),
+    "compare-zero-jobs": (["compare", "scan", "--jobs", "0"], "--jobs", "0"),
+    "compare-word-jobs": (["compare", "scan", "--jobs", "abc"],
+                          "--jobs", "abc"),
+    "report-zero-jobs": (["report", "--jobs", "0"], "--jobs", "0"),
+    "serve-negative-jobs": (["serve", "scan", "--jobs", "-2"], "--jobs", "-2"),
+    "chaos-word-jobs": (["chaos", "scan", "--jobs", "many"],
+                        "--jobs", "many"),
+    "policy-zero-jobs": (["policy", "--jobs", "0"], "--jobs", "0"),
+    "compare-negative-cache": (["compare", "scan", "--cache-kb", "-4"],
+                               "--cache-kb", "-4"),
+    "compare-zero-cache": (["compare", "scan", "--cache-kb", "0"],
+                           "--cache-kb", "0"),
+    "trace-zero-cache": (["trace", "scan", "--cache-kb", "0"],
+                         "--cache-kb", "0"),
 }
 
 
@@ -71,3 +85,21 @@ def test_bad_input_exits_2_before_any_work(case, capsys):
     assert len(errors) == 1
     assert f"argument {option}" in errors[0] and value in errors[0]
     assert "Traceback" not in err
+
+
+def test_jobs_accepts_counts_and_auto():
+    parser = build_parser()
+    assert parser.parse_args(["compare", "scan", "--jobs", "3"]).jobs == 3
+    assert parser.parse_args(["serve", "scan", "--jobs", "auto"]).jobs == "auto"
+    assert parser.parse_args(["report"]).jobs == 1
+
+
+def test_serve_sweeps_loads_in_ascending_order(capsys):
+    """The knee is read against the lightest load whatever order --loads
+    lists them in, and a repeated load is swept once."""
+    argv = ["serve", "scan", "--scale", "0.01", "--duration-ms", "1"]
+    assert main(argv + ["--loads", "0.2,0.6,1.3"]) == 0
+    ordered = capsys.readouterr().out
+    assert "knee at load 1.3" in ordered
+    assert main(argv + ["--loads", "1.3,0.2,0.6,0.2"]) == 0
+    assert capsys.readouterr().out == ordered

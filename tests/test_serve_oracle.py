@@ -120,3 +120,22 @@ def test_oracle_is_seed_stable_but_seed_sensitive():
     for result in (a, b):  # ...same physics
         assert math.isclose(result.tile_wait.mean, wq_theory,
                             rel_tol=TOLERANCE)
+
+
+def test_sweep_utilization_and_offered_grow_with_load():
+    """Over a simulated-backend sweep, offered load up means more offered
+    requests (strictly) and no less mean tile utilization: the monotone
+    curve that reading a utilization bound off ``serve``'s table relies
+    on."""
+    from repro.bench.serve import run_serve_sweep
+    from repro.exec import Executor
+
+    loads = (0.1, 0.4, 0.8, 0.9, 1.05, 2.0)
+    with Executor(jobs=1) as executor:
+        curve = run_serve_sweep(
+            "scan", system="metal", loads=loads, scale=0.02, users=8,
+            tiles=2, duration_ms=3, executor=executor)
+    utils = [p.utilization for p in curve.points]
+    assert all(a <= b + 1e-9 for a, b in zip(utils, utils[1:]))
+    offered = [p.offered for p in curve.points]
+    assert all(a < b for a, b in zip(offered, offered[1:]))

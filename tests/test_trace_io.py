@@ -180,17 +180,62 @@ class TestReplaySpec:
 
 
 def test_cli_pipe_truncated_trace_exits_one(workload, tmp_path, capsys):
-    """`repro run --pipe` on a truncated capture: exit 1 and the clear
-    trace_io message, not a raw worker traceback."""
+    """`repro compare --replay` on a truncated capture: exit 1 and the
+    clear trace_io message, not a raw worker traceback."""
     from repro.cli import main
 
     path = tmp_path / "t.jsonl"
     save_trace(path, workload.requests, workload_index_names(workload))
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:-5]))  # kill the capture mid-write
-    rc = main(["run", "scan", "--pipe", str(path), "--scale", "0.05"])
+    rc = main(["compare", "scan", "--replay", str(path), "--scale", "0.05",
+               "--systems", "metal"])
     err = capsys.readouterr().err
     assert rc == 1
     assert "trace replay failed" in err
     assert "without the trailer" in err
     assert "Traceback" not in err
+
+
+def test_cli_replay_missing_trace_exits_one(tmp_path, capsys):
+    from repro.cli import main
+
+    rc = main(["compare", "scan", "--replay", str(tmp_path / "nope.jsonl"),
+               "--scale", "0.05", "--systems", "metal"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "trace replay failed" in err and "nope.jsonl" in err
+    assert "Traceback" not in err
+
+
+def test_cli_replay_matches_direct_replay_spec(workload, tmp_path,
+                                                monkeypatch):
+    """`compare --replay` submits, per system, exactly the RunSpec a
+    direct replay builds, and reports that spec's counters."""
+    from repro.cli import main
+
+    path = tmp_path / "t.jsonl.gz"
+    save_trace(path, workload.requests, workload_index_names(workload))
+    systems = ("stream", "metal")
+    submitted, reported = [], []
+    real = Executor.run_results
+
+    def spy(self, specs):
+        specs = list(specs)
+        submitted.extend(specs)
+        reported.extend(real(self, specs))
+        return reported
+
+    monkeypatch.setattr(Executor, "run_results", spy)
+    assert main(["compare", "scan", "--replay", str(path), "--scale", "0.05",
+                 "--systems", ",".join(systems)]) == 0
+    monkeypatch.undo()
+    direct = [
+        RunSpec.make("scan", system, scale=0.05, record_latencies=True,
+                     trace_path=path, trace_sha256=trace_digest(path))
+        for system in systems
+    ]
+    assert submitted == direct
+    with Executor(jobs=1, store=None) as executor:
+        replayed = executor.run_results(direct)
+    assert [r.to_dict() for r in reported] == [r.to_dict() for r in replayed]

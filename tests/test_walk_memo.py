@@ -137,6 +137,24 @@ def test_sliced_and_scheduled_specs_share_the_memo(system):
     assert warm["result"] == cold["result"]
 
 
+def test_donation_is_keyed_by_builder_kwargs():
+    """A donated non-default build is served only for its own kwargs; a
+    default build keeps the ``(name, scale, seed, ())`` key."""
+    clear_workload_memo()
+    try:
+        soa = _build("scan", {"backend": "soa"})
+        seed_workload(soa)
+        assert get_workload("scan", SCALE, backend="soa") is soa
+        default = get_workload("scan", SCALE)
+        assert default is not soa
+        assert default.builder_kwargs == ()
+        plain = _build("scan", {})
+        seed_workload(plain)
+        assert get_workload("scan", SCALE) is plain
+    finally:
+        clear_workload_memo()
+
+
 @pytest.mark.parametrize("name,kwargs", CASES, ids=IDS)
 def test_faopt_flags_from_the_memo(name, kwargs):
     workload = _build(name, kwargs)
