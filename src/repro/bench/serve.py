@@ -158,8 +158,11 @@ def run_serve_sweep(
     (see :func:`calibrated_rpm`). ``trace=True`` records request span
     trees at every point; ``keep_results=True`` (implied by ``trace``)
     keeps the raw payload dicts on ``curve.results`` for the SLO and
-    span analyses.
+    span analyses. ``loads`` are swept ascending, without duplicates:
+    the knee reads the first point as the lightest load, and the tail
+    and burn reports read the last as the hottest.
     """
+    loads = tuple(sorted(set(loads)))
     executor = executor or default_executor()
     if requests_per_min is None:
         requests_per_min = calibrated_rpm(
@@ -509,7 +512,7 @@ def _span_reports(args: argparse.Namespace, curve: ServeCurve) -> int:
     )
     from repro.serve import ServeResult
 
-    loads = args.loads
+    loads = [point.load for point in curve.points]
     results = [ServeResult.from_dict(data) for data in curve.results]
     for load, result in zip(loads, results):
         assert result.spans is not None
@@ -563,9 +566,6 @@ def run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"invalid SLO: {exc}", file=sys.stderr)
             return 2
-    # The knee reads points[0] as the lightest load, and the tail and
-    # burn reports read the last point as the hottest.
-    args.loads = tuple(sorted(set(args.loads)))
     trace = bool(args.trace or args.spans_out or args.series_out
                  or args.windows_out)
     with Executor(jobs=args.jobs) as executor:
@@ -595,7 +595,7 @@ def run(args: argparse.Namespace) -> int:
                 [[cell if not isinstance(cell, float) else round(cell, 3)
                   for cell in row] for row in burn.rows],
                 f"Error-budget burn over windows at load "
-                f"{args.loads[-1]:g}",
+                f"{curve.points[-1].load:g}",
             ))
     document = curve_to_baseline(curve)
     if args.json:

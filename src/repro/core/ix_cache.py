@@ -23,7 +23,7 @@ import itertools
 from collections import Counter
 from typing import Any
 
-from repro.core.packing import coalesced_tag, pack_node
+from repro.core.packing import coalesced_tag, pack_sized
 from repro.core.policy import UTILITY_INSERT, ReplacementPolicy, make_policy
 from repro.core.range_tag import RangeTag
 from repro.indexes.base import IndexNode
@@ -227,7 +227,7 @@ class IXCache:
     def insert(
         self, node: IndexNode, ns: Any = None, life: int = 0,
         key: int | None = None,
-        packed: list[tuple[RangeTag, IndexNode]] | None = None,
+        packed: list[tuple[RangeTag, IndexNode, int]] | None = None,
     ) -> bool:
         """Insert an index node; returns False if wholly rejected.
 
@@ -237,14 +237,14 @@ class IXCache:
         namespaced) is given and the node splits into several sub-range
         entries, only the entry the walk actually searched — the one
         covering ``key`` — is cached; the walker never read the others.
-        ``packed`` lets a caller supply a precomputed ``pack_node`` result
-        (read-only trees only — packing is pure in the node's geometry);
-        the list is never mutated here.
+        ``packed`` lets a caller supply a precomputed ``pack_sized``
+        result (read-only indexes only — packing is pure in the node's
+        geometry); the list is never mutated here.
         """
         if ns is None:
             ns = _identity
         if packed is None:
-            packed = pack_node(node, ns, self.params.block_bytes)
+            packed = pack_sized(node, ns, self.params.block_bytes)
         if key is not None and len(packed) > 1:
             covering = [part for part in packed
                         if part[0].lo <= key <= part[0].hi]
@@ -254,10 +254,7 @@ class IXCache:
             return False
         placed_any = False
         bits = self.key_block_bits
-        for tag, part_node in packed:
-            # Sized once per placement, however many sets the clipped
-            # sub-ranges land in.
-            size = part_node.byte_size()
+        for tag, part_node, size in packed:
             first = tag.lo >> bits
             last = tag.hi >> bits
             if not self.associative:

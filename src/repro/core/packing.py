@@ -76,6 +76,20 @@ def pack_node(
     return entries
 
 
+def pack_sized(
+    node: IndexNode,
+    ns: Callable[[int], int],
+    block_bytes: int = BLOCK_SIZE,
+) -> list[tuple[RangeTag, IndexNode, int]]:
+    """:func:`pack_node`'s entries, each with its part's byte size.
+
+    These are the ``packed`` entries :meth:`~repro.core.ix_cache.IXCache.insert`
+    places: a caller that memoizes them sizes each node once.
+    """
+    return [(tag, part, part.byte_size())
+            for tag, part in pack_node(node, ns, block_bytes)]
+
+
 def can_coalesce(
     a: RangeTag,
     b: RangeTag,

@@ -18,8 +18,11 @@ object backend, skip lists, radix tables). The same resolution counts
 the streaming-baseline blocks. Object-index paths are memoized per
 (index, key) in a :data:`WalkMemo`: for one run, or for every run over
 the workload when the caller passes
-:attr:`~repro.workloads.suite.Workload.walks`. The golden digests in
-``tests/`` pin the generated streams.
+:attr:`~repro.workloads.suite.Workload.walks`. Each memoized path is a
+:class:`~repro.sim.memsys.WalkPath` that carries its DRAM emission
+record, so every memory system appends a walk it has seen before
+without re-deriving it node by node. The golden digests in ``tests/``
+pin the generated streams.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.params import BLOCK_SIZE, SimParams
 from repro.sim.engine import K_DRAM, Engine, TraceBatch
 from repro.sim.memsys import (
     MemorySystem,
+    WalkPath,
     _blocks_for,
     _kinds_row,
     _node_blocks,
@@ -49,9 +53,11 @@ from repro.workloads.stream import chunked
 #: Requests per walk-generation chunk. Chunking never reaches results.
 WALK_CHUNK = 256
 
-#: ``(id(index), key) -> (node list, streaming-baseline blocks)`` for
-#: object indexes (no SoA level arrays).
-WalkMemo = dict[tuple[int, Any], tuple[Any, int]]
+#: ``(id(index), key) -> (walk, streaming-baseline blocks)`` for object
+#: indexes (no SoA level arrays). The walk is a
+#: :class:`~repro.sim.memsys.WalkPath`: its emission record is built on
+#: its first emission and serves every later one, in any memory system.
+WalkMemo = dict[tuple[int, Any], tuple[WalkPath, int]]
 
 
 class BatchWalkPlanner:
@@ -224,7 +230,8 @@ def _plan_chunk(
 
     ``requests`` holds WalkRequests or ``(index, key)`` pairs. Returns
     ``prepared`` (per request: ``(planner, positions_row)`` over SoA
-    indexes, the node list ``index.walk(key)`` otherwise) and the
+    indexes, the memoized :class:`~repro.sim.memsys.WalkPath` of
+    ``index.walk(key)`` otherwise) and the
     chunk's streaming-baseline increment: the blocks of the point walk
     to each request's key, range scans included. ``walks`` memoizes
     object-backend paths and their block counts per (index, key) for
@@ -243,7 +250,7 @@ def _plan_chunk(
             walk_id = (id(index), key)
             resolved = walks.get(walk_id)
             if resolved is None:
-                path = index.walk(key)
+                path = WalkPath(index.walk(key))
                 resolved = (path, sum(len(_node_blocks(node)) for node in path))
                 walks[walk_id] = resolved
             prepared[i] = resolved[0]

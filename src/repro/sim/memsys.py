@@ -27,6 +27,7 @@ a leaf stream through ``scan_hi``, served by whatever the system caches.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from array import array
 from collections.abc import Callable, Iterable, Sequence
@@ -35,7 +36,7 @@ from typing import Any
 
 from repro.core.descriptors import LevelDescriptor, WalkContext
 from repro.core.metal import Metal, MetalIX
-from repro.core.packing import pack_node
+from repro.core.packing import pack_sized
 from repro.indexes.base import IndexNode
 from repro.mem.address_cache import AddressCache
 from repro.mem.opt_cache import belady_hit_flags
@@ -129,9 +130,85 @@ def _zeros_row(n: int) -> array:
     return t
 
 
+#: The kinds column of a whole walk, keyed by its node offsets: shared by
+#: every walk with the same per-node touched-block counts.
+_WALK_KINDS: dict[tuple[int, ...], array] = {}
+
+
+class WalkPath(list):
+    """A memoized object-index walk: the nodes ``index.walk(key)``
+    returned, plus the walk's emission record, built by its first full
+    emission (see :func:`_emit_walk`).
+
+    The record is the walk's ``a1`` column for one ``t_search`` (each
+    node's touched blocks, then its search step) and ``offsets``, where
+    node ``j``'s entries start. The nodes before ``j`` fetch
+    ``offsets[j] - j`` blocks. ``kinds`` is shared per block-count
+    signature and ``a2`` is all zeros, so the walk, or any suffix of it,
+    appends as three array concatenations instead of node by node. Only
+    walks over an index that does not change may carry a record: the
+    :data:`~repro.sim.batch.WalkMemo` entries. A plain list is emitted
+    by :func:`_emit_nodes`.
+    """
+
+    __slots__ = ("t_search", "kinds", "a1", "offsets")
+
+    def __init__(self, nodes: Iterable[IndexNode]) -> None:
+        super().__init__(nodes)
+        self.t_search: int | None = None
+
+    def _build(self, t_search: int) -> None:
+        a1 = array("q")
+        offsets = [0]
+        for node in self:
+            a1.extend(_blocks_for(node.address, node.nbytes))
+            a1.append(t_search)
+            offsets.append(len(a1))
+        offsets = tuple(offsets)
+        # The offsets fix every node's block count: nb = next - start - 1.
+        kinds = _WALK_KINDS.get(offsets)
+        if kinds is None:
+            kinds = array("b")
+            for start, end in zip(offsets, offsets[1:]):
+                kinds += _kinds_row(end - start - 1)
+            _WALK_KINDS[offsets] = kinds
+        self.kinds = kinds
+        self.a1 = a1
+        self.offsets = offsets
+        self.t_search = t_search
+
+    def emit(self, batch: Any, t_search: int, first: int = 0) -> int:
+        """Append nodes ``first`` onward as a DRAM walk; return its block count."""
+        if self.t_search != t_search:
+            self._build(t_search)
+        a1 = self.a1
+        start = self.offsets[first]
+        size = len(a1) - start
+        if start:
+            batch.kinds += self.kinds[start:]
+            batch.a1 += a1[start:]
+        else:
+            batch.kinds += self.kinds
+            batch.a1 += a1
+        batch.a2 += _zeros_row(size)
+        return size - (len(self) - first)
+
+    def suffix_start(self, tail: list[IndexNode]) -> int:
+        """Where ``tail`` starts in this walk if it is the walk's own
+        suffix (node for node, by identity), else -1."""
+        start = len(self) - len(tail)
+        if start < 0:
+            return -1
+        for position, node in enumerate(tail, start):
+            if node is not self[position]:
+                return -1
+        return start
+
+
 # A resolved path is ``(planner, positions_row)`` over a SoA index, else
-# the node list ``index.walk(key)``. Only these helpers and METAL's
-# short-circuit tell the two apart.
+# a node list: a memoized :class:`WalkPath`, or a plain ``index.walk(key)``
+# list for an index that may change. Only these helpers and METAL's
+# short-circuit tell them apart.
 
 
 def _path_blocks(prep: Any) -> list[tuple[int, ...]]:
@@ -171,10 +248,34 @@ def _emit_nodes(batch: Any, nodes: Sequence[IndexNode], t_search: int) -> int:
     return total
 
 
+def _emit_walk(
+    batch: Any, path: list[IndexNode], nodes: Sequence[IndexNode],
+    t_search: int,
+) -> int:
+    """Append a DRAM walk over ``nodes``; return its DRAM block count.
+
+    ``nodes`` is the object path ``path`` itself, or what
+    ``index.walk_from`` left to fetch on it after a short-circuit. A
+    memoized path's first full emission builds its record; the record
+    then also serves ``nodes`` that are the path's own suffix. Anything
+    else, and every plain list, is emitted node by node.
+    """
+    if type(path) is WalkPath:
+        if nodes is path:
+            return path.emit(batch, t_search)
+        # A suffix does not build the record: a cold short-circuited
+        # walk emits fewer nodes than building the whole path's would.
+        if path.t_search == t_search:
+            first = path.suffix_start(nodes)
+            if first >= 0:
+                return path.emit(batch, t_search, first)
+    return _emit_nodes(batch, nodes, t_search)
+
+
 def _emit_path(batch: Any, prep: Any, t_search: int) -> int:
     """Append the full DRAM walk of a resolved path; return its node count."""
     if type(prep) is not tuple:
-        batch.index_dram += _emit_nodes(batch, prep, t_search)
+        batch.index_dram += _emit_walk(batch, prep, prep, t_search)
         return len(prep)
     planner, row = prep
     templates = planner.template_map(t_search)
@@ -230,6 +331,14 @@ def _stream_leaves(batch: Any, prep: Any, hi: int) -> int:
     for leaf in leaves:
         batch.index_dram += _fetch_leaf(batch, leaf)
     return len(leaves)
+
+
+def _unhook(hooks: list, hook: Callable) -> None:
+    """Drop ``hook`` from an index's hook list, if it is still there."""
+    try:
+        hooks.remove(hook)
+    except ValueError:
+        pass
 
 
 class MemorySystem(ABC):
@@ -655,6 +764,9 @@ class MetalMemSys(MemorySystem):
         self.policy = policy
         self.name = policy.name
         self._tracked: set[int] = set()
+        #: Packed entry lists per index id, keyed by node, for the nodes
+        #: of memoized walks (see ``process_chunk``).
+        self._packed: dict[int, dict[IndexNode, list]] = {}
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -664,7 +776,12 @@ class MetalMemSys(MemorySystem):
         self.policy.attach_obs(tracer, registry)
 
     def _track(self, index: Any) -> None:
-        """Subscribe to the index's structural changes for invalidation."""
+        """Subscribe to the index's structural changes for invalidation.
+
+        The hook holds the IX-cache weakly and leaves the index's hook
+        list once the cache is collected, so an index that outlives many
+        runs (a built workload's) keeps none of them alive.
+        """
         index_id = getattr(index, "index_id", None)
         if index_id is None or index_id in self._tracked:
             return
@@ -673,11 +790,16 @@ class MetalMemSys(MemorySystem):
         if hooks is None:
             return
         ns = namespace_fn(index)
+        cache = self.policy.cache
+        cache_ref = weakref.ref(cache)
 
         def invalidate(lo: Any, hi: Any) -> None:
-            self.policy.cache.invalidate_range(ns(lo), ns(hi))
+            live = cache_ref()
+            if live is not None:
+                live.invalidate_range(ns(lo), ns(hi))
 
         hooks.append(invalidate)
+        weakref.finalize(cache, _unhook, hooks, invalidate)
 
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
         # One driver for the walk pipeline, calling the cache and the
@@ -717,19 +839,22 @@ class MetalMemSys(MemorySystem):
         # height of the grown tree.
         obj_index = -1
         obj_height = 0
+        obj_packed: Any = None
         descriptor: Any = None
         index_dram = 0
 
         def insert(node: Any, life: int) -> None:
-            # pack_node is pure in a SoA node's geometry (the tree is
-            # read-only), so SoA walks reuse packed entry lists; object
-            # nodes can change between walks and are packed on insert.
+            # Packing is pure in a node's geometry and its index's
+            # namespace. SoA trees are read-only and a memoized walk's
+            # index does not change, so both reuse packed entry lists; a
+            # plain list's nodes can change between walks and are packed
+            # on insert.
             if pmap is None:
                 cache_insert(node, ns, life, ns_key)
                 return
             packed = pmap.get(node)
             if packed is None:
-                packed = pack_node(node, ns, block_bytes)
+                packed = pack_sized(node, ns, block_bytes)
                 pmap[node] = packed
             cache_insert(node, ns, life, ns_key, packed)
 
@@ -760,6 +885,7 @@ class MetalMemSys(MemorySystem):
                 if index_id != obj_index:
                     obj_index = index_id
                     obj_height = index.height
+                    obj_packed = self._packed.setdefault(index_id, {})
                 height = obj_height
             if controller is not None:
                 # The governing descriptor (None: greedy insert-all).
@@ -823,8 +949,11 @@ class MetalMemSys(MemorySystem):
                 nodes = wt[4]
                 pmap = packed_map
             else:
-                index_dram += _emit_nodes(batch, nodes, t_search)
-                pmap = None
+                # index.walk_from above stays the source of truth for a
+                # short-circuited walk; a memoized path's record serves
+                # only what it returned.
+                index_dram += _emit_walk(batch, prep, nodes, t_search)
+                pmap = obj_packed if type(prep) is WalkPath else None
             if descriptor is None:
                 # Greedy insert-all (METAL-IX, or no governing
                 # descriptor): PatternController.decide returns

@@ -1,6 +1,9 @@
 """Tests for IX-cache coherence with dynamically mutating indexes."""
 
+import gc
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from repro.core.range_tag import RangeTag
 from repro.indexes.base import IndexNode
 from repro.indexes.bplustree import BPlusTree
 from repro.indexes.sparse_tensor import DynamicSparseTensor
+from repro.obs.tracer import Tracer
 from repro.params import BLOCK_SIZE, CacheParams
 from repro.sim.memsys import make_memsys
 from tests.walks import walk
@@ -148,6 +152,69 @@ class TestEndToEndCoherence:
             trace = walk(ms, tree, k)
             assert trace is not None
             assert tree.get(k) == k
+
+
+class TestHookLifetime:
+    """A METAL run's invalidation hook lives exactly as long as its cache."""
+
+    def test_runs_over_a_built_workload_leave_no_hooks(self):
+        from repro.bench.runner import build_memsys
+        from repro.sim.metrics import simulate
+        from repro.workloads.suite import build_workload
+
+        workload = build_workload("scan", scale=0.01)
+        sim = workload.config.sim_params()
+        indexes = {id(r.index): r.index for r in workload.requests}
+        before = {i: len(index.on_structural_change)
+                  for i, index in indexes.items()}
+        runs = []
+        for kind in ("metal", "metal_ix", "metal"):
+            memsys = build_memsys(kind, workload, sim=sim)
+            simulate(memsys, workload.requests, sim,
+                     workload.total_index_blocks, walks=workload.walks)
+            assert any(len(index.on_structural_change) > before[i]
+                       for i, index in indexes.items())
+            runs.append(weakref.ref(memsys))
+            del memsys
+        gc.collect()
+        assert [ref() for ref in runs] == [None] * len(runs)
+        assert {i: len(index.on_structural_change)
+                for i, index in indexes.items()} == before
+
+    def test_live_run_sees_invalidations(self):
+        tree = BPlusTree(fanout=3)
+        for k in range(0, 300, 3):
+            tree.insert(k, k)
+        ms = make_memsys(
+            "metal_ix", cache_params=CacheParams(capacity_bytes=64 * BLOCK_SIZE)
+        )
+        tracer = Tracer()
+        ms.attach_obs(tracer)
+        for k in range(0, 300, 3):
+            walk(ms, tree, k)
+        gc.collect()
+        assert len(tree.on_structural_change) == 1
+        for k in range(1, 300, 3):
+            tree.insert(k, -k)
+        assert [e for e in tracer.events("ix_evict")
+                if e.args["reason"] == "invalidate"]
+        del ms
+        gc.collect()
+        assert tree.on_structural_change == []
+
+    def test_cleared_hook_list_is_tolerated(self, monkeypatch):
+        unraised = []
+        monkeypatch.setattr(sys, "unraisablehook", unraised.append)
+        tree = BPlusTree(fanout=3)
+        for k in range(0, 60, 2):
+            tree.insert(k, k)
+        ms = make_memsys("metal_ix")
+        walk(ms, tree, 4)
+        tree.on_structural_change.clear()
+        del ms
+        gc.collect()  # the hook's removal finds it already gone
+        assert unraised == []
+        assert tree.on_structural_change == []
 
 
 @settings(max_examples=20, deadline=None)

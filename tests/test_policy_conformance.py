@@ -5,7 +5,8 @@ relies on (victims come from the candidate list, choices are
 deterministic, ``clear()`` resets cross-entry state), and the default
 policy must reproduce the pre-refactor simulation byte-for-byte — the
 committed golden digests pin that across all six systems, both index
-backends, scan and select.
+backends, scan and select, and on the object backend for every other
+Table-2 workload.
 """
 
 import hashlib
@@ -27,6 +28,11 @@ from repro.params import BLOCK_SIZE, CacheParams
 GOLDEN_PATH = Path(__file__).parent / "golden_policy_baseline.json"
 
 POLICY_NAMES = sorted(POLICIES)
+
+#: The Table-2 workloads beyond scan and select, pinned on their default
+#: (object) backend.
+OTHER_WORKLOADS = ("sets", "sets_s", "spmm", "spmm_s", "where", "join",
+                   "rtree", "pagerank")
 
 
 def node(level, lo, hi, keys=None):
@@ -254,6 +260,11 @@ class TestGoldenByteIdentity:
             for backend in backends
             for system in ("address_pf", "address_l2")
         }
+        want |= {
+            f"0.01/{name}/object/{system}"
+            for name in OTHER_WORKLOADS
+            for system in SYSTEMS
+        }
         assert set(golden) == want
 
     @pytest.mark.parametrize("workload_name", ["scan", "select"])
@@ -272,6 +283,20 @@ class TestGoldenByteIdentity:
                 f"{key}: RunResult diverged from the pre-policy-refactor "
                 f"golden under the default policy"
             )
+
+    @pytest.mark.parametrize("workload_name", OTHER_WORKLOADS)
+    def test_every_workload_byte_identical_to_golden(self, golden,
+                                                     workload_name):
+        from repro.bench.runner import SYSTEMS, run_workload
+        from repro.workloads.suite import build_workload
+
+        workload = build_workload(workload_name, scale=0.01)
+        for system in SYSTEMS:
+            result = run_workload(workload, system)
+            canon = json.dumps(result.to_dict(), sort_keys=True)
+            digest = hashlib.sha256(canon.encode()).hexdigest()
+            key = f"0.01/{workload_name}/object/{system}"
+            assert digest == golden[key], f"{key}: RunResult diverged"
 
 
 class TestDefaultPolicyEquivalence:

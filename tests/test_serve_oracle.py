@@ -139,3 +139,22 @@ def test_sweep_utilization_and_offered_grow_with_load():
     assert all(a <= b + 1e-9 for a, b in zip(utils, utils[1:]))
     offered = [p.offered for p in curve.points]
     assert all(a < b for a, b in zip(offered, offered[1:]))
+
+
+def test_sweep_orders_loads_for_the_knee():
+    """``run_serve_sweep`` sweeps its loads ascending and once each, so
+    the knee is read against the lightest load whatever order the caller
+    lists them in."""
+    from repro.bench.serve import run_serve_sweep
+    from repro.exec import Executor
+
+    def sweep(loads):
+        with Executor(jobs=1) as executor:
+            return run_serve_sweep("scan", loads=loads, scale=0.01,
+                                   duration_ms=1, executor=executor)
+
+    ordered = sweep((0.2, 0.6, 1.3))
+    shuffled = sweep((1.3, 0.2, 0.6, 0.2))
+    assert [p.load for p in shuffled.points] == [0.2, 0.6, 1.3]
+    assert shuffled.points == ordered.points
+    assert shuffled.knee() == ordered.knee() == 1.3
