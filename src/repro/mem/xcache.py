@@ -40,6 +40,11 @@ class XCache:
             ))
 
     def _set_index(self, key: Any) -> int:
+        # An integer key picks its set by value: Python's hash of an int
+        # wraps modulo 2**61 - 1, which would tie the set of a namespaced
+        # key to how many indexes the process built before.
+        if type(key) is int:
+            return key % self._num_sets
         return hash(key) % self._num_sets
 
     def lookup(self, key: Any) -> Any | None:

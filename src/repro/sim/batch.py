@@ -3,7 +3,7 @@
 * :class:`BatchWalkPlanner` — numpy walk generation over the SoA
   B+tree (:meth:`~repro.indexes.soa.SoABPlusTree.batch_positions`):
   one ``searchsorted`` per level per key chunk instead of one per
-  (key, node), plus memoized per-node emission templates.
+  (key, node), plus one memoized path per leaf.
 * :func:`simulate_batched` — the body of
   :func:`repro.sim.metrics.simulate`: generates every walk into a
   :class:`~repro.sim.engine.TraceBatch` in chunks of ``WALK_CHUNK``
@@ -12,22 +12,22 @@
 
 Every run, traced, faulted or plain, generates through each memory
 system's one generator, ``process_chunk``. This module resolves every
-request's path and hands it over: the planner's positions row for
-indexes with SoA level arrays, ``index.walk(key)`` for the rest (the
-object backend, skip lists, radix tables). The same resolution counts
-the streaming-baseline blocks. Object-index paths are memoized per
-(index, key) in a :data:`WalkMemo`: for one run, or for every run over
-the workload when the caller passes
-:attr:`~repro.workloads.suite.Workload.walks`. Each memoized path is a
-:class:`~repro.sim.memsys.WalkPath` that carries its DRAM emission
-record, so every memory system appends a walk it has seen before
-without re-deriving it node by node. The golden digests in ``tests/``
-pin the generated streams.
+request's path once and hands it over: the planner's path for the
+positions row over indexes with SoA level arrays, ``index.walk(key)``
+for the rest (the object backend, skip lists, radix tables). The same
+resolution counts the streaming-baseline blocks. Object-index paths are
+memoized per (index, key) in a :data:`WalkMemo`: for one run, or for
+every run over the workload when the caller passes
+:attr:`~repro.workloads.suite.Workload.walks`. SoA paths are memoized
+per leaf on the planner instead, so they never enter that memo. Either
+way the path is a :class:`~repro.sim.memsys.WalkPath` that carries its
+DRAM emission record, so every memory system appends a walk it has
+seen before without re-deriving it node by node. The golden digests in
+``tests/`` pin the generated streams.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterator
 from typing import Any
 
@@ -39,14 +39,7 @@ from repro.obs.registry import Registry
 from repro.obs.tracer import Tracer
 from repro.params import BLOCK_SIZE, SimParams
 from repro.sim.engine import K_DRAM, Engine, TraceBatch
-from repro.sim.memsys import (
-    MemorySystem,
-    WalkPath,
-    _blocks_for,
-    _kinds_row,
-    _node_blocks,
-    _zeros_row,
-)
+from repro.sim.memsys import MemorySystem, WalkPath, _node_blocks
 from repro.sim.metrics import RunResult
 from repro.workloads.stream import chunked
 
@@ -61,40 +54,29 @@ WalkMemo = dict[tuple[int, Any], tuple[WalkPath, int]]
 
 
 class BatchWalkPlanner:
-    """Numpy walk generation + per-node emission templates for one tree.
+    """Numpy walk generation and per-leaf paths for one SoA tree.
 
     Wraps a :class:`~repro.indexes.soa.SoABPlusTree`: ``positions``
     resolves a key chunk with one ``searchsorted`` per level;
     ``baseline`` vectorizes the streaming-DSA block-count denominator;
-    ``template`` memoizes each node's (kinds, operands) emission so hot
-    nodes append by tuple concatenation instead of re-deriving their
-    block footprint per visit. Planners are cached on the tree, so
-    repeated runs over one workload reuse every template.
+    ``path`` turns a positions row into the
+    :class:`~repro.sim.memsys.WalkPath` of the tree's memoized node
+    views. The path to a leaf is unique, so one path per leaf serves
+    every walk routed through it, and its emission record is built once.
+    Planners are cached on the tree, so repeated runs over one workload
+    reuse every path.
     """
 
-    __slots__ = (
-        "tree", "height", "view", "_levels", "_level_offsets",
-        "_block_counts", "_blocks", "_templates", "_walk_templates",
-        "_packed",
-    )
+    __slots__ = ("tree", "height", "view", "_levels", "_block_counts", "_paths")
 
     def __init__(self, tree: Any) -> None:
         self.tree = tree
         self.height = tree.height
         self.view = tree._view
         self._levels = tree._levels
-        self._level_offsets = [int(o) for o in tree._level_offsets]
         self._block_counts: list[np.ndarray | None] = [None] * self.height
-        self._blocks: dict[int, tuple[int, ...]] = {}
-        # Keyed by t_search: templates bake the search-step latency in.
-        self._templates: dict[int, dict[int, tuple]] = {}
-        self._walk_templates: dict[int, dict[tuple[int, int], tuple]] = {}
-        # pack_node results per (index_id, block_bytes), keyed by node
-        # view: packing is pure in the node's geometry and the index
-        # namespace, and the SoA tree is immutable, so packed entry lists
-        # can be reused across inserts (IXCache.insert never mutates the
-        # supplied list).
-        self._packed: dict[tuple[int, int], dict[Any, list]] = {}
+        #: Leaf position -> the path to it (the tree is read-only).
+        self._paths: dict[int, WalkPath] = {}
 
     def positions(self, keys: np.ndarray) -> np.ndarray:
         return self.tree.batch_positions(keys)
@@ -125,80 +107,17 @@ class BatchWalkPlanner:
             total += int(self._counts(level)[rows[:, level]].sum())
         return total
 
-    def blocks(self, level: int, pos: int) -> tuple[int, ...]:
-        """The node's touched block addresses (shared scalar memo)."""
-        linear = self._level_offsets[level] + pos
-        b = self._blocks.get(linear)
-        if b is None:
-            lvl = self._levels[level]
-            b = _blocks_for(int(lvl.address[pos]), int(lvl.nbytes[pos]))
-            self._blocks[linear] = b
-        return b
-
-    def template_map(self, t_search: int) -> dict[int, tuple]:
-        m = self._templates.get(t_search)
-        if m is None:
-            m = {}
-            self._templates[t_search] = m
-        return m
-
-    def build_template(self, level: int, pos: int, t_search: int) -> tuple:
-        """(kinds, a1, a2, n_blocks) columns for one node visit + search step."""
-        blocks = self.blocks(level, pos)
-        nb = len(blocks)
-        return (
-            _kinds_row(nb),
-            array("q", blocks + (t_search,)),
-            _zeros_row(nb + 1),
-            nb,
-        )
-
-    def packed_map(self, index_id: int, block_bytes: int) -> dict[Any, list]:
-        m = self._packed.get((index_id, block_bytes))
-        if m is None:
-            m = {}
-            self._packed[(index_id, block_bytes)] = m
-        return m
-
-    def walk_template_map(self, t_search: int) -> dict[tuple[int, int], tuple]:
-        m = self._walk_templates.get(t_search)
-        if m is None:
-            m = {}
-            self._walk_templates[t_search] = m
-        return m
-
-    def build_walk_template(
-        self, base_level: int, row: list[int], t_search: int
-    ) -> tuple:
-        """Concatenated emission for the sub-walk from ``base_level`` down.
-
-        The path below any level is unique per leaf, so the memo key
-        ``(base_level, row[-1])`` serves every walk routed through that
-        leaf. Returns ``(kinds, a1, a2, index_dram, nodes)`` with
-        ``nodes`` the node views in visit order for the policy loop.
-        """
-        per_node = self.template_map(t_search)
-        offsets = self._level_offsets
-        kinds = array("b")
-        a1 = array("q")
-        a2 = array("q")
-        total = 0
-        nodes = []
-        for position, pos in enumerate(row[base_level:]):
-            level = base_level + position
-            linear = offsets[level] + pos
-            t = per_node.get(linear)
-            if t is None:
-                t = self.build_template(level, pos, t_search)
-                per_node[linear] = t
-            kinds += t[0]
-            a1 += t[1]
-            a2 += t[2]
-            total += t[3]
-            # The memoized node view rides in the template so the policy
-            # loop never re-resolves it.
-            nodes.append(self.view(level, pos))
-        return (kinds, a1, a2, total, tuple(nodes))
+    def path(self, row: list[int]) -> WalkPath:
+        """The walk a positions row describes, memoized per leaf."""
+        path = self._paths.get(row[-1])
+        if path is None:
+            view = self.view
+            path = WalkPath(
+                (view(level, pos) for level, pos in enumerate(row)),
+                by_level=True,
+            )
+            self._paths[row[-1]] = path
+        return path
 
 
 def _planner_for(
@@ -212,7 +131,7 @@ def _planner_for(
     planner = None
     if getattr(tree, "_levels", None) is not None:
         # Cache on the tree itself (it has no __slots__): repeated runs
-        # over the same workload reuse the planner's templates.
+        # over the same workload reuse the planner's paths.
         planner = tree.__dict__.get("_batch_planner")
         if planner is None:
             planner = BatchWalkPlanner(tree)
@@ -229,16 +148,16 @@ def _plan_chunk(
     """Resolve one request chunk: every request's path + the baseline count.
 
     ``requests`` holds WalkRequests or ``(index, key)`` pairs. Returns
-    ``prepared`` (per request: ``(planner, positions_row)`` over SoA
-    indexes, the memoized :class:`~repro.sim.memsys.WalkPath` of
-    ``index.walk(key)`` otherwise) and the
-    chunk's streaming-baseline increment: the blocks of the point walk
-    to each request's key, range scans included. ``walks`` memoizes
-    object-backend paths and their block counts per (index, key) for
-    the workload (:attr:`~repro.workloads.suite.Workload.walks`); a
-    workload's indexes do not change once built, so only misses are
-    walked. SoA keys are planned with one vectorised ``positions`` call
-    per chunk and never enter ``walks``.
+    ``prepared`` (per request, its :class:`~repro.sim.memsys.WalkPath`:
+    the planner's path over SoA indexes, the memoized
+    ``index.walk(key)`` otherwise) and the chunk's streaming-baseline
+    increment: the blocks of the point walk to each request's key, range
+    scans included. ``walks`` memoizes object-backend paths and their
+    block counts per (index, key) for the workload
+    (:attr:`~repro.workloads.suite.Workload.walks`); a workload's indexes
+    do not change once built, so only misses are walked. SoA keys are
+    planned with one vectorised ``positions`` call per chunk and never
+    enter ``walks``.
     """
     prepared: list[Any] = [None] * len(requests)
     baseline = 0
@@ -268,8 +187,9 @@ def _plan_chunk(
         )
         rows = planner.positions(keys)
         baseline += planner.baseline(rows)
+        path = planner.path
         for i, row in zip(members, rows.tolist()):
-            prepared[i] = (planner, row)
+            prepared[i] = path(row)
     return prepared, baseline
 
 

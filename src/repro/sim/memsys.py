@@ -5,10 +5,11 @@ Each variant generates walks straight into the columnar access stream
 Its one generator is ``process_chunk(batch, requests, prepared)``: it
 emits every request of a chunk, in order, as one walk plus the request's
 data/compute tail. ``prepared[i]`` is request ``i``'s path, resolved once
-by :mod:`repro.sim.batch`: a ``(planner, positions_row)`` pair over a SoA
-index, else the node list ``index.walk(key)``. Telling the two apart is
-the only backend-specific step; the probe, short-circuit, insert/bypass,
-statistics, and trace and fault sites live once per system. A request
+by :mod:`repro.sim.batch`: a :class:`WalkPath` (the SoA planner's path
+to the key's leaf, or a memoized ``index.walk(key)``), or the plain node
+list ``index.walk(key)`` over an index that may change. The probe,
+short-circuit, insert/bypass, statistics, and trace and fault sites live
+once per system. A request
 with ``scan_hi`` set is a range scan: the walk to ``key`` is followed by
 a leaf stream through ``scan_hi``, served by whatever the system caches.
 
@@ -136,9 +137,8 @@ _WALK_KINDS: dict[tuple[int, ...], array] = {}
 
 
 class WalkPath(list):
-    """A memoized object-index walk: the nodes ``index.walk(key)``
-    returned, plus the walk's emission record, built by its first full
-    emission (see :func:`_emit_walk`).
+    """A memoized walk: its nodes, root first, plus the walk's emission
+    record, built by its first full emission (see :func:`_emit_walk`).
 
     The record is the walk's ``a1`` column for one ``t_search`` (each
     node's touched blocks, then its search step) and ``offsets``, where
@@ -147,15 +147,21 @@ class WalkPath(list):
     signature and ``a2`` is all zeros, so the walk, or any suffix of it,
     appends as three array concatenations instead of node by node. Only
     walks over an index that does not change may carry a record: the
-    :data:`~repro.sim.batch.WalkMemo` entries. A plain list is emitted
-    by :func:`_emit_nodes`.
+    :data:`~repro.sim.batch.WalkMemo` entries (``index.walk(key)``) and
+    the SoA planner's per-leaf paths. A plain list is emitted by
+    :func:`_emit_nodes`.
+
+    ``by_level`` marks a planner path, whose node ``j`` sits at level
+    ``j``: METAL's walk below a cached node starts at that node's level
+    plus one. On other paths ``index.walk_from`` says where it starts.
     """
 
-    __slots__ = ("t_search", "kinds", "a1", "offsets")
+    __slots__ = ("t_search", "kinds", "a1", "offsets", "by_level")
 
-    def __init__(self, nodes: Iterable[IndexNode]) -> None:
+    def __init__(self, nodes: Iterable[IndexNode], by_level: bool = False) -> None:
         super().__init__(nodes)
         self.t_search: int | None = None
+        self.by_level = by_level
 
     def _build(self, t_search: int) -> None:
         a1 = array("q")
@@ -205,27 +211,9 @@ class WalkPath(list):
         return start
 
 
-# A resolved path is ``(planner, positions_row)`` over a SoA index, else
-# a node list: a memoized :class:`WalkPath`, or a plain ``index.walk(key)``
-# list for an index that may change. Only these helpers and METAL's
-# short-circuit tell them apart.
-
-
-def _path_blocks(prep: Any) -> list[tuple[int, ...]]:
+def _path_blocks(path: Sequence[IndexNode]) -> list[tuple[int, ...]]:
     """Touched block addresses of every node on a resolved path, root first."""
-    if type(prep) is tuple:
-        planner, row = prep
-        blocks = planner.blocks
-        return [blocks(level, pos) for level, pos in enumerate(row)]
-    return [_blocks_for(node.address, node.nbytes) for node in prep]
-
-
-def _path_leaf(prep: Any) -> IndexNode:
-    """The node a resolved path ends at."""
-    if type(prep) is tuple:
-        planner, row = prep
-        return planner.view(planner.height - 1, row[-1])
-    return prep[-1]
+    return [_blocks_for(node.address, node.nbytes) for node in path]
 
 
 def _emit_nodes(batch: Any, nodes: Sequence[IndexNode], t_search: int) -> int:
@@ -254,8 +242,8 @@ def _emit_walk(
 ) -> int:
     """Append a DRAM walk over ``nodes``; return its DRAM block count.
 
-    ``nodes`` is the object path ``path`` itself, or what
-    ``index.walk_from`` left to fetch on it after a short-circuit. A
+    ``nodes`` is the path ``path`` itself, or what ``index.walk_from``
+    left to fetch on it after a short-circuit. A
     memoized path's first full emission builds its record; the record
     then also serves ``nodes`` that are the path's own suffix. Anything
     else, and every plain list, is emitted node by node.
@@ -272,39 +260,19 @@ def _emit_walk(
     return _emit_nodes(batch, nodes, t_search)
 
 
-def _emit_path(batch: Any, prep: Any, t_search: int) -> int:
+def _emit_path(batch: Any, path: list[IndexNode], t_search: int) -> int:
     """Append the full DRAM walk of a resolved path; return its node count."""
-    if type(prep) is not tuple:
-        batch.index_dram += _emit_walk(batch, prep, prep, t_search)
-        return len(prep)
-    planner, row = prep
-    templates = planner.template_map(t_search)
-    offsets = planner._level_offsets
-    kinds = batch.kinds
-    a1 = batch.a1
-    a2 = batch.a2
-    total = 0
-    for level, pos in enumerate(row):
-        linear = offsets[level] + pos
-        t = templates.get(linear)
-        if t is None:
-            t = planner.build_template(level, pos, t_search)
-            templates[linear] = t
-        kinds += t[0]
-        a1 += t[1]
-        a2 += t[2]
-        total += t[3]
-    batch.index_dram += total
-    return len(row)
+    batch.index_dram += _emit_walk(batch, path, path, t_search)
+    return len(path)
 
 
-def _scanned_leaves(prep: Any, hi: int) -> list[IndexNode]:
+def _scanned_leaves(path: list[IndexNode], hi: int) -> list[IndexNode]:
     """Leaves a range scan streams through ``hi`` after its walk's leaf.
 
     The walk fetched the first leaf; the stream follows the leaf links
     while each leaf's low bound is within the range.
     """
-    leaf = _path_leaf(prep)
+    leaf = path[-1]
     leaves: list[IndexNode] = []
     if leaf.lo is None or leaf.lo > hi:
         return leaves
@@ -325,9 +293,9 @@ def _fetch_leaf(batch: Any, leaf: IndexNode) -> int:
     return len(blocks)
 
 
-def _stream_leaves(batch: Any, prep: Any, hi: int) -> int:
+def _stream_leaves(batch: Any, path: list[IndexNode], hi: int) -> int:
     """Fetch every scanned leaf from DRAM; return how many were streamed."""
-    leaves = _scanned_leaves(prep, hi)
+    leaves = _scanned_leaves(path, hi)
     for leaf in leaves:
         batch.index_dram += _fetch_leaf(batch, leaf)
     return len(leaves)
@@ -386,9 +354,9 @@ class MemorySystem(ABC):
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
         """Generate one request chunk into a columnar ``TraceBatch``.
 
-        ``prepared[i]`` is request ``i``'s resolved path: a
-        ``(planner, positions_row)`` pair over a SoA index, else the node
-        list ``index.walk(key)``. Requests are generated in order, each
+        ``prepared[i]`` is request ``i``'s resolved path, root first: a
+        :class:`WalkPath`, or a plain ``index.walk(key)`` list over an
+        index that may change. Requests are generated in order, each
         into exactly one walk closed by ``TraceBatch.finish_walk``; a
         request with ``scan_hi`` set streams its leaves after the walk.
         """
@@ -739,7 +707,7 @@ class XCacheMemSys(MemorySystem):
                 tracer.walk = batch.num_walks
             ns_key = self._ns_for(request.index)(request.key)
             kinds.append(K_SRAM)
-            a1.append(hash(ns_key) & 0xFFFF)
+            a1.append(ns_key & 0xFFFF)
             a2.append(t_probe)
             leaf = lookup(ns_key)
             if leaf is not None:
@@ -749,7 +717,7 @@ class XCacheMemSys(MemorySystem):
             else:
                 start_level = 0
                 visited = _emit_path(batch, prep, t_search)
-                insert(ns_key, _path_leaf(prep))
+                insert(ns_key, prep[-1])
             hit = leaf is not None
             if request.scan_hi is not None:
                 visited += _stream_leaves(batch, prep, request.scan_hi)
@@ -765,7 +733,7 @@ class MetalMemSys(MemorySystem):
         self.name = policy.name
         self._tracked: set[int] = set()
         #: Packed entry lists per index id, keyed by node, for the nodes
-        #: of memoized walks (see ``process_chunk``).
+        #: of :class:`WalkPath` walks (see ``process_chunk``).
         self._packed: dict[int, dict[IndexNode, list]] = {}
 
     @property
@@ -829,26 +797,22 @@ class MetalMemSys(MemorySystem):
         kinds = batch.kinds
         a1 = batch.a1
         a2 = batch.a2
-        cur_planner = None  # memoized map lookups (one index per chunk
-        cur_index = -1      # in the common case)
-        wt_map: Any = None
-        packed_map: Any = None
-        # Per-index height, memoized like cur_planner. No index mutates
+        # Per-index height and pack memo, looked up when the index changes
+        # (one index per chunk in the common case). No index mutates
         # inside one chunk: a mutating workload (rw_mix, the dynamic mix)
         # generates one request per chunk, so its next chunk re-reads the
         # height of the grown tree.
-        obj_index = -1
-        obj_height = 0
-        obj_packed: Any = None
+        cur_index = -1
+        height = 0
+        cur_packed: Any = None
         descriptor: Any = None
         index_dram = 0
 
         def insert(node: Any, life: int) -> None:
             # Packing is pure in a node's geometry and its index's
-            # namespace. SoA trees are read-only and a memoized walk's
-            # index does not change, so both reuse packed entry lists; a
-            # plain list's nodes can change between walks and are packed
-            # on insert.
+            # namespace. A WalkPath's index does not change, so its nodes
+            # reuse packed entry lists; a plain list's nodes can change
+            # between walks and are packed on insert.
             if pmap is None:
                 cache_insert(node, ns, life, ns_key)
                 return
@@ -878,15 +842,10 @@ class MetalMemSys(MemorySystem):
                 faults.stats.storm_evictions += cache.invalidate_range(
                     max(0, ns_key - span), ns_key + span
                 )
-            soa = type(prep) is tuple
-            if soa:
-                height = prep[0].height
-            else:
-                if index_id != obj_index:
-                    obj_index = index_id
-                    obj_height = index.height
-                    obj_packed = self._packed.setdefault(index_id, {})
-                height = obj_height
+            if index_id != cur_index:
+                cur_index = index_id
+                height = index.height
+                cur_packed = self._packed.setdefault(index_id, {})
             if controller is not None:
                 # The governing descriptor (None: greedy insert-all).
                 descriptor = controller.begin_walk(index_id, key)
@@ -906,13 +865,22 @@ class MetalMemSys(MemorySystem):
                 # invalidation hook was wired. Fall back to a full walk.
                 start = None
             nodes: Any = prep
-            if start is not None and not soa:
-                try:
-                    # The cached node itself is on-chip.
-                    nodes = index.walk_from(start, key)[1:]
-                except KeyError:
-                    # Stale node no longer part of the structure (rebuilt).
-                    start = None
+            first = 0
+            if start is not None:
+                if type(prep) is WalkPath and prep.by_level:
+                    # A covering cached node is exactly the node the full
+                    # walk routes through at its level (sibling ranges are
+                    # disjoint and a parent's range covers its children's),
+                    # so the rest of the walk is the path below it.
+                    first = start.level + 1
+                    nodes = prep[first:]
+                else:
+                    try:
+                        # The cached node itself is on-chip.
+                        nodes = index.walk_from(start, key)[1:]
+                    except KeyError:
+                        # Stale node no longer part of the structure.
+                        start = None
             if start is not None:
                 start_level = start.level
                 short = True
@@ -924,36 +892,14 @@ class MetalMemSys(MemorySystem):
                 start_level = 0
                 short = False
                 ctx_row = _CTX_FULL
-            if soa:
-                # A covering cached node is exactly the node the full walk
-                # routes through at its level (sibling ranges are disjoint
-                # and a parent's range covers its children's), so the rest
-                # of the path is the positions row below it: one memoized
-                # template per (first level, leaf).
-                planner, row = prep
-                if planner is not cur_planner or index_id != cur_index:
-                    cur_planner = planner
-                    cur_index = index_id
-                    wt_map = planner.walk_template_map(t_search)
-                    packed_map = planner.packed_map(index_id, block_bytes)
-                base_level = start_level + 1 if short else 0
-                wt_key = (base_level, row[-1])
-                wt = wt_map.get(wt_key)
-                if wt is None:
-                    wt = planner.build_walk_template(base_level, row, t_search)
-                    wt_map[wt_key] = wt
-                kinds += wt[0]
-                a1 += wt[1]
-                a2 += wt[2]
-                index_dram += wt[3]
-                nodes = wt[4]
-                pmap = packed_map
+            if first:
+                index_dram += prep.emit(batch, t_search, first)
             else:
-                # index.walk_from above stays the source of truth for a
-                # short-circuited walk; a memoized path's record serves
-                # only what it returned.
+                # Otherwise index.walk_from above decided what a
+                # short-circuited walk fetches; a memoized path's record
+                # serves only that.
                 index_dram += _emit_walk(batch, prep, nodes, t_search)
-                pmap = obj_packed if type(prep) is WalkPath else None
+            pmap = cur_packed if type(prep) is WalkPath else None
             if descriptor is None:
                 # Greedy insert-all (METAL-IX, or no governing
                 # descriptor): PatternController.decide returns

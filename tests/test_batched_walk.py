@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.indexes.soa import SoABPlusTree
 from repro.sim.batch import BatchWalkPlanner
+from repro.sim.memsys import _node_blocks
 
 
 def _tree(num_keys, fanout):
@@ -81,4 +82,4 @@ def test_property_planner_counts_match_level_sizes(num_keys, fanout):
         nodes = tree.level_nodes(level)
         assert len(counts) == len(nodes)
         for pos, node in enumerate(nodes):
-            assert counts[pos] == len(planner.blocks(level, pos))
+            assert counts[pos] == len(_node_blocks(node))

@@ -5,6 +5,8 @@ serialization round-trips, and serial/parallel/cached byte-identity.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -294,6 +296,44 @@ def test_store_invalidates_on_version_change(tmp_path):
     assert current.get(spec) is None
     current.prune_stale()
     assert not old.path_for(spec).exists()
+
+
+def _put_repeatedly(root: str, version: str, spec: RunSpec,
+                    payload: dict, count: int) -> None:
+    store = ResultStore(root=root, version=version)
+    for _ in range(count):
+        store.put(spec, payload)
+
+
+def test_store_concurrent_same_digest_writes(tmp_path):
+    """Two processes rewriting one digest never expose a torn file: every
+    concurrent read is a miss or the exact payload, and no temp file is
+    left behind."""
+    spec = RunSpec.make("scan", "stream", scale=SMALL)
+    payload = {"op": "run", "result": {"walks": list(range(2_000))},
+               "extras": {}}
+    store = ResultStore(root=tmp_path)
+    ctx = multiprocessing.get_context("spawn")
+    writers = [
+        ctx.Process(target=_put_repeatedly,
+                    args=(str(tmp_path), store.version, spec, payload, 200))
+        for _ in range(2)
+    ]
+    for writer in writers:
+        writer.start()
+    deadline = time.monotonic() + 120
+    reads = 0
+    while time.monotonic() < deadline and (
+            reads == 0 or any(writer.is_alive() for writer in writers)):
+        got = store.get(spec)
+        assert got is None or got == payload
+        reads += 1
+    for writer in writers:
+        writer.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not writer.is_alive()
+        assert writer.exitcode == 0
+    assert store.get(spec) == payload
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 # --------------------------------------------------------------------- #

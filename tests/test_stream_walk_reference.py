@@ -1,7 +1,7 @@
 """The streaming memory system against its reference walk model.
 
-``StreamingMemSys.process_chunk`` emits walks from memoized block
-footprints (object paths) or per-node templates (SoA planner rows);
+``StreamingMemSys.process_chunk`` emits walks from the emission
+records of resolved paths (object walks and SoA planner paths alike);
 ``tests.reference.stream_walk`` re-derives every walk from the node
 definitions. On random object and SoA B+trees, over point lookups and
 ``scan_hi`` range scans, the two must agree exactly on the access

@@ -8,6 +8,11 @@ the path, and for every node on the path taken as a short-circuit start,
 METAL's emission must equal ``_emit_nodes`` over what
 ``index.walk_from`` returned from it. A plain node list (a mutating
 index's walk) never gets a record and never enters METAL's pack memo.
+
+Over SoA indexes the planner's per-leaf paths are ``WalkPath``s too.
+METAL slices them by level after a short-circuit, so for every node on
+every distinct planned path, ``path[level + 1:]`` must be exactly what
+``index.walk_from`` returns below that node.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from repro.workloads.suite import WORKLOAD_BUILDERS, build_workload
 
 SCALE = 0.01
 T_SEARCH = 3
+#: The Table-2 workloads that build with ``backend="soa"``.
+SOA_WORKLOADS = ("scan", "select", "where", "join")
 
 
 def _columns(emit) -> tuple:
@@ -59,6 +66,42 @@ def test_record_emission_equals_node_by_node(name):
                 fallbacks += 1
     # The record serves nearly every short-circuit; the rest fall back.
     assert served > 10 * fallbacks
+
+
+def _planned_paths(name: str) -> list[tuple]:
+    """``(index, key, path)`` per distinct planned path of a SoA workload."""
+    workload = build_workload(name, scale=SCALE, backend="soa")
+    pairs = [(r.index, r.key) for r in workload.requests]
+    paths = resolve_walks(pairs, workload.walks)
+    planned = {id(path): (index, key, path)
+               for (index, key), path in zip(pairs, paths)
+               if type(path) is WalkPath and path.by_level}
+    assert planned
+    return list(planned.values())
+
+
+@pytest.mark.parametrize("name", SOA_WORKLOADS)
+def test_planned_record_emission_equals_node_by_node(name):
+    for _, _, path in _planned_paths(name):
+        for t_search in (T_SEARCH, T_SEARCH + 1, T_SEARCH):
+            want = _columns(lambda b: _emit_nodes(b, list(path), t_search))
+            assert _columns(lambda b: path.emit(b, t_search)) == want
+            assert _columns(lambda b: _emit_walk(b, path, path, t_search)) == want
+        # METAL emits a by-level short-circuit from the record.
+        for first in range(1, len(path) + 1):
+            want = _columns(lambda b: _emit_nodes(b, path[first:], T_SEARCH))
+            assert _columns(lambda b: path.emit(b, T_SEARCH, first)) == want
+
+
+@pytest.mark.parametrize("name", SOA_WORKLOADS)
+def test_planned_suffix_by_level_is_walk_from(name):
+    for index, key, path in _planned_paths(name):
+        for level, node in enumerate(path):
+            assert node.level == level
+            below = index.walk_from(node, key)[1:]
+            tail = path[level + 1:]
+            assert len(tail) == len(below)
+            assert all(a is b for a, b in zip(tail, below))
 
 
 def test_first_full_emission_builds_the_record():

@@ -1,9 +1,19 @@
 """Tests for the X-cache (key-tagged leaf cache)."""
 
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.bench.runner import run_workload
+from repro.indexes import base as index_base
 from repro.mem.xcache import XCache
-from repro.params import BLOCK_SIZE, CacheParams
+from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams
+from repro.workloads.suite import build_workload
+
+GOLDEN_PATH = Path(__file__).parent / "golden_policy_baseline.json"
 
 
 def small(entries=8, ways=2) -> XCache:
@@ -71,3 +81,36 @@ class TestStats:
         assert cache.stats.accesses == 2
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
+
+
+class TestNamespacedKeys:
+    """Sets come from an integer key's value, not its hash.
+
+    Namespaced keys are ``index_id * 2**52 + key``. Python's hash of an
+    int wraps modulo ``2**61 - 1``, so hashed sets would shift once the
+    process-wide index-id counter passes 512, and differently for two
+    indexes on either side of a multiple of 512.
+    """
+
+    def test_integer_keys_pick_their_set_by_value(self):
+        cache = small(entries=8, ways=2)
+        for index_id in (0, 511, 512, 1023, 1025):
+            key = index_id * NS_STRIDE + 77
+            assert cache._set_index(key) == key % cache._num_sets
+            cache.insert(key, "leaf")
+            assert cache.lookup(key) == "leaf"
+
+    def test_join_digest_whatever_the_index_id_counter(self, monkeypatch):
+        with open(GOLDEN_PATH) as f:
+            golden = json.load(f)["digests"]["0.01/join/object/xcache"]
+        current = next(index_base._index_ids)
+        # Join's two indexes take ids start + 1 and start + 3: advance
+        # the counter until a multiple of 512 falls between them.
+        start = current + (510 - current) % 512
+        monkeypatch.setattr(index_base, "_index_ids", itertools.count(start))
+        workload = build_workload("join", scale=0.01)
+        ids = sorted({request.index.index_id for request in workload.requests})
+        assert len(ids) == 2 and ids[0] // 512 != ids[1] // 512
+        result = run_workload(workload, "xcache")
+        canon = json.dumps(result.to_dict(), sort_keys=True)
+        assert hashlib.sha256(canon.encode()).hexdigest() == golden
