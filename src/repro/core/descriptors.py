@@ -19,8 +19,8 @@ Three generalized patterns (Table 2):
 
 from __future__ import annotations
 
-import statistics
 from abc import ABC, abstractmethod
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Any, Callable, NamedTuple
 
@@ -331,20 +331,37 @@ class BranchDescriptor(ReuseDescriptor):
         self.grow_hit_rate = grow_hit_rate
         self.max_depth = max_depth
         self._keys: deque[int] = deque(maxlen=window)
+        #: The window's keys in ascending order, kept beside the deque.
+        self._sorted: list[int] = []
         self.pivot: int | None = None
 
     def observe_key(self, key: int) -> None:
-        self._keys.append(key)
-        if len(self._keys) >= max(8, self.window // 8):
-            self.pivot = int(statistics.median(self._keys))
+        keys = self._keys
+        ordered = self._sorted
+        if len(keys) == keys.maxlen:
+            if not keys:
+                return  # a zero-length window keeps nothing
+            del ordered[bisect_left(ordered, keys[0])]
+        keys.append(key)
+        insort(ordered, key)
+        n = len(ordered)
+        if n >= max(8, self.window // 8):
+            # statistics.median's value: the middle key, or the mean of
+            # the two middle keys.
+            half = n // 2
+            median = (
+                ordered[half] if n % 2
+                else (ordered[half - 1] + ordered[half]) / 2
+            )
+            self.pivot = int(median)
 
     def _width(self) -> int:
         if self.halfwidth is not None:
             return self.halfwidth
-        if len(self._keys) < 2:
+        ordered = self._sorted
+        if len(ordered) < 2:
             return 1 << 30
-        lo, hi = min(self._keys), max(self._keys)
-        return max(1, (hi - lo) // 2)
+        return max(1, (ordered[-1] - ordered[0]) // 2)
 
     def decide(
         self, node: IndexNode, height: int, ctx: WalkContext | None = None

@@ -10,6 +10,7 @@ working-set and occupancy metrics.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from typing import Any
 
@@ -91,27 +92,12 @@ class IndexNode:
         """
         if self.children is None:
             raise TypeError("leaf nodes have no children")
-        idx = _branch_index(self.keys, key)
-        return self.children[idx]
+        # Child ``i`` holds keys < keys[i]; the last child holds the rest.
+        return self.children[bisect_right(self.keys, key)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else "node"
         return f"<{kind} L{self.level} [{self.lo}..{self.hi}] #{self.node_id}>"
-
-
-def _branch_index(separators: Sequence[Any], key: Any) -> int:
-    """Index of the child to follow given B+tree separator keys.
-
-    Child ``i`` holds keys < separators[i]; the last child holds the rest.
-    """
-    lo, hi = 0, len(separators)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < separators[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def assign_addresses(nodes: Iterator[IndexNode], allocator: Allocator) -> int:

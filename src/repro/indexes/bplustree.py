@@ -8,12 +8,12 @@ and leaf-linked range scans.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from typing import Any
 
 from repro.indexes.base import (
     IndexNode,
-    _branch_index,
     assign_addresses,
     count_blocks,
     next_index_id,
@@ -230,9 +230,7 @@ class BPlusTree:
     def _insert(self, node: IndexNode, key: Any, value: Any) -> tuple[Any, IndexNode] | None:
         if node.is_leaf:
             return self._insert_into_leaf(node, key, value)
-        idx = 0
-        while idx < len(node.keys) and key >= node.keys[idx]:
-            idx += 1
+        idx = bisect_right(node.keys, key)
         child = node.children[idx]
         split = self._insert(child, key, value)
         node.lo = node.children[0].lo
@@ -336,7 +334,7 @@ class BPlusTree:
                         node.lo = node.hi = None
                     return True
             return False
-        idx = _branch_index(node.keys, key)
+        idx = bisect_right(node.keys, key)
         child = node.children[idx]
         removed = self._delete(child, key)
         if removed:

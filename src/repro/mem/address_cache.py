@@ -25,8 +25,10 @@ class AddressCache:
         if self.params.ways <= 0:
             raise ValueError("ways must be positive")
         self._num_sets = self.params.sets
-        # One ordered dict per set: key = block id, LRU order = insertion order.
-        self._sets: list[OrderedDict[int, None]] = [OrderedDict() for _ in range(self._num_sets)]
+        #: One ordered dict per set, least recent first: block ``b`` maps
+        #: to set ``b % len(sets)``. ``AddressCacheMemSys`` runs its LRU
+        #: steps on these directly, as :meth:`lookup` and :meth:`insert` do.
+        self.sets: list[OrderedDict[int, None]] = [OrderedDict() for _ in range(self._num_sets)]
 
     def attach_obs(self, tracer, registry=None, prefix: str = "addr") -> None:
         """Wire tracing and bind address-cache statistics into a registry."""
@@ -42,7 +44,7 @@ class AddressCache:
     def lookup(self, address: int) -> bool:
         """Probe the cache; updates LRU order and statistics."""
         block = address // self.params.block_bytes
-        ways = self._sets[self._set_index(block)]
+        ways = self.sets[self._set_index(block)]
         hit = block in ways
         if hit:
             ways.move_to_end(block)
@@ -54,11 +56,11 @@ class AddressCache:
     def contains(self, address: int) -> bool:
         """Stat-free presence check (no LRU update)."""
         block = address // self.params.block_bytes
-        return block in self._sets[self._set_index(block)]
+        return block in self.sets[self._set_index(block)]
 
     def insert(self, address: int) -> None:
         block = address // self.params.block_bytes
-        ways = self._sets[self._set_index(block)]
+        ways = self.sets[self._set_index(block)]
         if block in ways:
             ways.move_to_end(block)
             return
@@ -84,4 +86,4 @@ class AddressCache:
         return all_hit
 
     def __len__(self) -> int:
-        return sum(len(ways) for ways in self._sets)
+        return sum(len(ways) for ways in self.sets)

@@ -461,15 +461,13 @@ class Engine:
     def run_batch(self, batch: TraceBatch, record_latencies: bool = False) -> EngineResult:
         """Time a columnar access stream: the engine's one event loop.
 
-        A calendar queue: contexts due at the same cycle sit in one
-        bucket and drain in ascending context order — the ``(cycle,
-        ctx)`` order of a binary heap, because only the running context
-        can schedule new events for itself at the current cycle (context
-        ids are unique in the queue, so a bucket never grows while it
-        drains). A context whose next event lands at a later cycle
-        re-files into that cycle's bucket; event times never decrease,
-        so a popped cycle is never revisited. One access is one event:
-        the blocks of a multi-block access issue back to back.
+        Contexts run in global ``(cycle, ctx)`` order off one heap of
+        ints ``(cycle << bits) | ctx``. A context keeps running while its
+        next event is due at the cycle it was popped at (no other context
+        can be due before it); otherwise it goes back on the heap with
+        ``heappushpop``, which hands it straight back when it is still
+        first. One access is one event: the blocks of a multi-block
+        access issue back to back.
 
         On untraced, fault-free runs DRAM and crossbar timing run inline
         on pre-decomposed (bank, row) / port operands and the DRAM and
@@ -499,18 +497,18 @@ class Engine:
         open_row = dram._open_row
         port_free = self.xbar._port_free
         x_occupancy = self.xbar.params.t_occupancy
-        heappush = heapq.heappush
+        heappushpop = heapq.heappushpop
         heappop = heapq.heappop
         latencies = result.walk_latencies
 
         contexts = self.contexts
+        bits = contexts.bit_length()
+        mask = (1 << bits) - 1
         walk_id = list(range(contexts))
         ai_l = [0] * contexts
         end_l = [0] * contexts
         start_l = [0] * contexts
-        buckets: dict[int, list[int]] = {}
-        bget = buckets.get
-        times: list[int] = []
+        queue: list[int] = []
         for c in range(min(contexts, nw)):
             ai = offsets[c]
             end = offsets[c + 1]
@@ -518,25 +516,21 @@ class Engine:
             end_l[c] = end
             # A folded leading latency schedules the context's first real
             # event at its original cycle (walk start time stays 0).
-            s = pre[ai] if ai < end else 0
-            other = bget(s)
-            if other is None:
-                buckets[s] = [c]
-                heappush(times, s)
-            else:
-                other.append(c)
+            queue.append(((pre[ai] if ai < end else 0) << bits) | c)
+        heapq.heapify(queue)
         energy = 0.0
         row_hits = 0
         row_misses = 0
         xbar_wait = 0
         total_cycles = 0
         makespan = 0
-        while times:
-            t = heappop(times)
-            bucket = buckets.pop(t)
-            if len(bucket) > 1:
-                bucket.sort()
-            for ctx in bucket:
+        while queue:
+            # ``item`` is the next context to run: popped here, or handed
+            # back by heappushpop below; -1 once a context has no walk left.
+            item = heappop(queue)
+            while item >= 0:
+                t = item >> bits
+                ctx = item & mask
                 now = t
                 ai = ai_l[ctx]
                 end = end_l[ctx]
@@ -612,12 +606,7 @@ class Engine:
                             now += pre[ai]
                         if now != t:
                             ai_l[ctx] = ai
-                            other = bget(now)
-                            if other is None:
-                                buckets[now] = [ctx]
-                                heappush(times, now)
-                            else:
-                                other.append(ctx)
+                            item = heappushpop(queue, (now << bits) | ctx)
                             break
                     else:
                         latency = now - start_l[ctx]
@@ -640,14 +629,10 @@ class Engine:
                                 now += pre[ai]
                                 if now != t:
                                     ai_l[ctx] = ai
-                                    other = bget(now)
-                                    if other is None:
-                                        buckets[now] = [ctx]
-                                        heappush(times, now)
-                                    else:
-                                        other.append(ctx)
+                                    item = heappushpop(queue, (now << bits) | ctx)
                                     break
                         else:
+                            item = -1
                             break
 
         if hooks is None:

@@ -35,16 +35,20 @@ from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from typing import Any
 
+import numpy as np
+
 from repro.core.descriptors import LevelDescriptor, WalkContext
 from repro.core.metal import Metal, MetalIX
 from repro.core.packing import pack_sized
 from repro.indexes.base import IndexNode
 from repro.mem.address_cache import AddressCache
-from repro.mem.opt_cache import belady_hit_flags
+from repro.mem.opt_cache import belady_hits
 from repro.mem.stats import CacheStats
 from repro.obs.tracer import NULL_TRACER
 from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams, SimParams
-from repro.sim.engine import K_COMPUTE, K_DRAM, K_LOCAL, K_PREFETCH, K_SRAM
+from repro.sim.engine import (
+    K_COMPUTE, K_DRAM, K_LOCAL, K_PREFETCH, K_SRAM, TraceBatch,
+)
 
 
 #: Preallocated WalkContext rows for the batch emitters: a context is a
@@ -301,6 +305,53 @@ def _stream_leaves(batch: Any, path: list[IndexNode], hi: int) -> int:
     return len(leaves)
 
 
+def _emit_replay(
+    batch: Any, skel: TraceBatch, probe_ends: list[int], hits: np.ndarray,
+    t_probe: int,
+) -> int:
+    """Append ``skel``'s walks to ``batch`` behind FA-OPT's replayed flags.
+
+    ``skel`` holds a chunk's walks as DRAM streams. Walk ``i``'s DRAM
+    entries before ``probe_ends[i]`` are its cache accesses, one flag of
+    ``hits`` each, in order: each becomes an SRAM probe of its block
+    (``t_probe`` cycles), followed by the DRAM fetch on a miss. Every
+    other entry is copied. Returns the number of misses.
+    """
+    kinds, a1, a2 = skel.arrays()
+    offsets = np.asarray(skel.offsets, dtype=np.int64)
+    sites = np.flatnonzero(kinds == K_DRAM)
+    walks = np.searchsorted(offsets[:-1], sites, side="right") - 1
+    sites = sites[sites < np.asarray(probe_ends, dtype=np.int64)[walks]]
+    miss = ~hits
+    extra = np.zeros(len(kinds), dtype=np.int64)
+    extra[sites] = miss
+    grown = np.concatenate(([0], np.cumsum(extra)))
+    pos = np.arange(len(kinds)) + grown[:-1]
+    out_kinds = np.empty(len(kinds) + int(grown[-1]), dtype=np.int8)
+    out_a1 = np.empty(len(out_kinds), dtype=np.int64)
+    out_a2 = np.zeros(len(out_kinds), dtype=np.int64)
+    out_kinds[pos] = kinds
+    out_a1[pos] = a1
+    out_a2[pos] = a2
+    probe = pos[sites]
+    addr = a1[sites]
+    out_kinds[probe] = K_SRAM
+    out_a1[probe] = addr // BLOCK_SIZE
+    out_a2[probe] = t_probe
+    fetch = probe[miss] + 1
+    out_kinds[fetch] = K_DRAM
+    out_a1[fetch] = addr[miss]
+    base = len(batch.kinds)
+    batch.kinds.frombytes(out_kinds.tobytes())
+    batch.a1.frombytes(out_a1.tobytes())
+    batch.a2.frombytes(out_a2.tobytes())
+    batch.offsets += (offsets[1:] + grown[offsets[1:]] + base).tolist()
+    batch.start_levels += skel.start_levels
+    batch.visits += skel.visits
+    batch.nodes_visited += skel.nodes_visited
+    return len(fetch)
+
+
 def _unhook(hooks: list, hook: Callable) -> None:
     """Drop ``hook`` from an index's hook list, if it is still there."""
     try:
@@ -420,62 +471,82 @@ class AddressCacheMemSys(MemorySystem):
         self.cache.attach_obs(tracer, registry)
 
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
+        # One plain loop per block over its set's OrderedDict: the bulk
+        # form of ``AddressCache.lookup``, then ``insert`` on a miss and,
+        # with ``prefetch``, ``contains``/``insert`` of the next block.
+        # A range scan's leaves are probed the same way after the walk,
+        # with no search steps and no prefetches. Counters are added to
+        # the cache's statistics once per chunk.
         t_probe = self.sim.t_addr_probe
         t_search = self.sim.t_search
         kinds = batch.kinds
         a1 = batch.a1
         a2 = batch.a2
-        lookup = self.cache.lookup
-        insert = self.cache.insert
-        contains = self.cache.contains
+        cache = self.cache
+        sets = cache.sets
+        num_sets = len(sets)
+        ways_per_set = cache.params.ways
+        block_bytes = cache.params.block_bytes
         prefetch = self.prefetch
         tracer = self.tracer
         tracing = tracer.enabled
-        block_size = BLOCK_SIZE
-        index_dram = 0
+        probes = misses = prefetches = evictions = 0
         for request, prep in zip(requests, prepared):
             if tracing:
                 tracer.walk = batch.num_walks
-            path = _path_blocks(prep)
-            for blocks in path:
-                for block_addr in blocks:
-                    kinds.append(K_SRAM)
-                    a1.append(block_addr // block_size)
-                    a2.append(t_probe)
-                    if not lookup(block_addr):
-                        kinds.append(K_DRAM)
-                        a1.append(block_addr)
-                        a2.append(0)
-                        index_dram += 1
-                        insert(block_addr)
-                        if prefetch:
-                            nxt = block_addr + block_size
-                            if not contains(nxt):
-                                kinds.append(K_PREFETCH)
-                                a1.append(nxt)
-                                a2.append(0)
-                                insert(nxt)
-                kinds.append(K_COMPUTE)
-                a1.append(t_search)
-                a2.append(0)
-            visited = len(path)
+            nodes = _path_blocks(prep)
+            walk_nodes = len(nodes)
             if request.scan_hi is not None:
-                # Scanned leaves probe block by block like the walk, but
-                # the sequential stream issues no prefetches.
-                for leaf in _scanned_leaves(prep, request.scan_hi):
-                    visited += 1
-                    for block_addr in _blocks_for(leaf.address, leaf.nbytes):
-                        kinds.append(K_SRAM)
-                        a1.append(block_addr // block_size)
-                        a2.append(t_probe)
-                        if not lookup(block_addr):
-                            kinds.append(K_DRAM)
-                            a1.append(block_addr)
+                nodes += [
+                    _blocks_for(leaf.address, leaf.nbytes)
+                    for leaf in _scanned_leaves(prep, request.scan_hi)
+                ]
+            for j, blocks in enumerate(nodes):
+                on_walk = j < walk_nodes
+                probes += len(blocks)
+                for addr in blocks:
+                    kinds.append(K_SRAM)
+                    a1.append(addr // BLOCK_SIZE)
+                    a2.append(t_probe)
+                    block = addr // block_bytes
+                    ways = sets[block % num_sets]
+                    if tracing:
+                        tracer.emit("addr_probe", block=block, hit=block in ways)
+                    if block in ways:
+                        ways.move_to_end(block)
+                        continue
+                    kinds.append(K_DRAM)
+                    a1.append(addr)
+                    a2.append(0)
+                    misses += 1
+                    if len(ways) >= ways_per_set:
+                        ways.popitem(last=False)
+                        evictions += 1
+                    ways[block] = None
+                    if prefetch and on_walk:
+                        block = (addr + BLOCK_SIZE) // block_bytes
+                        ways = sets[block % num_sets]
+                        if block not in ways:
+                            kinds.append(K_PREFETCH)
+                            a1.append(addr + BLOCK_SIZE)
                             a2.append(0)
-                            index_dram += 1
-                            insert(block_addr)
-            batch.finish_walk(request, 0, visited, False, False)
-        batch.index_dram += index_dram
+                            prefetches += 1
+                            if len(ways) >= ways_per_set:
+                                ways.popitem(last=False)
+                                evictions += 1
+                            ways[block] = None
+                if on_walk:
+                    kinds.append(K_COMPUTE)
+                    a1.append(t_search)
+                    a2.append(0)
+            batch.finish_walk(request, 0, len(nodes), False, False)
+        batch.index_dram += misses
+        stats = cache.stats
+        stats.accesses += probes
+        stats.hits += probes - misses
+        stats.misses += misses
+        stats.insertions += misses + prefetches
+        stats.evictions += evictions
 
 
 class HierarchyMemSys(MemorySystem):
@@ -576,22 +647,25 @@ class FAOPTMemSys(MemorySystem):
     """Fully-associative address cache with Belady-OPT replacement.
 
     Built via :meth:`prepare` from the complete walk sequence; walks must
-    then be generated in exactly that order.
+    then be generated in exactly that order. The block trace is one flat
+    array of block ids, walk ``i``'s blocks at
+    ``blocks[offsets[i]:offsets[i + 1]]``, with one hit flag per block.
     """
 
     name = "fa_opt"
 
     def __init__(
         self,
-        walk_blocks: list[list[int]],
-        hit_flags: list[bool],
+        blocks: np.ndarray,
+        offsets: np.ndarray,
+        hit_flags: np.ndarray,
         sim: SimParams | None = None,
     ) -> None:
         super().__init__(sim)
-        self._walk_blocks = walk_blocks
+        self._blocks = blocks
+        self._offsets = offsets
         self._flags = hit_flags
         self._walk_cursor = 0
-        self._flag_cursor = 0
         self.stats = CacheStats()
 
     @classmethod
@@ -610,66 +684,86 @@ class FAOPTMemSys(MemorySystem):
         from repro.sim.batch import resolve_walks  # avoid an import cycle
 
         params = cache_params or CacheParams()
-        walk_blocks: list[list[int]] = []
-        flat: list[int] = []
-        for prep in resolve_walks(list(requests), walks):
-            blocks = [
-                addr // BLOCK_SIZE
-                for node_blocks in _path_blocks(prep)
-                for addr in node_blocks
-            ]
-            walk_blocks.append(blocks)
-            flat.extend(blocks)
-        flags = belady_hit_flags(flat, params.entries)
-        return cls(walk_blocks, flags, sim)
+        path_blocks: dict[int, tuple[int, ...]] = {}
+        trace: list[int] = []
+        offsets = [0]
+        paths = resolve_walks(list(requests), walks)
+        for path in paths:
+            blocks = path_blocks.get(id(path))
+            if blocks is None:
+                blocks = tuple(
+                    addr // BLOCK_SIZE
+                    for node in path
+                    for addr in _blocks_for(node.address, node.nbytes)
+                )
+                path_blocks[id(path)] = blocks
+            trace += blocks
+            offsets.append(len(trace))
+        blocks = np.array(trace, dtype=np.int64)
+        flags = belady_hits(blocks, params.entries)
+        return cls(blocks, np.array(offsets, dtype=np.int64), flags, sim)
 
     @property
     def cache_stats(self) -> CacheStats:
         return self.stats
 
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
-        # The walk's blocks come from the two-pass replay, not the path.
-        t_probe = self.sim.t_fa_probe
-        t_search = self.sim.t_search
-        kinds = batch.kinds
-        a1 = batch.a1
-        a2 = batch.a2
-        stats = self.stats
-        flags = self._flags
-        tracer = self.tracer
-        tracing = tracer.enabled
-        index_dram = 0
-        for request, prep in zip(requests, prepared):
-            if self._walk_cursor >= len(self._walk_blocks):
-                raise IndexError("FA-OPT replayed more walks than prepared")
-            if tracing:
-                tracer.walk = batch.num_walks
-            blocks = self._walk_blocks[self._walk_cursor]
-            self._walk_cursor += 1
-            for block in blocks:
-                # Fully-associative lookup = CAM match across every entry.
-                kinds.append(K_SRAM)
-                a1.append(block)
-                a2.append(t_probe)
-                hit = flags[self._flag_cursor]
-                self._flag_cursor += 1
-                stats.record(hit)
-                if tracing:
-                    tracer.emit("opt_probe", block=block, hit=hit)
-                if not hit:
-                    stats.insertions += 1
-                    kinds.append(K_DRAM)
-                    a1.append(block * BLOCK_SIZE)
-                    a2.append(0)
-                    index_dram += 1
-                kinds.append(K_COMPUTE)
-                a1.append(t_search)
-                a2.append(0)
-            visited = len(blocks)
+        # The walk's blocks and flags come from the two-pass replay, not
+        # the path: each block is a probe, a DRAM fetch on a miss, and a
+        # search step. A range scan's leaves then stream from DRAM.
+        first = self._walk_cursor
+        last = first + len(requests)
+        if last >= len(self._offsets):
+            raise IndexError("FA-OPT replayed more walks than prepared")
+        if not requests:
+            return
+        self._walk_cursor = last
+        offsets = self._offsets[first:last + 1]
+        lo, hi = int(offsets[0]), int(offsets[-1])
+        blocks = self._blocks[lo:hi]
+        hits = self._flags[lo:hi]
+        pair_kinds = np.empty(2 * len(blocks), dtype=np.int8)
+        pair_kinds[0::2] = K_DRAM
+        pair_kinds[1::2] = K_COMPUTE
+        pair_a1 = np.empty(2 * len(blocks), dtype=np.int64)
+        pair_a1[0::2] = blocks * BLOCK_SIZE
+        pair_a1[1::2] = self.sim.t_search
+        pair_kinds = pair_kinds.tobytes()
+        pair_a1 = pair_a1.tobytes()
+        skel = TraceBatch()
+        probe_ends: list[int] = []
+        for request, prep, start, end in zip(
+            requests, prepared, (2 * (offsets[:-1] - lo)).tolist(),
+            (2 * (offsets[1:] - lo)).tolist(),
+        ):
+            skel.kinds.frombytes(pair_kinds[start:end])
+            skel.a1.frombytes(pair_a1[8 * start:8 * end])
+            skel.a2 += _zeros_row(end - start)
+            probe_ends.append(len(skel.kinds))
+            visited = (end - start) // 2
             if request.scan_hi is not None:
-                visited += _stream_leaves(batch, prep, request.scan_hi)
-            batch.finish_walk(request, 0, visited, False, False)
-        batch.index_dram += index_dram
+                visited += _stream_leaves(skel, prep, request.scan_hi)
+            skel.finish_walk(request, 0, visited, False, False)
+        misses = _emit_replay(batch, skel, probe_ends, hits, self.sim.t_fa_probe)
+        batch.index_dram += misses + skel.index_dram
+        stats = self.stats
+        stats.accesses += len(blocks)
+        stats.hits += len(blocks) - misses
+        stats.misses += misses
+        stats.insertions += misses
+        tracer = self.tracer
+        if tracer.enabled:
+            # Fully-associative lookup = CAM match across every entry.
+            walks = np.repeat(
+                np.arange(batch.num_walks - len(requests), batch.num_walks),
+                np.diff(offsets),
+            )
+            for walk, block, hit in zip(
+                walks.tolist(), blocks.tolist(), hits.tolist()
+            ):
+                tracer.walk = walk
+                tracer.emit("opt_probe", block=block, hit=hit)
+            tracer.walk = batch.num_walks - 1
 
 
 class XCacheMemSys(MemorySystem):

@@ -151,6 +151,58 @@ class TestInsert:
             BPlusTree(fanout=1)
 
 
+class _LinearInsertTree(BPlusTree):
+    """Inserts descend by the reference linear separator scan."""
+
+    def _insert(self, node, key, value):
+        if node.is_leaf:
+            return self._insert_into_leaf(node, key, value)
+        idx = 0
+        while idx < len(node.keys) and key >= node.keys[idx]:
+            idx += 1
+        child = node.children[idx]
+        split = self._insert(child, key, value)
+        node.lo = node.children[0].lo
+        node.hi = node.children[-1].hi
+        if split is None:
+            return None
+        sep, right = split
+        node.keys.insert(idx, sep)
+        node.children.insert(idx + 1, right)
+        node.hi = node.children[-1].hi
+        if len(node.children) <= self.fanout:
+            return None
+        return self._split_internal(node)
+
+
+def _shape(tree):
+    return [
+        (node.level, list(node.keys), node.lo, node.hi, node.address)
+        for node in tree.nodes()
+    ]
+
+
+class TestSeparatorSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(st.integers(0, 500), max_size=200),
+        fanout=st.integers(3, 6),
+        probes=st.lists(st.integers(-5, 505), max_size=20),
+    )
+    def test_property_insert_matches_linear_scan(self, keys, fanout, probes):
+        tree = BPlusTree(fanout=fanout)
+        reference = _LinearInsertTree(fanout=fanout)
+        for key in keys:
+            tree.insert(key, -key)
+            reference.insert(key, -key)
+        assert _shape(tree) == _shape(reference)
+        for key in probes:
+            assert [(n.level, n.keys) for n in tree.walk(key)] == [
+                (n.level, n.keys) for n in reference.walk(key)
+            ]
+            assert tree.get(key) == reference.get(key)
+
+
 class TestGeometry:
     def test_nodes_bfs_order(self):
         tree = BPlusTree.bulk_load([(k, k) for k in range(100)], fanout=4)

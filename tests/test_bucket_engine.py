@@ -1,9 +1,9 @@
-"""The calendar-queue engine vs the reference heap loop: exact equivalence.
+"""The engine vs the reference heap loop: exact equivalence.
 
-``Engine.run`` drains contexts from per-cycle calendar buckets in
-ascending context order — exactly the (cycle, ctx) order a binary heap
-pops. The reference (``tests/reference/engine.py``) is the plain
-one-event-per-pop heap loop. These properties hammer tie-heavy schedules
+``Engine.run`` drains contexts off one heap of ``(cycle << bits) | ctx``
+ints, running a context on while its next event is due at the same
+cycle — the (cycle, ctx) order a tuple heap pops. The reference
+(``tests/reference/engine.py``) is the plain one-event-per-pop heap loop. These properties hammer tie-heavy schedules
 (many contexts due at the same cycle, zero-latency compute steps, bank
 conflicts, crossbar ties, multi-block DRAM accesses, prefetches) where
 any ordering divergence would surface as a different row-hit sequence or

@@ -1,6 +1,9 @@
 """Tests for reuse descriptors (Node / Level / Branch / Composite)."""
 
+import statistics
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.descriptors import (
     BatchFeedback,
@@ -192,6 +195,28 @@ class TestBranchDescriptor:
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
             BranchDescriptor(depth=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        window=st.integers(0, 40),
+        keys=st.lists(st.integers(-(1 << 40), 1 << 40), max_size=200),
+    )
+    def test_sorted_window_matches_statistics(self, window, keys):
+        # The sorted copy of the window gives statistics.median's pivot
+        # and the min/max width after every key, also once the window
+        # overflows and evicts its oldest keys.
+        d = BranchDescriptor(depth=3, window=window)
+        pivot = None
+        for i, key in enumerate(keys):
+            d.observe_key(key)
+            recent = keys[max(0, i + 1 - window):i + 1] if window else []
+            if len(recent) >= max(8, window // 8):
+                pivot = int(statistics.median(recent))
+            assert d.pivot == pivot
+            if len(recent) >= 2:
+                assert d._width() == max(1, (max(recent) - min(recent)) // 2)
+            else:
+                assert d._width() == 1 << 30
 
 
 class TestComposite:

@@ -97,9 +97,27 @@ class TestDramReconciliation:
         assert len(events) - hits == metal_run.dram.row_misses
 
     def test_every_system_reconciles(self):
-        for kind in ("address", "xcache", "metal_ix"):
+        for kind in ("address", "address_pf", "fa_opt", "xcache", "metal_ix"):
             run = traced_run(kind)
             assert run.tracer.counts["dram_access"] == run.dram.accesses, kind
+
+    @pytest.mark.parametrize("kind,event", [
+        ("address", "addr_probe"), ("address_pf", "addr_probe"),
+        ("fa_opt", "opt_probe"),
+    ])
+    def test_address_tagged_probe_events_match_stats(self, kind, event):
+        # One probe event per cache access, each under the walk that
+        # made it, with the hit flags the statistics count.
+        run = traced_run(kind)
+        stats = run.cache_stats
+        events = run.tracer.events(event)
+        assert len(events) == stats.accesses > 0
+        assert sum(e.args["hit"] for e in events) == stats.hits
+        assert run.counters[f"events.{event}"] == stats.accesses
+        assert run.counters[f"cache.{kind}.misses"] == stats.misses
+        walks = [e.walk for e in events]
+        assert walks == sorted(walks)
+        assert 0 <= walks[0] and walks[-1] < run.num_walks
 
 
 class TestCounterReconciliation:

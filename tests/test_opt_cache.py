@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.mem.opt_cache import belady_hit_flags
+from repro.mem.opt_cache import belady_hit_flags, belady_hits
+from tests.reference import opt_cache as reference
 
 
 def lru_hits(trace, capacity):
@@ -77,3 +78,39 @@ class TestBeladyFlags:
             if block not in seen:
                 assert flag is False
                 seen.add(block)
+
+
+class TestAgainstReference:
+    """The next-use implementation against the dict-of-lists reference.
+
+    OPT's flags are unique (ties are only among never-reused blocks), so
+    the two must agree flag for flag whatever each evicts on a tie.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        trace=st.lists(st.integers(0, 40), max_size=300),
+        capacity=st.integers(0, 12),
+    )
+    def test_flags_match_reference(self, trace, capacity):
+        assert belady_hit_flags(trace, capacity) == reference.belady_hit_flags(
+            trace, capacity
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        trace=st.lists(
+            st.integers(0, 6).map(lambda b: b << 40), min_size=1, max_size=200
+        ),
+        capacity=st.sampled_from([0, 1, 2, 7]),
+    )
+    def test_sparse_block_ids(self, trace, capacity):
+        # Block ids far apart (and beyond 32 bits) are renumbered densely.
+        assert belady_hit_flags(trace, capacity) == reference.belady_hit_flags(
+            trace, capacity
+        )
+
+    def test_array_form(self):
+        flags = belady_hits([3, 1, 3, 2, 1, 3], 2)
+        assert flags.dtype == bool
+        assert flags.tolist() == reference.belady_hit_flags([3, 1, 3, 2, 1, 3], 2)

@@ -171,6 +171,10 @@ def test_faopt_flags_from_the_memo(name, kwargs):
     cold = FAOPTMemSys.prepare(pairs, params)
     _run(workload, "stream", workload.walks)
     warm = FAOPTMemSys.prepare(pairs, params, walks=workload.walks)
+    offsets = [0]
+    for blocks in walk_blocks:
+        offsets.append(offsets[-1] + len(blocks))
     for memsys in (cold, warm):
-        assert memsys._walk_blocks == walk_blocks
-        assert memsys._flags == flags
+        assert memsys._blocks.tolist() == flat
+        assert memsys._offsets.tolist() == offsets
+        assert memsys._flags.tolist() == flags
