@@ -23,7 +23,7 @@ import itertools
 from collections import Counter
 from typing import Any
 
-from repro.core.packing import coalesced_tag, pack_sized
+from repro.core.packing import pack_sized
 from repro.core.policy import UTILITY_INSERT, ReplacementPolicy, make_policy
 from repro.core.range_tag import RangeTag
 from repro.indexes.base import IndexNode
@@ -58,16 +58,21 @@ def block_bits_for(key_universe: int, params: CacheParams | None = None,
 class IXEntry:
     """One cache block: a match tag and the node(s) packed behind it.
 
-    ``utility`` is the paper's 4-bit saturating counter; ``stamp`` is a
-    policy-defined scratch word (LRU tick, hit count — see
-    :mod:`repro.core.policy`) that the default policy never touches.
+    The tag is kept as slots: ``lo``, ``hi`` and ``level``, plus ``ns``,
+    the namespace id ``lo // NS_STRIDE`` (an index's keys, see
+    :func:`repro.sim.memsys.namespace_fn`), which coalescing and way
+    quotas compare. ``utility`` is the paper's 4-bit saturating counter;
+    ``stamp`` is a policy-defined scratch word (LRU tick, hit count —
+    see :mod:`repro.core.policy`) that the default policy never touches.
     """
 
-    __slots__ = ("tag", "parts", "utility", "life", "nbytes", "seq", "stamp")
+    __slots__ = ("lo", "hi", "level", "ns", "parts", "utility", "life",
+                 "nbytes", "seq", "stamp")
 
     def __init__(self, tag: RangeTag, parts: list[tuple[RangeTag, IndexNode]],
                  life: int, nbytes: int):
-        self.tag = tag
+        self.lo, self.hi, self.level = tag
+        self.ns = self.lo // NS_STRIDE
         self.parts = parts
         self.utility = UTILITY_INSERT
         self.life = life
@@ -75,6 +80,10 @@ class IXEntry:
         self.nbytes = nbytes
         self.seq = next(_entry_seq)
         self.stamp = 0
+
+    @property
+    def tag(self) -> RangeTag:
+        return RangeTag(self.lo, self.hi, self.level)
 
     @property
     def pinned(self) -> bool:
@@ -185,11 +194,11 @@ class IXCache:
         for ways in (self._sets[(key >> self.key_block_bits) % self.num_sets],
                      self._wide):
             for entry in ways:
-                tag = entry.tag
-                if tag.lo <= key <= tag.hi and (best is None or tag.level > best_level):
+                if entry.lo <= key <= entry.hi and (
+                        best is None or entry.level > best_level):
                     for part_tag, node in entry.parts:
                         if part_tag.lo <= key <= part_tag.hi:
-                            best_level = tag.level
+                            best_level = entry.level
                             best_entry = entry
                             best = node
                             break
@@ -209,11 +218,11 @@ class IXCache:
             self.policy.on_hit(entry)
             if entry.life > 0:
                 entry.life -= 1
-            self.hit_levels[entry.tag.level] += 1
+            self.hit_levels[entry.level] += 1
         if self.tracer.enabled:
             self.tracer.emit("ix_probe", key=key, hit=entry is not None)
             if entry is not None:
-                self.tracer.emit("ix_hit", key=key, level=entry.tag.level)
+                self.tracer.emit("ix_hit", key=key, level=entry.level)
         return node
 
     def peek(self, key: int) -> IndexNode | None:
@@ -224,58 +233,77 @@ class IXCache:
     # Insert / bypass
     # ------------------------------------------------------------------ #
 
+    def plan(self, node: IndexNode, ns: Any = None) -> list[tuple]:
+        """Where ``node``'s entries go: its placement plan.
+
+        One ``(tag, part, size, slots)`` per packed part (Fig. 5,
+        :func:`~repro.core.packing.pack_sized`), where ``slots`` lists
+        ``(set, tag)`` placements: the part's own tag in the one set of
+        its key block, a Case-2 clip of it in the set of each key block
+        it spans, or set ``-1``, the wide array, when it spans more than
+        ``replication_limit`` blocks. ``ns`` maps raw keys to namespaced
+        keys (identity when None). The plan is pure in the node's
+        geometry and the cache's, so a caller over a read-only index
+        may keep it and hand it back to :meth:`insert`.
+        """
+        bits = self.key_block_bits
+        plan = []
+        for tag, part_node, size in pack_sized(node, ns or _identity,
+                                               self.params.block_bytes):
+            first = tag.lo >> bits
+            last = tag.hi >> bits
+            if not self.associative:
+                slots: tuple = ((0, tag),)
+            elif last - first + 1 > self.replication_limit:
+                slots = ((-1, tag),)
+            elif first == last:
+                # Single key block: the clip is the identity (the tag
+                # lies wholly inside the block), so place it unclipped.
+                slots = ((first % self.num_sets, tag),)
+            else:
+                slots = tuple(
+                    (block % self.num_sets,
+                     tag.clip(block << bits, ((block + 1) << bits) - 1))
+                    for block in range(first, last + 1)
+                )
+            plan.append((tag, part_node, size, slots))
+        return plan
+
     def insert(
         self, node: IndexNode, ns: Any = None, life: int = 0,
-        key: int | None = None,
-        packed: list[tuple[RangeTag, IndexNode, int]] | None = None,
+        key: int | None = None, plan: list[tuple] | None = None,
     ) -> bool:
         """Insert an index node; returns False if wholly rejected.
 
         ``ns`` maps raw keys to namespaced keys (identity when None).
         The node is packed per Fig. 5, then each entry is placed in the
-        set(s) its range spans (or the wide array). When ``key`` (already
-        namespaced) is given and the node splits into several sub-range
-        entries, only the entry the walk actually searched — the one
-        covering ``key`` — is cached; the walker never read the others.
-        ``packed`` lets a caller supply a precomputed ``pack_sized``
-        result (read-only indexes only — packing is pure in the node's
-        geometry); the list is never mutated here.
+        set(s) its range spans (or the wide array), as :meth:`plan`
+        lays out. When ``key`` (already namespaced) is given and the
+        node splits into several sub-range entries, only the entry the
+        walk actually searched — the one covering ``key`` — is cached;
+        the walker never read the others. ``plan`` lets a caller supply
+        the node's kept :meth:`plan` (read-only indexes only); the list
+        is never mutated here.
         """
-        if ns is None:
-            ns = _identity
-        if packed is None:
-            packed = pack_sized(node, ns, self.params.block_bytes)
-        if key is not None and len(packed) > 1:
-            covering = [part for part in packed
+        if plan is None:
+            plan = self.plan(node, ns)
+        if key is not None and len(plan) > 1:
+            covering = [part for part in plan
                         if part[0].lo <= key <= part[0].hi]
             if covering:
-                packed = covering
-        if not packed:
+                plan = covering
+        if not plan:
             return False
         placed_any = False
-        bits = self.key_block_bits
-        for tag, part_node, size in packed:
-            first = tag.lo >> bits
-            last = tag.hi >> bits
-            if not self.associative:
-                placed = self._place_in_set(0, tag, part_node, life, size)
-            elif last - first + 1 > self.replication_limit:
-                placed = self._place_wide(tag, part_node, life, size)
-            elif first == last:
-                # Single key block: the clip is the identity (the tag
-                # lies wholly inside the block), so place it unclipped.
-                placed = self._place_in_set(first % self.num_sets, tag,
-                                            part_node, life, size)
-            else:
-                placed = False
-                for block in range(first, last + 1):
-                    block_lo = block << bits
-                    clipped = tag.clip(block_lo, block_lo + (1 << bits) - 1)
-                    if self._place_in_set(block % self.num_sets, clipped,
-                                          part_node, life, size):
-                        placed = True
-            if placed:
-                placed_any = True
+        for _, part_node, size, slots in plan:
+            for set_idx, tag in slots:
+                if set_idx < 0:
+                    placed = self._place_wide(tag, part_node, life, size)
+                else:
+                    placed = self._place_in_set(set_idx, tag, part_node,
+                                                life, size)
+                if placed:
+                    placed_any = True
         if not placed_any:
             self.stats.bypasses += 1
             if self.tracer.enabled:
@@ -309,8 +337,9 @@ class IXCache:
         tag_width = tag_hi - tag_lo + 1
         partner: IXEntry | None = None
         for entry in ways:
-            etag = entry.tag
-            if etag == tag:
+            elo = entry.lo
+            ehi = entry.hi
+            if elo == tag_lo and ehi == tag_hi and entry.level == tag_level:
                 for _, part_node in entry.parts:
                     if part_node is node:
                         self.policy.on_hit(entry)
@@ -318,12 +347,8 @@ class IXCache:
                             entry.life = life
                         return True
                 continue  # equal ranges overlap: never a partner
-            if (not seek or entry.nbytes > room or etag.level != tag_level
-                    or entry.life > 0):
-                continue
-            elo = etag.lo
-            ehi = etag.hi
-            if elo // NS_STRIDE != tag_ns:
+            if (not seek or entry.nbytes > room or entry.level != tag_level
+                    or entry.life > 0 or entry.ns != tag_ns):
                 continue
             if elo <= tag_hi and tag_lo <= ehi:
                 continue  # overlapping ranges never coalesce
@@ -334,7 +359,11 @@ class IXCache:
                 seek = False  # keep scanning for a duplicate only
         if partner is not None:
             partner.parts.append((tag, node))
-            partner.tag = coalesced_tag(partner.tag, tag)
+            # The super-range (:func:`~repro.core.packing.coalesced_tag`).
+            if tag_lo < partner.lo:
+                partner.lo = tag_lo
+            if tag_hi > partner.hi:
+                partner.hi = tag_hi
             partner.nbytes += node_bytes
             self.stats.insertions += 1
             if self.tracer.enabled:
@@ -343,7 +372,7 @@ class IXCache:
             return True
         owner = tag_ns
         if self.partition is not None and owner in self.partition:
-            owned = [e for e in ways if e.tag.lo // NS_STRIDE == owner]
+            owned = [e for e in ways if e.ns == owner]
             if len(owned) >= self.partition[owner]:
                 # Quota full: the index may only displace its own entries.
                 victims = [e for e in owned if not e.pinned] or owned
@@ -351,13 +380,10 @@ class IXCache:
                 ways.remove(victim)
                 self.stats.evictions += 1
                 if self.tracer.enabled:
-                    self.tracer.emit("ix_evict", level=victim.tag.level,
+                    self.tracer.emit("ix_evict", level=victim.level,
                                      reason="quota")
-        if len(ways) >= self.ways and not self._evict_from(ways):
-            self.stats.bypasses += 1
-            if self.tracer.enabled:
-                self.tracer.emit("ix_bypass", level=tag_level, reason="pinned_set")
-            return False
+        if len(ways) >= self.ways:
+            self._evict_from(ways)
         entry = IXEntry(tag, [(tag, node)], life,
                         size if size < BLOCK_SIZE else BLOCK_SIZE)
         self.policy.on_insert(entry)
@@ -370,15 +396,14 @@ class IXCache:
 
     def _place_wide(self, tag: RangeTag, node: IndexNode, life: int,
                     size: int) -> bool:
+        lo, hi, level = tag
         for entry in self._wide:
-            if entry.tag == tag and any(n is node for _, n in entry.parts):
+            if (entry.lo == lo and entry.hi == hi and entry.level == level
+                    and any(n is node for _, n in entry.parts)):
                 self.policy.on_hit(entry)
                 return True
-        if len(self._wide) >= self.wide_capacity and not self._evict_from(self._wide):
-            self.stats.bypasses += 1
-            if self.tracer.enabled:
-                self.tracer.emit("ix_bypass", level=tag.level, reason="pinned_wide")
-            return False
+        if len(self._wide) >= self.wide_capacity:
+            self._evict_from(self._wide)
         entry = IXEntry(tag, [(tag, node)], life,
                         size if size < BLOCK_SIZE else BLOCK_SIZE)
         self.policy.on_insert(entry)
@@ -389,47 +414,23 @@ class IXCache:
                              lo=tag.lo, hi=tag.hi, wide=True)
         return True
 
-    def _evict_from(self, entries: list[IXEntry]) -> bool:
-        """Evict one entry chosen by the replacement policy.
+    def _evict_from(self, entries: list[IXEntry]) -> None:
+        """Evict one entry of a full set (or the wide array).
 
-        Unpinned entries are the candidate pool; the policy picks the
-        victim and then ages the survivors (``epoch_decay`` — RRIP-style
-        renormalization for the default policy): entries that keep
-        getting hit stay near the top of the counter range while
-        streaming one-touch insertions churn at the bottom.
+        The replacement policy's :meth:`~repro.core.policy.ReplacementPolicy.evict`
+        picks the victim among the unpinned entries, or reclaims a
+        pinned one when every entry is pinned, removes it and ages the
+        survivors. A victim still holding a lease was reclaimed.
         """
-        victims = [e for e in entries if e.life <= 0]
-        if not victims:
-            # Lifetime pins are advisory: rather than deadlocking a fully
-            # pinned set, reclaim the pinned entry with the least remaining
-            # life (its expected accesses are most nearly consumed).
-            victim = min(entries, key=lambda e: (e.life, e.utility, e.seq))
-            entries.remove(victim)
-            self.stats.evictions += 1
-            if self.tracer.enabled:
-                self.tracer.emit("ix_evict", level=victim.tag.level,
-                                 reason="pinned_reclaim")
-            # Survivors age on this path exactly as on the unpinned path:
-            # a fully-pinned, saturated set (common in the wide array,
-            # whose near-root entries carry long lifetimes) must not stay
-            # permanently fresher than set entries under the same
-            # eviction pressure.
-            self.policy.epoch_decay(entries, victim)
-            return True
-        victim = self.policy.select_victim(victims)
-        entries.remove(victim)
+        victim = self.policy.evict(entries)
         self.stats.evictions += 1
         if self.tracer.enabled:
-            self.tracer.emit("ix_evict", level=victim.tag.level,
-                             utility=victim.utility, reason="utility")
-        for entry in entries:
-            if entry.life > 0:
-                # Lifetime is a lease, not a grant in perpetuity: pins
-                # decay under eviction pressure so entries whose expected
-                # accesses never arrive become reclaimable.
-                entry.life -= 1
-        self.policy.epoch_decay(entries, victim)
-        return True
+            if victim.life > 0:
+                self.tracer.emit("ix_evict", level=victim.level,
+                                 reason="pinned_reclaim")
+            else:
+                self.tracer.emit("ix_evict", level=victim.level,
+                                 utility=victim.utility, reason="utility")
 
     # ------------------------------------------------------------------ #
     # Introspection (Fig. 21 occupancy, tests)
@@ -444,13 +445,12 @@ class IXCache:
         """
         if lo > hi:
             raise ValueError(f"invalid range [{lo}, {hi}]")
-        dirty = RangeTag(lo, hi, 0)
         removed = 0
         for ways in self._sets:
-            keep = [e for e in ways if not e.tag.overlaps(dirty)]
+            keep = [e for e in ways if e.lo > hi or lo > e.hi]
             removed += len(ways) - len(keep)
             ways[:] = keep
-        keep = [e for e in self._wide if not e.tag.overlaps(dirty)]
+        keep = [e for e in self._wide if e.lo > hi or lo > e.hi]
         removed += len(self._wide) - len(keep)
         self._wide[:] = keep
         self.stats.evictions += removed
@@ -476,7 +476,7 @@ class IXCache:
         """Number of cached entries per index level."""
         counts: Counter[int] = Counter()
         for entry in self.entries():
-            counts[entry.tag.level] += 1
+            counts[entry.level] += 1
         return dict(counts)
 
     def __len__(self) -> int:

@@ -83,8 +83,8 @@ def pack_sized(
 ) -> list[tuple[RangeTag, IndexNode, int]]:
     """:func:`pack_node`'s entries, each with its part's byte size.
 
-    These are the ``packed`` entries :meth:`~repro.core.ix_cache.IXCache.insert`
-    places: a caller that memoizes them sizes each node once.
+    :meth:`~repro.core.ix_cache.IXCache.plan` lays these entries out
+    for ``insert``: a caller that keeps the plan sizes each node once.
     """
     return [(tag, part, part.byte_size())
             for tag, part in pack_node(node, ns, block_bytes)]

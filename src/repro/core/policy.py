@@ -22,9 +22,10 @@ module makes that scheme one point in a pluggable axis so the policy lab
 
 Policies keep their per-entry state on ``IXEntry.utility`` (the paper's
 counter) and ``IXEntry.stamp`` (a policy-defined scratch word: LRU tick,
-hit count). The cache consults the policy at four points — the protocol
-below — and everything else (pins, set geometry, coalescing, wide-entry
-spill) stays policy-independent.
+hit count). The cache consults the policy through the protocol below:
+``on_insert``, ``on_hit`` and, per eviction, ``evict``, which the base
+class builds from ``select_victim`` and ``epoch_decay``. Everything else
+(set geometry, coalescing, wide-entry spill) stays policy-independent.
 
 The :class:`ThresholdTuner` is the other half of the lab: an online
 controller that retunes the reuse patterns' admission thresholds
@@ -73,16 +74,19 @@ def tag_energy_fj(
 class ReplacementPolicy(ABC):
     """Victim selection + per-entry metadata maintenance for the IX-cache.
 
-    The cache calls exactly four hooks:
+    The cache calls three hooks:
 
     * :meth:`on_insert` — a new entry was placed (set its metadata).
     * :meth:`on_hit` — an entry matched a probe or absorbed a duplicate
       insertion (promote it).
-    * :meth:`select_victim` — choose one entry to evict from a non-empty
-      candidate list. Candidates are resident and (whenever any exist)
-      unpinned; the choice must be deterministic given entry state.
-    * :meth:`epoch_decay` — age the survivors of one eviction (the
-      RRIP-style renormalization step; a no-op for recency policies).
+    * :meth:`evict` — remove one entry from a full set and age the
+      survivors. The base class builds it from two hooks a policy
+      defines: :meth:`select_victim`, which chooses one entry from a
+      non-empty candidate list (resident and, whenever any exist,
+      unpinned; the choice must be deterministic given entry state),
+      and :meth:`epoch_decay`, which ages the survivors of one eviction
+      (the RRIP-style renormalization step; a no-op for recency
+      policies). Way quotas call :meth:`select_victim` directly.
 
     ``clear()`` must reset any cross-entry state (ticks, counters) so a
     cleared cache behaves like a fresh one.
@@ -107,6 +111,41 @@ class ReplacementPolicy(ABC):
 
     def epoch_decay(self, survivors: "Iterable[IXEntry]", victim: "IXEntry") -> None:
         """Age the set's survivors after one eviction (default: no-op)."""
+
+    def evict(self, entries: "list[IXEntry]") -> "IXEntry":
+        """Remove and return one victim of the full list ``entries``.
+
+        Unpinned entries are the candidate pool: :meth:`select_victim`
+        picks the victim, every survivor's lease drops by one, and
+        :meth:`epoch_decay` ages the survivors (RRIP-style
+        renormalization for the default policy: entries that keep
+        getting hit stay near the top of the counter range while
+        streaming one-touch insertions churn at the bottom).
+        """
+        victims = [e for e in entries if e.life <= 0]
+        if not victims:
+            # Lifetime pins are advisory: rather than deadlocking a fully
+            # pinned set, reclaim the pinned entry with the least remaining
+            # life (its expected accesses are most nearly consumed).
+            victim = min(entries, key=lambda e: (e.life, e.utility, e.seq))
+            entries.remove(victim)
+            # Survivors age on this path exactly as on the unpinned path:
+            # a fully-pinned, saturated set (common in the wide array,
+            # whose near-root entries carry long lifetimes) must not stay
+            # permanently fresher than set entries under the same
+            # eviction pressure.
+            self.epoch_decay(entries, victim)
+            return victim
+        victim = self.select_victim(victims)
+        entries.remove(victim)
+        for entry in entries:
+            if entry.life > 0:
+                # Lifetime is a lease, not a grant in perpetuity: pins
+                # decay under eviction pressure so entries whose expected
+                # accesses never arrive become reclaimable.
+                entry.life -= 1
+        self.epoch_decay(entries, victim)
+        return victim
 
     def clear(self) -> None:
         """Reset cross-entry policy state (default: none to reset)."""
@@ -153,6 +192,30 @@ class UtilityRRIPPolicy(ReplacementPolicy):
             for entry in survivors:
                 if entry.utility > 0:
                     entry.utility -= 1
+
+    def evict(self, entries: "list[IXEntry]") -> "IXEntry":
+        # The base class's composition in two passes: one selection pass
+        # and one pass that drops leases and ages utility together. The
+        # cache keeps every set in ``seq`` order (entries are appended
+        # when created and never reordered), so the first unpinned entry
+        # of minimal utility is the (utility, seq) minimum.
+        victim = None
+        best = at = 0
+        for i, entry in enumerate(entries):
+            if entry.life <= 0 and (victim is None or entry.utility < best):
+                victim = entry
+                best = entry.utility
+                at = i
+        if victim is None:
+            return ReplacementPolicy.evict(self, entries)
+        del entries[at]
+        decay = best > 0
+        for entry in entries:
+            if entry.life > 0:
+                entry.life -= 1
+            if decay and entry.utility > 0:
+                entry.utility -= 1
+        return victim
 
 
 class TrueLRUPolicy(ReplacementPolicy):
@@ -262,12 +325,15 @@ class LevelCostPolicy(UtilityRRIPPolicy):
     tag_bits = 8  # 4-bit utility + a copy of the 4-bit level field
     #: How many utility notches one level of depth is worth.
     LEVEL_WEIGHT = 1
+    #: The inherited ``evict`` fuses the paper's victim choice; this
+    #: score needs the base composition around ``select_victim``.
+    evict = ReplacementPolicy.evict
 
     def select_victim(self, candidates: "list[IXEntry]") -> "IXEntry":
         weight = self.LEVEL_WEIGHT
         return min(
             candidates,
-            key=lambda e: (2 * e.utility + weight * e.tag.level, e.utility, e.seq),
+            key=lambda e: (2 * e.utility + weight * e.level, e.utility, e.seq),
         )
 
 

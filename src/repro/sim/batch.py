@@ -2,8 +2,8 @@
 
 * :class:`BatchWalkPlanner` — numpy walk generation over the SoA
   B+tree (:meth:`~repro.indexes.soa.SoABPlusTree.batch_positions`):
-  one ``searchsorted`` per level per key chunk instead of one per
-  (key, node), plus one memoized path per leaf.
+  one ``searchsorted`` per level per chunk of new keys instead of one
+  per (key, node), one memoized path per leaf, and a per-key memo.
 * :func:`simulate_batched` — the body of
   :func:`repro.sim.metrics.simulate`: generates every walk into a
   :class:`~repro.sim.engine.TraceBatch` in chunks of ``WALK_CHUNK``
@@ -18,8 +18,9 @@ for the rest (the object backend, skip lists, radix tables). The same
 resolution counts the streaming-baseline blocks. Object-index paths are
 memoized per (index, key) in a :data:`WalkMemo`: for one run, or for
 every run over the workload when the caller passes
-:attr:`~repro.workloads.suite.Workload.walks`. SoA paths are memoized
-per leaf on the planner instead, so they never enter that memo. Either
+:attr:`~repro.workloads.suite.Workload.walks`. SoA keys are memoized on
+the tree's planner instead, with the same ``(path, baseline blocks)``
+value, for every run over the tree. Either
 way the path is a :class:`~repro.sim.memsys.WalkPath` that carries its
 DRAM emission record, so every memory system appends a walk it has
 seen before without re-deriving it node by node. The golden digests in
@@ -54,7 +55,7 @@ WalkMemo = dict[tuple[int, Any], tuple[WalkPath, int]]
 
 
 class BatchWalkPlanner:
-    """Numpy walk generation and per-leaf paths for one SoA tree.
+    """Numpy walk generation and per-key paths for one SoA tree.
 
     Wraps a :class:`~repro.indexes.soa.SoABPlusTree`: ``positions``
     resolves a key chunk with one ``searchsorted`` per level;
@@ -63,11 +64,14 @@ class BatchWalkPlanner:
     :class:`~repro.sim.memsys.WalkPath` of the tree's memoized node
     views. The path to a leaf is unique, so one path per leaf serves
     every walk routed through it, and its emission record is built once.
-    Planners are cached on the tree, so repeated runs over one workload
-    reuse every path.
+    ``resolve`` plans keys into ``walks``, the tree's per-key memo of
+    ``(path, streaming-baseline blocks)``, the same value a
+    :data:`WalkMemo` holds. Planners are cached on the tree, so repeated
+    runs over one workload plan each distinct key once.
     """
 
-    __slots__ = ("tree", "height", "view", "_levels", "_block_counts", "_paths")
+    __slots__ = ("tree", "height", "view", "_levels", "_block_counts",
+                 "_paths", "walks")
 
     def __init__(self, tree: Any) -> None:
         self.tree = tree
@@ -77,6 +81,8 @@ class BatchWalkPlanner:
         self._block_counts: list[np.ndarray | None] = [None] * self.height
         #: Leaf position -> the path to it (the tree is read-only).
         self._paths: dict[int, WalkPath] = {}
+        #: Key -> (path, streaming-baseline blocks), filled by ``resolve``.
+        self.walks: dict[Any, tuple[WalkPath, int]] = {}
 
     def positions(self, keys: np.ndarray) -> np.ndarray:
         return self.tree.batch_positions(keys)
@@ -100,12 +106,16 @@ class BatchWalkPlanner:
             self._block_counts[level] = counts
         return counts
 
+    def _row_counts(self, rows: np.ndarray) -> np.ndarray:
+        """Streaming block count of each walk row."""
+        total = np.zeros(len(rows), dtype=np.int64)
+        for level in range(self.height):
+            total += self._counts(level)[rows[:, level]]
+        return total
+
     def baseline(self, rows: np.ndarray) -> int:
         """Streaming block count summed over a chunk of walk rows."""
-        total = 0
-        for level in range(self.height):
-            total += int(self._counts(level)[rows[:, level]].sum())
-        return total
+        return int(self._row_counts(rows).sum())
 
     def path(self, row: list[int]) -> WalkPath:
         """The walk a positions row describes, memoized per leaf."""
@@ -118,6 +128,17 @@ class BatchWalkPlanner:
             )
             self._paths[row[-1]] = path
         return path
+
+    def resolve(self, keys: list[Any]) -> None:
+        """Plan distinct keys missing from ``walks`` into it, in one
+        vectorised ``positions`` call."""
+        rows = self.positions(np.fromiter(keys, dtype=np.int64,
+                                          count=len(keys)))
+        path = self.path
+        walks = self.walks
+        for key, row, blocks in zip(keys, rows.tolist(),
+                                    self._row_counts(rows).tolist()):
+            walks[key] = (path(row), blocks)
 
 
 def _planner_for(
@@ -152,16 +173,18 @@ def _plan_chunk(
     the planner's path over SoA indexes, the memoized
     ``index.walk(key)`` otherwise) and the chunk's streaming-baseline
     increment: the blocks of the point walk to each request's key, range
-    scans included. ``walks`` memoizes object-backend paths and their
-    block counts per (index, key) for the workload
-    (:attr:`~repro.workloads.suite.Workload.walks`); a workload's indexes
-    do not change once built, so only misses are walked. SoA keys are
-    planned with one vectorised ``positions`` call per chunk and never
-    enter ``walks``.
+    scans included. Every request is one memo lookup: SoA keys in their
+    planner's ``walks``, other keys per (index, key) in ``walks``, for
+    the run or for the workload
+    (:attr:`~repro.workloads.suite.Workload.walks`). A workload's indexes
+    do not change once built, so only misses are resolved: object keys
+    by ``index.walk``, SoA keys by one vectorised ``positions`` call per
+    planner per chunk.
     """
     prepared: list[Any] = [None] * len(requests)
     baseline = 0
-    groups: dict[int, tuple[BatchWalkPlanner, list[int]]] = {}
+    #: Per planner, its missed keys -> the requests waiting on each.
+    missed: dict[int, tuple[BatchWalkPlanner, dict[Any, list[int]]]] = {}
     for i, request in enumerate(requests):
         index, key = request[0], request[1]
         planner = _planner_for(index, planners)
@@ -172,24 +195,24 @@ def _plan_chunk(
                 path = WalkPath(index.walk(key))
                 resolved = (path, sum(len(_node_blocks(node)) for node in path))
                 walks[walk_id] = resolved
-            prepared[i] = resolved[0]
-            baseline += resolved[1]
         else:
-            group = groups.get(id(index))
-            if group is None:
-                groups[id(index)] = (planner, [i])
-            else:
-                group[1].append(i)
-    for planner, members in groups.values():
-        keys = np.fromiter(
-            (requests[i][1] for i in members), dtype=np.int64,
-            count=len(members),
-        )
-        rows = planner.positions(keys)
-        baseline += planner.baseline(rows)
-        path = planner.path
-        for i, row in zip(members, rows.tolist()):
-            prepared[i] = path(row)
+            resolved = planner.walks.get(key)
+            if resolved is None:
+                group = missed.get(id(planner))
+                if group is None:
+                    group = missed[id(planner)] = (planner, {})
+                group[1].setdefault(key, []).append(i)
+                continue
+        prepared[i] = resolved[0]
+        baseline += resolved[1]
+    for planner, waiting in missed.values():
+        planner.resolve(list(waiting))
+        memo = planner.walks
+        for key, members in waiting.items():
+            path, blocks = memo[key]
+            for i in members:
+                prepared[i] = path
+            baseline += blocks * len(members)
     return prepared, baseline
 
 

@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.core.descriptors import LevelDescriptor, WalkContext
 from repro.core.metal import Metal, MetalIX
-from repro.core.packing import pack_sized
 from repro.indexes.base import IndexNode
 from repro.mem.address_cache import AddressCache
 from repro.mem.opt_cache import belady_hits
@@ -594,45 +593,83 @@ class HierarchyMemSys(MemorySystem):
         self.hierarchy.l2.attach_obs(tracer, registry)
 
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
+        # One plain loop per block over both levels' per-set OrderedDicts:
+        # the bulk form of ``CacheHierarchy.lookup`` (L1, then L2 and an
+        # L1 fill on an L2 hit) and, on a miss, ``insert`` into L2 then
+        # L1. A block that missed a level is still absent from it, so
+        # each fill is an eviction when the set is full plus an append.
+        # Counters are added to both levels' statistics once per chunk.
         t_search = self.sim.t_search
         kinds = batch.kinds
         a1 = batch.a1
         a2 = batch.a2
         hierarchy = self.hierarchy
-        lookup = hierarchy.lookup
-        insert = hierarchy.insert
+        l1 = hierarchy.l1
+        l2 = hierarchy.l2
+        sets1 = l1.sets
+        sets2 = l2.sets
+        num_sets1 = len(sets1)
+        num_sets2 = len(sets2)
+        ways1 = l1.params.ways
+        ways2 = l2.params.ways
+        bytes1 = l1.params.block_bytes
+        bytes2 = l2.params.block_bytes
         l1_cycles = hierarchy.latency_of(1)
         l2_cycles = hierarchy.latency_of(2)
         miss_cycles = hierarchy.miss_latency_cycles
         tracer = self.tracer
         tracing = tracer.enabled
+        tracer1 = l1.tracer
+        tracer2 = l2.tracer
+        tracing1 = tracer1.enabled
+        tracing2 = tracer2.enabled
         block_size = BLOCK_SIZE
-        index_dram = 0
+        probes = l1_hits = l2_hits = misses = evictions1 = evictions2 = 0
         for request, prep in zip(requests, prepared):
             if tracing:
                 tracer.walk = batch.num_walks
             path = _path_blocks(prep)
+            probes += sum(map(len, path))
             for blocks in path:
                 for block_addr in blocks:
-                    level = lookup(block_addr)
-                    if level == 1:
+                    block1 = block_addr // bytes1
+                    set1 = sets1[block1 % num_sets1]
+                    hit = block1 in set1
+                    if tracing1:
+                        tracer1.emit("addr_probe", block=block1, hit=hit)
+                    if hit:
+                        set1.move_to_end(block1)
+                        l1_hits += 1
                         # L1 hits are private: no crossbar port.
                         kinds.append(K_LOCAL)
                         a1.append(l1_cycles)
                         a2.append(0)
-                    elif level == 2:
-                        kinds.append(K_SRAM)
-                        a1.append(block_addr // block_size)
+                        continue
+                    block2 = block_addr // bytes2
+                    set2 = sets2[block2 % num_sets2]
+                    hit = block2 in set2
+                    if tracing2:
+                        tracer2.emit("addr_probe", block=block2, hit=hit)
+                    kinds.append(K_SRAM)
+                    a1.append(block_addr // block_size)
+                    if hit:
+                        set2.move_to_end(block2)
+                        l2_hits += 1
                         a2.append(l2_cycles)
                     else:
-                        kinds.append(K_SRAM)
-                        a1.append(block_addr // block_size)
                         a2.append(miss_cycles)
                         kinds.append(K_DRAM)
                         a1.append(block_addr)
                         a2.append(0)
-                        index_dram += 1
-                        insert(block_addr)
+                        misses += 1
+                        if len(set2) >= ways2:
+                            set2.popitem(last=False)
+                            evictions2 += 1
+                        set2[block2] = None
+                    if len(set1) >= ways1:
+                        set1.popitem(last=False)
+                        evictions1 += 1
+                    set1[block1] = None
                 kinds.append(K_COMPUTE)
                 a1.append(t_search)
                 a2.append(0)
@@ -640,7 +677,20 @@ class HierarchyMemSys(MemorySystem):
             if request.scan_hi is not None:
                 visited += _stream_leaves(batch, prep, request.scan_hi)
             batch.finish_walk(request, 0, visited, False, False)
-        batch.index_dram += index_dram
+        batch.index_dram += misses
+        l1_misses = probes - l1_hits
+        stats = l1.stats
+        stats.accesses += probes
+        stats.hits += l1_hits
+        stats.misses += l1_misses
+        stats.insertions += l1_misses
+        stats.evictions += evictions1
+        stats = l2.stats
+        stats.accesses += l1_misses
+        stats.hits += l2_hits
+        stats.misses += misses
+        stats.insertions += misses
+        stats.evictions += evictions2
 
 
 class FAOPTMemSys(MemorySystem):
@@ -826,8 +876,9 @@ class MetalMemSys(MemorySystem):
         self.policy = policy
         self.name = policy.name
         self._tracked: set[int] = set()
-        #: Packed entry lists per index id, keyed by node, for the nodes
-        #: of :class:`WalkPath` walks (see ``process_chunk``).
+        #: IX-cache placement plans (``IXCache.plan``) per index id, keyed
+        #: by node, for the nodes of :class:`WalkPath` walks (see
+        #: ``process_chunk``).
         self._packed: dict[int, dict[IndexNode, list]] = {}
 
     @property
@@ -874,6 +925,7 @@ class MetalMemSys(MemorySystem):
         cache = policy.cache
         cache_probe = cache.probe
         cache_insert = cache.insert
+        cache_plan = cache.plan
         cache_stats = cache.stats
         cache_tracer = cache.tracer
         kbb = cache.key_block_bits
@@ -885,7 +937,6 @@ class MetalMemSys(MemorySystem):
         faults = self.faults
         t_probe = self.sim.t_ix_probe
         t_search = self.sim.t_search
-        block_bytes = cache.params.block_bytes
         tracked = self._tracked
         ns_cache = self._ns_cache
         kinds = batch.kinds
@@ -903,18 +954,18 @@ class MetalMemSys(MemorySystem):
         index_dram = 0
 
         def insert(node: Any, life: int) -> None:
-            # Packing is pure in a node's geometry and its index's
-            # namespace. A WalkPath's index does not change, so its nodes
-            # reuse packed entry lists; a plain list's nodes can change
-            # between walks and are packed on insert.
+            # A placement plan is pure in a node's geometry, its index's
+            # namespace and the cache's. A WalkPath's index does not
+            # change, so its nodes reuse their plans; a plain list's
+            # nodes can change between walks and are planned on insert.
             if pmap is None:
                 cache_insert(node, ns, life, ns_key)
                 return
-            packed = pmap.get(node)
-            if packed is None:
-                packed = pack_sized(node, ns, block_bytes)
-                pmap[node] = packed
-            cache_insert(node, ns, life, ns_key, packed)
+            plan = pmap.get(node)
+            if plan is None:
+                plan = cache_plan(node, ns)
+                pmap[node] = plan
+            cache_insert(node, ns, life, ns_key, plan)
 
         for request, prep in zip(requests, prepared):
             index = request.index

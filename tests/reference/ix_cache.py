@@ -1,8 +1,8 @@
 """Reference IX-cache: the bounded fill path written from its definitions.
 
-A flat model of :class:`repro.core.ix_cache.IXCache` with the paper's
-default replacement scheme, for differential tests. Every rule is
-spelled out once, in the plainest form, with no inlining:
+A flat model of :class:`repro.core.ix_cache.IXCache`, for differential
+tests. Every rule is spelled out once, in the plainest form, with no
+inlining:
 
 * Match (Fig. 6): an entry matches a key when ``lo <= key <= hi``. Among
   the matching entries that hold a part covering the key, the one with
@@ -24,17 +24,19 @@ spelled out once, in the plainest form, with no inlining:
   block). Otherwise a new entry is placed, after one eviction if the set
   is full. The wide array has no coalescing, and a duplicate there keeps
   its lease.
-* Replacement (utility-RRIP, Section 5): a new entry starts at utility
-  3; a hit adds 1, saturating at 15. The victim is the entry with the
-  smallest ``(utility, seq)`` among the unpinned ones (``life == 0``);
-  after it leaves, every pinned survivor's lease drops by 1. When every
-  entry is pinned, the one with the smallest ``(life, utility, seq)``
-  is reclaimed and no lease drops. Either way, when the victim's utility
-  was above 0, every survivor's utility drops by 1, not below 0.
+* Way quotas (``partition``, namespace id -> ways): before a new entry
+  of a namespace with a quota is placed in a set where that namespace
+  already holds its quota, one of its own entries is evicted, chosen
+  among its unpinned ones (all of them when none is unpinned) by the
+  policy's selector alone, and counted as an eviction.
+* Replacement: :mod:`tests.reference.policy` (utility-RRIP by default,
+  exact LRU, Multi-step LRU). A new entry is one insert touch, and a
+  probe hit or an absorbed duplicate one hit.
 * ``invalidate_range`` drops every entry overlapping the range and counts
-  each as an eviction.
+  each as an eviction; ``clear`` drops every entry and the policy's
+  cross-entry state, and counts nothing.
 
-Only the default policy, no way partitioning, no tracing.
+No tracing.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ from typing import Any, Callable
 from repro.core.packing import pack_node
 from repro.params import BLOCK_SIZE, NS_STRIDE
 
-INSERT_UTILITY = 3
-MAX_UTILITY = 15
+from tests.reference.policy import INSERT_UTILITY, RefUtilityRRIP
 
 
-@dataclass
+@dataclass(eq=False)
 class RefEntry:
     lo: int
     hi: int
@@ -84,6 +85,8 @@ class RefIXCache:
     replication_limit: int
     coalesce: bool = True
     block_bytes: int = BLOCK_SIZE
+    policy: Any = field(default_factory=RefUtilityRRIP)
+    partition: dict[int, int] | None = None
     stats: RefStats = field(default_factory=RefStats)
     #: Inserts merged into an existing entry (Case 3): each counts as an
     #: insertion but adds no entry.
@@ -95,14 +98,16 @@ class RefIXCache:
         self._seq = 0
 
     @classmethod
-    def like(cls, cache: Any) -> "RefIXCache":
-        """A reference with the same geometry as an ``IXCache``."""
+    def like(cls, cache: Any, policy: Any = None) -> "RefIXCache":
+        """A reference with the same geometry and quotas as an ``IXCache``."""
         return cls(num_sets=cache.num_sets, ways=cache.ways,
                    wide_capacity=cache.wide_capacity,
                    key_block_bits=cache.key_block_bits,
                    replication_limit=cache.replication_limit,
                    coalesce=cache.coalesce,
-                   block_bytes=cache.params.block_bytes)
+                   block_bytes=cache.params.block_bytes,
+                   policy=policy or RefUtilityRRIP(),
+                   partition=cache.partition)
 
     # -- match ----------------------------------------------------------
 
@@ -130,7 +135,7 @@ class RefIXCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        entry.utility = min(MAX_UTILITY, entry.utility + 1)
+        self.policy.on_hit(entry)
         entry.life = max(0, entry.life - 1)
         return node
 
@@ -168,8 +173,10 @@ class RefIXCache:
 
     def _new_entry(self, tag, node, life) -> RefEntry:
         self._seq += 1
-        return RefEntry(tag[0], tag[1], tag[2], [(tag, node)],
-                        min(node.byte_size(), BLOCK_SIZE), life, self._seq)
+        entry = RefEntry(tag[0], tag[1], tag[2], [(tag, node)],
+                         min(node.byte_size(), BLOCK_SIZE), life, self._seq)
+        self.policy.on_insert(entry)
+        return entry
 
     def _duplicate(self, entries, tag, node) -> RefEntry | None:
         for entry in entries:
@@ -190,7 +197,7 @@ class RefIXCache:
     def _place_in_set(self, ways: list[RefEntry], tag, node, life) -> bool:
         dup = self._duplicate(ways, tag, node)
         if dup is not None:
-            dup.utility = min(MAX_UTILITY, dup.utility + 1)
+            self.policy.on_hit(dup)
             dup.life = max(dup.life, life)
             return True
         node_bytes = min(node.byte_size(), self.block_bytes)
@@ -204,6 +211,14 @@ class RefIXCache:
                     self.stats.insertions += 1
                     self.coalesced += 1
                     return True
+        owner = tag[0] // NS_STRIDE
+        quota = (self.partition or {}).get(owner)
+        if quota is not None:
+            owned = [e for e in ways if e.lo // NS_STRIDE == owner]
+            if len(owned) >= quota:
+                victims = [e for e in owned if e.life == 0] or owned
+                ways.remove(self.policy.choose(victims))
+                self.stats.evictions += 1
         if len(ways) >= self.ways:
             self._evict(ways)
         ways.append(self._new_entry(tag, node, life))
@@ -213,7 +228,7 @@ class RefIXCache:
     def _place_wide(self, tag, node, life) -> bool:
         dup = self._duplicate(self.wide, tag, node)
         if dup is not None:
-            dup.utility = min(MAX_UTILITY, dup.utility + 1)
+            self.policy.on_hit(dup)
             return True
         if len(self.wide) >= self.wide_capacity:
             self._evict(self.wide)
@@ -222,19 +237,8 @@ class RefIXCache:
         return True
 
     def _evict(self, entries: list[RefEntry]) -> None:
-        unpinned = [e for e in entries if e.life == 0]
-        if unpinned:
-            victim = min(unpinned, key=lambda e: (e.utility, e.seq))
-            entries.remove(victim)
-            for entry in entries:
-                entry.life = max(0, entry.life - 1)
-        else:
-            victim = min(entries, key=lambda e: (e.life, e.utility, e.seq))
-            entries.remove(victim)
+        self.policy.evict(entries)
         self.stats.evictions += 1
-        if victim.utility > 0:
-            for entry in entries:
-                entry.utility = max(0, entry.utility - 1)
 
     # -- invalidation ---------------------------------------------------
 
@@ -246,6 +250,11 @@ class RefIXCache:
             entries[:] = keep
         self.stats.evictions += removed
         return removed
+
+    def clear(self) -> None:
+        self.sets = [[] for _ in range(self.num_sets)]
+        self.wide = []
+        self.policy.clear()
 
     def __len__(self) -> int:
         return sum(len(ways) for ways in self.sets) + len(self.wide)

@@ -1,9 +1,10 @@
 """The address-tagged baselines against their block-by-block references.
 
-``AddressCacheMemSys`` (``address`` and ``address_pf``) runs its LRU
-steps as one plain loop over the cache's sets, with counters added once
-per chunk; ``FAOPTMemSys`` replays its precomputed OPT flags as numpy
-columns. Hypothesis drives both, and :mod:`tests.reference.address_walk`
+``AddressCacheMemSys`` (``address`` and ``address_pf``) and
+``HierarchyMemSys`` (``address_l2``) run their LRU steps as one plain
+loop over the caches' sets, with counters added once per chunk;
+``FAOPTMemSys`` replays its precomputed OPT flags as numpy columns.
+Hypothesis drives all three, and :mod:`tests.reference.address_walk`
 (one ``lookup``/``insert`` per access, one flag per block), over random
 B+trees, cache shapes (cache blocks of one or two 64 B blocks), request
 chunks, range scans and data/compute tails. Every stream column, walk
@@ -15,12 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.indexes.bplustree import BPlusTree
 from repro.mem.address_cache import AddressCache
+from repro.mem.hierarchy import CacheHierarchy, HierarchyParams
 from repro.mem.layout import Allocator
 from repro.mem.stats import CacheStats
 from repro.obs.tracer import Tracer
 from repro.params import BLOCK_SIZE, CacheParams, SimParams
 from repro.sim.engine import TraceBatch
-from repro.sim.memsys import AddressCacheMemSys, FAOPTMemSys, WalkPath
+from repro.sim.memsys import (
+    AddressCacheMemSys, FAOPTMemSys, HierarchyMemSys, WalkPath,
+)
 from repro.sim.metrics import WalkRequest
 
 from tests.reference import address_walk
@@ -160,3 +164,51 @@ def test_faopt_matches_per_block_reference(
             ("opt_probe", 0, "gen", walk, {"block": block, "hit": hit})
             for walk, block, hit in zip(walks, trace, flags)
         ]
+
+
+def _level_params(entries, ways, block_bytes, t_hit):
+    return CacheParams(capacity_bytes=entries * block_bytes,
+                       block_bytes=block_bytes, ways=ways, t_hit=t_hit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=keys_st,
+    fanout=st.sampled_from([3, 4, 16, 64]),
+    l1=st.tuples(st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 4])),
+    l2=st.tuples(st.sampled_from([4, 8, 16, 64]), st.sampled_from([1, 2, 4])),
+    block_bytes=st.tuples(*[st.sampled_from([BLOCK_SIZE, 2 * BLOCK_SIZE])] * 2),
+    requests=requests_st,
+    chunk=st.integers(1, 16),
+    traced=st.booleans(),
+)
+def test_address_l2_matches_per_access_reference(
+    keys, fanout, l1, l2, block_bytes, requests, chunk, traced
+):
+    params = HierarchyParams(
+        l1=_level_params(l1[0], min(l1), block_bytes[0], 2),
+        l2=_level_params(l2[0], min(l2), block_bytes[1], 14),
+    )
+    chunks = _build(keys, fanout, requests, chunk)
+    memsys = HierarchyMemSys(SIM)
+    memsys.hierarchy = CacheHierarchy(params)
+    reference = CacheHierarchy(params)
+    if traced:
+        memsys.attach_obs(Tracer())
+        tracer = Tracer()
+        reference.l1.attach_obs(tracer)
+        reference.l2.attach_obs(tracer)
+    batch, ref_batch = TraceBatch(), TraceBatch()
+    for reqs, paths in chunks:
+        memsys.process_chunk(batch, reqs, paths)
+        address_walk.hierarchy_chunk(reference, ref_batch, reqs, paths, SIM)
+    assert _columns(batch) == _columns(ref_batch)
+    for level, ref_level in ((memsys.hierarchy.l1, reference.l1),
+                             (memsys.hierarchy.l2, reference.l2)):
+        assert level.stats == ref_level.stats
+        assert [list(ways.items()) for ways in level.sets] == [
+            list(ways.items()) for ways in ref_level.sets
+        ]
+    if traced:
+        assert _events(memsys.tracer) == _events(reference.l1.tracer)
+        assert memsys.tracer.walk == reference.l1.tracer.walk

@@ -3,14 +3,20 @@
 A hypothesis state machine drives :class:`repro.core.ix_cache.IXCache`
 and :class:`tests.reference.ix_cache.RefIXCache` with the same inserts
 (single nodes and whole root-to-leaf walks, with and without a search
-key and a lease), probes, peeks and range invalidations. The nodes come
+key and a lease), probes, peeks, range invalidations and clears, with
+or without per-namespace way quotas. One machine runs per replacement
+policy: the default utility-RRIP, exact LRU and Multi-step LRU, each
+against its reference in :mod:`tests.reference.policy`. The nodes come
 from three bulk-loaded B+trees over one dense key set: two share a key
 namespace, as a rebuilt index's stale nodes do (same-level ranges then
 overlap and the level tie-break decides), and the third has its own.
 Fanout 2 and 3 nodes are small enough to coalesce (Case 3). After every
 step the resident state must agree way by way — tag, utility, lease,
 size and parts, in order — in every set and in the wide array, and so
-must every probe and peek result and the ``CacheStats`` counters.
+must every probe and peek result and the ``CacheStats`` counters. Every
+set and the wide array must also list their entries in strictly
+ascending ``seq``: the default policy's eviction relies on it to break
+utility ties by list order.
 """
 
 import itertools
@@ -24,10 +30,12 @@ from hypothesis.stateful import (
 )
 
 from repro.core.ix_cache import IXCache
+from repro.core.policy import make_policy
 from repro.indexes.bplustree import BPlusTree
 from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams
 
 from tests.reference.ix_cache import RefIXCache
+from tests.reference.policy import ref_policy
 
 MAX_KEY = 400
 
@@ -55,8 +63,18 @@ def _snapshot(entries) -> list[tuple]:
 
 LIVES = st.sampled_from([0, 0, 0, 1, 2, 5])
 
+#: Way quotas per namespace id: the first two trees share id 0, the
+#: third is id 1.
+PARTITIONS = st.one_of(
+    st.none(),
+    st.dictionaries(st.sampled_from([0, 1]), st.integers(1, 3), min_size=1),
+)
+
 
 class IXCacheVersusReference(RuleBasedStateMachine):
+    #: The replacement policy under test (a ``POLICIES`` name).
+    POLICY = "utility_rrip"
+
     @initialize(
         gaps=st.lists(st.integers(1, 4), min_size=3, max_size=80),
         fanouts=st.tuples(*[st.sampled_from([2, 2, 2, 3, 4, 9])] * 3),
@@ -66,9 +84,11 @@ class IXCacheVersusReference(RuleBasedStateMachine):
         key_block_bits=st.integers(2, 6),
         replication_limit=st.integers(1, 4),
         coalesce=st.booleans(),
+        steps=st.integers(1, 5),
+        partition=PARTITIONS,
     )
     def build(self, gaps, fanouts, stale_same_fanout, entries, ways,
-              key_block_bits, replication_limit, coalesce):
+              key_block_bits, replication_limit, coalesce, steps, partition):
         keys = list(itertools.accumulate(gaps))
         #: Keys drawn by the rules fold into the trees' range (plus one
         #: past each end).
@@ -86,13 +106,19 @@ class IXCacheVersusReference(RuleBasedStateMachine):
         self.leaves = [sorted((n for n in tree.nodes() if not n.children),
                               key=lambda n: n.lo)
                        for tree, _ in self.trees]
+        policy = self.POLICY
+        options = {"steps": steps} if policy == "multistep_lru" else {}
         self.cache = IXCache(
             CacheParams(capacity_bytes=entries * BLOCK_SIZE, ways=ways),
             key_block_bits=key_block_bits,
             replication_limit=replication_limit,
             coalesce=coalesce,
+            partition=partition,
+            policy=make_policy(policy, **options),
         )
-        self.ref = RefIXCache.like(self.cache)
+        self.ref = RefIXCache.like(self.cache, ref_policy(policy, steps))
+        #: Entries dropped by ``clear``, which counts no evictions.
+        self.cleared = 0
 
     def _insert(self, node, ns, life, key):
         got = self.cache.insert(node, ns, life=life, key=key)
@@ -149,6 +175,12 @@ class IXCacheVersusReference(RuleBasedStateMachine):
         assert (self.cache.invalidate_range(lo, lo + width)
                 == self.ref.invalidate_range(lo, lo + width))
 
+    @rule()
+    def clear(self):
+        self.cleared += len(self.cache)
+        self.cache.clear()
+        self.ref.clear()
+
     def _state(self):
         return ([_snapshot(ways) for ways in self.cache._sets],
                 _snapshot(self.cache._wide))
@@ -172,10 +204,29 @@ class IXCacheVersusReference(RuleBasedStateMachine):
         assert len(cache._wide) <= cache.wide_capacity
         # Every insertion adds one entry except a Case-3 merge into one.
         stats = cache.stats
-        assert stats.insertions - self.ref.coalesced - stats.evictions == len(cache)
+        assert (stats.insertions - self.ref.coalesced - stats.evictions
+                - self.cleared) == len(cache)
+
+    @invariant()
+    def sets_in_seq_order(self):
+        for ways in [*self.cache._sets, self.cache._wide]:
+            seqs = [entry.seq for entry in ways]
+            assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
 
 
-IXCacheVersusReference.TestCase.settings = settings(
-    max_examples=80, stateful_step_count=50, deadline=None
-)
+class LRUVersusReference(IXCacheVersusReference):
+    POLICY = "lru"
+
+
+class MultiStepLRUVersusReference(IXCacheVersusReference):
+    POLICY = "multistep_lru"
+
+
+for _machine in (IXCacheVersusReference, LRUVersusReference,
+                 MultiStepLRUVersusReference):
+    _machine.TestCase.settings = settings(
+        max_examples=80, stateful_step_count=50, deadline=None
+    )
 TestIXCacheVersusReference = IXCacheVersusReference.TestCase
+TestLRUVersusReference = LRUVersusReference.TestCase
+TestMultiStepLRUVersusReference = MultiStepLRUVersusReference.TestCase

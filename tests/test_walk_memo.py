@@ -8,7 +8,8 @@ index walk at all once the memo is warm; memo entries that still equal
 a fresh walk after every system has run (a system that mutated a shared
 path, or a stale entry, fails here); sliced and scheduled request lists
 over one workload; and FA-OPT's two-pass hit flags. The memo holds
-object-index paths only: SoA keys are planned per chunk, every run.
+object-index paths only: SoA keys are memoized on their tree's planner
+for every run (``tests/test_soa_key_memo.py``).
 """
 
 from __future__ import annotations
