@@ -8,38 +8,40 @@ the shared IX-cache across *both* trees of a join.
     python examples/database_analytics.py
 """
 
+import numpy as np
+
 from repro import LevelDescriptor, compare_systems
 from repro.bench.runner import run_workload
 from repro.dsa.gorgon import ANALYTICS_CONFIG, join_requests
-from repro.indexes.table import RecordTable
+from repro.indexes import SoARecordTable
 from repro.workloads.keygen import zipf_stream
 from repro.workloads.suite import build_analytics_join
 
 
-def build_tables() -> tuple[RecordTable, RecordTable]:
+def build_tables() -> tuple[SoARecordTable, SoARecordTable]:
     """An orders table joined against a customers table."""
-    customers = RecordTable.from_records(
+    ids = np.arange(8_000, dtype=np.int64)
+    customers = SoARecordTable(
         ("id", "region", "tier"),
         "id",
-        (
-            {"id": c, "region": c % 17, "tier": c % 3}
-            for c in range(8_000)
-        ),
+        {"id": ids, "region": ids % 17, "tier": ids % 3},
         fanout=3,  # deep index, like Table 2's degree-5/depth-10 setup
     )
     fks = zipf_stream(8_000, 3_000, skew=0.9, seed=7)
-    orders = RecordTable.from_records(
+    order_ids = np.arange(len(fks), dtype=np.int64)
+    orders = SoARecordTable(
         ("id", "customer", "amount"),
         "id",
-        (
-            {"id": o, "customer": fk, "amount": (o * 37) % 500}
-            for o, fk in enumerate(fks)
-        ),
+        {
+            "id": order_ids,
+            "customer": np.asarray(fks, dtype=np.int64),
+            "amount": (order_ids * 37) % 500,
+        },
     )
     return orders, customers
 
 
-def functional_queries(orders: RecordTable, customers: RecordTable) -> None:
+def functional_queries(orders: SoARecordTable, customers: SoARecordTable) -> None:
     print("=== Functional semantics ===")
     rich = [r for r in orders.where(lambda r: r["amount"] > 450)]
     print(f"WHERE amount > 450: {len(rich)} orders")
@@ -54,7 +56,7 @@ def functional_queries(orders: RecordTable, customers: RecordTable) -> None:
           f"{sample_customer['id']} (region {sample_customer['region']})\n")
 
 
-def simulated_join(orders: RecordTable, customers: RecordTable) -> None:
+def simulated_join(orders: SoARecordTable, customers: SoARecordTable) -> None:
     """Time the join's index traffic under different cache organizations."""
     print("=== Simulated JOIN walk traffic ===")
     requests = join_requests(ANALYTICS_CONFIG, orders, customers, "customer")

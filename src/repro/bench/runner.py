@@ -142,9 +142,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--systems", type=str, default=None,
                         help="comma-separated subset, e.g. stream,metal")
     parser.add_argument("--cache-kb", type=positive_int, default=None)
-    parser.add_argument("--backend", choices=("object", "soa"), default=None,
-                        help="index storage backend (soa enables batched "
-                             "walk generation)")
     add_jobs(parser)
     parser.add_argument("--replay", type=str, default=None, metavar="TRACE",
                         help="simulate a captured walk trace (trace_io "
@@ -160,10 +157,7 @@ def run(args: argparse.Namespace) -> int:
     kinds = tuple(args.systems.split(",")) if args.systems else SYSTEMS
     if reject_unknown_systems(kinds):
         return 2
-    workload_kwargs = {"backend": args.backend} if args.backend else {}
-    workload = get_workload(
-        args.workload, args.scale, args.seed, **workload_kwargs
-    )
+    workload = get_workload(args.workload, args.scale, args.seed)
     print(f"{workload.name}: {workload.notes}")
     try:
         replay = {}
@@ -174,8 +168,7 @@ def run(args: argparse.Namespace) -> int:
             RunSpec.make(
                 args.workload, kind, scale=args.scale, seed=args.seed,
                 cache_bytes=args.cache_kb * 1024 if args.cache_kb else None,
-                record_latencies=True, workload_kwargs=workload_kwargs,
-                **replay,
+                record_latencies=True, **replay,
             )
             for kind in kinds
         ]

@@ -4,9 +4,9 @@ The reproduction's default runs sit ~100x below the paper's sizes.
 :mod:`repro.bench.scale_sensitivity` already checks the system orderings
 over the small-scale regime (repro scales 0.1-0.5); this sweep pushes the
 other direction — up to the paper's 10M-key scan index — using the
-streaming keygen (:mod:`repro.workloads.stream`) and the SoA index
-backend (:mod:`repro.indexes.soa`), the two layers that exist precisely
-so a 1x point fits in RAM.
+streaming keygen (:mod:`repro.workloads.stream`) and the array-backed
+record table (:mod:`repro.indexes.soa`), the two layers that exist
+precisely so a 1x point fits in RAM.
 
 Points are expressed as *fractions of paper scale*: ``frac=1.0`` means
 repro scale ``PAPER_SCALE`` (10M scan records), ``frac=0.01`` means 100K
@@ -95,7 +95,6 @@ def run_point(
     frac: float,
     workload_name: str = "scan",
     seed: int = 0,
-    backend: str = "soa",
     max_walks: int = MAX_WALKS,
 ) -> SweepPoint:
     """Build + simulate one paper-scale fraction.
@@ -110,8 +109,7 @@ def run_point(
     tracemalloc.start()
     try:
         workload = build_workload(
-            workload_name, scale=scale, seed=seed,
-            backend=backend, max_walks=max_walks,
+            workload_name, scale=scale, seed=seed, max_walks=max_walks,
         )
         _, build_peak = tracemalloc.get_traced_memory()
     finally:
@@ -152,12 +150,11 @@ def run_scale_sweep(
     points: tuple[float, ...] = DEFAULT_POINTS,
     workload_name: str = "scan",
     seed: int = 0,
-    backend: str = "soa",
     max_walks: int = MAX_WALKS,
 ) -> list[SweepPoint]:
     """Run the sweep smallest-first (RSS peaks stay attributable)."""
     return [
-        run_point(frac, workload_name, seed, backend, max_walks)
+        run_point(frac, workload_name, seed, max_walks)
         for frac in sorted(points)
     ]
 

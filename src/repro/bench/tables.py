@@ -10,7 +10,6 @@ from repro.cmdline import positive_float
 from repro.workloads.suite import (
     PAPER_LABELS,
     PAPER_SCALE,
-    SOA_WORKLOADS,
     WORKLOAD_BUILDERS,
     Workload,
     build_workload,
@@ -39,8 +38,6 @@ def format_table2(workloads: list[Workload]) -> str:
 
 
 def _fmt_bytes(n) -> str:
-    if n is None:
-        return "-"
     for unit in ("B", "KB", "MB", "GB"):
         if n < 1024 or unit == "GB":
             return f"{n:.1f}{unit}" if unit != "B" else f"{n}B"
@@ -68,13 +65,10 @@ def run(args: argparse.Namespace) -> int:
             )
             rows.append([
                 name, dims, f"{stats['walks']:,}",
-                _fmt_bytes(stats["est_object_bytes"]),
-                _fmt_bytes(stats["est_soa_bytes"]),
-                "yes" if name in SOA_WORKLOADS else "-",
+                _fmt_bytes(stats["est_bytes"]),
             ])
         print(render_table(
-            ["key", "sized dimensions", "walks", "est. peak (object)",
-             "est. peak (SoA)", "soa backend"],
+            ["key", "sized dimensions", "walks", "est. peak"],
             rows, f"Workload sizing at scale {args.scale:g} "
                   f"({PAPER_SCALE:g} = paper scale)"))
         return 0

@@ -5,13 +5,14 @@ data that scan through ranges of records. The index is a table of records,
 and the primary reuse is the mid-level roots." Gorgon runs the Scan, Sets,
 and Analytics (SEL/WHERE/JOIN) workloads of Table 2 with vector-parallel
 tiles. Its declarative operators lower to the walk requests built here;
-their functional answers come from :class:`RecordTable` itself.
+their functional answers come from
+:class:`~repro.indexes.soa.SoARecordTable` itself.
 """
 
 from __future__ import annotations
 
 from repro.dsa.config import DSAConfig
-from repro.indexes.table import RecordTable
+from repro.indexes.soa import SoARecordTable
 from repro.sim.metrics import WalkRequest
 
 #: Table 2 intensities for the Gorgon workloads.
@@ -21,7 +22,7 @@ ANALYTICS_CONFIG = DSAConfig("gorgon", ops_per_walk=74, ops_per_compute=232)
 
 
 def scan_requests(
-    config: DSAConfig, table: RecordTable, keys: list[int]
+    config: DSAConfig, table: SoARecordTable, keys: list[int]
 ) -> list[WalkRequest]:
     """Point lookups (the paper's Scan uses random search keys)."""
     compute = config.compute_cycles_per_walk
@@ -38,7 +39,7 @@ def scan_requests(
 
 
 def select_requests(
-    config: DSAConfig, table: RecordTable, ranges: list[tuple[int, int]]
+    config: DSAConfig, table: SoARecordTable, ranges: list[tuple[int, int]]
 ) -> list[WalkRequest]:
     """SELECT ... WHERE key BETWEEN r1 AND r2: walk + leaf stream.
 
@@ -60,7 +61,7 @@ def select_requests(
 
 
 def join_requests(
-    config: DSAConfig, outer: RecordTable, inner: RecordTable, column: str
+    config: DSAConfig, outer: SoARecordTable, inner: SoARecordTable, column: str
 ) -> list[WalkRequest]:
     """Index nested-loop join: probe inner's index per outer record."""
     compute = config.compute_cycles_per_walk

@@ -17,7 +17,6 @@ from repro.indexes.skiplist import SkipList
 from repro.indexes.soa import SoABPlusTree, SoANode, SoARecordTable
 from repro.indexes.sorted_set import SortedSet
 from repro.indexes.sparse_tensor import DynamicSparseTensor
-from repro.indexes.table import RecordTable
 
 __all__ = [
     "AdjacencyList",
@@ -26,7 +25,6 @@ __all__ = [
     "FiberMatrix",
     "IndexNode",
     "RadixPageTable",
-    "RecordTable",
     "Rect",
     "RTree2D",
     "SkipList",

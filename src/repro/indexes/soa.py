@@ -22,9 +22,9 @@ in BFS order via ``assign_addresses`` (``nbytes = byte_size()``, each
 address 64-byte aligned). Because all addresses are aligned, node ``i+1``
 lands at ``addr_i + align64(nbytes_i)`` — a cumulative sum — so the SoA
 build issues ONE allocator call for the whole span and computes the
-per-node addresses vectorized. The equivalence suite
-(``tests/test_soa_backend.py``) pins `RunResult` byte-identity across
-backends; the committed baselines pin it across releases.
+per-node addresses vectorized. ``tests/test_soa_backend.py`` pins node
+geometry, addresses and walk paths against ``BPlusTree``; the committed
+goldens pin every `RunResult` built over these trees across releases.
 
 Geometry recap (mirrors ``BPlusTree.bulk_load``): leaves take ``fanout``
 keys left to right; each upper level groups ``fanout`` children, its
@@ -45,9 +45,9 @@ from repro.indexes.base import next_index_id
 from repro.mem.layout import Allocator, align_up
 from repro.params import BLOCK_SIZE, KEY_BYTES, PTR_BYTES
 
-#: SoA node_ids live far above the object-path ``itertools.count`` ids so
-#: the two backends can share TouchFilter/occupancy sets without
-#: collision: index i's nodes occupy [(i+1) << 44, (i+2) << 44).
+#: SoA node_ids live far above the object-graph ``itertools.count`` ids so
+#: SoA and object-graph indexes can share TouchFilter/occupancy sets
+#: without collision: index i's nodes occupy [(i+1) << 44, (i+2) << 44).
 _NODE_ID_SHIFT = 44
 
 
@@ -170,8 +170,9 @@ class SoABPlusTree:
 
     ``values`` maps a key's row index to its stored value (the record
     tuple for tables); it is called lazily, so the tree itself holds no
-    per-key Python objects. Dynamic workloads keep the object backend:
-    :meth:`insert` and :meth:`delete` raise.
+    per-key Python objects. Mutating indexes use
+    :class:`~repro.indexes.bplustree.BPlusTree`: :meth:`insert` and
+    :meth:`delete` raise.
     """
 
     def __init__(
@@ -185,9 +186,9 @@ class SoABPlusTree:
             raise ValueError(f"fanout must be >= 2, got {fanout}")
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         if len(keys) == 0:
-            raise ValueError("SoA backend requires a non-empty key set")
+            raise ValueError("SoA B+tree requires a non-empty key set")
         if len(keys) > 1 and not (np.diff(keys) > 0).all():
-            raise ValueError("SoA backend requires strictly increasing keys")
+            raise ValueError("SoA B+tree requires strictly increasing keys")
         self.fanout = fanout
         self.index_id = next_index_id()
         self.allocator = allocator or Allocator()
@@ -396,25 +397,28 @@ class SoABPlusTree:
 
     def insert(self, key: Any, value: Any) -> None:
         raise NotImplementedError(
-            "SoA backend is read-only (bulk-loaded); use the object "
-            "backend for dynamic workloads"
+            "SoA B+tree is read-only (bulk-loaded); use BPlusTree "
+            "for a mutating index"
         )
 
     def delete(self, key: Any) -> bool:
         raise NotImplementedError(
-            "SoA backend is read-only (bulk-loaded); use the object "
-            "backend for dynamic workloads"
+            "SoA B+tree is read-only (bulk-loaded); use BPlusTree "
+            "for a mutating index"
         )
 
 
 class SoARecordTable:
-    """Array-backed :class:`~repro.indexes.table.RecordTable` equivalent.
+    """A read-only table of records indexed by an integer primary key.
 
-    Columns are numpy arrays; records materialize as dicts only when a
-    relational operator asks for one. Allocation order replicates
-    ``RecordTable.from_records`` — placeholder-tree burn, all record
-    data, then the bulk-loaded tree — so record and node addresses are
-    byte-identical across backends.
+    Gorgon runs declarative operators (map/filter, SELECT, WHERE, JOIN)
+    over such tables: records live in the DRAM data region and the
+    primary key is indexed by a B+tree whose leaves point at them, which
+    is what the Scan / Analytics / JOIN workloads walk. Columns are
+    numpy arrays; records materialize as dicts only when a relational
+    operator asks for one. Allocation order is fixed — a burned index id
+    and 16B root, all record data, then the bulk-loaded tree — because
+    every committed golden was recorded with that address layout.
     """
 
     def __init__(
@@ -442,13 +446,14 @@ class SoARecordTable:
         lengths = {name: len(a) for name, a in self._arrays.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"ragged column lengths: {lengths}")
-        # Burn: RecordTable.__init__ builds a placeholder BPlusTree
-        # (one index id, one 16B root) that from_records replaces.
+        # Burn one index id and a 16B root before the records: every
+        # committed golden was recorded with this allocation layout, and
+        # index ids feed the X-cache port hash.
         next_index_id()
         self.allocator.alloc_index(16)
-        # Records: the object path allocates record_bytes per record in
-        # key order; 64B alignment makes that a fixed stride, so one
-        # span allocation reproduces every address and the final cursor.
+        # Records: record_bytes per record in key order; 64B alignment
+        # makes that a fixed stride, so one span allocation gives every
+        # address and the final cursor.
         n = len(keys)
         self._record_stride = align_up(self.record_bytes, BLOCK_SIZE)
         self._data_base = self.allocator.alloc_data(
@@ -460,7 +465,7 @@ class SoARecordTable:
         self.index_id = self._tree.index_id
 
     def _stored(self, row: int) -> tuple[int, dict[str, Any]]:
-        """(address, record) — the value shape object-path leaves hold."""
+        """(address, record) — the value a leaf holds for ``row``."""
         return self._address_of(row), self._record(row)
 
     def _address_of(self, row: int) -> int:
@@ -497,7 +502,7 @@ class SoARecordTable:
         return self._tree.total_blocks_fast()
 
     # ------------------------------------------------------------------ #
-    # Relational operators (RecordTable semantics)
+    # Relational operators (functional semantics)
     # ------------------------------------------------------------------ #
 
     def get(self, key: int) -> dict[str, Any] | None:
@@ -509,10 +514,12 @@ class SoARecordTable:
         return self._address_of(row) if row is not None else None
 
     def select_range(self, lo: int, hi: int) -> Iterator[dict[str, Any]]:
+        """SELECT * WHERE key BETWEEN lo AND hi (index range scan)."""
         for _, (_, record) in self._tree.range_scan(lo, hi):
             yield record
 
     def where(self, predicate: Callable[[dict[str, Any]], bool]) -> Iterator[dict[str, Any]]:
+        """Full-scan filter (the WHERE clause over a non-key column)."""
         for _, (_, record) in self._tree.items():
             if predicate(record):
                 yield record
@@ -532,8 +539,8 @@ class SoARecordTable:
 
     def insert(self, record: dict[str, Any]) -> None:
         raise NotImplementedError(
-            "SoA backend is read-only (bulk-loaded); use the object "
-            "backend for dynamic workloads"
+            "record tables are read-only (bulk-loaded); use BPlusTree "
+            "for a mutating index"
         )
 
 

@@ -14,7 +14,7 @@ Every run, traced, faulted or plain, generates through each memory
 system's one generator, ``process_chunk``. This module resolves every
 request's path once and hands it over: the planner's path for the
 positions row over indexes with SoA level arrays, ``index.walk(key)``
-for the rest (the object backend, skip lists, radix tables). The same
+for the rest (object-graph B+trees, skip lists, radix tables). The same
 resolution counts the streaming-baseline blocks. Object-index paths are
 memoized per (index, key) in a :data:`WalkMemo`: for one run, or for
 every run over the workload when the caller passes

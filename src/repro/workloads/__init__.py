@@ -11,7 +11,6 @@ from repro.workloads.keygen import clustered_stream, uniform_stream, zipf_stream
 from repro.workloads.stream import KeyStream, range_spans
 from repro.workloads.suite import (
     PAPER_SCALE,
-    SOA_WORKLOADS,
     WORKLOAD_BUILDERS,
     WORKLOAD_SIZINGS,
     Workload,
@@ -43,7 +42,6 @@ __all__ = [
     "PAPER_SCALE",
     "range_spans",
     "scaled",
-    "SOA_WORKLOADS",
     "uniform_stream",
     "WORKLOAD_BUILDERS",
     "WORKLOAD_SIZINGS",

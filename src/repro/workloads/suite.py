@@ -9,12 +9,11 @@ the multiplier where the scan index reaches the paper's 10M keys.
 Key sequences come from chunked :class:`~repro.workloads.stream.KeyStream`
 generators that replicate the eager ``keygen`` lists bit for bit (the
 committed baselines pin this), so building a paper-scale workload never
-materializes a 10M-element Python list. The B+tree-backed workloads
-(scan / select / where / join) additionally accept ``backend="soa"`` to
-store the index as per-level numpy arrays (:mod:`repro.indexes.soa`) with
-a byte-identical address layout, and ``max_walks`` to cap the request
-stream to an exact prefix — together these are what make 1x-scale runs
-fit in RAM.
+materializes a 10M-element Python list. The record-table workloads
+(scan / select / where / join) store their tables as per-level numpy
+arrays (:class:`~repro.indexes.soa.SoARecordTable`), and scan / select /
+where accept ``max_walks`` to cap the request stream to an exact prefix —
+together these are what make 1x-scale runs fit in RAM.
 
 Table 2 mapping:
 
@@ -62,7 +61,6 @@ from repro.indexes.rtree import RTree2D
 from repro.indexes.soa import SoARecordTable
 from repro.indexes.sorted_set import SortedSet
 from repro.indexes.sparse_tensor import DynamicSparseTensor
-from repro.indexes.table import RecordTable
 from repro.sim.metrics import WalkRequest
 from repro.workloads.graphs import powerlaw_edges
 from repro.workloads.matrices import inner_product_rows, powerlaw_coo
@@ -175,26 +173,15 @@ def _depth_fanout(num_keys: int, depth: int) -> int:
     return BPlusTree.fanout_for_depth(num_keys, depth)
 
 
-def _make_table(
-    num_records: int, depth: int, seed: int = 0, backend: str = "object"
-) -> RecordTable | SoARecordTable:
+def _make_table(num_records: int, depth: int) -> SoARecordTable:
     fanout = _depth_fanout(num_records, depth)
-    if backend == "soa":
-        ids = np.arange(num_records, dtype=np.int64)
-        arrays = {
-            "id": ids,
-            "value": (ids * 2654435761) % 1_000_003,
-            "group": ids % 97,
-        }
-        return SoARecordTable(("id", "value", "group"), "id", arrays, fanout=fanout)
-    if backend != "object":
-        raise ValueError(f"unknown table backend {backend!r}")
-    records = (
-        {"id": k, "value": (k * 2654435761) % 1_000_003, "group": k % 97}
-        for k in range(num_records)
-    )
-    return RecordTable.from_records(("id", "value", "group"), "id", records, fanout=fanout)
-
+    ids = np.arange(num_records, dtype=np.int64)
+    arrays = {
+        "id": ids,
+        "value": (ids * 2654435761) % 1_000_003,
+        "group": ids % 97,
+    }
+    return SoARecordTable(("id", "value", "group"), "id", arrays, fanout=fanout)
 
 
 def _level_descriptor(height: int) -> LevelDescriptor:
@@ -218,21 +205,25 @@ def _sweep_band(height: int) -> LevelDescriptor:
 def build_scan(
     scale: float = 1.0,
     seed: int = 0,
-    backend: str = "object",
+    backend: str = "soa",
     max_walks: int | None = None,
 ) -> Workload:
     """Random-search point lookups over a deep B+tree (Table 2: Scan).
 
     Table 2 uses a 10-level, 10M-key B+tree; the default scale keeps the
     10-level depth at ~100x fewer keys by shrinking the fan-out, and
-    ``scale=PAPER_SCALE`` with ``backend="soa"`` reproduces the paper's
-    size in-RAM. ``max_walks`` truncates the Zipf key stream to an exact
-    prefix (the full-stream rank permutation is preserved), bounding
-    simulation time independently of index size.
+    ``scale=PAPER_SCALE`` reproduces the paper's size in-RAM.
+    ``max_walks`` truncates the Zipf key stream to an exact prefix (the
+    full-stream rank permutation is preserved), bounding simulation time
+    independently of index size.
     """
+    # The benchmark harness still passes backend="soa"; the array-backed
+    # table is the only store, so that is the one value accepted.
+    if backend != "soa":
+        raise ValueError(f"unknown table backend {backend!r}")
     num_records = sized("scan", "records", scale)
     num_walks = sized("scan", "walks", scale)
-    table = _make_table(num_records, depth=10, seed=seed, backend=backend)
+    table = _make_table(num_records, depth=10)
     keys = KeyStream.zipf(num_records, num_walks, skew=0.8, seed=seed)
     if max_walks is not None:
         keys = keys.head(max_walks)
@@ -343,13 +334,12 @@ def build_spmm(scale: float = 1.0, seed: int = 0, deep: bool = True) -> Workload
 def build_analytics_select(
     scale: float = 1.0,
     seed: int = 0,
-    backend: str = "object",
     max_walks: int | None = None,
 ) -> Workload:
     """Nested SELECT BETWEEN range queries (Fig. 18: Nest.SEL)."""
     num_records = sized("select", "records", scale)
     num_queries = sized("select", "walks", scale)
-    table = _make_table(num_records, depth=8, seed=seed, backend=backend)
+    table = _make_table(num_records, depth=8)
     starts = KeyStream.zipf(num_records, num_queries, skew=0.8, seed=seed)
     if max_walks is not None:
         starts = starts.head(max_walks)
@@ -370,13 +360,12 @@ def build_analytics_select(
 def build_analytics_where(
     scale: float = 1.0,
     seed: int = 0,
-    backend: str = "object",
     max_walks: int | None = None,
 ) -> Workload:
     """Data-dependent WHERE-clause probes (Fig. 18: WHERE)."""
     num_records = sized("where", "records", scale)
     num_walks = sized("where", "walks", scale)
-    table = _make_table(num_records, depth=8, seed=seed, backend=backend)
+    table = _make_table(num_records, depth=8)
     # Nested clause: the probed key is derived from the previous record's
     # value column (data-dependent chain, zipf-seeded).
     seeds = KeyStream.zipf(num_records, num_walks, skew=0.7, seed=seed)
@@ -402,7 +391,7 @@ def build_analytics_where(
 
 
 def build_analytics_join(
-    scale: float = 1.0, seed: int = 0, depth: int = 8, backend: str = "object"
+    scale: float = 1.0, seed: int = 0, depth: int = 8
 ) -> Workload:
     """Index nested-loop JOIN over two B+trees (Fig. 18: JOIN).
 
@@ -411,26 +400,17 @@ def build_analytics_join(
     """
     inner_records = sized("join", "records", scale)
     outer_records = sized("join", "outer", scale)
-    inner = _make_table(inner_records, depth=depth, seed=seed, backend=backend)
+    inner = _make_table(inner_records, depth=depth)
     fk_stream = KeyStream.zipf(inner_records, outer_records, skew=0.85, seed=seed + 1)
-    outer_fanout = _depth_fanout(outer_records, 6)
-    if backend == "soa":
-        outer = SoARecordTable(
-            ("id", "fk"),
-            "id",
-            {
-                "id": np.arange(outer_records, dtype=np.int64),
-                "fk": np.concatenate(list(fk_stream.chunks())),
-            },
-            fanout=outer_fanout,
-        )
-    else:
-        outer = RecordTable.from_records(
-            ("id", "fk"),
-            "id",
-            ({"id": i, "fk": fk} for i, fk in enumerate(fk_stream)),
-            fanout=outer_fanout,
-        )
+    outer = SoARecordTable(
+        ("id", "fk"),
+        "id",
+        {
+            "id": np.arange(outer_records, dtype=np.int64),
+            "fk": np.concatenate(list(fk_stream.chunks())),
+        },
+        fanout=_depth_fanout(outer_records, 6),
+    )
     compute = ANALYTICS_CONFIG.compute_cycles_per_walk
     # The join touches both trees: walk the outer index for the record,
     # then probe the inner index with the foreign key.
@@ -601,11 +581,11 @@ PAPER_LABELS = {
     "pagerank": "PageRank",
 }
 
-#: Workloads whose primary index supports ``backend="soa"``.
-SOA_WORKLOADS = frozenset({"scan", "select", "where", "join"})
+#: Workloads whose primary index is an array-backed record table.
+_TABLE_WORKLOADS = frozenset({"scan", "select", "where", "join"})
 
-#: Measured Python-object cost per indexed record for the object-path
-#: B+tree substrate (IndexNode + boxed keys + record dict + request
+#: Measured Python-object cost per indexed record for the object-graph
+#: indexes (IndexNode + boxed keys + per-record payload + request
 #: overheads), used for the --stats peak-memory estimate.
 _OBJECT_BYTES_PER_RECORD = 700
 #: SoA cost per record: key array + column arrays (int64 each) + the
@@ -635,9 +615,9 @@ def workload_stats(name: str, scale: float = 1.0) -> dict[str, Any]:
         "workload": name,
         "scale": scale,
         **counts,
-        "est_object_bytes": records * _OBJECT_BYTES_PER_RECORD,
-        "est_soa_bytes": (
-            records * _SOA_BYTES_PER_RECORD if name in SOA_WORKLOADS else None
+        "est_bytes": records * (
+            _SOA_BYTES_PER_RECORD if name in _TABLE_WORKLOADS
+            else _OBJECT_BYTES_PER_RECORD
         ),
     }
     return stats
@@ -649,7 +629,7 @@ def build_workload(
     """Build a Table-2 workload by its registry name.
 
     Extra ``kwargs`` go to the builder (e.g. ``depth=...`` for ``join``,
-    ``backend="soa"``/``max_walks=...`` for the table workloads). The
+    ``max_walks=...`` for scan / select / where). The
     built workload is stamped with its ``scale``/``seed`` and builder
     kwargs so the run pipeline can rebuild an identical copy in a worker
     process.

@@ -1,10 +1,11 @@
-"""Tests for the adjacency-list graph and the relational record table."""
+"""Tests for the adjacency-list graph and the array-backed record table."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.indexes.adjacency import AdjacencyList
-from repro.indexes.table import RecordTable
+from repro.indexes.soa import SoARecordTable
 
 
 EDGES = [(0, 1), (0, 2), (1, 2), (2, 0), (3, 1)]
@@ -72,11 +73,16 @@ class TestAdjacency:
 
 
 def make_table(n=100, fanout=4):
-    return RecordTable.from_records(
-        ("id", "value"),
-        "id",
-        ({"id": k, "value": k * 3} for k in range(n)),
-        fanout=fanout,
+    ids = np.arange(n, dtype=np.int64)
+    return SoARecordTable(("id", "value"), "id",
+                          {"id": ids, "value": ids * 3}, fanout=fanout)
+
+
+def fk_table(fks):
+    return SoARecordTable(
+        ("id", "fk"), "id",
+        {"id": np.arange(len(fks), dtype=np.int64),
+         "fk": np.asarray(fks, dtype=np.int64)},
     )
 
 
@@ -87,19 +93,23 @@ class TestRecordTable:
         assert t.get(1000) is None
 
     def test_key_column_validated(self):
+        ids = np.arange(3, dtype=np.int64)
         with pytest.raises(ValueError):
-            RecordTable(("a", "b"), "missing")
+            SoARecordTable(("a", "b"), "missing", {"a": ids, "b": ids})
 
     def test_missing_columns_rejected(self):
-        t = RecordTable(("id", "value"), "id")
         with pytest.raises(ValueError):
-            t.insert({"id": 1})
+            SoARecordTable(("id", "value"), "id",
+                           {"id": np.arange(3, dtype=np.int64)})
 
     def test_insert(self):
-        t = RecordTable(("id", "value"), "id")
-        t.insert({"id": 7, "value": 1})
-        assert len(t) == 1
-        assert t.get(7)["value"] == 1
+        """Tables are bulk-loaded and read-only; a mutating index is a
+        BPlusTree, and the refusal says so."""
+        t = make_table(10)
+        with pytest.raises(NotImplementedError, match="BPlusTree"):
+            t.insert({"id": 70, "value": 1})
+        assert len(t) == 10
+        assert t.get(70) is None
 
     def test_select_range(self):
         t = make_table()
@@ -114,9 +124,7 @@ class TestRecordTable:
         assert len(evens) == 10
 
     def test_join(self):
-        left = RecordTable.from_records(
-            ("id", "fk"), "id", ({"id": i, "fk": i * 2} for i in range(10))
-        )
+        left = fk_table([i * 2 for i in range(10)])
         right = make_table(30)
         joined = list(left.join(right, "fk"))
         assert len(joined) == 10
@@ -124,9 +132,7 @@ class TestRecordTable:
             assert l["fk"] == r["id"]
 
     def test_join_missing_keys_skipped(self):
-        left = RecordTable.from_records(
-            ("id", "fk"), "id", [{"id": 0, "fk": 999}]
-        )
+        left = fk_table([999])
         right = make_table(10)
         assert list(left.join(right, "fk")) == []
 

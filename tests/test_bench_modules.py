@@ -159,11 +159,11 @@ class TestOneBuildPerWorkload:
         occupancy.run_occupancy(("scan",), scale=0.02, executor=executor)
         assert builds == {"scan": 1}
 
-    def test_compare_with_backend_builds_once(self, builds, capsys):
+    def test_compare_builds_once(self, builds, capsys):
         from repro.cli import main as cli_main
 
-        rc = cli_main(["compare", "scan", "--scale", "0.02", "--backend",
-                       "soa", "--systems", "stream,metal"])
+        rc = cli_main(["compare", "scan", "--scale", "0.02",
+                       "--systems", "stream,metal"])
         assert rc == 0
         assert "scan:" in capsys.readouterr().out
         assert builds == {"scan": 1}

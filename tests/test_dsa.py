@@ -1,5 +1,7 @@
 """Tests for the DSA parameters and each DSA's ``*_requests`` functions."""
 
+import numpy as np
+
 from repro.dsa import aurochs, capstan, gorgon
 from repro.dsa.aurochs import PAGERANK_CONFIG, RTREE_CONFIG
 from repro.dsa.capstan import SPMM_CONFIG
@@ -8,13 +10,12 @@ from repro.dsa.gorgon import ANALYTICS_CONFIG, SCAN_CONFIG
 from repro.indexes.adjacency import AdjacencyList
 from repro.indexes.rtree import Rect, RTree2D
 from repro.indexes.sparse_tensor import DynamicSparseTensor
-from repro.indexes.table import RecordTable
+from repro.indexes.soa import SoARecordTable
 
 
 def table(n=100):
-    return RecordTable.from_records(
-        ("id", "fk"), "id", ({"id": k, "fk": (k * 7) % n} for k in range(n))
-    )
+    ids = np.arange(n, dtype=np.int64)
+    return SoARecordTable(("id", "fk"), "id", {"id": ids, "fk": (ids * 7) % n})
 
 
 class TestDSAConfig:

@@ -144,7 +144,7 @@ def test_vector_dram_decomp():
 
 
 def test_simulate_e2e():
-    workload = build_workload("scan", scale=SCALE, backend="soa")
+    workload = build_workload("scan", scale=SCALE)
     text = json.dumps(run_workload(workload, "metal").to_dict(),
                       sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (

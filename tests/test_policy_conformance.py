@@ -4,9 +4,11 @@ Every registered policy must honour the protocol contract the cache
 relies on (victims come from the candidate list, choices are
 deterministic, ``clear()`` resets cross-entry state), and the default
 policy must reproduce the pre-refactor simulation byte-for-byte — the
-committed golden digests pin that across all six systems, both index
-backends, scan and select, and on the object backend for every other
-Table-2 workload.
+committed golden digests pin that across all six systems for every
+Table-2 workload. The digests carry the store label ("object" or "soa")
+they were recorded under while an object-graph record table still
+existed beside the array-backed one; both stores agreed on every cell,
+and the one store left must reproduce both labels' digests.
 """
 
 import hashlib
@@ -29,8 +31,8 @@ GOLDEN_PATH = Path(__file__).parent / "golden_policy_baseline.json"
 
 POLICY_NAMES = sorted(POLICIES)
 
-#: The Table-2 workloads beyond scan and select, pinned on their default
-#: (object) backend.
+#: The Table-2 workloads beyond scan and select, pinned under the
+#: "object" label only.
 OTHER_WORKLOADS = ("sets", "sets_s", "spmm", "spmm_s", "where", "join",
                    "rtree", "pagerank")
 
@@ -272,10 +274,11 @@ class TestGoldenByteIdentity:
     @pytest.mark.parametrize("workload_name", ["scan", "select"])
     @pytest.mark.parametrize("backend", ["soa", "object"])
     def test_byte_identical_to_golden(self, golden, workload_name, backend):
+        """``backend`` picks the golden label, not how the table is built."""
         from repro.bench.runner import SYSTEMS, run_workload
         from repro.workloads.suite import build_workload
 
-        workload = build_workload(workload_name, scale=0.01, backend=backend)
+        workload = build_workload(workload_name, scale=0.01)
         for system in SYSTEMS:
             result = run_workload(workload, system)
             canon = json.dumps(result.to_dict(), sort_keys=True)

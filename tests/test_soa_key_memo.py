@@ -4,7 +4,7 @@
 SoA tree and memoizes every key it plans as ``(path, streaming-baseline
 blocks)``, for every run over the tree; only keys it has not seen go to
 its vectorised ``positions``. These tests run scan, select, where and
-join on the SoA backend with 7-request chunks, so repeated keys span
+join (all over SoA record tables) with 7-request chunks, so repeated keys span
 chunk boundaries and a chunk mixes hits and misses:
 
 * cold and warm passes hand out the paths and per-chunk baselines a
@@ -42,7 +42,7 @@ def small_chunks(monkeypatch):
 def _build(name: str, monkeypatch, first_id: int = 10_000):
     # A fixed index-id base: two builds namespace their keys alike.
     monkeypatch.setattr(base, "_index_ids", itertools.count(first_id))
-    return build_workload(name, scale=SCALE, backend="soa")
+    return build_workload(name, scale=SCALE)
 
 
 def _pairs(workload) -> list:

@@ -7,8 +7,7 @@ generators' trace and fault sites and time the stream through the
 engine's hooks. These tests hold both sides to committed goldens and to
 each other:
 
-* the traced run of every scan cell (six systems x both index backends,
-  scale 0.01) matches a digest of every tracer event, in order, plus
+* the traced run of every scan cell (six systems, scale 0.01) matches a digest of every tracer event, in order, plus
   its ``RunResult.to_dict()`` — fault-free and under ``TRACED_PLAN``;
 * the faulted runs match ``to_dict`` digests under two
   ``FaultPlan.uniform`` plans;
@@ -19,7 +18,10 @@ each other:
   untraced run's, so the two generation paths agree on every cell;
 * walk-generation chunk boundaries never reach results.
 
-The digests live in ``tests/golden_policy_baseline.json``. Trace args
+The digests live in ``tests/golden_policy_baseline.json``, recorded
+under two store labels while an object-graph record table still existed
+beside the array-backed one; the two agreed on every cell, and the one
+store left must reproduce the digests under both labels. Trace args
 carry absolute namespaced keys, and index ids come from a process-global
 counter, so each workload is built with that counter reset: the digests
 do not depend on what the process built before.
@@ -42,6 +44,7 @@ from repro.workloads.suite import build_workload
 GOLDEN_PATH = Path(__file__).parent / "golden_policy_baseline.json"
 SCALE = 0.01
 WORKLOAD = "scan"
+#: The store labels the goldens were recorded under.
 BACKENDS = ("soa", "object")
 
 #: Label -> plan of the faulted golden cells.
@@ -59,11 +62,11 @@ EXTRA_CELLS = (
 )
 
 
-def pinned_workload(backend: str, name: str = WORKLOAD):
+def pinned_workload(name: str = WORKLOAD):
     """Build a workload with index ids numbered from zero."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(index_base, "_index_ids", itertools.count())
-        return build_workload(name, scale=SCALE, backend=backend)
+        return build_workload(name, scale=SCALE)
 
 
 def cell_key(backend: str, system: str, name: str = WORKLOAD) -> str:
@@ -123,7 +126,7 @@ def test_golden_covers_traced_and_faulted_matrix(golden):
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_vectorized_byte_identical_scan(golden, system, backend):
-    workload = pinned_workload(backend)
+    workload = pinned_workload()
     key = cell_key(backend, system)
     assert traced_digest(workload, system) == golden["traced"][key], (
         f"{key}: traced event stream diverged from the golden"
@@ -146,7 +149,7 @@ def test_vectorized_byte_identical_scan(golden, system, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_extra_cells_byte_identical(golden, name, system, backend):
     """Untraced (scan only), traced, and faulted runs off the scan matrix."""
-    workload = pinned_workload(backend, name)
+    workload = pinned_workload(name)
     key = cell_key(backend, system, name)
     if name == "scan":
         untraced = run_workload(workload, system)
@@ -170,7 +173,7 @@ def test_extra_cells_byte_identical(golden, name, system, backend):
 
 def test_odd_chunk_sizes_byte_identical(golden, monkeypatch):
     """Chunk boundaries must not leak into results (last partial chunk)."""
-    workload = build_workload("scan", scale=SCALE, backend="soa")
+    workload = build_workload("scan", scale=SCALE)
     want = golden["digests"][f"{SCALE}/scan/soa/metal"]
     for chunk in (1, 7, 64):
         monkeypatch.setattr(batch_mod, "WALK_CHUNK", chunk)

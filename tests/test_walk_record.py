@@ -2,14 +2,15 @@
 
 Every object-index walk in the walk memo is a ``WalkPath`` whose record
 (its ``a1`` column and node offsets), built by its first full emission,
-serves stream, X-cache and METAL. For every distinct walk of all ten
-Table-2 workloads, the record's emission must equal ``_emit_nodes`` over
-the path, and for every node on the path taken as a short-circuit start,
+serves stream, X-cache and METAL. For every distinct walk of the six
+Table-2 workloads over object-graph indexes, the record's emission must
+equal ``_emit_nodes`` over the path, and for every node on the path taken as a short-circuit start,
 METAL's emission must equal ``_emit_nodes`` over what
 ``index.walk_from`` returned from it. A plain node list (a mutating
 index's walk) never gets a record and never enters METAL's pack memo.
 
-Over SoA indexes the planner's per-leaf paths are ``WalkPath``s too.
+Over the record tables' SoA indexes (scan, select, where, join) the
+planner's per-leaf paths are ``WalkPath``s too.
 METAL slices them by level after a short-circuit, so for every node on
 every distinct planned path, ``path[level + 1:]`` must be exactly what
 ``index.walk_from`` returns below that node.
@@ -27,8 +28,12 @@ from repro.workloads.suite import WORKLOAD_BUILDERS, build_workload
 
 SCALE = 0.01
 T_SEARCH = 3
-#: The Table-2 workloads that build with ``backend="soa"``.
-SOA_WORKLOADS = ("scan", "select", "where", "join")
+#: The Table-2 workloads over array-backed record tables: their walks
+#: come from the SoA planner, not the object walk memo.
+TABLE_WORKLOADS = ("scan", "select", "where", "join")
+#: The workloads whose walks fill the object walk memo.
+MEMO_WORKLOADS = [name for name in WORKLOAD_BUILDERS
+                  if name not in TABLE_WORKLOADS]
 
 
 def _columns(emit) -> tuple:
@@ -37,7 +42,7 @@ def _columns(emit) -> tuple:
     return count, batch.kinds.tolist(), batch.a1.tolist(), batch.a2.tolist()
 
 
-@pytest.mark.parametrize("name", list(WORKLOAD_BUILDERS))
+@pytest.mark.parametrize("name", MEMO_WORKLOADS)
 def test_record_emission_equals_node_by_node(name):
     workload = build_workload(name, scale=SCALE)
     pairs = [(r.index, r.key) for r in workload.requests]
@@ -70,7 +75,7 @@ def test_record_emission_equals_node_by_node(name):
 
 def _planned_paths(name: str) -> list[tuple]:
     """``(index, key, path)`` per distinct planned path of a SoA workload."""
-    workload = build_workload(name, scale=SCALE, backend="soa")
+    workload = build_workload(name, scale=SCALE)
     pairs = [(r.index, r.key) for r in workload.requests]
     paths = resolve_walks(pairs, workload.walks)
     planned = {id(path): (index, key, path)
@@ -80,7 +85,7 @@ def _planned_paths(name: str) -> list[tuple]:
     return list(planned.values())
 
 
-@pytest.mark.parametrize("name", SOA_WORKLOADS)
+@pytest.mark.parametrize("name", TABLE_WORKLOADS)
 def test_planned_record_emission_equals_node_by_node(name):
     for _, _, path in _planned_paths(name):
         for t_search in (T_SEARCH, T_SEARCH + 1, T_SEARCH):
@@ -93,7 +98,7 @@ def test_planned_record_emission_equals_node_by_node(name):
             assert _columns(lambda b: path.emit(b, T_SEARCH, first)) == want
 
 
-@pytest.mark.parametrize("name", SOA_WORKLOADS)
+@pytest.mark.parametrize("name", TABLE_WORKLOADS)
 def test_planned_suffix_by_level_is_walk_from(name):
     for index, key, path in _planned_paths(name):
         for level, node in enumerate(path):

@@ -114,6 +114,19 @@ class TestSuite:
         with pytest.raises(ValueError):
             build_workload("nope")
 
+    def test_scan_backend_accepts_only_the_array_store(self):
+        """scan's ``backend`` argument survives for callers that pass
+        ``"soa"``; it builds the default workload, and nothing else is
+        accepted."""
+        soa = build_workload("scan", scale=0.01, backend="soa")
+        default = build_workload("scan", scale=0.01)
+        assert [r.key for r in soa.requests] == [r.key for r in default.requests]
+        assert soa.total_index_blocks == default.total_index_blocks
+        with pytest.raises(ValueError, match="backend"):
+            build_workload("scan", scale=0.01, backend="btree")
+        with pytest.raises(TypeError):
+            build_workload("select", scale=0.01, backend="soa")
+
     @pytest.mark.parametrize("name", sorted(WORKLOAD_BUILDERS))
     def test_builds_and_walks(self, name):
         wl = build_workload(name, scale=0.05)
