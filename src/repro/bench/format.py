@@ -56,10 +56,17 @@ def render_bars(
 
 
 def geomean(values: Sequence[float]) -> float:
-    """Geometric mean (the paper's headline ratios are geomeans)."""
-    vals = [v for v in values if v > 0]
+    """Geometric mean (the paper's headline ratios are geomeans).
+
+    Raises ``ValueError`` on an empty input or a non-positive value: a
+    zero ratio has no geometric mean, and dropping it would hide it.
+    """
+    vals = list(values)
     if not vals:
-        return 0.0
+        raise ValueError("geomean of no values")
+    bad = [v for v in vals if not v > 0]
+    if bad:
+        raise ValueError(f"geomean needs positive values, got {bad}")
     product = 1.0
     for v in vals:
         product *= v

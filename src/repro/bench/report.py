@@ -23,10 +23,10 @@ import json
 import time
 
 from repro import gate
-from repro.bench import adaptivity, breakdown, energy, occupancy, scaling
+from repro.bench import adaptivity, breakdown, claims, energy, occupancy, scaling
 from repro.bench import speedup as speedup_mod
-from repro.bench import summary as summary_mod
 from repro.bench import sweep, tables, tagmatch, trends
+from repro.bench.format import geomean
 from repro.cmdline import add_jobs, positive_float, report_problems
 from repro.exec import ExecError, Executor, ResultStore, get_workload
 from repro.workloads.suite import WORKLOAD_BUILDERS, build_workload
@@ -119,15 +119,10 @@ def generate_report(
             sweep.run_sweep(scale=scale, executor=executor)))
 
     def table_3() -> None:
-        table3 = summary_mod.run_summary(scale=scale, executor=executor)
-        add("Table 3", summary_mod.format_table3(table3))
+        add("Table 3", claims.format_paper_values(scale, executor=executor))
         if collect_json is not None:
-            collect_json["table3"] = {
-                "speedup": table3.ratios,
-                "energy": table3.energy_ratios,
-                "ix_only": table3.ix_only_ratios,
-                "pattern_gain": list(table3.pattern_gain),
-            }
+            collect_json["table3"] = table3_payload(
+                speedup_mod.run_speedups(scale=scale, executor=executor))
 
     if collect_json is not None:
         collect_json["scale"] = scale
@@ -151,6 +146,30 @@ def generate_report(
     sections.append(executor.stats.summary(executor.jobs))
     sections.append(f"Report generated in {elapsed:.1f}s at scale {scale}.\n")
     return "\n".join(sections)
+
+
+def table3_payload(results: list[speedup_mod.SpeedupResult]) -> dict:
+    """Table 3's headline geomeans over the Fig. 18 grid, for the JSON
+    export and the baseline gate: METAL's speedup and DRAM-energy
+    advantage, METAL-IX's speedup (the IX-cache alone), and the range of
+    METAL's gain over METAL-IX (patterns)."""
+    bases = ("stream", "address", "xcache")
+    energy_ratios: dict[str, list[float]] = {base: [] for base in bases}
+    ix_only: dict[str, list[float]] = {base: [] for base in bases}
+    pattern_gains = []
+    for result in results:
+        metal_e = result.runs["metal"].dram_energy_fj or 1.0
+        ix_span = result.runs["metal_ix"].makespan
+        pattern_gains.append(ix_span / max(1, result.runs["metal"].makespan))
+        for base in bases:
+            energy_ratios[base].append(result.runs[base].dram_energy_fj / metal_e)
+            ix_only[base].append(result.runs[base].makespan / max(1, ix_span))
+    return {
+        "speedup": speedup_mod.headline_ratios(results),
+        "energy": {k: geomean(v) for k, v in energy_ratios.items()},
+        "ix_only": {k: geomean(v) for k, v in ix_only.items()},
+        "pattern_gain": [min(pattern_gains), max(pattern_gains)],
+    }
 
 
 def extract_key_metrics(payload: dict) -> dict[str, float]:

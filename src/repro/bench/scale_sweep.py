@@ -1,9 +1,9 @@
 """Paper-scale sweep: do the headline trends survive up to 1x scale?
 
 The reproduction's default runs sit ~100x below the paper's sizes.
-:mod:`repro.bench.scale_sensitivity` already checks the system orderings
-over the small-scale regime (repro scales 0.1-0.5); this sweep pushes the
-other direction — up to the paper's 10M-key scan index — using the
+The ``scale-*`` rows of :mod:`repro.bench.claims` check the system
+orderings over the small-scale regime (repro scales 0.1-0.5); this sweep
+pushes the other direction — up to the paper's 10M-key scan index — using the
 streaming keygen (:mod:`repro.workloads.stream`) and the array-backed
 record table (:mod:`repro.indexes.soa`), the two layers that exist
 precisely so a 1x point fits in RAM.

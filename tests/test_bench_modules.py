@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import adaptivity, breakdown, occupancy, seeds, speedup, summary, trends
+from repro.bench import adaptivity, breakdown, occupancy, speedup, trends
 from repro.bench.runner import SYSTEMS, build_memsys, run_workload
 from repro.exec import get_workload
 
@@ -26,12 +26,6 @@ class TestRunner:
     def test_run_workload_returns_result(self, tiny_workloads):
         run = run_workload(tiny_workloads["scan"], "metal")
         assert run.num_walks == len(tiny_workloads["scan"].requests)
-
-    def test_cache_bytes_override(self, tiny_workloads):
-        wl = tiny_workloads["scan"]
-        small = run_workload(wl, "metal", cache_bytes=1024)
-        big = run_workload(wl, "metal", cache_bytes=32 * 1024)
-        assert big.makespan <= small.makespan * 1.05
 
 
 class TestTrends:
@@ -67,27 +61,6 @@ class TestBreakdownOccupancyAdaptivity:
         result = adaptivity.run_adaptivity(scale=SCALE)
         assert result.windows
         assert "window" in adaptivity.format_fig22(result)
-
-
-class TestSeeds:
-    def test_seed_sweep(self):
-        sweep = seeds.run_seed_sweep("scan", seeds=(0, 1), scale=SCALE)
-        assert len(sweep.ratios["stream"]) == 2
-        assert sweep.mean("stream") > 1.0
-        assert "Robustness" in seeds.format_seed_sweep(sweep)
-
-    def test_seed_variation_is_bounded(self):
-        sweep = seeds.run_seed_sweep("scan", seeds=(0, 1, 2), scale=SCALE)
-        mean = sweep.mean("stream")
-        assert sweep.stdev("stream") < mean * 0.5
-
-
-class TestSummary:
-    def test_table3(self):
-        result = summary.run_summary(scale=SCALE)
-        out = summary.format_table3(result)
-        assert "Question" in out
-        assert result.ratios["stream"] > 1.0
 
 
 class TestReport:

@@ -108,8 +108,19 @@ class TestGeomean:
     def test_single(self):
         assert geomean([3.0]) == 3.0
 
-    def test_ignores_nonpositive(self):
-        assert geomean([4.0, 0.0, -1.0]) == 4.0
+    def test_rejects_nonpositive(self):
+        # A zero ratio must not vanish from a headline geomean.
+        for values in ([4.0, 0.0], [4.0, -1.0], [float("nan")]):
+            with pytest.raises(ValueError, match="positive"):
+                geomean(values)
 
     def test_empty(self):
-        assert geomean([]) == 0.0
+        with pytest.raises(ValueError, match="no values"):
+            geomean([])
+
+    def test_positive_arithmetic_unchanged(self):
+        # The left-to-right product, then one root: modeled benchmark
+        # counters read these exact bits.
+        values = [7.3, 0.41, 2.9, 11.0]
+        product = ((7.3 * 0.41) * 2.9) * 11.0
+        assert geomean(values) == product ** (1.0 / 4)

@@ -5,10 +5,7 @@ relies on (victims come from the candidate list, choices are
 deterministic, ``clear()`` resets cross-entry state), and the default
 policy must reproduce the pre-refactor simulation byte-for-byte — the
 committed golden digests pin that across all six systems for every
-Table-2 workload. The digests carry the store label ("object" or "soa")
-they were recorded under while an object-graph record table still
-existed beside the array-backed one; both stores agreed on every cell,
-and the one store left must reproduce both labels' digests.
+Table-2 workload.
 """
 
 import hashlib
@@ -31,10 +28,9 @@ GOLDEN_PATH = Path(__file__).parent / "golden_policy_baseline.json"
 
 POLICY_NAMES = sorted(POLICIES)
 
-#: The Table-2 workloads beyond scan and select, pinned under the
-#: "object" label only.
-OTHER_WORKLOADS = ("sets", "sets_s", "spmm", "spmm_s", "where", "join",
-                   "rtree", "pagerank")
+#: Every Table-2 workload has a golden digest per system at scale 0.01.
+GOLDEN_WORKLOADS = ("scan", "sets", "sets_s", "spmm", "spmm_s", "select",
+                    "where", "join", "rtree", "pagerank")
 
 
 def node(level, lo, hi, keys=None):
@@ -251,30 +247,17 @@ class TestGoldenByteIdentity:
     def test_golden_covers_full_matrix(self, golden):
         from repro.bench.runner import SYSTEMS
 
-        backends = ("soa", "object")
         want = {
-            f"0.01/{name}/{backend}/{system}"
-            for name in ("scan", "select")
-            for backend in backends
+            f"0.01/{name}/{system}"
+            for name in GOLDEN_WORKLOADS
             for system in SYSTEMS
         }
         # The address-cache variants outside SYSTEMS, on scan only.
-        want |= {
-            f"0.01/scan/{backend}/{system}"
-            for backend in backends
-            for system in ("address_pf", "address_l2")
-        }
-        want |= {
-            f"0.01/{name}/object/{system}"
-            for name in OTHER_WORKLOADS
-            for system in SYSTEMS
-        }
+        want |= {"0.01/scan/address_pf", "0.01/scan/address_l2"}
         assert set(golden) == want
 
-    @pytest.mark.parametrize("workload_name", ["scan", "select"])
-    @pytest.mark.parametrize("backend", ["soa", "object"])
-    def test_byte_identical_to_golden(self, golden, workload_name, backend):
-        """``backend`` picks the golden label, not how the table is built."""
+    @staticmethod
+    def assert_byte_identical(golden, workload_name):
         from repro.bench.runner import SYSTEMS, run_workload
         from repro.workloads.suite import build_workload
 
@@ -283,25 +266,23 @@ class TestGoldenByteIdentity:
             result = run_workload(workload, system)
             canon = json.dumps(result.to_dict(), sort_keys=True)
             digest = hashlib.sha256(canon.encode()).hexdigest()
-            key = f"0.01/{workload_name}/{backend}/{system}"
+            key = f"0.01/{workload_name}/{system}"
             assert digest == golden[key], (
-                f"{key}: RunResult diverged from the pre-policy-refactor "
-                f"golden under the default policy"
+                f"{key}: RunResult diverged from the golden under the "
+                f"default policy"
             )
 
-    @pytest.mark.parametrize("workload_name", OTHER_WORKLOADS)
+    @pytest.mark.parametrize("workload_name", ["scan", "select"])
+    def test_byte_identical_to_golden(self, golden, workload_name):
+        """Scan and select: the cells once checked under two backend labels."""
+        self.assert_byte_identical(golden, workload_name)
+
+    @pytest.mark.parametrize(
+        "workload_name",
+        [name for name in GOLDEN_WORKLOADS if name not in ("scan", "select")])
     def test_every_workload_byte_identical_to_golden(self, golden,
                                                      workload_name):
-        from repro.bench.runner import SYSTEMS, run_workload
-        from repro.workloads.suite import build_workload
-
-        workload = build_workload(workload_name, scale=0.01)
-        for system in SYSTEMS:
-            result = run_workload(workload, system)
-            canon = json.dumps(result.to_dict(), sort_keys=True)
-            digest = hashlib.sha256(canon.encode()).hexdigest()
-            key = f"0.01/{workload_name}/object/{system}"
-            assert digest == golden[key], f"{key}: RunResult diverged"
+        self.assert_byte_identical(golden, workload_name)
 
 
 class TestDefaultPolicyEquivalence:

@@ -18,10 +18,8 @@ each other:
   untraced run's, so the two generation paths agree on every cell;
 * walk-generation chunk boundaries never reach results.
 
-The digests live in ``tests/golden_policy_baseline.json``, recorded
-under two store labels while an object-graph record table still existed
-beside the array-backed one; the two agreed on every cell, and the one
-store left must reproduce the digests under both labels. Trace args
+The digests live in ``tests/golden_policy_baseline.json``, keyed
+``scale/workload/system``. Trace args
 carry absolute namespaced keys, and index ids come from a process-global
 counter, so each workload is built with that counter reset: the digests
 do not depend on what the process built before.
@@ -44,9 +42,6 @@ from repro.workloads.suite import build_workload
 GOLDEN_PATH = Path(__file__).parent / "golden_policy_baseline.json"
 SCALE = 0.01
 WORKLOAD = "scan"
-#: The store labels the goldens were recorded under.
-BACKENDS = ("soa", "object")
-
 #: Label -> plan of the faulted golden cells.
 FAULT_PLANS = {
     "uniform0.05": FaultPlan.uniform(0.05, seed=1),
@@ -69,8 +64,8 @@ def pinned_workload(name: str = WORKLOAD):
         return build_workload(name, scale=SCALE)
 
 
-def cell_key(backend: str, system: str, name: str = WORKLOAD) -> str:
-    return f"{SCALE}/{name}/{backend}/{system}"
+def cell_key(system: str, name: str = WORKLOAD) -> str:
+    return f"{SCALE}/{name}/{system}"
 
 
 def _canon(data: dict) -> str:
@@ -117,17 +112,16 @@ def golden():
 
 
 def test_golden_covers_traced_and_faulted_matrix(golden):
-    cells = len(BACKENDS) * len(SYSTEMS)
-    extra = len(BACKENDS) * len(EXTRA_CELLS)
+    cells = len(SYSTEMS)
+    extra = len(EXTRA_CELLS)
     assert len(golden["traced"]) == cells * 2 + extra * 2
     assert len(golden["faulted"]) == cells * len(FAULT_PLANS) + extra
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_vectorized_byte_identical_scan(golden, system, backend):
+def test_vectorized_byte_identical_scan(golden, system):
     workload = pinned_workload()
-    key = cell_key(backend, system)
+    key = cell_key(system)
     assert traced_digest(workload, system) == golden["traced"][key], (
         f"{key}: traced event stream diverged from the golden"
     )
@@ -146,11 +140,10 @@ def test_vectorized_byte_identical_scan(golden, system, backend):
 
 
 @pytest.mark.parametrize(("name", "system"), EXTRA_CELLS)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_extra_cells_byte_identical(golden, name, system, backend):
+def test_extra_cells_byte_identical(golden, name, system):
     """Untraced (scan only), traced, and faulted runs off the scan matrix."""
     workload = pinned_workload(name)
-    key = cell_key(backend, system, name)
+    key = cell_key(system, name)
     if name == "scan":
         untraced = run_workload(workload, system)
         digest = hashlib.sha256(_canon(untraced.to_dict()).encode()).hexdigest()
@@ -174,7 +167,7 @@ def test_extra_cells_byte_identical(golden, name, system, backend):
 def test_odd_chunk_sizes_byte_identical(golden, monkeypatch):
     """Chunk boundaries must not leak into results (last partial chunk)."""
     workload = build_workload("scan", scale=SCALE)
-    want = golden["digests"][f"{SCALE}/scan/soa/metal"]
+    want = golden["digests"][f"{SCALE}/scan/metal"]
     for chunk in (1, 7, 64):
         monkeypatch.setattr(batch_mod, "WALK_CHUNK", chunk)
         result = run_workload(workload, "metal")

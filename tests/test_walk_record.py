@@ -9,6 +9,9 @@ METAL's emission must equal ``_emit_nodes`` over what
 ``index.walk_from`` returned from it. A plain node list (a mutating
 index's walk) never gets a record and never enters METAL's pack memo.
 
+On every Table-2 workload, ``walk_from`` from any node of ``walk(key)``
+that covers the key must return that walk's own suffix.
+
 Over the record tables' SoA indexes (scan, select, where, join) the
 planner's per-leaf paths are ``WalkPath``s too.
 METAL slices them by level after a short-circuit, so for every node on
@@ -107,6 +110,32 @@ def test_planned_suffix_by_level_is_walk_from(name):
             tail = path[level + 1:]
             assert len(tail) == len(below)
             assert all(a is b for a, b in zip(tail, below))
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: FiberMatrix.walk_from finds no column leaf "
+               "below the directory, so a directory hit fetches nothing"))
+    if name == "spmm_s" else name
+    for name in WORKLOAD_BUILDERS
+])
+def test_walk_from_is_the_walks_own_suffix(name):
+    """From every node on ``walk(key)`` that covers the key,
+    ``walk_from`` resumes the same walk, node for node."""
+    workload = build_workload(name, scale=SCALE)
+    wrong = []
+    for request in workload.requests:
+        index, key = request.index, request.key
+        path = index.walk(key)
+        for i, node in enumerate(path):
+            if not node.covers(key):
+                continue
+            resumed = index.walk_from(node, key)
+            if len(resumed) != len(path) - i or any(
+                    a is not b for a, b in zip(resumed, path[i:])):
+                wrong.append((node.level, key))
+    assert not wrong, f"{len(wrong)} (node, key) pairs resume another walk"
 
 
 def test_first_full_emission_builds_the_record():
