@@ -45,14 +45,14 @@ def direct_cache_usage() -> None:
     )
 
     # The same cache, managed by a reuse pattern instead: the pattern
-    # controller brackets each walk, and every fetched node is offered
-    # to it before it reaches the cache.
+    # controller brackets each walk, and the walk's fetched nodes are
+    # offered to it; only those its descriptor admits reach the cache.
     metal = Metal(LevelDescriptor(1, tree.height - 1))
-    ns = lambda k: k  # noqa: E731 - single index, no namespacing needed
-    metal.controller.begin_walk(0, key)
-    for node in tree.walk(key):
-        metal.consider(0, node, tree.height, ns)
-    metal.controller.end_walk()
+    controller = metal.controller
+    descriptor = controller.begin_walk(0, key)
+    controller.offer(descriptor, tree.walk(key), tree.height, False,
+                     lambda node, life: metal.cache.insert(node, life=life))
+    controller.end_walk()
     print(f"pattern-managed cache now holds {len(metal.cache)} entries\n")
 
 

@@ -9,10 +9,11 @@
   (with patterns / hardwired utility policy only).
 """
 
-from repro.core.controller import InsertDecision, PatternController
+from repro.core.controller import PatternController
 from repro.core.descriptors import (
     BranchDescriptor,
     CompositeDescriptor,
+    InsertDecision,
     LevelDescriptor,
     NodeDescriptor,
     ReuseDescriptor,

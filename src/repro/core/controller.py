@@ -15,19 +15,21 @@ parameters per batch so Fig. 22's adaptivity plot can be regenerated.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterable
 from typing import Any
 
-from repro.core.descriptors import (
-    BatchFeedback,
-    INSERT_ALL,
-    InsertDecision,
-    ReuseDescriptor,
-    WalkContext,
-)
+from repro.core.descriptors import BatchFeedback, ReuseDescriptor, WalkContext
 from repro.core.ix_cache import IXCache
 from repro.core.policy import ThresholdTuner
 from repro.indexes.base import IndexNode
 from repro.obs.tracer import NULL_TRACER
+
+#: Preallocated WalkContext rows: a context is a pure (short_circuited,
+#: position) value, so walks at the same position share one instance
+#: instead of allocating a NamedTuple per node.
+_CTX_MAX = 64
+_CTX_FULL = tuple(WalkContext(False, p) for p in range(_CTX_MAX))
+_CTX_SHORT = tuple(WalkContext(True, p) for p in range(_CTX_MAX))
 
 
 class PatternController:
@@ -80,23 +82,40 @@ class PatternController:
             descriptor.observe_key(key)
         return descriptor
 
-    def decide(
+    def offer(
         self,
-        index_id: int,
-        node: IndexNode,
+        descriptor: ReuseDescriptor,
+        nodes: Iterable[IndexNode],
         height: int,
-        ctx: WalkContext | None = None,
-    ) -> InsertDecision:
-        descriptor = self._by_index.get(index_id, self._default)
-        if descriptor is None:
-            return INSERT_ALL
-        decision = descriptor.decide(node, height, ctx)
-        if decision.insert:
-            self._insertions_by_level[node.level] += 1
-        if self.tracer.enabled:
-            self.tracer.emit("desc_decision", level=node.level,
-                             insert=decision.insert, life=decision.life)
-        return decision
+        short: bool,
+        insert: Callable[[IndexNode, int], Any],
+    ) -> None:
+        """Insert or bypass each node a walk fetched, as ``descriptor`` decides.
+
+        ``nodes`` are fetched top-down; the first sits at position 0 of
+        a walk that started from an IX-cache hit when ``short`` is set.
+        An inserted node is counted at its level for the batch feedback
+        and handed to ``insert(node, life)``; a bypassed one is counted
+        as the cache's pattern bypass.
+        """
+        decide = descriptor.decide
+        row = _CTX_SHORT if short else _CTX_FULL
+        insertions = self._insertions_by_level
+        tracer = self.tracer
+        tracing = tracer.enabled
+        note_bypass = self.cache.note_bypass
+        for position, node in enumerate(nodes):
+            ctx = (row[position] if position < _CTX_MAX
+                   else WalkContext(short, position))
+            decision = decide(node, height, ctx)
+            if tracing:
+                tracer.emit("desc_decision", level=node.level,
+                            insert=decision.insert, life=decision.life)
+            if decision.insert:
+                insertions[node.level] += 1
+                insert(node, decision.life)
+            else:
+                note_bypass()
 
     def end_walk(self) -> None:
         self._walks_in_batch += 1

@@ -328,9 +328,12 @@ class IXCache:
         block_bytes = self.params.block_bytes
         node_bytes = size if size < block_bytes else block_bytes
         tag_lo, tag_hi, tag_level = tag
-        # Case-3 coalescing (Fig. 5): merge with an adjacent same-level
-        # small entry. A pinned insertion never coalesces. The
-        # ``can_coalesce`` legality check is inlined.
+        # Case-3 coalescing (Fig. 5): merge with an unpinned entry of the
+        # same level and namespace when both fit one block, their ranges
+        # are disjoint, and the gap between them is no wider than their
+        # combined width (Fig. 5 fuses [7-8] with [9-12]), so a
+        # super-range never claims a large key region neither node
+        # covers. A pinned insertion never coalesces.
         seek = self.coalesce and life == 0
         room = block_bytes - node_bytes
         tag_ns = tag_lo // NS_STRIDE
@@ -359,7 +362,6 @@ class IXCache:
                 seek = False  # keep scanning for a duplicate only
         if partner is not None:
             partner.parts.append((tag, node))
-            # The super-range (:func:`~repro.core.packing.coalesced_tag`).
             if tag_lo < partner.lo:
                 partner.lo = tag_lo
             if tag_hi > partner.hi:

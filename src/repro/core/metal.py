@@ -8,19 +8,17 @@
 
 Each holds an :class:`IXCache` (``cache``) and, for METAL, a
 :class:`PatternController` (``controller``); the memory system drives both
-directly. ``consider`` is the one walk-pipeline step kept here: offer a
-fetched node to the controller (or insert it greedily) and then the cache.
+directly, offering each fetched node through
+:meth:`PatternController.offer` (METAL) or inserting it greedily
+(METAL-IX).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.controller import PatternController
-from repro.core.descriptors import ReuseDescriptor, WalkContext
+from repro.core.descriptors import ReuseDescriptor
 from repro.core.ix_cache import IXCache
 from repro.core.policy import ThresholdTuner
-from repro.indexes.base import IndexNode
 from repro.params import CacheParams, IXCACHE_ENERGY_FJ
 
 
@@ -40,24 +38,6 @@ class MetalIX:
         self.cache.attach_obs(tracer, registry, prefix)
         if self.controller is not None:
             self.controller.tracer = tracer
-
-    def consider(
-        self,
-        index_id: int,
-        node: IndexNode,
-        height: int,
-        ns: Callable[[int], int],
-        ctx: "WalkContext | None" = None,
-        key: int | None = None,
-    ) -> bool:
-        """Insert-or-bypass a node fetched during the miss-path walk."""
-        if self.controller is None:
-            return self.cache.insert(node, ns, key=key)
-        decision = self.controller.decide(index_id, node, height, ctx)
-        if not decision.insert:
-            self.cache.note_bypass()
-            return False
-        return self.cache.insert(node, ns, life=decision.life, key=key)
 
     @property
     def stats(self):

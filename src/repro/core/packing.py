@@ -7,8 +7,8 @@ Three cases:
   entries, each holding a slice of the child pointers.
 * Case 3 — node size < block size: adjacent same-level nodes can be
   coalesced into one entry tagged with the super-range (done
-  opportunistically by the IX-cache at insert time; :func:`can_coalesce`
-  is the legality check).
+  opportunistically by the IX-cache at insert time, in
+  :meth:`~repro.core.ix_cache.IXCache._place_in_set`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections.abc import Callable
 
 from repro.core.range_tag import RangeTag
 from repro.indexes.base import IndexNode
-from repro.params import BLOCK_SIZE, KEY_BYTES, NS_STRIDE, PTR_BYTES
+from repro.params import BLOCK_SIZE, KEY_BYTES, PTR_BYTES
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -88,34 +88,3 @@ def pack_sized(
     """
     return [(tag, part, part.byte_size())
             for tag, part in pack_node(node, ns, block_bytes)]
-
-
-def can_coalesce(
-    a: RangeTag,
-    b: RangeTag,
-    a_bytes: int,
-    b_bytes: int,
-    block_bytes: int = BLOCK_SIZE,
-) -> bool:
-    """Case-3 legality: same level and namespace, combined fit, neighbors.
-
-    Only *adjacent-ish* nodes coalesce (Fig. 5 fuses [7-8] with [9-12]):
-    the gap between the ranges must not exceed their combined width, so a
-    super-range never claims large key regions neither node covers — and
-    never spans two different indexes' namespaces.
-    """
-    if a.level != b.level:
-        return False
-    if a_bytes + b_bytes > block_bytes:
-        return False
-    if a.lo // NS_STRIDE != b.lo // NS_STRIDE:
-        return False
-    if a.overlaps(b):
-        return False
-    gap = max(a.lo, b.lo) - min(a.hi, b.hi) - 1
-    return gap <= a.width() + b.width()
-
-
-def coalesced_tag(a: RangeTag, b: RangeTag) -> RangeTag:
-    """The super-range tag covering both coalesced nodes."""
-    return RangeTag(min(a.lo, b.lo), max(a.hi, b.hi), a.level)

@@ -37,7 +37,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.descriptors import LevelDescriptor, WalkContext
 from repro.core.metal import Metal, MetalIX
 from repro.indexes.base import IndexNode
 from repro.mem.address_cache import AddressCache
@@ -48,14 +47,6 @@ from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams, SimParams
 from repro.sim.engine import (
     K_COMPUTE, K_DRAM, K_LOCAL, K_PREFETCH, K_SRAM, TraceBatch,
 )
-
-
-#: Preallocated WalkContext rows for the batch emitters: a context is a
-#: pure (short_circuited, position) value, so walks at the same position
-#: share one instance instead of allocating a NamedTuple per node.
-_CTX_MAX = 64
-_CTX_FULL = tuple(WalkContext(False, p) for p in range(_CTX_MAX))
-_CTX_SHORT = tuple(WalkContext(True, p) for p in range(_CTX_MAX))
 
 
 def namespace_fn(index: Any) -> Callable[[int], int]:
@@ -916,22 +907,16 @@ class MetalMemSys(MemorySystem):
 
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
         # One driver for the walk pipeline, calling the cache and the
-        # controller through their own methods: begin_walk, probe, an
-        # insert-or-bypass decision per fetched node, end_walk. Only the
-        # per-node decision (MetalIX.consider -> PatternController.decide
-        # -> descriptor.decide) is inlined: same calls on the same state
-        # in the same order, minus two Python frames per visited node.
+        # controller through their own methods: begin_walk, probe, the
+        # fetched nodes offered for insert-or-bypass, end_walk.
         policy = self.policy
         cache = policy.cache
         cache_probe = cache.probe
         cache_insert = cache.insert
         cache_plan = cache.plan
-        cache_stats = cache.stats
-        cache_tracer = cache.tracer
         kbb = cache.key_block_bits
         num_sets = cache.num_sets
         controller = policy.controller
-        ctrl_tracer = controller.tracer if controller is not None else None
         tracer = self.tracer
         tracing = tracer.enabled
         faults = self.faults
@@ -954,18 +939,20 @@ class MetalMemSys(MemorySystem):
         index_dram = 0
 
         def insert(node: Any, life: int) -> None:
-            # A placement plan is pure in a node's geometry, its index's
-            # namespace and the cache's. A WalkPath's index does not
-            # change, so its nodes reuse their plans; a plain list's
-            # nodes can change between walks and are planned on insert.
+            # Caches ``node`` under ``insert_key``: the walk's probe key,
+            # or a scanned leaf's low key. A placement plan is pure in a
+            # node's geometry, its index's namespace and the cache's. A
+            # WalkPath's index does not change, so its nodes reuse their
+            # plans; a plain list's nodes can change between walks and
+            # are planned on insert.
             if pmap is None:
-                cache_insert(node, ns, life, ns_key)
+                cache_insert(node, ns, life, insert_key)
                 return
             plan = pmap.get(node)
             if plan is None:
                 plan = cache_plan(node, ns)
                 pmap[node] = plan
-            cache_insert(node, ns, life, ns_key, plan)
+            cache_insert(node, ns, life, insert_key, plan)
 
         for request, prep in zip(requests, prepared):
             index = request.index
@@ -1029,14 +1016,12 @@ class MetalMemSys(MemorySystem):
             if start is not None:
                 start_level = start.level
                 short = True
-                ctx_row = _CTX_SHORT
                 if tracing:
                     tracer.emit("ix_short_circuit", key=key,
                                 level=start_level, skipped=start_level)
             else:
                 start_level = 0
                 short = False
-                ctx_row = _CTX_FULL
             if first:
                 index_dram += prep.emit(batch, t_search, first)
             else:
@@ -1045,65 +1030,13 @@ class MetalMemSys(MemorySystem):
                 # serves only that.
                 index_dram += _emit_walk(batch, prep, nodes, t_search)
             pmap = cur_packed if type(prep) is WalkPath else None
+            insert_key = ns_key
             if descriptor is None:
-                # Greedy insert-all (METAL-IX, or no governing
-                # descriptor): PatternController.decide returns
-                # INSERT_ALL without counting insertions.
+                # Greedy insert-all (METAL-IX, or no governing descriptor).
                 for node in nodes:
                     insert(node, 0)
-            elif type(descriptor) is LevelDescriptor:
-                # LevelDescriptor.decide inlined: it only ever returns the
-                # two life-0 singletons, and tune() runs between walks, so
-                # the band bounds are constants for this request. Same
-                # checks, same TouchFilter.admit call order.
-                insertions = controller._insertions_by_level
-                ctrl_enabled = ctrl_tracer.enabled
-                d_start = descriptor.start
-                d_end = descriptor.end
-                d_mid = (d_start + d_end + 1) // 2 + 1
-                frontier_walk = short and descriptor.frontier
-                admit = descriptor._filter.admit
-                position = 0
-                for node in nodes:
-                    level = node.level
-                    if level < d_start or level > d_end or level >= height:
-                        ins = False
-                    elif frontier_walk:
-                        ins = position == 0 and admit(node.node_id)
-                    else:
-                        ins = level < d_mid or admit(node.node_id)
-                    position += 1
-                    if ctrl_enabled:
-                        ctrl_tracer.emit("desc_decision", level=level,
-                                         insert=ins, life=0)
-                    if ins:
-                        insertions[level] += 1
-                        insert(node, 0)
-                    else:
-                        cache_stats.bypasses += 1
-                        if cache_tracer.enabled:
-                            cache_tracer.emit("ix_bypass", reason="pattern")
             else:
-                insertions = controller._insertions_by_level
-                ctrl_enabled = ctrl_tracer.enabled
-                decide = descriptor.decide
-                position = 0
-                for node in nodes:
-                    ctx = (ctx_row[position] if position < _CTX_MAX
-                           else WalkContext(short, position))
-                    position += 1
-                    decision = decide(node, height, ctx)
-                    if ctrl_enabled:
-                        ctrl_tracer.emit("desc_decision", level=node.level,
-                                         insert=decision.insert,
-                                         life=decision.life)
-                    if decision.insert:
-                        insertions[node.level] += 1
-                        insert(node, decision.life)
-                    else:
-                        cache_stats.bypasses += 1
-                        if cache_tracer.enabled:
-                            cache_tracer.emit("ix_bypass", reason="pattern")
+                controller.offer(descriptor, nodes, height, short, insert)
             if controller is not None:
                 controller.end_walk()
             visited = len(nodes)
@@ -1111,19 +1044,22 @@ class MetalMemSys(MemorySystem):
             if request.scan_hi is not None:
                 # The leaf stream follows the walk: each scanned leaf is
                 # probed, served on-chip when resident, else fetched and
-                # offered to the policy like a short-circuited walk's
-                # first node.
+                # offered alone as a short-circuited walk's first node,
+                # cached under its own low key.
                 for leaf in _scanned_leaves(prep, request.scan_hi):
                     visited += 1
-                    leaf_key = ns(leaf.lo)
+                    insert_key = ns(leaf.lo)
                     kinds.append(K_SRAM)
-                    a1.append((leaf_key >> kbb) % num_sets)
+                    a1.append((insert_key >> kbb) % num_sets)
                     a2.append(t_probe)
-                    if cache.peek(leaf_key) is leaf:
+                    if cache.peek(insert_key) is leaf:
                         continue
                     index_dram += _fetch_leaf(batch, leaf)
-                    policy.consider(index_id, leaf, height, ns,
-                                    _CTX_SHORT[0], key=leaf_key)
+                    if descriptor is None:
+                        insert(leaf, 0)
+                    else:
+                        controller.offer(descriptor, (leaf,), height, True,
+                                         insert)
             batch.finish_walk(request, start_level, visited, short, full)
         batch.index_dram += index_dram
 

@@ -53,6 +53,46 @@ def _energy():
     return energy.run_energy(scale=SCALE)
 
 
+def _trend_figure(fmt):
+    text = fmt(_trends())
+    assert "Scan" in text
+    return [text]
+
+
+def _fig18():
+    results = speedup_mod.run_speedups(scale=SCALE)
+    ratios = speedup_mod.headline_ratios(results)
+    assert set(ratios) == {"stream", "address", "xcache", "metal_ix"}
+    assert all(v > 0 for v in ratios.values())
+    text = speedup_mod.format_fig18(results)
+    assert "METAL speedup per workload" in text
+    return [text]
+
+
+def _fig20():
+    results = breakdown.run_breakdown(scale=SCALE)
+    assert results[0].workload == "scan" and results[0].ix > 0
+    text = breakdown.format_fig20(results)
+    assert "IX only" in text
+    return [text]
+
+
+def _fig21():
+    results = occupancy.run_occupancy(scale=SCALE)
+    assert results[0].workload == "scan" and "metal" in results[0].by_level
+    text = occupancy.format_fig21(results)
+    assert "L0" in text
+    return [text]
+
+
+def _fig22():
+    result = adaptivity.run_adaptivity(scale=SCALE)
+    assert result.windows
+    text = adaptivity.format_fig22(result)
+    assert "window" in text
+    return [text]
+
+
 def _scaling():
     cells = scaling.run_records_sweep(scales=(SCALE,), cache_sizes=(4 * 1024,))
     depth_cells = scaling.run_depth_sweep(depths=(6,), scale=SCALE)
@@ -95,20 +135,16 @@ EXPERIMENTS = {
     "fig07": lambda: [tagmatch.format_fig7(tagmatch.run_tagmatch())],
     "table2": lambda: [tables.format_table2(
         [get_workload(name, SCALE) for name in WORKLOAD_BUILDERS])],
-    "fig15": lambda: [trends.format_fig15(_trends())],
-    "fig16": lambda: [trends.format_fig16(_trends())],
-    "fig17": lambda: [trends.format_fig17(_trends())],
-    "fig18": lambda: [speedup_mod.format_fig18(
-        speedup_mod.run_speedups(scale=SCALE))],
+    "fig15": lambda: _trend_figure(trends.format_fig15),
+    "fig16": lambda: _trend_figure(trends.format_fig16),
+    "fig17": lambda: _trend_figure(trends.format_fig17),
+    "fig18": _fig18,
     "fig19": lambda: [energy.format_fig19(_energy())],
-    "fig20": lambda: [breakdown.format_fig20(
-        breakdown.run_breakdown(scale=SCALE))],
+    "fig20": _fig20,
     "attribution": lambda: [breakdown.format_attribution(
         breakdown.run_attribution(scale=SCALE))],
-    "fig21": lambda: [occupancy.format_fig21(
-        occupancy.run_occupancy(scale=SCALE))],
-    "fig22": lambda: [adaptivity.format_fig22(
-        adaptivity.run_adaptivity(scale=SCALE))],
+    "fig21": _fig21,
+    "fig22": _fig22,
     "fig23": _scaling,
     "fig24": lambda: [sweep.format_fig24(sweep.run_sweep(
         workloads=("join",), tiles=(4, 8), caches=(2 * 1024, 8 * 1024),

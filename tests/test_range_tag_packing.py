@@ -3,15 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.packing import (
-    blocks_needed,
-    can_coalesce,
-    coalesced_tag,
-    pack_node,
-)
+from repro.core.ix_cache import IXCache
+from repro.core.packing import blocks_needed, pack_node
 from repro.core.range_tag import RangeTag
 from repro.indexes.base import IndexNode
-from repro.params import BLOCK_SIZE
+from repro.params import BLOCK_SIZE, CacheParams
 
 
 IDENT = lambda k: k  # noqa: E731
@@ -95,22 +91,38 @@ class TestPackNode:
         assert entries[0][0] == RangeTag(1005, 1009, 1)
 
 
+def small(level, lo, hi, n_keys=1):
+    """A sub-block node over [lo, hi]: ``n_keys`` keys, 16 B each."""
+    return IndexNode(level, list(range(lo, lo + n_keys)), values=[0] * n_keys,
+                     lo=lo, hi=hi)
+
+
+def insert_pair(a, b):
+    """Tags cached after inserting ``a`` then ``b`` into one key block."""
+    cache = IXCache(CacheParams(capacity_bytes=32 * BLOCK_SIZE, ways=4))
+    assert cache.insert(a) and cache.insert(b)
+    return sorted(entry.tag for entry in cache.entries())
+
+
 class TestCoalescing:
+    """Case-3 packing (Fig. 5) as ``IXCache.insert`` applies it."""
+
     def test_legal_coalesce(self):
-        a, b = RangeTag(0, 5, 2), RangeTag(6, 9, 2)
-        assert can_coalesce(a, b, 24, 24)
-        assert coalesced_tag(a, b) == RangeTag(0, 9, 2)
+        assert insert_pair(small(2, 0, 5), small(2, 6, 9)) == [RangeTag(0, 9, 2)]
 
     def test_level_mismatch(self):
-        assert not can_coalesce(RangeTag(0, 5, 1), RangeTag(6, 9, 2), 16, 16)
+        assert insert_pair(small(1, 0, 5), small(2, 6, 9)) == [
+            RangeTag(0, 5, 1), RangeTag(6, 9, 2)]
 
     def test_size_overflow(self):
-        assert not can_coalesce(
-            RangeTag(0, 5, 2), RangeTag(6, 9, 2), 40, 40, BLOCK_SIZE
-        )
+        # 48 B + 48 B does not fit one 64 B block.
+        assert insert_pair(small(2, 0, 5, n_keys=3),
+                           small(2, 6, 9, n_keys=3)) == [
+            RangeTag(0, 5, 2), RangeTag(6, 9, 2)]
 
     def test_overlap_rejected(self):
-        assert not can_coalesce(RangeTag(0, 6, 2), RangeTag(6, 9, 2), 8, 8)
+        assert insert_pair(small(2, 0, 6), small(2, 6, 9)) == [
+            RangeTag(0, 6, 2), RangeTag(6, 9, 2)]
 
 
 class TestBlocksNeeded:
