@@ -12,10 +12,10 @@ from repro import (
     CacheParams,
     IXCache,
     LevelDescriptor,
-    Metal,
     build_workload,
     compare_systems,
 )
+from repro.core import PatternController
 
 
 def direct_cache_usage() -> None:
@@ -44,16 +44,16 @@ def direct_cache_usage() -> None:
         f"walk shortened from {len(path)} to {len(remaining)} nodes"
     )
 
-    # The same cache, managed by a reuse pattern instead: the pattern
+    # A cache managed by a reuse pattern instead (METAL): the pattern
     # controller brackets each walk, and the walk's fetched nodes are
     # offered to it; only those its descriptor admits reach the cache.
-    metal = Metal(LevelDescriptor(1, tree.height - 1))
-    controller = metal.controller
+    managed = IXCache(CacheParams(capacity_bytes=8 * 1024))
+    controller = PatternController(LevelDescriptor(1, tree.height - 1), managed)
     descriptor = controller.begin_walk(0, key)
     controller.offer(descriptor, tree.walk(key), tree.height, False,
-                     lambda node, life: metal.cache.insert(node, life=life))
+                     lambda node, life: managed.insert(node, life=life))
     controller.end_walk()
-    print(f"pattern-managed cache now holds {len(metal.cache)} entries\n")
+    print(f"pattern-managed cache now holds {len(managed)} entries\n")
 
 
 def system_comparison() -> None:

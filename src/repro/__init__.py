@@ -8,8 +8,7 @@ Reproduction of the ASPLOS'24 paper. The package layers:
 * :mod:`repro.mem` — DRAM model and baseline caches (address, Belady
   FA-OPT, X-cache).
 * :mod:`repro.core` — the contribution: range-tagged IX-cache, reuse
-  descriptors (Node / Level / Branch), pattern controller, and the
-  ``Metal`` / ``MetalIX`` configurations.
+  descriptors (Node / Level / Branch) and the pattern controller.
 * :mod:`repro.dsa` — the target DSAs as Table-2 intensities plus the
   functions lowering their operators to walk requests.
 * :mod:`repro.sim` — cycle-approximate event engine and memory-system
@@ -37,7 +36,6 @@ from repro.core.descriptors import (
     NodeDescriptor,
 )
 from repro.core.ix_cache import IXCache
-from repro.core.metal import Metal, MetalIX
 from repro.indexes.bplustree import BPlusTree
 from repro.params import CacheParams, DRAMParams, SimParams
 from repro.sim.metrics import RunResult, WalkRequest, simulate
@@ -56,8 +54,6 @@ __all__ = [
     "DRAMParams",
     "IXCache",
     "LevelDescriptor",
-    "Metal",
-    "MetalIX",
     "NodeDescriptor",
     "RunResult",
     "run_workload",

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.bench.format import render_table
-from repro.bench.runner import cache_params_for
 from repro.exec import Executor, RunSpec, default_executor
 from repro.indexes.bplustree import BPlusTree
-from repro.params import SimParams
+from repro.params import CacheParams, SimParams
 from repro.sim.engine import Engine, TraceBatch
 from repro.sim.memsys import make_memsys
 from repro.sim.metrics import WalkRequest
@@ -58,7 +57,7 @@ def mix_cell(
     rng.shuffle(pending)
     lookup_keys = zipf_stream(len(present), num_ops, skew=0.8, seed=seed)
 
-    memsys = make_memsys(kind, cache_params=cache_params_for(kind, cache_bytes))
+    memsys = make_memsys(kind, cache_params=CacheParams(capacity_bytes=cache_bytes))
     # Walks stream into one columnar batch as they are generated.
     batch = TraceBatch()
     ok = True

@@ -30,11 +30,11 @@ from typing import Any
 
 from repro import gate
 from repro.bench.format import render_table
-from repro.bench.runner import cache_params_for
 from repro.cmdline import add_jobs, name_list, positive_float
 from repro.core.policy import POLICIES, make_policy, tag_energy_fj
 from repro.exec.executor import Executor
 from repro.exec.spec import RunSpec
+from repro.params import CacheParams
 from repro.workloads.suite import WORKLOAD_BUILDERS
 
 BASELINE_SCHEMA = "policy-lab/1"
@@ -116,7 +116,7 @@ def sweep(
 
     executor = Executor(jobs=jobs)
     outcomes = executor.run(specs)
-    ways = cache_params_for(system, 1).ways
+    ways = CacheParams().ways
 
     by_workload: dict[str, dict[str, dict]] = {w: {} for w in workloads}
     for (workload, label, tag_bits), outcome in zip(cells, outcomes):

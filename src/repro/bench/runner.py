@@ -15,9 +15,7 @@ from repro.bench.format import render_table
 from repro.cmdline import add_jobs, add_workload, positive_float, positive_int
 
 from repro.core.ix_cache import block_bits_for
-from repro.params import (
-    ADDRESS_CACHE_ENERGY_FJ, CacheParams, IXCACHE_ENERGY_FJ, SimParams,
-)
+from repro.params import CacheParams, SimParams
 from repro.sim.memsys import MemorySystem, make_memsys
 from repro.sim.metrics import RunResult, simulate
 from repro.workloads.suite import Workload
@@ -51,13 +49,6 @@ def reject_unknown_systems(kinds) -> bool:
     return bool(unknown)
 
 
-def cache_params_for(kind: str, cache_bytes: int, ways: int = 16, banks: int = 16) -> CacheParams:
-    energy = IXCACHE_ENERGY_FJ if kind.startswith("metal") else ADDRESS_CACHE_ENERGY_FJ
-    return CacheParams(
-        capacity_bytes=cache_bytes, ways=ways, banks=banks, e_access=energy
-    )
-
-
 def build_memsys(
     kind: str,
     workload: Workload,
@@ -70,7 +61,8 @@ def build_memsys(
     """Instantiate one memory system configured for a workload."""
     cache_bytes = cache_bytes or workload.default_cache_bytes
     sim = sim or workload.config.sim_params()
-    params = overrides.pop("cache_params", None) or cache_params_for(kind, cache_bytes)
+    params = (overrides.pop("cache_params", None)
+              or CacheParams(capacity_bytes=cache_bytes))
     kwargs: dict[str, Any] = {}
     if kind.startswith("metal"):
         default_bits = workload.ix_key_block_bits

@@ -87,14 +87,6 @@ def run_sweep(
     return cells
 
 
-def pareto_point(cells: list[SweepCell], workload: str) -> SweepCell:
-    """Smallest configuration within 5% of the workload's best speedup."""
-    mine = [c for c in cells if c.workload == workload]
-    best = max(c.speedup for c in mine)
-    good = [c for c in mine if c.speedup >= 0.95 * best]
-    return min(good, key=lambda c: (c.cache_bytes, c.tiles))
-
-
 def format_fig24(cells: list[SweepCell]) -> str:
     headers = ["workload", "tiles", "cache", "speedup", "bw util", "region"]
     rows = [

@@ -5,8 +5,10 @@
 * Reuse descriptors (:class:`NodeDescriptor`, :class:`LevelDescriptor`,
   :class:`BranchDescriptor`) and the :class:`PatternController` that applies
   them on the walk pipeline (Section 4).
-* :class:`Metal` / :class:`MetalIX` — the two evaluated configurations
-  (with patterns / hardwired utility policy only).
+
+Section 5's METAL-IX is an :class:`IXCache` alone and METAL is one with a
+:class:`PatternController` over it; ``repro.sim.memsys.make_memsys``
+builds both.
 """
 
 from repro.core.controller import PatternController
@@ -20,7 +22,6 @@ from repro.core.descriptors import (
 )
 from repro.core.energy_model import CacheEnergyModel, TAG_MATCH_TABLE
 from repro.core.ix_cache import IXCache, IXEntry
-from repro.core.metal import Metal, MetalIX
 from repro.core.packing import pack_node
 from repro.core.range_tag import RangeTag
 
@@ -32,8 +33,6 @@ __all__ = [
     "IXCache",
     "IXEntry",
     "LevelDescriptor",
-    "Metal",
-    "MetalIX",
     "NodeDescriptor",
     "PatternController",
     "RangeTag",

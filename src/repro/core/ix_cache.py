@@ -29,7 +29,7 @@ from repro.core.range_tag import RangeTag
 from repro.indexes.base import IndexNode
 from repro.mem.stats import CacheStats
 from repro.obs.tracer import NULL_TRACER
-from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams, IXCACHE_ENERGY_FJ
+from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams
 
 _entry_seq = itertools.count()
 
@@ -60,10 +60,10 @@ class IXEntry:
 
     The tag is kept as slots: ``lo``, ``hi`` and ``level``, plus ``ns``,
     the namespace id ``lo // NS_STRIDE`` (an index's keys, see
-    :func:`repro.sim.memsys.namespace_fn`), which coalescing and way
-    quotas compare. ``utility`` is the paper's 4-bit saturating counter;
-    ``stamp`` is a policy-defined scratch word (LRU tick, hit count —
-    see :mod:`repro.core.policy`) that the default policy never touches.
+    :func:`repro.sim.memsys.namespace_fn`), which coalescing compares.
+    ``utility`` is the paper's 4-bit saturating counter; ``stamp`` is a
+    policy-defined scratch word (LRU tick, hit count — see
+    :mod:`repro.core.policy`) that the default policy never touches.
     """
 
     __slots__ = ("lo", "hi", "level", "ns", "parts", "utility", "life",
@@ -107,10 +107,9 @@ class IXCache:
         wide_fraction: float = 0.125,
         associative: bool = True,
         coalesce: bool = True,
-        partition: dict[int, int] | None = None,
         policy: "str | ReplacementPolicy" = "utility_rrip",
     ) -> None:
-        self.params = params or CacheParams(e_access=IXCACHE_ENERGY_FJ)
+        self.params = params or CacheParams()
         self.stats = CacheStats()
         self.tracer = NULL_TRACER
         #: Replacement policy (repro.core.policy): victim selection and
@@ -123,17 +122,6 @@ class IXCache:
         #: Case-3 packing (Fig. 5): merge adjacent small same-level nodes
         #: into one super-range entry. Toggleable for the ablation bench.
         self.coalesce = coalesce
-        #: Optional way partitioning per index: maps index_id -> maximum
-        #: ways an index may occupy in any set. Mitigates the cross-index
-        #: contention the paper notes for JOIN ("METAL experiences high
-        #: contention as it targets multiple B+Trees").
-        self.partition = dict(partition) if partition else None
-        if self.partition is not None:
-            for index_id, quota in self.partition.items():
-                if quota <= 0:
-                    raise ValueError(
-                        f"way quota for index {index_id} must be positive"
-                    )
         total_entries = max(1, self.params.entries)
         if associative:
             self.wide_capacity = max(1, int(total_entries * wide_fraction))
@@ -372,18 +360,6 @@ class IXCache:
                 self.tracer.emit("ix_insert", level=tag_level,
                                  lo=tag_lo, hi=tag_hi, coalesced=True)
             return True
-        owner = tag_ns
-        if self.partition is not None and owner in self.partition:
-            owned = [e for e in ways if e.ns == owner]
-            if len(owned) >= self.partition[owner]:
-                # Quota full: the index may only displace its own entries.
-                victims = [e for e in owned if not e.pinned] or owned
-                victim = self.policy.select_victim(victims)
-                ways.remove(victim)
-                self.stats.evictions += 1
-                if self.tracer.enabled:
-                    self.tracer.emit("ix_evict", level=victim.level,
-                                     reason="quota")
         if len(ways) >= self.ways:
             self._evict_from(ways)
         entry = IXEntry(tag, [(tag, node)], life,

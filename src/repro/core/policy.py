@@ -86,7 +86,7 @@ class ReplacementPolicy(ABC):
       unpinned; the choice must be deterministic given entry state),
       and :meth:`epoch_decay`, which ages the survivors of one eviction
       (the RRIP-style renormalization step; a no-op for recency
-      policies). Way quotas call :meth:`select_victim` directly.
+      policies). Every IX-cache eviction runs through :meth:`evict`.
 
     ``clear()`` must reset any cross-entry state (ticks, counters) so a
     cleared cache behaves like a fresh one.

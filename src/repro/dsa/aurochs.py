@@ -8,7 +8,6 @@ PageRank-push workloads (Table 2) with task-parallel tiles.
 from __future__ import annotations
 
 from repro.dsa.config import DSAConfig
-from repro.indexes.adjacency import AdjacencyList
 from repro.indexes.rtree import RTree2D
 from repro.sim.metrics import WalkRequest
 
@@ -34,28 +33,4 @@ def rtree_requests(
         y_keys = rtree.correlated_y_keys(x, window=2)[:y_per_x]
         for y in y_keys:
             requests.append(WalkRequest(rtree.y_tree, y, compute_cycles=compute))
-    return requests
-
-
-def pagerank_requests(
-    config: DSAConfig, graph: AdjacencyList, frontier: list[int]
-) -> list[WalkRequest]:
-    """PageRank-push: one vertex-directory walk per pushed vertex.
-
-    Pushing a vertex walks the adjacency index for its record, then
-    streams its edge list (the data access).
-    """
-    compute = config.compute_cycles_per_walk
-    requests = []
-    for v in frontier:
-        record = graph.record(v)
-        requests.append(
-            WalkRequest(
-                graph,
-                v,
-                compute_cycles=compute + (record.degree if record else 0),
-                data_address=record.address if record else None,
-                data_bytes=max(64, (record.degree if record else 0) * 8),
-            )
-        )
     return requests

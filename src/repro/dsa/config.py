@@ -30,10 +30,7 @@ class DSAConfig:
     def sim_params(self, base: SimParams | None = None) -> SimParams:
         """Engine parameters matching this DSA's geometry."""
         base = base or SimParams()
-        tile = TileParams(
-            ops_per_cycle=self.ops_per_cycle,
-            walker_contexts=self.walker_contexts,
-        )
+        tile = TileParams(walker_contexts=self.walker_contexts)
         return replace(base, tiles=self.tiles, tile=tile)
 
     def scaled(self, tiles: int) -> "DSAConfig":

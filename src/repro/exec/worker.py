@@ -30,8 +30,9 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Any
 
-from repro.bench.runner import build_memsys, cache_params_for
+from repro.bench.runner import build_memsys
 from repro.exec.spec import RunSpec
+from repro.params import CacheParams
 from repro.sim.metrics import RunResult, simulate
 from repro.workloads.suite import Workload, build_workload
 
@@ -88,10 +89,10 @@ def _collect_extras(
     extras: dict[str, Any] = {}
     for key in spec.collect:
         if key == "occupancy_by_level":
-            occupancy = memsys.policy.cache.occupancy_by_level()
+            occupancy = memsys.cache.occupancy_by_level()
             extras[key] = {str(level): n for level, n in occupancy.items()}
         elif key == "controller_history":
-            extras[key] = list(memsys.policy.controller.history)
+            extras[key] = list(memsys.controller.history)
         elif key == "start_levels":
             extras[key] = list(result.start_levels)
         elif key == "index_heights":
@@ -176,7 +177,7 @@ def _execute_run(spec: RunSpec) -> dict[str, Any]:
         batch_walks = max(50, len(requests) // batch_windows)
     if spec.cache_kwargs:
         overrides["cache_params"] = replace(
-            cache_params_for(spec.system, cache_bytes), **dict(spec.cache_kwargs)
+            CacheParams(capacity_bytes=cache_bytes), **dict(spec.cache_kwargs)
         )
     if spec.system == "fa_opt" and requests is not workload.requests:
         # FA-OPT's two-pass construction must see the effective sequence.

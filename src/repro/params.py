@@ -6,8 +6,8 @@ Section 5.7: 9000 fJ per IX-cache access vs. 7000 fJ per address/X-cache
 access).
 
 The defaults model the paper's setup (Fig. 14): a grid of compute tiles over
-2.5D HBM, 64-byte cache blocks everywhere, a 64 kB 16-way 16-banked cache as
-the baseline geometry.
+2.5D HBM, 64-byte cache blocks everywhere, a 64 kB 16-way cache as the
+baseline geometry.
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ PTR_BYTES = 8
 NS_STRIDE = 1 << 52
 
 
-def _check(
-    params: object, counts: tuple[str, ...], nonnegative: tuple[str, ...] = ()
-) -> None:
-    """Reject a count below 1, or a negative ``t_*`` latency or other
-    ``nonnegative`` field, by name."""
+def _check(params: object, counts: tuple[str, ...]) -> None:
+    """Reject a count below 1, or a negative ``t_*`` latency, by name."""
     for name in counts:
         value = getattr(params, name)
         if value < 1:
@@ -43,7 +40,7 @@ def _check(
                 f"{type(params).__name__}.{name} must be >= 1, got {value!r}"
             )
     for name, value in vars(params).items():
-        if (name.startswith("t_") or name in nonnegative) and value < 0:
+        if name.startswith("t_") and value < 0:
             raise ValueError(
                 f"{type(params).__name__}.{name} must be >= 0, got {value!r}"
             )
@@ -81,25 +78,21 @@ class DRAMParams:
 
 @dataclass(frozen=True)
 class CacheParams:
-    """Geometry + per-access cost of an on-chip cache.
+    """Geometry + lookup latency of an on-chip cache.
 
-    Sizes and counts must be at least 1, ``t_hit`` and ``e_access`` at
-    least 0; a bad value raises ``ValueError`` naming the field.
+    Sizes and counts must be at least 1, ``t_hit`` at least 0; a bad
+    value raises ``ValueError`` naming the field. Per-access energy is
+    per organization (:class:`repro.core.energy_model.CacheEnergyModel`).
     """
 
     capacity_bytes: int = 64 * 1024
     block_bytes: int = BLOCK_SIZE
     ways: int = 16
-    banks: int = 16
     #: Lookup latency in cycles.
     t_hit: int = 2
-    #: Per-access dynamic energy (fJ). Paper Section 5.7: 7000 fJ for
-    #: address/X-cache, 9000 fJ for IX-cache (range match costs more).
-    e_access: float = 7_000.0
 
     def __post_init__(self) -> None:
-        _check(self, ("capacity_bytes", "block_bytes", "ways", "banks"),
-               nonnegative=("e_access",))
+        _check(self, ("capacity_bytes", "block_bytes", "ways"))
 
     @property
     def entries(self) -> int:
@@ -134,14 +127,14 @@ class CrossbarParams:
 
 @dataclass(frozen=True)
 class TileParams:
-    """A compute tile: issue width for compute ops and walker multiplexing.
+    """A compute tile's walker multiplexing.
 
     The paper's walkers "multiplex multiple walks on a single thread" and
     yield at long-latency states to harvest memory-level parallelism; the
-    walker_contexts knob is that multiplexing degree.
+    walker_contexts knob is that multiplexing degree. Compute cycles per
+    walk come from :attr:`repro.dsa.config.DSAConfig.compute_cycles_per_walk`.
     """
 
-    ops_per_cycle: int = 4
     walker_contexts: int = 4
 
     def __post_init__(self) -> None:

@@ -47,6 +47,10 @@ from repro.workloads.stream import chunked
 #: Requests per walk-generation chunk. Chunking never reaches results.
 WALK_CHUNK = 256
 
+#: Walks per window of the Fig. 16 working-set metric
+#: (``RunResult.windowed_working_set``).
+WORKING_SET_WINDOW = 2_000
+
 #: ``(id(index), key) -> (walk, streaming-baseline blocks)`` for object
 #: indexes (no SoA level arrays). The walk is a
 #: :class:`~repro.sim.memsys.WalkPath`: its emission record is built on
@@ -297,7 +301,6 @@ def simulate_batched(
     total_index_blocks: int = 0,
     timed: bool = True,
     record_latencies: bool = False,
-    working_set_window: int = 2_000,
     tracer: Tracer | None = None,
     registry: Registry | None = None,
     injector: Any = None,
@@ -373,7 +376,7 @@ def simulate_batched(
             max(1, result.makespan)
         ),
         windowed_working_set=_windowed_working_set(
-            batch, total_index_blocks, working_set_window
+            batch, total_index_blocks, WORKING_SET_WINDOW
         ),
         index_dram_accesses=batch.index_dram,
         baseline_index_accesses=baseline,

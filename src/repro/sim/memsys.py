@@ -37,7 +37,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.metal import Metal, MetalIX
+from repro.core.controller import PatternController
+from repro.core.ix_cache import IXCache
+from repro.core.policy import ThresholdTuner
 from repro.indexes.base import IndexNode
 from repro.mem.address_cache import AddressCache
 from repro.mem.opt_cache import belady_hits
@@ -862,10 +864,15 @@ class XCacheMemSys(MemorySystem):
 class MetalMemSys(MemorySystem):
     """METAL / METAL-IX: IX-cache probe + pattern-directed insertions."""
 
-    def __init__(self, policy: MetalIX, sim: SimParams | None = None) -> None:
+    def __init__(self, name: str, cache: IXCache,
+                 controller: PatternController | None,
+                 sim: SimParams | None = None) -> None:
         super().__init__(sim)
-        self.policy = policy
-        self.name = policy.name
+        self.name = name
+        self.cache = cache
+        #: The pattern controller (METAL); None for METAL-IX, which
+        #: inserts every fetched node greedily.
+        self.controller = controller
         self._tracked: set[int] = set()
         #: IX-cache placement plans (``IXCache.plan``) per index id, keyed
         #: by node, for the nodes of :class:`WalkPath` walks (see
@@ -874,10 +881,12 @@ class MetalMemSys(MemorySystem):
 
     @property
     def cache_stats(self) -> CacheStats:
-        return self.policy.stats
+        return self.cache.stats
 
     def _attach_components(self, tracer, registry=None) -> None:
-        self.policy.attach_obs(tracer, registry)
+        self.cache.attach_obs(tracer, registry)
+        if self.controller is not None:
+            self.controller.tracer = tracer
 
     def _track(self, index: Any) -> None:
         """Subscribe to the index's structural changes for invalidation.
@@ -894,7 +903,7 @@ class MetalMemSys(MemorySystem):
         if hooks is None:
             return
         ns = namespace_fn(index)
-        cache = self.policy.cache
+        cache = self.cache
         cache_ref = weakref.ref(cache)
 
         def invalidate(lo: Any, hi: Any) -> None:
@@ -909,14 +918,13 @@ class MetalMemSys(MemorySystem):
         # One driver for the walk pipeline, calling the cache and the
         # controller through their own methods: begin_walk, probe, the
         # fetched nodes offered for insert-or-bypass, end_walk.
-        policy = self.policy
-        cache = policy.cache
+        cache = self.cache
         cache_probe = cache.probe
         cache_insert = cache.insert
         cache_plan = cache.plan
         kbb = cache.key_block_bits
         num_sets = cache.num_sets
-        controller = policy.controller
+        controller = self.controller
         tracer = self.tracer
         tracing = tracer.enabled
         faults = self.faults
@@ -1073,13 +1081,18 @@ def make_memsys(
     batch_walks: int = 1_000,
     tune: bool = True,
     walks: dict | None = None,
-    **metal_kwargs,
+    tuner: ThresholdTuner | dict | None = None,
+    **cache_kwargs,
 ) -> MemorySystem:
     """Factory over every organization the evaluation compares.
 
     ``descriptors`` is required for ``metal``; ``requests`` is required for
     ``fa_opt`` (the two-pass OPT construction), which resolves them
-    through the ``walks`` memo when one is given.
+    through the ``walks`` memo when one is given. ``metal_ix`` and
+    ``metal`` build one :class:`IXCache` from ``cache_params`` and
+    ``cache_kwargs``; ``metal`` adds a :class:`PatternController` over
+    it (``batch_walks``, ``tune``, and ``tuner``: a
+    :class:`ThresholdTuner` or its keyword arguments).
     """
     if kind == "stream":
         return StreamingMemSys(sim)
@@ -1096,12 +1109,15 @@ def make_memsys(
     if kind == "xcache":
         return XCacheMemSys(sim, cache_params)
     if kind == "metal_ix":
-        return MetalMemSys(MetalIX(cache_params, **metal_kwargs), sim)
+        return MetalMemSys(kind, IXCache(cache_params, **cache_kwargs), None, sim)
     if kind == "metal":
         if descriptors is None:
             raise ValueError("metal needs reuse descriptors")
-        policy = Metal(
-            descriptors, cache_params, batch_walks=batch_walks, tune=tune, **metal_kwargs
+        cache = IXCache(cache_params, **cache_kwargs)
+        if isinstance(tuner, dict):
+            tuner = ThresholdTuner(**tuner)
+        controller = PatternController(
+            descriptors, cache, batch_walks=batch_walks, tune=tune, tuner=tuner
         )
-        return MetalMemSys(policy, sim)
+        return MetalMemSys(kind, cache, controller, sim)
     raise ValueError(f"unknown memory system kind {kind!r}")

@@ -246,7 +246,6 @@ def simulate(
     total_index_blocks: int = 0,
     timed: bool = True,
     record_latencies: bool = False,
-    working_set_window: int = 2_000,
     tracer: Tracer | None = None,
     registry: Registry | None = None,
     walks: dict | None = None,
@@ -296,7 +295,6 @@ def simulate(
         total_index_blocks=total_index_blocks,
         timed=timed,
         record_latencies=record_latencies,
-        working_set_window=working_set_window,
         tracer=tracer,
         registry=registry,
         injector=injector,

@@ -30,9 +30,9 @@ _MODEL_MEMO: OrderedDict[tuple, "TileServiceModel"] = OrderedDict()
 _MEMO_LIMIT = 8
 
 
-def cycles_to_ns(cycles: int, clock_mhz: int = CLOCK_MHZ) -> int:
-    """Integer nanoseconds for ``cycles`` at ``clock_mhz`` (>= 1)."""
-    return max(1, (cycles * 1_000 + clock_mhz // 2) // clock_mhz)
+def cycles_to_ns(cycles: int) -> int:
+    """Integer nanoseconds for ``cycles`` at :data:`CLOCK_MHZ` (>= 1)."""
+    return max(1, (cycles * 1_000 + CLOCK_MHZ // 2) // CLOCK_MHZ)
 
 
 class TileServiceModel:
@@ -75,7 +75,6 @@ def build_service_model(
     scale: float,
     seed: int,
     tiles: int,
-    clock_mhz: int = CLOCK_MHZ,
 ) -> TileServiceModel:
     """Simulate the backend cell once and wrap its walk latencies.
 
@@ -84,7 +83,7 @@ def build_service_model(
     structures once per process. Imports stay local: ``repro.sim`` is
     imported by the bench layer, not the other way around.
     """
-    key = (workload, system, scale, seed, tiles, clock_mhz)
+    key = (workload, system, scale, seed, tiles)
     model = _MODEL_MEMO.get(key)
     if model is not None:
         _MODEL_MEMO.move_to_end(key)
@@ -100,7 +99,7 @@ def build_service_model(
         memsys, built.requests, memsys.sim, built.total_index_blocks,
         record_latencies=True, walks=built.walks,
     )
-    base_ns = [cycles_to_ns(lat, clock_mhz) for lat in result.walk_latencies]
+    base_ns = [cycles_to_ns(lat) for lat in result.walk_latencies]
     model = TileServiceModel(base_ns, tiles)
     _MODEL_MEMO[key] = model
     _MODEL_MEMO.move_to_end(key)

@@ -24,11 +24,6 @@ inlining:
   block). Otherwise a new entry is placed, after one eviction if the set
   is full. The wide array has no coalescing, and a duplicate there keeps
   its lease.
-* Way quotas (``partition``, namespace id -> ways): before a new entry
-  of a namespace with a quota is placed in a set where that namespace
-  already holds its quota, one of its own entries is evicted, chosen
-  among its unpinned ones (all of them when none is unpinned) by the
-  policy's selector alone, and counted as an eviction.
 * Replacement: :mod:`tests.reference.policy` (utility-RRIP by default,
   exact LRU, Multi-step LRU). A new entry is one insert touch, and a
   probe hit or an absorbed duplicate one hit.
@@ -86,7 +81,6 @@ class RefIXCache:
     coalesce: bool = True
     block_bytes: int = BLOCK_SIZE
     policy: Any = field(default_factory=RefUtilityRRIP)
-    partition: dict[int, int] | None = None
     stats: RefStats = field(default_factory=RefStats)
     #: Inserts merged into an existing entry (Case 3): each counts as an
     #: insertion but adds no entry.
@@ -99,15 +93,14 @@ class RefIXCache:
 
     @classmethod
     def like(cls, cache: Any, policy: Any = None) -> "RefIXCache":
-        """A reference with the same geometry and quotas as an ``IXCache``."""
+        """A reference with the same geometry as an ``IXCache``."""
         return cls(num_sets=cache.num_sets, ways=cache.ways,
                    wide_capacity=cache.wide_capacity,
                    key_block_bits=cache.key_block_bits,
                    replication_limit=cache.replication_limit,
                    coalesce=cache.coalesce,
                    block_bytes=cache.params.block_bytes,
-                   policy=policy or RefUtilityRRIP(),
-                   partition=cache.partition)
+                   policy=policy or RefUtilityRRIP())
 
     # -- match ----------------------------------------------------------
 
@@ -211,14 +204,6 @@ class RefIXCache:
                     self.stats.insertions += 1
                     self.coalesced += 1
                     return True
-        owner = tag[0] // NS_STRIDE
-        quota = (self.partition or {}).get(owner)
-        if quota is not None:
-            owned = [e for e in ways if e.lo // NS_STRIDE == owner]
-            if len(owned) >= quota:
-                victims = [e for e in owned if e.life == 0] or owned
-                ways.remove(self.policy.choose(victims))
-                self.stats.evictions += 1
         if len(ways) >= self.ways:
             self._evict(ways)
         ways.append(self._new_entry(tag, node, life))

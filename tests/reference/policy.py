@@ -23,8 +23,7 @@ same for every policy: the candidates are the unpinned entries
 (``life == 0``); after the victim leaves, every pinned survivor's lease
 drops by 1. When every entry is pinned, the one with the smallest
 ``(life, utility, seq)`` is reclaimed and no lease drops. Either way the
-policy then ages the survivors (only utility-RRIP does). A way quota
-picks its victim with the selector alone: no lease drops, no aging.
+policy then ages the survivors (only utility-RRIP does).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for the pattern controller and the Metal/MetalIX facades."""
+"""Tests for the pattern controller and METAL / METAL-IX memory systems."""
 
 import copy
 from collections import Counter
@@ -15,7 +15,7 @@ from repro.core.descriptors import (
     WalkContext,
 )
 from repro.core.ix_cache import IXCache
-from repro.core.metal import Metal, MetalIX
+from repro.core.policy import ThresholdTuner
 from repro.indexes.base import IndexNode
 from repro.indexes.bplustree import BPlusTree
 from repro.obs.tracer import Tracer
@@ -51,9 +51,13 @@ def offer_walk(ctl, index_id, nodes, key=0, short=False, height=HEIGHT):
     return inserted
 
 
-def cache_insert(policy, ns=IDENT, key=None):
+def cache_insert(ms, ns=IDENT, key=None):
     """The memory system's insert callback: cache a node at its life."""
-    return lambda n, life: policy.cache.insert(n, ns, life, key)
+    return lambda n, life: ms.cache.insert(n, ns, life, key)
+
+
+def metal(descriptors, **kw):
+    return make_memsys("metal", descriptors=descriptors, **kw)
 
 
 class TestController:
@@ -114,57 +118,67 @@ class TestMetalIX:
         ms = make_memsys("metal_ix",
                          cache_params=CacheParams(capacity_bytes=32 * BLOCK_SIZE))
         walk(ms, tree, 5)
-        cached = {id(n) for e in ms.policy.cache.entries() for _, n in e.parts}
+        cached = {id(n) for e in ms.cache.entries() for _, n in e.parts}
         assert cached == {id(n) for n in tree.walk(5)}
         assert ms.cache_stats.bypasses == 0
-        assert ms.policy.cache.probe(namespace_fn(tree)(5)) is tree.walk(5)[-1]
+        assert ms.cache.probe(namespace_fn(tree)(5)) is tree.walk(5)[-1]
 
     def test_no_controller(self):
-        assert MetalIX().controller is None
+        assert make_memsys("metal_ix").controller is None
 
     def test_stats_exposed(self):
-        policy = MetalIX()
-        policy.cache.probe(1)
-        assert policy.stats.accesses == 1
+        ms = make_memsys("metal_ix")
+        ms.cache.probe(1)
+        assert ms.cache_stats is ms.cache.stats
+        assert ms.cache_stats.accesses == 1
 
 
 class TestMetal:
+    def test_controller_drives_the_cache(self):
+        ms = metal(NodeDescriptor("leaf", life=1))
+        assert ms.controller.cache is ms.cache
+
+    def test_tuner_dict_builds_a_tuner(self):
+        ms = metal(NodeDescriptor("leaf", life=1), tuner={"step": 3})
+        assert isinstance(ms.controller.tuner, ThresholdTuner)
+        assert ms.controller.tuner.step == 3
+
     def test_bypass_respected(self):
-        policy = Metal(NodeDescriptor("leaf", life=1))
+        ms = metal(NodeDescriptor("leaf", life=1))
         upper = node(0, 0, 10)
-        assert offer_walk(policy.controller, 0, [upper]) == []
-        assert policy.cache.stats.bypasses == 1
-        assert policy.cache.probe(5) is None
+        assert offer_walk(ms.controller, 0, [upper]) == []
+        assert ms.cache.stats.bypasses == 1
+        assert ms.cache.probe(5) is None
 
     def test_insert_with_life(self):
-        policy = Metal(NodeDescriptor("leaf", life=9))
+        ms = metal(NodeDescriptor("leaf", life=9))
         leaf = node(HEIGHT - 1, 0, 10)
-        policy.controller.offer(policy.controller.begin_walk(0, 5), [leaf],
-                                HEIGHT, False, cache_insert(policy))
-        entry = policy.cache.entries()[0]
+        ms.controller.offer(ms.controller.begin_walk(0, 5), [leaf],
+                            HEIGHT, False, cache_insert(ms))
+        entry = ms.cache.entries()[0]
         assert entry.life == 9
 
     def test_walk_lifecycle_batches(self):
-        policy = Metal(LevelDescriptor(1, 3, min_touches=1), batch_walks=2)
+        ms = metal(LevelDescriptor(1, 3, min_touches=1), batch_walks=2)
         for i in range(4):
-            offer_walk(policy.controller, 0, [node(2, i * 50, i * 50 + 5)],
+            offer_walk(ms.controller, 0, [node(2, i * 50, i * 50 + 5)],
                        key=i)
-        assert len(policy.controller.history) == 2
+        assert len(ms.controller.history) == 2
 
     def test_key_focused_insert_forwarded(self):
-        policy = Metal(LevelDescriptor(0, HEIGHT - 1, min_level=0, min_touches=1,
-                                       frontier=False))
+        ms = metal(LevelDescriptor(0, HEIGHT - 1, min_level=0, min_touches=1,
+                                   frontier=False))
         children = [node(3, i * 10, i * 10 + 9) for i in range(30)]
         wide = IndexNode(2, [c.lo for c in children[1:]], children=children,
                          lo=0, hi=299)
-        policy.controller.offer(policy.controller.begin_walk(0, 155), [wide],
-                                HEIGHT, False, cache_insert(policy, key=155))
-        assert policy.cache.peek(155) is wide
-        assert policy.cache.peek(5) is None
+        ms.controller.offer(ms.controller.begin_walk(0, 155), [wide],
+                            HEIGHT, False, cache_insert(ms, key=155))
+        assert ms.cache.peek(155) is wide
+        assert ms.cache.peek(5) is None
 
     def test_name_tags(self):
-        assert MetalIX().name == "metal_ix"
-        assert Metal(NodeDescriptor("leaf", life=1)).name == "metal"
+        assert make_memsys("metal_ix").name == "metal_ix"
+        assert metal(NodeDescriptor("leaf", life=1)).name == "metal"
 
 
 # --------------------------------------------------------------------- #
@@ -280,7 +294,7 @@ class TestScannedLeafOffer:
         desc = LevelDescriptor(leaf_level, leaf_level, min_touches=2)
         ms = make_memsys("metal", cache_params=CacheParams(
             capacity_bytes=256 * BLOCK_SIZE), descriptors=desc, tune=False)
-        cache = ms.policy.cache
+        cache = ms.cache
         ns = namespace_fn(tree)
         leaves = []
         leaf = tree.walk(100)[-1].next_leaf

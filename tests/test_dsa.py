@@ -3,11 +3,10 @@
 import numpy as np
 
 from repro.dsa import aurochs, capstan, gorgon
-from repro.dsa.aurochs import PAGERANK_CONFIG, RTREE_CONFIG
+from repro.dsa.aurochs import RTREE_CONFIG
 from repro.dsa.capstan import SPMM_CONFIG
 from repro.dsa.config import DSAConfig
 from repro.dsa.gorgon import ANALYTICS_CONFIG, SCAN_CONFIG
-from repro.indexes.adjacency import AdjacencyList
 from repro.indexes.rtree import Rect, RTree2D
 from repro.indexes.sparse_tensor import DynamicSparseTensor
 from repro.indexes.soa import SoARecordTable
@@ -94,9 +93,3 @@ class TestAurochs:
         reqs = aurochs.rtree_requests(RTREE_CONFIG, rt, [100, 250], y_per_x=2)
         indexes = {id(r.index) for r in reqs}
         assert id(rt.x_tree) in indexes
-
-    def test_pagerank_requests_have_edge_payload(self):
-        g = AdjacencyList([(v, (v + 1) % 20) for v in range(20)])
-        reqs = aurochs.pagerank_requests(PAGERANK_CONFIG, g, [0, 1, 2])
-        assert len(reqs) == 3
-        assert all(r.data_address is not None for r in reqs)

@@ -3,10 +3,10 @@
 A hypothesis state machine drives :class:`repro.core.ix_cache.IXCache`
 and :class:`tests.reference.ix_cache.RefIXCache` with the same inserts
 (single nodes and whole root-to-leaf walks, with and without a search
-key and a lease), probes, peeks, range invalidations and clears, with
-or without per-namespace way quotas. One machine runs per replacement
-policy: the default utility-RRIP, exact LRU and Multi-step LRU, each
-against its reference in :mod:`tests.reference.policy`. The nodes come
+key and a lease), probes, peeks, range invalidations and clears. One
+machine runs per replacement policy: the default utility-RRIP, exact
+LRU and Multi-step LRU, each against its reference in
+:mod:`tests.reference.policy`. The nodes come
 from three bulk-loaded B+trees over one dense key set: two share a key
 namespace, as a rebuilt index's stale nodes do (same-level ranges then
 overlap and the level tie-break decides), and the third has its own.
@@ -63,14 +63,6 @@ def _snapshot(entries) -> list[tuple]:
 
 LIVES = st.sampled_from([0, 0, 0, 1, 2, 5])
 
-#: Way quotas per namespace id: the first two trees share id 0, the
-#: third is id 1.
-PARTITIONS = st.one_of(
-    st.none(),
-    st.dictionaries(st.sampled_from([0, 1]), st.integers(1, 3), min_size=1),
-)
-
-
 class IXCacheVersusReference(RuleBasedStateMachine):
     #: The replacement policy under test (a ``POLICIES`` name).
     POLICY = "utility_rrip"
@@ -85,10 +77,9 @@ class IXCacheVersusReference(RuleBasedStateMachine):
         replication_limit=st.integers(1, 4),
         coalesce=st.booleans(),
         steps=st.integers(1, 5),
-        partition=PARTITIONS,
     )
     def build(self, gaps, fanouts, stale_same_fanout, entries, ways,
-              key_block_bits, replication_limit, coalesce, steps, partition):
+              key_block_bits, replication_limit, coalesce, steps):
         keys = list(itertools.accumulate(gaps))
         #: Keys drawn by the rules fold into the trees' range (plus one
         #: past each end).
@@ -113,7 +104,6 @@ class IXCacheVersusReference(RuleBasedStateMachine):
             key_block_bits=key_block_bits,
             replication_limit=replication_limit,
             coalesce=coalesce,
-            partition=partition,
             policy=make_policy(policy, **options),
         )
         self.ref = RefIXCache.like(self.cache, ref_policy(policy, steps))

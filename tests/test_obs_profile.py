@@ -154,12 +154,12 @@ class TestGenSeries:
         # exactly on the cache's live entry count at end of run.
         result, memsys = metal_pair
         series = gen_series(result.tracer)
-        assert series.column("ix_resident")[-1] == len(memsys.policy.cache)
+        assert series.column("ix_resident")[-1] == len(memsys.cache)
 
     def test_occupancy_never_negative_and_bounded(self, metal_pair):
         result, memsys = metal_pair
         series = gen_series(result.tracer)
-        capacity = memsys.policy.cache.capacity_entries
+        capacity = memsys.cache.capacity_entries
         for resident in series.column("ix_resident"):
             assert 0 <= resident <= capacity
 

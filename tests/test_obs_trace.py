@@ -251,7 +251,7 @@ class TestDisabledPath:
         assert run.tracer is None
         assert run.counters is None
         assert memsys.tracer is NULL_TRACER
-        assert memsys.policy.cache.tracer is NULL_TRACER
+        assert memsys.cache.tracer is NULL_TRACER
         assert "counters" not in run.to_dict()
 
     def test_tracing_does_not_perturb_aggregates(self):

@@ -1,8 +1,8 @@
 """Simulation parameters fail loudly at construction, naming the field.
 
 Counts (tiles, walker contexts, DRAM banks, crossbar ports, the trace
-buffer, and a cache's capacity, block size, ways and banks) must be at
-least 1, and every ``t_*`` latency and a cache's access energy at least 0.
+buffer, and a cache's capacity, block size and ways) must be at least 1,
+and every ``t_*`` latency at least 0.
 A spec's ``sim_kwargs`` reach the same checks through
 ``dataclasses.replace``.
 """
@@ -32,7 +32,6 @@ COUNTS = [
     (CacheParams, "capacity_bytes"),
     (CacheParams, "block_bytes"),
     (CacheParams, "ways"),
-    (CacheParams, "banks"),
 ]
 LATENCIES = [
     (cls, f.name)
@@ -71,12 +70,6 @@ def test_negative_latency_raises(cls, name):
 @pytest.mark.parametrize("cls,name", LATENCIES, ids=_ids(LATENCIES))
 def test_zero_latency_is_accepted(cls, name):
     assert getattr(cls(**{name: 0}), name) == 0
-
-
-def test_negative_cache_energy_raises():
-    with pytest.raises(ValueError, match=r"CacheParams\.e_access must be >= 0"):
-        CacheParams(e_access=-1.0)
-    assert CacheParams(e_access=0.0).e_access == 0.0
 
 
 def test_replace_is_checked():

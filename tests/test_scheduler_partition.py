@@ -1,13 +1,10 @@
-"""Tests for walk scheduling policies and IX-cache way partitioning."""
+"""Tests for walk scheduling policies."""
 
 import pytest
 
 from repro.bench.runner import build_memsys
-from repro.core.ix_cache import IXCache
-from repro.indexes.base import IndexNode
-from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams
-from repro.sim.metrics import WalkRequest, simulate
-from repro.sim.scheduler import POLICIES, reorder_distance, schedule
+from repro.sim.metrics import simulate
+from repro.sim.scheduler import reorder_distance, schedule
 from repro.workloads.suite import build_workload
 
 
@@ -57,59 +54,3 @@ class TestScheduler:
         batched = simulate(sorted_ms, schedule(workload.requests, "key_sorted"),
                            sorted_ms.sim, workload.total_index_blocks)
         assert batched.index_dram_accesses <= fifo.index_dram_accesses
-
-
-def node(level, lo, hi, index_id=0):
-    n = IndexNode(level, [lo, hi], values=[0, 0],
-                  lo=index_id * NS_STRIDE + lo, hi=index_id * NS_STRIDE + hi)
-    n.nbytes = n.byte_size()
-    return n
-
-
-class TestWayPartitioning:
-    def cache(self, partition=None, ways=8):
-        return IXCache(
-            CacheParams(capacity_bytes=8 * BLOCK_SIZE, ways=ways),
-            key_block_bits=60,  # everything lands in one set
-            partition=partition,
-            wide_fraction=0.01,
-        )
-
-    def test_quota_enforced(self):
-        c = self.cache(partition={1: 2})
-        for i in range(5):
-            c.insert(node(3, i * 100, i * 100 + 5, index_id=1))
-        owned = [e for e in c.entries() if e.tag.lo // NS_STRIDE == 1]
-        assert len(owned) <= 2
-
-    def test_other_index_unconstrained(self):
-        c = self.cache(partition={1: 2})
-        for i in range(5):
-            c.insert(node(3, i * 100, i * 100 + 5, index_id=2))
-        owned = [e for e in c.entries() if e.tag.lo // NS_STRIDE == 2]
-        assert len(owned) == 5
-
-    def test_quota_evicts_own_entries_only(self):
-        c = self.cache(partition={1: 1, 2: 6})
-        victim_node = node(3, 0, 5, index_id=2)
-        c.insert(victim_node)
-        for i in range(4):
-            c.insert(node(3, i * 100, i * 100 + 5, index_id=1))
-        # Index 2's entry survives index 1's churn.
-        assert any(
-            e.tag.lo // NS_STRIDE == 2 for e in c.entries()
-        )
-
-    def test_invalid_quota(self):
-        with pytest.raises(ValueError):
-            self.cache(partition={1: 0})
-
-    def test_partitioned_join_still_works(self):
-        wl = build_workload("join", scale=0.05)
-        inner, outer = wl.indexes
-        memsys = build_memsys(
-            "metal_ix", wl,
-            partition={inner.index_id: 12, outer.index_id: 4},
-        )
-        run = simulate(memsys, wl.requests, memsys.sim, wl.total_index_blocks)
-        assert run.short_circuited > 0

@@ -195,7 +195,7 @@ def test_metal_tuning_feedback_matches_pinned_digest():
         descriptors=BranchDescriptor(depth=2, grow_hit_rate=0.5),
     )
     run = simulate(memsys, workload.requests, sim, workload.total_index_blocks)
-    assert memsys.policy.controller.history == [
+    assert memsys.controller.history == [
         {"walks": 300, "hit_rate": hit_rate, "occupancy": occupancy,
          "descriptors": [{"pattern": "branch", "depth": 2, "pivot": pivot,
                           "halfwidth": None}]}

@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.bench.runner import SYSTEMS, build_memsys, cache_params_for
+from repro.bench.runner import SYSTEMS, build_memsys
 from repro.exec import RunSpec
 from repro.exec.worker import (
     clear_workload_memo,
@@ -27,7 +27,7 @@ from repro.exec.worker import (
     seed_workload,
 )
 from repro.mem.opt_cache import belady_hit_flags
-from repro.params import BLOCK_SIZE
+from repro.params import BLOCK_SIZE, CacheParams
 from repro.sim.batch import _planner_for
 from repro.sim.memsys import FAOPTMemSys, _node_blocks, _path_blocks
 from repro.sim.metrics import simulate
@@ -164,7 +164,7 @@ def test_donation_is_keyed_by_builder_kwargs():
 def test_faopt_flags_from_the_memo(name, kwargs):
     workload = _build(name, kwargs)
     pairs = workload.faopt_pairs()
-    params = cache_params_for("fa_opt", workload.default_cache_bytes)
+    params = CacheParams(capacity_bytes=workload.default_cache_bytes)
     # The first pass as a direct index walk per request.
     walk_blocks = [
         [addr // BLOCK_SIZE for node in index.walk(key)
