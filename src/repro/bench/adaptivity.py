@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.bench.format import render_table
-from repro.exec import Executor, RunSpec, default_executor
+from repro.exec import Executor, RunSpec, default_executor, get_workload
 
 
 @dataclass
@@ -26,16 +26,18 @@ def run_adaptivity(
     executor: Executor | None = None,
 ) -> AdaptivityResult:
     executor = executor or default_executor()
+    num_walks = len(get_workload(workload_name, scale).requests)
+    # One controller batch per window.
+    batch = max(50, num_walks // num_windows)
     spec = RunSpec.make(
         workload_name, "metal", scale=scale,
-        memsys_kwargs={"batch_windows": num_windows, "tune": True},
+        memsys_kwargs={"batch_walks": batch, "tune": True},
         collect=("controller_history", "start_levels"),
     )
     outcome = executor.run([spec])[0]
-    run = outcome.require()
+    outcome.require()
     history = outcome.extras["controller_history"]
     start_levels = outcome.extras["start_levels"]
-    batch = max(50, run.num_walks // num_windows)
     result = AdaptivityResult(workload_name)
     for i, entry in enumerate(history):
         descriptor = entry["descriptors"][0]

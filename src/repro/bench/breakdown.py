@@ -11,57 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.format import render_table
+from repro.bench.grid import GridRow
 from repro.exec import Executor, RunSpec, default_executor
 from repro.workloads.suite import PAPER_LABELS
 
 DEFAULT_WORKLOADS = (
     "scan", "sets", "spmm", "select", "where", "join", "rtree", "pagerank",
 )
+#: Grid cells of Fig. 20, in factor order. The ``metal`` cell is the
+#: Fig. 18 cell (tuning on is ``make_memsys``'s default), so it dedups.
+BREAKDOWN_CELLS = ("stream", "metal_ix", "metal_static", "metal")
 
 #: (workload, systems) pairs for the cycle-attribution cross-check: one
 #: pointer-chasing and one graph workload, streaming vs full METAL.
 ATTRIBUTION_WORKLOADS = ("scan", "pagerank")
 ATTRIBUTION_SYSTEMS = ("stream", "metal")
-
-
-@dataclass
-class BreakdownResult:
-    workload: str
-    ix: float
-    patterns: float
-    params: float
-
-
-def run_breakdown(
-    workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
-    scale: float = 0.25,
-    executor: Executor | None = None,
-) -> list[BreakdownResult]:
-    executor = executor or default_executor()
-    specs: list[RunSpec] = []
-    for name in workloads:
-        base = dict(workload=name, scale=scale)
-        specs.append(RunSpec(system="stream", **base))
-        specs.append(RunSpec(system="metal_ix", **base))
-        specs.append(RunSpec.make(
-            system="metal", memsys_kwargs={"tune": False}, **base
-        ))
-        # tune=True is build_memsys's default: this cell dedups with the
-        # Fig. 18 metal cell instead of recomputing it.
-        specs.append(RunSpec(system="metal", **base))
-    folded = executor.run_results(specs)
-    results = []
-    for i, name in enumerate(workloads):
-        base_run, ix, patterns, params = folded[i * 4:(i + 1) * 4]
-        results.append(
-            BreakdownResult(
-                name,
-                ix=base_run.makespan / max(1, ix.makespan),
-                patterns=base_run.makespan / max(1, patterns.makespan),
-                params=base_run.makespan / max(1, params.makespan),
-            )
-        )
-    return results
 
 
 @dataclass
@@ -146,12 +110,13 @@ def format_attribution(results: list[AttributionResult]) -> str:
     )
 
 
-def format_fig20(results: list[BreakdownResult]) -> str:
+def format_fig20(results: list[GridRow]) -> str:
     headers = ["workload", "IX only", "+Patterns", "+Params"]
-    rows = [
-        [PAPER_LABELS.get(r.workload, r.workload), r.ix, r.patterns, r.params]
-        for r in results
-    ]
+    rows = []
+    for r in results:
+        sp = r.speedups()
+        rows.append([PAPER_LABELS.get(r.workload, r.workload),
+                     sp["metal_ix"], sp["metal_static"], sp["metal"]])
     return render_table(
         headers, rows,
         "Fig. 20 — Speedup vs streaming, by contributing factor",

@@ -2,14 +2,16 @@
 
 Every ordering, floor and ratio this reproduction holds METAL's
 evaluation to is one :class:`Claim` row of :data:`CLAIMS`. A row names
-the experiment that measures it (a ``run_*`` of :mod:`repro.bench`, or
-single runs through :class:`Cells`), the workloads, scales and seeds it
-is stated for, a measure over the experiment's result, and the
-:class:`Rule` every measured value must satisfy. :func:`evaluate` runs
-each (experiment, workloads, scale, seed) once and returns one
-:class:`Verdict` per row; ``tests/test_claims.py`` requires every row to
-hold, and ``python -m repro report`` renders the rows that carry the
-paper's own value beside the value measured at the report's scale.
+the experiment that measures it (a view of the Section-5 grid,
+:func:`repro.bench.grid.run_grid`, another ``run_*`` of
+:mod:`repro.bench`, or single runs through :class:`Cells`), the
+workloads, scales and seeds it is stated for, a measure over the
+experiment's result, and the :class:`Rule` every measured value must
+satisfy. :func:`evaluate` runs each (experiment, workloads, scale, seed)
+once and returns one :class:`Verdict` per row; ``tests/test_claims.py``
+requires every row to hold, and ``python -m repro report`` renders the
+rows that carry the paper's own value beside the value measured at the
+report's scale.
 
 Rows state what holds at their scales, not what the paper states at
 1x: at scale 0.1 METAL loses to X-cache on ``sets_s`` and to the
@@ -32,7 +34,7 @@ from repro.bench import (
     ablation,
     adaptivity,
     breakdown,
-    energy,
+    grid,
     occupancy,
     scaling,
     speedup,
@@ -55,7 +57,7 @@ OBSERVATION_SCALE = 0.12
 NO_SCALE = (None,)
 
 TREND_WORKLOADS = trends.DEFAULT_WORKLOADS
-ALL_WORKLOADS = speedup.ALL_WORKLOADS
+ALL_WORKLOADS = grid.ALL_WORKLOADS
 
 
 # --------------------------------------------------------------------- #
@@ -187,14 +189,12 @@ EXPERIMENTS: dict[str, Callable[..., Any]] = {
         for name in workloads or WORKLOAD_BUILDERS],
     "cells": lambda workloads, scale, seed, executor: {
         name: Cells(name, scale, seed, executor) for name in workloads},
-    "trends": _seedless(lambda w, scale, ex: trends.run_trends(
+    "trends": _seedless(lambda w, scale, ex: grid.run_grid(
+        w, trends.TREND_CELLS, scale, ex)),
+    "speedups": _seedless(lambda w, scale, ex: grid.run_grid(
         w, scale=scale, executor=ex)),
-    "speedups": _seedless(lambda w, scale, ex: speedup.run_speedups(
-        w, scale=scale, executor=ex)),
-    "energy": _seedless(lambda w, scale, ex: energy.run_energy(
-        w, scale=scale, executor=ex)),
-    "breakdown": _seedless(lambda w, scale, ex: breakdown.run_breakdown(
-        w, scale=scale, executor=ex)),
+    "breakdown": _seedless(lambda w, scale, ex: grid.run_grid(
+        w, breakdown.BREAKDOWN_CELLS, scale, ex)),
     "occupancy": _seedless(lambda w, scale, ex: occupancy.run_occupancy(
         w, scale=scale, executor=ex)),
     "adaptivity": _one(adaptivity.run_adaptivity),
@@ -237,21 +237,21 @@ def _headline(base: str) -> Callable[[Any], float]:
 
 
 def _latency_ratio(base: str) -> Callable[[Any], float]:
-    def ratio(trend: trends.TrendResult) -> float:
+    def ratio(trend: grid.GridRow) -> float:
         latencies = trend.walk_latencies()
         return latencies[base] / max(1e-9, latencies["metal"])
     return ratio
 
 
 def _energy_ratio(base: str) -> Callable[[Any], float]:
-    def ratio(result: energy.EnergyResult) -> float:
+    def ratio(result: grid.GridRow) -> float:
         norm = result.dram_normalized()
         return norm[base] / max(1e-9, norm["metal"])
     return ratio
 
 
 def _over_metal_ix(base: str) -> Callable[[Any], float]:
-    def ratio(result: speedup.SpeedupResult) -> float:
+    def ratio(result: grid.GridRow) -> float:
         return (result.runs[base].makespan
                 / max(1, result.runs["metal_ix"].makespan))
     return ratio
@@ -261,7 +261,7 @@ def _makespan_ratio(num: str, den: str) -> Callable[[Cells], float]:
     return lambda cells: cells(num).makespan / cells(den).makespan
 
 
-def _shallow_gain(results: list[speedup.SpeedupResult]) -> float:
+def _shallow_gain(results: list[grid.GridRow]) -> float:
     """Deep ``sets`` over shallow ``sets_s``: ratio of METAL speedups."""
     by_name = {r.workload: r.speedups()["metal"] for r in results}
     return by_name["sets"] / by_name["sets_s"]
@@ -505,16 +505,16 @@ CLAIMS: tuple[Claim, ...] = (
           workloads=("join",)),
     # Fig. 19: DRAM energy.
     Claim("fig19-vs-stream", "Fig. 19",
-          "METAL saves DRAM energy vs streaming (geomean)", "energy",
+          "METAL saves DRAM energy vs streaming (geomean)", "speedups",
           _geomean_of(lambda r: 1.0 / max(1e-9, r.dram_normalized()["metal"])),
           Rule(">", 1.5), workloads=ALL_WORKLOADS, paper=1.9),
     Claim("fig19-vs-xcache", "Fig. 19",
-          "METAL saves DRAM energy vs X-cache (geomean)", "energy",
+          "METAL saves DRAM energy vs X-cache (geomean)", "speedups",
           _geomean_of(_energy_ratio("xcache")), Rule(">", 1.2),
           workloads=ALL_WORKLOADS, paper=1.6),
     Claim("fig19-never-above-stream", "Fig. 19",
           "METAL never spends more DRAM energy than streaming "
-          "(normalized)", "energy",
+          "(normalized)", "speedups",
           each(lambda r: r.dram_normalized()["metal"]), Rule("<=", 1.0),
           workloads=ALL_WORKLOADS),
     Claim("fig19-spmm-below-stream", "Fig. 19",
@@ -525,12 +525,14 @@ CLAIMS: tuple[Claim, ...] = (
     # Fig. 20: speedup breakdown, and Table 3's IX-cache-alone answer.
     Claim("fig20-ix-beats-stream", "Fig. 20",
           "the IX-cache alone speeds every workload up over streaming",
-          "breakdown", each(lambda r: r.ix), Rule(">", 1.0),
+          "breakdown", each(lambda r: r.speedups()["metal_ix"]),
+          Rule(">", 1.0),
           workloads=breakdown.DEFAULT_WORKLOADS),
     Claim("fig20-params-keep-ix", "Fig. 20",
           "patterns plus parameter tuning keep the IX-cache's speedup "
           "(full METAL over IX only)", "breakdown",
-          each(lambda r: r.params / r.ix), Rule(">=", 0.92),
+          each(lambda r: r.speedups()["metal"] / r.speedups()["metal_ix"]),
+          Rule(">=", 0.92),
           workloads=breakdown.DEFAULT_WORKLOADS),
     Claim("fig20-join-metal-vs-metal-ix", "Fig. 20",
           "METAL at least matches METAL-IX on Level-pattern JOIN "
@@ -609,19 +611,19 @@ CLAIMS: tuple[Claim, ...] = (
     # Fig. 25: cache energy.
     Claim("fig25-fewer-accesses", "Fig. 25",
           "METAL probes its cache less often than the address cache "
-          "(METAL over address accesses)", "energy",
+          "(METAL over address accesses)", "speedups",
           each(lambda r: r.runs["metal"].cache_stats.accesses
                / r.runs["address"].cache_stats.accesses),
           Rule("<", 1.0), workloads=ALL_WORKLOADS),
     Claim("fig25-less-cache-energy", "Fig. 25",
           "METAL's cache energy is below the address cache's (ratio)",
-          "energy",
+          "speedups",
           each(lambda r: r.cache_energy_fj()["metal"]
                / r.cache_energy_fj()["address"]),
           Rule("<", 1.0), workloads=ALL_WORKLOADS),
     Claim("fig25-breakdown-sums-to-one", "Fig. 25",
           "the on-chip energy breakdown's fractions sum to 1 (distance "
-          "from 1)", "energy",
+          "from 1)", "speedups",
           each(lambda r: abs(sum(r.onchip_breakdown().values()) - 1.0)),
           Rule("<", 1e-9), workloads=ALL_WORKLOADS),
     # Cache-size requirement (Obs. 6) and cache-size monotonicity.

@@ -23,7 +23,8 @@ import json
 import time
 
 from repro import gate
-from repro.bench import adaptivity, breakdown, claims, energy, occupancy, scaling
+from repro.bench import adaptivity, breakdown, claims, energy, grid, occupancy
+from repro.bench import scaling
 from repro.bench import speedup as speedup_mod
 from repro.bench import sweep, tables, tagmatch, trends
 from repro.bench.format import geomean
@@ -68,34 +69,28 @@ def generate_report(
         [get_workload(name, scale) for name in WORKLOAD_BUILDERS]))
 
     def figs_15_17() -> None:
-        trend_results = trends.run_trends(
-            scale=scale, executor=executor)
-        add("Fig. 15", trends.format_fig15(trend_results))
-        add("Fig. 16", trends.format_fig16(trend_results))
-        add("Fig. 17", trends.format_fig17(trend_results))
+        rows = grid.run_grid(trends.DEFAULT_WORKLOADS, trends.TREND_CELLS,
+                             scale, executor)
+        add("Fig. 15", trends.format_fig15(rows))
+        add("Fig. 16", trends.format_fig16(rows))
+        add("Fig. 17", trends.format_fig17(rows))
 
-    def fig_18() -> None:
-        speedup_results = speedup_mod.run_speedups(
-            scale=scale, executor=executor)
-        add("Fig. 18", speedup_mod.format_fig18(speedup_results))
+    def figs_18_19_25() -> None:
+        rows = grid.run_grid(scale=scale, executor=executor)
+        add("Fig. 18", speedup_mod.format_fig18(rows))
         if collect_json is not None:
             collect_json["fig18"] = {
                 r.workload: {k: run.to_dict() for k, run in r.runs.items()}
-                for r in speedup_results
+                for r in rows
             }
-            collect_json["headline"] = speedup_mod.headline_ratios(
-                speedup_results)
-
-    def figs_19_25() -> None:
-        energy_results = energy.run_energy(
-            scale=scale, executor=executor)
-        add("Fig. 19", energy.format_fig19(energy_results))
-        add("Fig. 25", energy.format_fig25(energy_results))
+            collect_json["headline"] = speedup_mod.headline_ratios(rows)
+        add("Fig. 19", energy.format_fig19(rows))
+        add("Fig. 25", energy.format_fig25(rows))
 
     def fig_20() -> None:
-        add("Fig. 20", breakdown.format_fig20(
-            breakdown.run_breakdown(
-                scale=scale, executor=executor)))
+        add("Fig. 20", breakdown.format_fig20(grid.run_grid(
+            breakdown.DEFAULT_WORKLOADS, breakdown.BREAKDOWN_CELLS,
+            scale, executor)))
 
     def attribution() -> None:
         add("Cycle attribution", breakdown.format_attribution(
@@ -122,14 +117,13 @@ def generate_report(
         add("Table 3", claims.format_paper_values(scale, executor=executor))
         if collect_json is not None:
             collect_json["table3"] = table3_payload(
-                speedup_mod.run_speedups(scale=scale, executor=executor))
+                grid.run_grid(scale=scale, executor=executor))
 
     if collect_json is not None:
         collect_json["scale"] = scale
     try:
         guarded(figs_15_17)
-        guarded(fig_18)
-        guarded(figs_19_25)
+        guarded(figs_18_19_25)
         guarded(fig_20)
         if not fast:
             guarded(attribution)
@@ -148,7 +142,7 @@ def generate_report(
     return "\n".join(sections)
 
 
-def table3_payload(results: list[speedup_mod.SpeedupResult]) -> dict:
+def table3_payload(results: list[grid.GridRow]) -> dict:
     """Table 3's headline geomeans over the Fig. 18 grid, for the JSON
     export and the baseline gate: METAL's speedup and DRAM-energy
     advantage, METAL-IX's speedup (the IX-cache alone), and the range of

@@ -22,8 +22,6 @@ from repro.workloads.suite import Workload
 
 #: Every organization the evaluation compares, in Fig. 18 order.
 SYSTEMS: tuple[str, ...] = ("stream", "address", "fa_opt", "xcache", "metal_ix", "metal")
-#: The cache-bearing subset (Fig. 15-17 trends).
-CACHE_SYSTEMS: tuple[str, ...] = ("fa_opt", "xcache", "metal_ix", "metal")
 #: Variant systems accepted everywhere SYSTEMS is, but excluded from the
 #: default Fig. 18 lineup (next-line-prefetch address cache, two-level
 #: address hierarchy).
@@ -54,11 +52,13 @@ def build_memsys(
     workload: Workload,
     cache_bytes: int | None = None,
     sim: SimParams | None = None,
-    tune: bool = True,
-    batch_walks: int | None = None,
     **overrides: Any,
 ) -> MemorySystem:
-    """Instantiate one memory system configured for a workload."""
+    """Instantiate one memory system configured for a workload.
+
+    ``overrides`` go to :func:`~repro.sim.memsys.make_memsys`, which
+    rejects any its kind does not take.
+    """
     cache_bytes = cache_bytes or workload.default_cache_bytes
     sim = sim or workload.config.sim_params()
     params = (overrides.pop("cache_params", None)
@@ -73,10 +73,7 @@ def build_memsys(
         kwargs["descriptors"] = overrides.pop(
             "descriptors", workload.descriptor_factory()
         )
-        kwargs["tune"] = tune
-        kwargs["batch_walks"] = batch_walks or max(
-            200, len(workload.requests) // 8
-        )
+        kwargs["batch_walks"] = max(200, len(workload.requests) // 8)
     if kind == "fa_opt":
         kwargs["requests"] = workload.faopt_pairs()
         kwargs["walks"] = workload.walks
@@ -89,7 +86,6 @@ def run_workload(
     kind: str,
     cache_bytes: int | None = None,
     sim: SimParams | None = None,
-    timed: bool = True,
     record_latencies: bool = False,
     **overrides: Any,
 ) -> RunResult:
@@ -101,7 +97,6 @@ def run_workload(
         workload.requests,
         sim,
         workload.total_index_blocks,
-        timed=timed,
         record_latencies=record_latencies,
         walks=workload.walks,
     )
@@ -112,12 +107,11 @@ def compare_systems(
     kinds: tuple[str, ...] = SYSTEMS,
     cache_bytes: int | None = None,
     sim: SimParams | None = None,
-    timed: bool = True,
     record_latencies: bool = False,
 ) -> dict[str, RunResult]:
     """Run every requested organization over one workload."""
     return {
-        kind: run_workload(workload, kind, cache_bytes, sim, timed=timed,
+        kind: run_workload(workload, kind, cache_bytes, sim,
                            record_latencies=record_latencies)
         for kind in kinds
     }

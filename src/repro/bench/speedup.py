@@ -8,47 +8,13 @@ exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.bench.format import geomean, render_bars, render_table
+from repro.bench.grid import GridRow
 from repro.bench.runner import SYSTEMS
-from repro.exec import Executor, RunSpec, default_executor
-from repro.sim.metrics import RunResult
-from repro.workloads.suite import PAPER_LABELS, WORKLOAD_BUILDERS
-
-ALL_WORKLOADS = tuple(WORKLOAD_BUILDERS)
+from repro.workloads.suite import PAPER_LABELS
 
 
-@dataclass
-class SpeedupResult:
-    workload: str
-    runs: dict[str, RunResult] = field(default_factory=dict)
-
-    def speedups(self) -> dict[str, float]:
-        base = self.runs["stream"].makespan
-        return {k: base / max(1, r.makespan) for k, r in self.runs.items()}
-
-
-def run_speedups(
-    workloads: tuple[str, ...] = ALL_WORKLOADS,
-    scale: float = 0.25,
-    executor: Executor | None = None,
-) -> list[SpeedupResult]:
-    executor = executor or default_executor()
-    specs = [
-        RunSpec(workload=name, system=kind, scale=scale)
-        for name in workloads
-        for kind in SYSTEMS
-    ]
-    folded = executor.run_results(specs)
-    results = []
-    for i, name in enumerate(workloads):
-        runs = dict(zip(SYSTEMS, folded[i * len(SYSTEMS):(i + 1) * len(SYSTEMS)]))
-        results.append(SpeedupResult(name, runs))
-    return results
-
-
-def headline_ratios(results: list[SpeedupResult]) -> dict[str, float]:
+def headline_ratios(results: list[GridRow]) -> dict[str, float]:
     """Geomean METAL advantage over each baseline (the abstract's claims)."""
     ratios: dict[str, list[float]] = {"stream": [], "address": [], "xcache": [], "metal_ix": []}
     for result in results:
@@ -58,7 +24,7 @@ def headline_ratios(results: list[SpeedupResult]) -> dict[str, float]:
     return {base: geomean(vals) for base, vals in ratios.items()}
 
 
-def format_fig18(results: list[SpeedupResult]) -> str:
+def format_fig18(results: list[GridRow]) -> str:
     headers = ["workload", *SYSTEMS]
     rows = []
     for result in results:

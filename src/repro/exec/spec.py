@@ -67,7 +67,6 @@ class RunSpec(FrozenSpec):
     cache_bytes: int | None = None
     #: Multiplier on the (default or explicit) capacity (Fig. 15's 16x FA).
     cache_factor: int | None = None
-    timed: bool = True
     record_latencies: bool = False
     #: Tile count override: SimParams come from config.scaled(tiles).
     tiles: int | None = None
@@ -81,8 +80,7 @@ class RunSpec(FrozenSpec):
     sim_kwargs: KwargItems = ()
     #: dataclasses.replace() overrides on the resolved CacheParams.
     cache_kwargs: KwargItems = ()
-    #: build_memsys overrides (tune, batch_walks, coalesce, ...) plus the
-    #: virtual ``batch_windows`` (batch_walks from a window count).
+    #: build_memsys overrides (tune, batch_walks, coalesce, ...).
     memsys_kwargs: KwargItems = ()
     #: IX-cache replacement policy (repro.core.policy registry name). Only
     #: the METAL systems honor non-default values; the default keeps every

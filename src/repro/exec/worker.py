@@ -169,12 +169,6 @@ def _execute_run(spec: RunSpec) -> dict[str, Any]:
             if spec.system != "metal":
                 raise ValueError("tuner needs the pattern controller (metal)")
             overrides["tuner"] = dict(spec.tuner)
-    tune = overrides.pop("tune", True)
-    batch_walks = overrides.pop("batch_walks", None)
-    batch_windows = overrides.pop("batch_windows", None)
-    if batch_windows:
-        # bench.adaptivity's window sizing, from the effective request count.
-        batch_walks = max(50, len(requests) // batch_windows)
     if spec.cache_kwargs:
         overrides["cache_params"] = replace(
             CacheParams(capacity_bytes=cache_bytes), **dict(spec.cache_kwargs)
@@ -183,13 +177,10 @@ def _execute_run(spec: RunSpec) -> dict[str, Any]:
         # FA-OPT's two-pass construction must see the effective sequence.
         overrides["requests"] = [(r.index, r.key) for r in requests]
 
-    memsys = build_memsys(
-        spec.system, workload, cache_bytes, sim,
-        tune=tune, batch_walks=batch_walks, **overrides,
-    )
+    memsys = build_memsys(spec.system, workload, cache_bytes, sim, **overrides)
     result = simulate(
         memsys, requests, sim, workload.total_index_blocks,
-        timed=spec.timed, record_latencies=spec.record_latencies,
+        record_latencies=spec.record_latencies,
         walks=workload.walks,
     )
     return {

@@ -7,8 +7,8 @@
 * :func:`simulate_batched` — the body of
   :func:`repro.sim.metrics.simulate`: generates every walk into a
   :class:`~repro.sim.engine.TraceBatch` in chunks of ``WALK_CHUNK``
-  requests, times it with ``Engine.run_batch`` (or
-  ``Engine.run_functional``), and bundles the metrics.
+  requests, times it with ``Engine.run_batch``, and bundles the
+  metrics.
 
 Every run, traced, faulted or plain, generates through each memory
 system's one generator, ``process_chunk``. This module resolves every
@@ -299,7 +299,6 @@ def simulate_batched(
     requests: list[Any],
     sim: SimParams,
     total_index_blocks: int = 0,
-    timed: bool = True,
     record_latencies: bool = False,
     tracer: Tracer | None = None,
     registry: Registry | None = None,
@@ -322,10 +321,7 @@ def simulate_batched(
         record_latencies = True
     if injector is not None:
         engine.attach_faults(injector)
-    if timed:
-        result = engine.run_batch(batch, record_latencies=record_latencies)
-    else:
-        result = engine.run_functional(batch, record_latencies=record_latencies)
+    result = engine.run_batch(batch, record_latencies=record_latencies)
     if injector is not None:
         injector.finalize(result.num_walks)
     latency_hist = (

@@ -670,9 +670,10 @@ class Engine:
     ) -> EngineResult:
         """Untimed pass: nominal latencies, full traffic/energy accounting.
 
-        Cheap mode for miss-rate / working-set experiments that do not need
-        bank contention. Each walk's latency is the serial sum of nominal
-        access latencies; the makespan assumes perfect context overlap.
+        No bank contention: each walk's latency is the serial sum of
+        nominal access latencies; the makespan assumes perfect context
+        overlap. ``simulate`` never calls it; ``benchmark/spans.py``
+        patches it by name (ROADMAP item 2).
         """
         batch = (
             traces if isinstance(traces, TraceBatch)

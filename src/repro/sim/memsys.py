@@ -28,6 +28,7 @@ a leaf stream through ``scan_hi``, served by whatever the system caches.
 
 from __future__ import annotations
 
+import inspect
 import weakref
 from abc import ABC, abstractmethod
 from array import array
@@ -1072,28 +1073,45 @@ class MetalMemSys(MemorySystem):
         batch.index_dram += index_dram
 
 
+#: IXCache's keyword arguments after its CacheParams; both METAL kinds take them.
+_IX_CACHE_ARGS = tuple(inspect.signature(IXCache).parameters)[1:]
+#: The keyword arguments each kind takes besides ``sim`` and ``cache_params``.
+_KIND_ARGS: dict[str, tuple[str, ...]] = {
+    "stream": (),
+    "address": (),
+    "address_pf": (),
+    "address_l2": (),
+    "xcache": (),
+    "fa_opt": ("requests", "walks"),
+    "metal_ix": _IX_CACHE_ARGS,
+    "metal": ("descriptors", "batch_walks", "tune", "tuner", *_IX_CACHE_ARGS),
+}
+
+
 def make_memsys(
     kind: str,
     sim: SimParams | None = None,
     cache_params: CacheParams | None = None,
-    descriptors: Any = None,
-    requests: Sequence[tuple[Any, int]] | None = None,
-    batch_walks: int = 1_000,
-    tune: bool = True,
-    walks: dict | None = None,
-    tuner: ThresholdTuner | dict | None = None,
-    **cache_kwargs,
+    **kwargs: Any,
 ) -> MemorySystem:
     """Factory over every organization the evaluation compares.
 
-    ``descriptors`` is required for ``metal``; ``requests`` is required for
-    ``fa_opt`` (the two-pass OPT construction), which resolves them
-    through the ``walks`` memo when one is given. ``metal_ix`` and
-    ``metal`` build one :class:`IXCache` from ``cache_params`` and
-    ``cache_kwargs``; ``metal`` adds a :class:`PatternController` over
-    it (``batch_walks``, ``tune``, and ``tuner``: a
-    :class:`ThresholdTuner` or its keyword arguments).
+    ``sim`` and ``cache_params`` apply to every kind; any other keyword
+    argument the kind does not take (:data:`_KIND_ARGS`) raises
+    ``TypeError``. ``fa_opt`` needs ``requests`` (the two-pass OPT
+    construction), which it resolves through the ``walks`` memo when one
+    is given. ``metal_ix`` and ``metal`` build one :class:`IXCache` from
+    ``cache_params`` and the IXCache arguments; ``metal`` needs
+    ``descriptors`` and adds a :class:`PatternController` over the cache
+    (``batch_walks``, ``tune``, and ``tuner``: a :class:`ThresholdTuner`
+    or its keyword arguments).
     """
+    if kind not in _KIND_ARGS:
+        raise ValueError(f"unknown memory system kind {kind!r}")
+    unknown = sorted(set(kwargs) - set(_KIND_ARGS[kind]))
+    if unknown:
+        raise TypeError(f"memory system {kind!r} does not take "
+                        f"{', '.join(map(repr, unknown))}")
     if kind == "stream":
         return StreamingMemSys(sim)
     if kind == "address":
@@ -1102,22 +1120,25 @@ def make_memsys(
         return AddressCacheMemSys(sim, cache_params, prefetch=True)
     if kind == "address_l2":
         return HierarchyMemSys(sim, cache_params)
-    if kind == "fa_opt":
-        if requests is None:
-            raise ValueError("fa_opt needs the full request sequence")
-        return FAOPTMemSys.prepare(requests, cache_params, sim, walks)
     if kind == "xcache":
         return XCacheMemSys(sim, cache_params)
+    if kind == "fa_opt":
+        if kwargs.get("requests") is None:
+            raise ValueError("fa_opt needs the full request sequence")
+        return FAOPTMemSys.prepare(
+            kwargs["requests"], cache_params, sim, kwargs.get("walks"))
     if kind == "metal_ix":
-        return MetalMemSys(kind, IXCache(cache_params, **cache_kwargs), None, sim)
-    if kind == "metal":
-        if descriptors is None:
-            raise ValueError("metal needs reuse descriptors")
-        cache = IXCache(cache_params, **cache_kwargs)
-        if isinstance(tuner, dict):
-            tuner = ThresholdTuner(**tuner)
-        controller = PatternController(
-            descriptors, cache, batch_walks=batch_walks, tune=tune, tuner=tuner
-        )
-        return MetalMemSys(kind, cache, controller, sim)
-    raise ValueError(f"unknown memory system kind {kind!r}")
+        return MetalMemSys(kind, IXCache(cache_params, **kwargs), None, sim)
+    descriptors = kwargs.pop("descriptors", None)
+    if descriptors is None:
+        raise ValueError("metal needs reuse descriptors")
+    batch_walks = kwargs.pop("batch_walks", 1_000)
+    tune = kwargs.pop("tune", True)
+    tuner = kwargs.pop("tuner", None)
+    cache = IXCache(cache_params, **kwargs)
+    if isinstance(tuner, dict):
+        tuner = ThresholdTuner(**tuner)
+    controller = PatternController(
+        descriptors, cache, batch_walks=batch_walks, tune=tune, tuner=tuner
+    )
+    return MetalMemSys(kind, cache, controller, sim)

@@ -244,7 +244,6 @@ def simulate(
     requests: list[WalkRequest],
     sim: SimParams | None = None,
     total_index_blocks: int = 0,
-    timed: bool = True,
     record_latencies: bool = False,
     tracer: Tracer | None = None,
     registry: Registry | None = None,
@@ -255,8 +254,7 @@ def simulate(
     The functional pass (trace generation + cache state) happens in request
     order into one columnar access stream; the engine then times it with
     walker-context overlap and bank contention (``Engine.run_batch``).
-    ``timed=False`` uses the cheap functional timing. The pipeline itself
-    is :func:`repro.sim.batch.simulate_batched`.
+    The pipeline itself is :func:`repro.sim.batch.simulate_batched`.
 
     Observability: when ``sim.trace`` is set (or a ``tracer`` is passed), a
     :class:`Tracer` and :class:`Registry` are wired through the memory
@@ -293,7 +291,6 @@ def simulate(
         requests,
         sim,
         total_index_blocks=total_index_blocks,
-        timed=timed,
         record_latencies=record_latencies,
         tracer=tracer,
         registry=registry,

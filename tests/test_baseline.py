@@ -174,9 +174,12 @@ class TestMainExitCodes:
                       "--write-baseline"])
 
     def test_committed_baseline_matches_repo(self):
-        # The file CI gates on must self-compare cleanly at its scale.
+        # The file CI gates on matches a fresh report at its scale.
         with open("BENCH_baseline.json") as f:
             baseline = json.load(f)
         assert baseline["schema"] == 1
         assert baseline["scale"] == 0.01
         assert len(baseline["metrics"]) > 100
+        fresh: dict = {}
+        generate_report(scale=0.01, fast=True, collect_json=fresh)
+        assert compare(baseline, fresh) == ([], [])

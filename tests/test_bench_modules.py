@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import adaptivity, breakdown, occupancy, speedup, trends
+from repro.bench.grid import run_grid
 from repro.bench.runner import SYSTEMS, build_memsys, run_workload
 from repro.exec import get_workload
 
@@ -30,7 +31,7 @@ class TestRunner:
 
 class TestTrends:
     def test_run_and_format(self):
-        results = trends.run_trends(("scan",), scale=SCALE)
+        results = run_grid(("scan",), trends.TREND_CELLS, scale=SCALE)
         assert len(results) == 1
         for fmt in (trends.format_fig15, trends.format_fig16, trends.format_fig17):
             out = fmt(results)
@@ -39,7 +40,7 @@ class TestTrends:
 
 class TestSpeedup:
     def test_run_and_headline(self):
-        results = speedup.run_speedups(("scan",), scale=SCALE)
+        results = run_grid(("scan",), scale=SCALE)
         ratios = speedup.headline_ratios(results)
         assert set(ratios) == {"stream", "address", "xcache", "metal_ix"}
         assert all(v > 0 for v in ratios.values())
@@ -48,8 +49,8 @@ class TestSpeedup:
 
 class TestBreakdownOccupancyAdaptivity:
     def test_breakdown(self):
-        results = breakdown.run_breakdown(("scan",), scale=SCALE)
-        assert results[0].ix > 0
+        results = run_grid(("scan",), breakdown.BREAKDOWN_CELLS, scale=SCALE)
+        assert results[0].speedups()["metal_ix"] > 0
         assert "IX only" in breakdown.format_fig20(results)
 
     def test_occupancy(self):
@@ -127,8 +128,8 @@ class TestOneBuildPerWorkload:
         # A private executor: the shared default one may already hold
         # these cells' outcomes from other tests, and would build nothing.
         executor = Executor(jobs=1)
-        speedup.run_speedups(("scan",), scale=0.02, executor=executor)
-        trends.run_trends(("scan",), scale=0.02, executor=executor)
+        run_grid(("scan",), scale=0.02, executor=executor)
+        run_grid(("scan",), trends.TREND_CELLS, scale=0.02, executor=executor)
         occupancy.run_occupancy(("scan",), scale=0.02, executor=executor)
         assert builds == {"scan": 1}
 

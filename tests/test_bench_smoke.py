@@ -17,6 +17,7 @@ from repro.bench import (
     chaos,
     dynamic,
     energy,
+    grid,
     occupancy,
     scale_sweep,
     scaling,
@@ -41,16 +42,17 @@ def assert_rows(text: str) -> None:
     assert len(lines) >= 2, f"no data rows in:\n{text}"
 
 
-# Figs. 15-17 format one run_trends result, Figs. 19 and 25 one
-# run_energy result; each is run once per session.
+# Figs. 15-17 format one grid of the trend cells, Figs. 18, 19 and 25
+# one grid of every system; each is run once per session.
 @functools.cache
 def _trends():
-    return trends.run_trends(scale=SCALE)
+    return grid.run_grid(trends.DEFAULT_WORKLOADS, trends.TREND_CELLS,
+                         scale=SCALE)
 
 
 @functools.cache
-def _energy():
-    return energy.run_energy(scale=SCALE)
+def _systems():
+    return grid.run_grid(scale=SCALE)
 
 
 def _trend_figure(fmt):
@@ -60,7 +62,7 @@ def _trend_figure(fmt):
 
 
 def _fig18():
-    results = speedup_mod.run_speedups(scale=SCALE)
+    results = _systems()
     ratios = speedup_mod.headline_ratios(results)
     assert set(ratios) == {"stream", "address", "xcache", "metal_ix"}
     assert all(v > 0 for v in ratios.values())
@@ -70,8 +72,10 @@ def _fig18():
 
 
 def _fig20():
-    results = breakdown.run_breakdown(scale=SCALE)
-    assert results[0].workload == "scan" and results[0].ix > 0
+    results = grid.run_grid(breakdown.DEFAULT_WORKLOADS,
+                            breakdown.BREAKDOWN_CELLS, scale=SCALE)
+    assert results[0].workload == "scan"
+    assert results[0].speedups()["metal_ix"] > 0
     text = breakdown.format_fig20(results)
     assert "IX only" in text
     return [text]
@@ -139,7 +143,7 @@ EXPERIMENTS = {
     "fig16": lambda: _trend_figure(trends.format_fig16),
     "fig17": lambda: _trend_figure(trends.format_fig17),
     "fig18": _fig18,
-    "fig19": lambda: [energy.format_fig19(_energy())],
+    "fig19": lambda: [energy.format_fig19(_systems())],
     "fig20": _fig20,
     "attribution": lambda: [breakdown.format_attribution(
         breakdown.run_attribution(scale=SCALE))],
@@ -149,7 +153,7 @@ EXPERIMENTS = {
     "fig24": lambda: [sweep.format_fig24(sweep.run_sweep(
         workloads=("join",), tiles=(4, 8), caches=(2 * 1024, 8 * 1024),
         scale=SCALE))],
-    "fig25": lambda: [energy.format_fig25(_energy())],
+    "fig25": lambda: [energy.format_fig25(_systems())],
     "ablation": _ablation,
     "dynamic": lambda: [dynamic.format_dynamic_mix(
         dynamic.run_dynamic_mix(num_records=400, num_ops=300))],

@@ -5,7 +5,7 @@ import numpy as np
 from repro.dsa import aurochs, capstan, gorgon
 from repro.dsa.aurochs import RTREE_CONFIG
 from repro.dsa.capstan import SPMM_CONFIG
-from repro.dsa.config import DSAConfig
+from repro.dsa.config import OPS_PER_CYCLE, DSAConfig
 from repro.dsa.gorgon import ANALYTICS_CONFIG, SCAN_CONFIG
 from repro.indexes.rtree import Rect, RTree2D
 from repro.indexes.sparse_tensor import DynamicSparseTensor
@@ -19,8 +19,8 @@ def table(n=100):
 
 class TestDSAConfig:
     def test_compute_cycles(self):
-        cfg = DSAConfig("x", ops_per_cycle=4, ops_per_compute=100)
-        assert cfg.compute_cycles_per_walk == 25
+        cfg = DSAConfig("x", ops_per_compute=100)
+        assert cfg.compute_cycles_per_walk == 100 // OPS_PER_CYCLE == 25
 
     def test_sim_params_geometry(self):
         cfg = DSAConfig("x", tiles=32, walker_contexts=8)

@@ -20,6 +20,8 @@ from repro.exec import (
     resolve_jobs,
 )
 from repro.exec.worker import clear_workload_memo, execute_spec
+from repro.sim.batch import _generate
+from repro.sim.engine import Engine, TraceBatch
 from repro.sim.metrics import RunResult, simulate
 from repro.workloads.suite import build_workload
 
@@ -57,9 +59,9 @@ def test_spec_digests_are_pinned():
 
     plan = FaultPlan.uniform(0.2, seed=7)
     assert RunSpec.make("scan", "metal", scale=0.01).digest() == (
-        "d95d5dcf5be80d2ac08ea4cdd16d9a54a4656a95f750b36846a48408fe1b97d4")
+        "006453a2be974d6ed3836becaad0e1bfd390c186452945027e3d0ae72c153707")
     assert RunSpec.make("scan", "metal", scale=0.01, faults=plan).digest() == (
-        "26099f566a96416cf4663f91c93af11ca66a870bd333aa7f9d30217d7713451c")
+        "5963784ff8d4553f760a2d7bb81400d7e2d7d570c893376973f47f925712b44c")
     assert ServeSpec.make("scan").digest() == (
         "5ed06bdb4999ccc933ca27dc5238747d5817783fef387e026be01677237f52eb")
     assert plan.digest() == (
@@ -151,28 +153,26 @@ def test_runresult_roundtrip_preserves_histograms():
 
 
 # --------------------------------------------------------------------- #
-# Engine functional path (satellite: record_latencies honored)
+# Engine functional path (record_latencies honored)
 # --------------------------------------------------------------------- #
 
-def test_run_functional_records_latencies():
+def _run_functional(**kwargs):
+    """``Engine.run_functional`` over scan's generated access stream."""
     workload = build_workload("scan", scale=SMALL)
     memsys = build_memsys("stream", workload)
-    result = simulate(
-        memsys, workload.requests, memsys.sim, workload.total_index_blocks,
-        timed=False, record_latencies=True,
-    )
+    batch = TraceBatch()
+    _generate(memsys, workload.requests, batch)
+    return workload, Engine(memsys.sim).run_functional(batch, **kwargs)
+
+
+def test_run_functional_records_latencies():
+    workload, result = _run_functional(record_latencies=True)
     assert len(result.walk_latencies) == len(workload.requests)
-    assert result.latency_hist is not None
-    assert result.latency_hist.count == len(workload.requests)
+    assert sum(result.walk_latencies) == result.total_walk_cycles > 0
 
 
 def test_run_functional_skips_latencies_by_default():
-    workload = build_workload("scan", scale=SMALL)
-    memsys = build_memsys("stream", workload)
-    result = simulate(
-        memsys, workload.requests, memsys.sim, workload.total_index_blocks,
-        timed=False,
-    )
+    _, result = _run_functional()
     assert result.walk_latencies == []
 
 

@@ -184,6 +184,14 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_memsys("fa_opt")
 
+    @pytest.mark.parametrize("kind, kwargs, named", [
+        ("xcache", {"ways_typo": 4, "policy": "lru"}, "'policy', 'ways_typo'"),
+        ("metal_ix", {"tuner": {}, "batch_walks": 5}, "'batch_walks', 'tuner'"),
+    ])
+    def test_arguments_the_kind_does_not_take_raise(self, kind, kwargs, named):
+        with pytest.raises(TypeError, match=f"'{kind}' does not take {named}$"):
+            make_memsys(kind, **kwargs)
+
     def test_all_kinds_constructible(self, tree):
         for kind in ("stream", "address", "xcache", "metal_ix"):
             assert make_memsys(kind).name == kind

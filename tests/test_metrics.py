@@ -54,11 +54,6 @@ class TestSimulate:
         # Data access reaches DRAM but is excluded from index traffic.
         assert result.index_dram_accesses < result.dram.accesses
 
-    def test_untimed_mode(self, tree):
-        ms = make_memsys("stream")
-        result = simulate(ms, requests(tree, [1, 2]), timed=False)
-        assert result.makespan > 0
-
     def test_record_latencies(self, tree):
         ms = make_memsys("stream")
         result = simulate(ms, requests(tree, [1, 2]), record_latencies=True)
