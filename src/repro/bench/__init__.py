@@ -1,9 +1,9 @@
 """Benchmark harness regenerating every table and figure of Section 5.
 
-Figs. 15-20 and 25 and Table 3 are views of one grid of workloads x
-memory organizations, :func:`repro.bench.grid.run_grid`; their modules
-(``trends``, ``speedup``, ``energy``, ``breakdown``) only format it. Every
-other experiment has its own module (see DESIGN.md's experiment index).
+Every Section-5 experiment is a :func:`repro.bench.grid.run_grid` cells
+table plus a formatter of its rows: Figs. 15-25, Table 3, the cycle
+attribution, the ablations, the policy lab and the paper-scale sweep's
+simulations (see DESIGN.md's experiment index).
 :mod:`repro.bench.runner` is the shared workload-x-memory-system driver and
 :mod:`repro.bench.report` regenerates everything into a text report.
 """

@@ -8,115 +8,96 @@
 * **Mechanism toggles** — Case-3 coalescing, key-focused insertion,
   touch-filter admission, and the next-line prefetcher on the address
   baseline.
+* **Walk scheduling** — request-reorder policies under METAL-IX.
+
+Each ablation is a cells table over one workload (``WORKLOADS``) and a
+formatter of its :class:`~repro.bench.grid.GridRow`.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from repro.bench.format import render_table
+from repro.bench.grid import CellTable, GridRow, run_grid
 from repro.cmdline import positive_float
-from repro.exec import Executor, RunSpec, default_executor, get_workload
-from repro.sim.metrics import RunResult
-from repro.workloads.suite import WORKLOAD_BUILDERS
+from repro.sim.scheduler import POLICIES
+from repro.workloads.suite import WORKLOAD_BUILDERS, Workload
+
+WORKLOADS = ("scan",)
 
 
 # --------------------------------------------------------------------- #
 # Geometry (ways) sweep
 # --------------------------------------------------------------------- #
 
-def run_geometry_sweep(
-    workload_name: str = "scan",
-    ways_options: tuple[int, ...] = (1, 4, 8, 16, 32),
-    scale: float = 0.25,
-    executor: Executor | None = None,
-) -> dict[int, RunResult]:
-    executor = executor or default_executor()
-    specs = [
-        RunSpec.make(
-            workload_name, "metal", scale=scale, cache_kwargs={"ways": ways},
-        )
-        for ways in ways_options
-    ]
-    return dict(zip(ways_options, executor.run_results(specs)))
+def geometry_cells(ways_options: tuple[int, ...] = (1, 4, 8, 16, 32)) -> CellTable:
+    return {ways: {"system": "metal", "cache_kwargs": {"ways": ways}}
+            for ways in ways_options}
 
 
-def format_geometry(results: dict[int, RunResult]) -> str:
+def format_geometry(row: GridRow) -> str:
     headers = ["ways", "makespan", "avg walk latency", "miss rate"]
-    rows = [
+    table = [
         [ways, r.makespan, r.avg_walk_latency, r.miss_rate]
-        for ways, r in sorted(results.items())
+        for ways, r in sorted(row.runs.items())
     ]
-    return render_table(headers, rows, "Ablation — IX-cache associativity")
+    return render_table(headers, table, "Ablation — IX-cache associativity")
 
 
 # --------------------------------------------------------------------- #
 # Shared vs. private IX-cache
 # --------------------------------------------------------------------- #
 
-@dataclass
-class SharedVsPrivate:
-    shared: RunResult
-    private_makespan: int
-    num_partitions: int
-    private_hit_rate: float
+PARTITIONS = 4
 
 
-def run_shared_vs_private(
-    workload_name: str = "scan",
-    partitions: int = 4,
-    scale: float = 0.25,
-    executor: Executor | None = None,
-) -> SharedVsPrivate:
+def shared_vs_private_cells(workload: Workload) -> CellTable:
     """Same total capacity: one shared cache vs. per-tile-group slices.
 
     Private slices lose cooperative caching: a node cached by one tile
-    group cannot short-circuit another group's walks.
+    group cannot short-circuit another group's walks. Each private slice
+    serves one tile group: 1/PARTITIONS of the tiles, of the capacity and
+    of the walks.
     """
-    executor = executor or default_executor()
-    workload = get_workload(workload_name, scale)
+    group_tiles = max(1, workload.config.tiles // PARTITIONS)
+    slice_bytes = max(1024, workload.default_cache_bytes // PARTITIONS)
+    table: dict = {"shared": {"system": "metal"}}
+    for i in range(PARTITIONS):
+        table[("private", i)] = {
+            "system": "metal", "tiles": group_tiles, "cache_bytes": slice_bytes,
+            "requests_slice": (i, PARTITIONS),
+        }
+    return table
 
-    # Each private slice serves one tile group: 1/partitions of the tiles,
-    # 1/partitions of the capacity, 1/partitions of the walks. Wall time is
-    # the slowest group (they run concurrently).
-    group_tiles = max(1, workload.config.tiles // partitions)
-    slice_bytes = max(1024, workload.default_cache_bytes // partitions)
-    specs = [RunSpec(workload=workload_name, system="metal", scale=scale)]
-    specs.extend(
-        RunSpec(
-            workload=workload_name, system="metal", scale=scale,
-            tiles=group_tiles, cache_bytes=slice_bytes,
-            requests_slice=(i, partitions),
-        )
-        for i in range(partitions)
-    )
-    shared, *privates = executor.run_results(specs)
-    makespan = 0
+
+def private_makespan(row: GridRow) -> int:
+    """Wall time of the private slices: the slowest group (they run
+    concurrently)."""
+    return max(run.makespan for label, run in row.runs.items()
+               if label != "shared")
+
+
+def private_hit_rate(row: GridRow) -> float:
     hits = accesses = 0
-    for run in privates:
-        makespan = max(makespan, run.makespan)
-        if run.cache_stats:
+    for label, run in row.runs.items():
+        if label != "shared" and run.cache_stats:
             hits += run.cache_stats.hits
             accesses += run.cache_stats.accesses
-    return SharedVsPrivate(
-        shared=shared,
-        private_makespan=makespan,
-        num_partitions=partitions,
-        private_hit_rate=hits / accesses if accesses else 0.0,
-    )
+    return hits / accesses if accesses else 0.0
 
 
-def format_shared_vs_private(result: SharedVsPrivate) -> str:
-    shared_hit = result.shared.cache_stats.hit_rate if result.shared.cache_stats else 0.0
+def format_shared_vs_private(row: GridRow) -> str:
+    shared = row.runs["shared"]
+    shared_hit = shared.cache_stats.hit_rate if shared.cache_stats else 0.0
     headers = ["organization", "makespan", "hit rate"]
-    rows = [
-        ["shared", result.shared.makespan, shared_hit],
-        [f"private x{result.num_partitions}", result.private_makespan,
-         result.private_hit_rate],
+    table = [
+        ["shared", shared.makespan, shared_hit],
+        [f"private x{len(row.runs) - 1}", private_makespan(row),
+         private_hit_rate(row)],
     ]
     return render_table(
-        headers, rows, "Ablation — shared vs. private IX-cache (equal capacity)"
+        headers, table, "Ablation — shared vs. private IX-cache (equal capacity)"
     )
 
 
@@ -124,78 +105,49 @@ def format_shared_vs_private(result: SharedVsPrivate) -> str:
 # Mechanism toggles
 # --------------------------------------------------------------------- #
 
-@dataclass
-class ToggleResult:
-    label: str
-    run: RunResult
+TOGGLE_CELLS = {
+    "metal (default)": {"system": "metal"},
+    # Case-3 coalescing off.
+    "no coalescing": {"system": "metal", "memsys_kwargs": {"coalesce": False}},
+    # Fully-associative IX-cache (no key-block sets).
+    "fully associative": {"system": "metal",
+                          "memsys_kwargs": {"associative": False}},
+    # Address baseline variants: flat, next-line prefetch, two-level.
+    "address": {"system": "address"},
+    "address + prefetch": {"system": "address_pf"},
+    "address L1+L2": {"system": "address_l2"},
+}
 
 
-def run_mechanism_toggles(
-    workload_name: str = "scan", scale: float = 0.25,
-    executor: Executor | None = None,
-) -> list[ToggleResult]:
-    executor = executor or default_executor()
-    variants = [
-        ("metal (default)", "metal", {}),
-        # Case-3 coalescing off.
-        ("no coalescing", "metal", {"coalesce": False}),
-        # Fully-associative IX-cache (no key-block sets).
-        ("fully associative", "metal", {"associative": False}),
-        # Address baseline variants: flat, next-line prefetch, two-level.
-        ("address", "address", {}),
-        ("address + prefetch", "address_pf", {}),
-        ("address L1+L2", "address_l2", {}),
-    ]
-    folded = executor.run_results([
-        RunSpec.make(workload_name, system, scale=scale, memsys_kwargs=kwargs)
-        for _, system, kwargs in variants
-    ])
-    return [ToggleResult(label, run)
-            for (label, _, _), run in zip(variants, folded)]
-
-
-def format_toggles(results: list[ToggleResult]) -> str:
+def format_toggles(row: GridRow) -> str:
     headers = ["configuration", "makespan", "avg walk latency", "index DRAM"]
-    rows = [
-        [r.label, r.run.makespan, r.run.avg_walk_latency, r.run.index_dram_accesses]
-        for r in results
+    table = [
+        [label, run.makespan, run.avg_walk_latency, run.index_dram_accesses]
+        for label, run in row.runs.items()
     ]
-    return render_table(headers, rows, "Ablation — mechanism toggles")
+    return render_table(headers, table, "Ablation — mechanism toggles")
 
 
 # --------------------------------------------------------------------- #
 # Walk-scheduling policies
 # --------------------------------------------------------------------- #
 
-def run_scheduling(
-    workload_name: str = "scan", scale: float = 0.25,
-    executor: Executor | None = None,
-) -> dict[str, RunResult]:
-    """Request-reorder policies (repro.sim.scheduler) under METAL-IX."""
-    from repro.sim.scheduler import POLICIES
-
-    executor = executor or default_executor()
-    specs = [
-        RunSpec(
-            workload=workload_name, system="metal_ix", scale=scale,
-            schedule=policy,
-        )
-        for policy in POLICIES
-    ]
-    return dict(zip(POLICIES, executor.run_results(specs)))
+SCHEDULING_CELLS = {
+    policy: {"system": "metal_ix", "schedule": policy} for policy in POLICIES
+}
 
 
-def format_scheduling(results: dict[str, RunResult]) -> str:
+def format_scheduling(row: GridRow) -> str:
     headers = ["policy", "makespan", "index DRAM", "row-hit rate"]
-    rows = []
-    for policy, run in results.items():
+    table = []
+    for policy, run in row.runs.items():
         total_rows = run.dram.row_hits + run.dram.row_misses
-        rows.append([
+        table.append([
             policy, run.makespan, run.index_dram_accesses,
             run.dram.row_hits / max(1, total_rows),
         ])
     return render_table(
-        headers, rows, "Ablation — walk-issue scheduling policies (METAL-IX)"
+        headers, table, "Ablation — walk-issue scheduling policies (METAL-IX)"
     )
 
 
@@ -206,10 +158,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    cell = dict(workload_name=args.workload, scale=args.scale)
-    print(format_geometry(run_geometry_sweep(**cell)))
-    print()
-    print(format_shared_vs_private(run_shared_vs_private(**cell)))
-    print()
-    print(format_toggles(run_mechanism_toggles(**cell)))
+    tables = ((geometry_cells(), format_geometry),
+              (shared_vs_private_cells, format_shared_vs_private),
+              (TOGGLE_CELLS, format_toggles))
+    print("\n\n".join(
+        fmt(run_grid((args.workload,), cells, args.scale)[0])
+        for cells, fmt in tables))
     return 0

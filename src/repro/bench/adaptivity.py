@@ -6,46 +6,41 @@ descriptor settles on per batch, against the static (untuned) band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.bench.format import render_table
-from repro.exec import Executor, RunSpec, default_executor, get_workload
+from repro.bench.grid import CellTable, GridRow
+from repro.workloads.suite import Workload
+
+WORKLOADS = ("scan",)
+NUM_WINDOWS = 10
 
 
-@dataclass
-class AdaptivityResult:
-    workload: str
-    windows: list[dict[str, Any]] = field(default_factory=list)
+def cells(workload: Workload) -> CellTable:
+    """Fig. 22's one cell: tuned METAL, one controller batch per window."""
+    batch = max(50, len(workload.requests) // NUM_WINDOWS)
+    return {"metal": {
+        "system": "metal",
+        "memsys_kwargs": {"batch_walks": batch, "tune": True},
+        "collect": ("controller_history", "start_levels"),
+    }}
 
 
-def run_adaptivity(
-    workload_name: str = "scan",
-    scale: float = 0.25,
-    num_windows: int = 10,
-    executor: Executor | None = None,
-) -> AdaptivityResult:
-    executor = executor or default_executor()
-    num_walks = len(get_workload(workload_name, scale).requests)
-    # One controller batch per window.
-    batch = max(50, num_walks // num_windows)
-    spec = RunSpec.make(
-        workload_name, "metal", scale=scale,
-        memsys_kwargs={"batch_walks": batch, "tune": True},
-        collect=("controller_history", "start_levels"),
-    )
-    outcome = executor.run([spec])[0]
-    outcome.require()
-    history = outcome.extras["controller_history"]
-    start_levels = outcome.extras["start_levels"]
-    result = AdaptivityResult(workload_name)
-    for i, entry in enumerate(history):
+def windows(row: GridRow) -> list[dict[str, Any]]:
+    """One entry per controller batch: its descriptor band and the mean
+    level its walks started at."""
+    extras = row.extras["metal"]
+    start_levels = extras["start_levels"]
+    result = []
+    offset = 0
+    for i, entry in enumerate(extras["controller_history"]):
         descriptor = entry["descriptors"][0]
-        window_levels = start_levels[i * batch : (i + 1) * batch]
+        window_levels = start_levels[offset:offset + entry["walks"]]
+        offset += entry["walks"]
         mean_start = (
             sum(window_levels) / len(window_levels) if window_levels else 0.0
         )
-        result.windows.append(
+        result.append(
             {
                 "window": i + 1,
                 "start": descriptor.get("start"),
@@ -58,18 +53,18 @@ def run_adaptivity(
     return result
 
 
-def format_fig22(result: AdaptivityResult) -> str:
+def format_fig22(row: GridRow) -> str:
     headers = [
         "window", "band start", "band end", "mean short-circuit level",
         "hit rate", "occupancy",
     ]
-    rows = [
+    table = [
         [w["window"], w["start"], w["end"], w["mean_start_level"],
          w["hit_rate"], w["occupancy"]]
-        for w in result.windows
+        for w in windows(row)
     ]
     return render_table(
-        headers, rows,
-        f"Fig. 22 — Level-pattern adaptivity per walk window ({result.workload}): "
+        headers, table,
+        f"Fig. 22 — Level-pattern adaptivity per walk window ({row.workload}): "
         "the cached frontier deepens as parameters tune",
     )

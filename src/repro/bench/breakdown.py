@@ -8,11 +8,8 @@ All normalized to the streaming DSA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.bench.format import render_table
 from repro.bench.grid import GridRow
-from repro.exec import Executor, RunSpec, default_executor
 from repro.workloads.suite import PAPER_LABELS
 
 DEFAULT_WORKLOADS = (
@@ -22,90 +19,48 @@ DEFAULT_WORKLOADS = (
 #: Fig. 18 cell (tuning on is ``make_memsys``'s default), so it dedups.
 BREAKDOWN_CELLS = ("stream", "metal_ix", "metal_static", "metal")
 
-#: (workload, systems) pairs for the cycle-attribution cross-check: one
-#: pointer-chasing and one graph workload, streaming vs full METAL.
+#: Workloads of the cycle-attribution cross-check: one pointer-chasing
+#: and one graph workload.
 ATTRIBUTION_WORKLOADS = ("scan", "pagerank")
-ATTRIBUTION_SYSTEMS = ("stream", "metal")
+#: Grid cells of the cross-check, streaming vs full METAL: traced runs
+#: folded into per-component cycle attribution. This is the mechanism
+#: behind the Fig. 20 factor breakdown, measured directly: the speedup
+#: METAL's stages buy shows up as the DRAM components (queue/hit/miss)
+#: shrinking relative to the streaming DSA. Attribution is exact — per
+#: walk, the components sum to the measured walk latency — unless the
+#: ring buffer dropped events.
+ATTRIBUTION_CELLS = {
+    system: {"system": system,
+             "sim_kwargs": {"trace": True, "trace_buffer": 1 << 22},
+             "collect": ("attribution",)}
+    for system in ("stream", "metal")
+}
 
 
-@dataclass
-class AttributionResult:
-    """Where one (workload, system) run's walk cycles actually went."""
-
-    workload: str
-    system: str
-    total_walk_cycles: int
-    #: category -> cycles, over repro.obs.profile.ATTRIBUTION_CATEGORIES.
-    totals: dict[str, int]
-    dropped: int = 0
-
-    def fraction(self, category: str) -> float:
-        if self.total_walk_cycles == 0:
-            return 0.0
-        return self.totals.get(category, 0) / self.total_walk_cycles
-
-
-def run_attribution(
-    workloads: tuple[str, ...] = ATTRIBUTION_WORKLOADS,
-    systems: tuple[str, ...] = ATTRIBUTION_SYSTEMS,
-    scale: float = 0.25,
-    trace_buffer: int = 1 << 22,
-    executor: Executor | None = None,
-) -> list[AttributionResult]:
-    """Traced runs folded into per-component cycle attribution.
-
-    This is the mechanism behind the Fig. 20 factor breakdown, measured
-    directly: the speedup METAL's stages buy shows up here as the DRAM
-    components (queue/hit/miss) shrinking relative to the streaming DSA.
-    Attribution is exact — per walk, the components sum to the measured
-    walk latency — unless the ring buffer dropped events (``dropped``).
-    """
-    executor = executor or default_executor()
-    specs: list[RunSpec] = []
-    cells: list[tuple[str, str]] = []
-    for name in workloads:
-        for system in systems:
-            cells.append((name, system))
-            specs.append(RunSpec.make(
-                name, system, scale=scale,
-                sim_kwargs={"trace": True, "trace_buffer": trace_buffer},
-                collect=("attribution",),
-            ))
-    results = []
-    for (name, system), outcome in zip(cells, executor.run(specs)):
-        run = outcome.require()
-        attribution = outcome.extras["attribution"]
-        results.append(
-            AttributionResult(
-                workload=name,
-                system=system,
-                total_walk_cycles=run.total_walk_cycles,
-                totals=dict(attribution["totals"]),
-                dropped=attribution["dropped"],
-            )
-        )
-    return results
-
-
-def format_attribution(results: list[AttributionResult]) -> str:
+def format_attribution(rows: list[GridRow]) -> str:
     from repro.obs.profile import ATTRIBUTION_CATEGORIES
 
     headers = ["workload", "system", "walk cycles"] + [
         f"{cat} %" for cat in ATTRIBUTION_CATEGORIES
     ]
-    rows = []
-    for r in results:
-        rows.append(
-            [PAPER_LABELS.get(r.workload, r.workload), r.system,
-             r.total_walk_cycles]
-            + [100.0 * r.fraction(cat) for cat in ATTRIBUTION_CATEGORIES]
-        )
+    table = []
+    dropped = 0
+    for row in rows:
+        for system, run in row.runs.items():
+            attribution = row.extras[system]["attribution"]
+            dropped += attribution["dropped"]
+            total = run.total_walk_cycles
+            table.append(
+                [PAPER_LABELS.get(row.workload, row.workload), system, total]
+                + [100.0 * (attribution["totals"].get(cat, 0) / total
+                            if total else 0.0)
+                   for cat in ATTRIBUTION_CATEGORIES]
+            )
     note = ""
-    dropped = sum(r.dropped for r in results)
     if dropped:
         note = f" ({dropped} events dropped; attribution approximate)"
     return render_table(
-        headers, rows,
+        headers, table,
         "Cycle attribution — where walk latency goes, per component" + note,
     )
 

@@ -2,9 +2,9 @@
 
 Every ordering, floor and ratio this reproduction holds METAL's
 evaluation to is one :class:`Claim` row of :data:`CLAIMS`. A row names
-the experiment that measures it (a view of the Section-5 grid,
-:func:`repro.bench.grid.run_grid`, another ``run_*`` of
-:mod:`repro.bench`, or single runs through :class:`Cells`), the
+the experiment that measures it (a cells table of the Section-5 grid,
+:func:`repro.bench.grid.run_grid`, whose rows the measure reads; a
+published table; or single runs through :class:`Cells`), the
 workloads, scales and seeds it is stated for, a measure over the
 experiment's result, and the :class:`Rule` every measured value must
 satisfy. :func:`evaluate` runs each (experiment, workloads, scale, seed)
@@ -163,21 +163,10 @@ class Cells:
         return workload.indexes[0].height
 
 
-def _seedless(run: Callable[..., Any]) -> Callable[..., Any]:
-    """An experiment whose ``run_*`` builds seed-0 workloads only."""
-
-    def experiment(workloads, scale, seed, executor):
-        if seed != 0:
-            raise ValueError(f"{run.__qualname__} runs seed 0 only")
-        return run(workloads, scale, executor)
-
-    return experiment
-
-
-def _one(run: Callable[..., Any], **kwargs: Any) -> Callable[..., Any]:
-    """A single-workload ``run_*`` (its first argument is one name)."""
-    return _seedless(lambda workloads, scale, executor: run(
-        *workloads, scale=scale, executor=executor, **kwargs))
+def _grid(cells: grid.Cells) -> Callable[..., list[grid.GridRow]]:
+    """An experiment that runs ``cells`` over the row's workloads."""
+    return lambda workloads, scale, seed, executor: grid.run_grid(
+        workloads, cells, scale, executor, seed)
 
 
 #: name -> experiment(workloads, scale, seed, executor).
@@ -189,26 +178,19 @@ EXPERIMENTS: dict[str, Callable[..., Any]] = {
         for name in workloads or WORKLOAD_BUILDERS],
     "cells": lambda workloads, scale, seed, executor: {
         name: Cells(name, scale, seed, executor) for name in workloads},
-    "trends": _seedless(lambda w, scale, ex: grid.run_grid(
-        w, trends.TREND_CELLS, scale, ex)),
-    "speedups": _seedless(lambda w, scale, ex: grid.run_grid(
-        w, scale=scale, executor=ex)),
-    "breakdown": _seedless(lambda w, scale, ex: grid.run_grid(
-        w, breakdown.BREAKDOWN_CELLS, scale, ex)),
-    "occupancy": _seedless(lambda w, scale, ex: occupancy.run_occupancy(
-        w, scale=scale, executor=ex)),
-    "adaptivity": _one(adaptivity.run_adaptivity),
-    "records_sweep": _seedless(lambda w, scale, ex: scaling.run_records_sweep(
-        scales=(scale,), cache_sizes=(4 * 1024, 8 * 1024), executor=ex)),
-    "depth_sweep": _seedless(lambda w, scale, ex: scaling.run_depth_sweep(
-        depths=(6, 9, 12, 15), scale=scale, executor=ex)),
-    "design_sweep": _seedless(lambda w, scale, ex: sweep.run_sweep(
-        w, tiles=(4, 8, 16), caches=(2 * 1024, 8 * 1024, 32 * 1024),
-        scale=scale, executor=ex)),
-    "geometry": _one(ablation.run_geometry_sweep, ways_options=(1, 4, 16)),
-    "shared_vs_private": _one(ablation.run_shared_vs_private, partitions=4),
-    "toggles": _one(ablation.run_mechanism_toggles),
-    "scheduling": _one(ablation.run_scheduling),
+    "trends": _grid(trends.TREND_CELLS),
+    "speedups": _grid(grid.SYSTEMS),
+    "breakdown": _grid(breakdown.BREAKDOWN_CELLS),
+    "occupancy": _grid(occupancy.OCCUPANCY_CELLS),
+    "adaptivity": _grid(adaptivity.cells),
+    "records_sweep": _grid(scaling.records_cells((4 * 1024, 8 * 1024))),
+    "depth_sweep": _grid(scaling.depth_cells((6, 9, 12, 15))),
+    "design_sweep": _grid(sweep.design_cells(
+        tiles=(4, 8, 16), caches=(2 * 1024, 8 * 1024, 32 * 1024))),
+    "geometry": _grid(ablation.geometry_cells((1, 4, 16))),
+    "shared_vs_private": _grid(ablation.shared_vs_private_cells),
+    "toggles": _grid(ablation.TOGGLE_CELLS),
+    "scheduling": _grid(ablation.SCHEDULING_CELLS),
 }
 
 
@@ -267,21 +249,38 @@ def _shallow_gain(results: list[grid.GridRow]) -> float:
     return by_name["sets"] / by_name["sets_s"]
 
 
-def _occupied_levels(result: occupancy.OccupancyResult) -> float:
-    return max(level for occ in result.by_level.values() for level in occ)
+def _occupied_levels(row: grid.GridRow) -> float:
+    return max(level for occ in occupancy.by_level(row).values()
+               for level in occ)
 
 
-def _more_tiles_gain(cells: list[sweep.SweepCell]) -> dict[str, float]:
+def _more_tiles_gain(rows: list[grid.GridRow]) -> dict[str, float]:
     """16-tile over 4-tile speedup at 8 kB, for JOIN and SpMM."""
-    speedups = {(c.workload, c.tiles, c.cache_bytes): c.speedup for c in cells}
-    return {name: speedups[(name, 16, 8 * 1024)] / speedups[(name, 4, 8 * 1024)]
+    speedups = {row.workload: row.speedups() for row in rows}
+    return {name: speedups[name][(16, 8 * 1024)] / speedups[name][(4, 8 * 1024)]
             for name in ("join", "spmm")}
 
 
-def _prefetch_traffic(results: list[ablation.ToggleResult]) -> float:
-    runs = {r.label: r.run for r in results}
+def _prefetch_traffic(rows: list[grid.GridRow]) -> float:
+    runs = rows[0].runs
     return (runs["address + prefetch"].dram.accesses
             / runs["address"].dram.accesses)
+
+
+def _frontier_deepening(rows: list[grid.GridRow]) -> float:
+    """Last window's mean short-circuit level minus the first's."""
+    windows = adaptivity.windows(rows[0])
+    return windows[-1]["mean_start_level"] - windows[0]["mean_start_level"]
+
+
+def _cache_8k_over_4k(row: grid.GridRow) -> float:
+    return (row.runs[(8 * 1024, "metal")].avg_walk_latency
+            / row.runs[(4 * 1024, "metal")].avg_walk_latency)
+
+
+def _tallest_over_shortest(rows: list[grid.GridRow]) -> float:
+    cells = scaling.by_height(rows[0])
+    return cells[max(cells)]["metal"] / cells[min(cells)]["metal"]
 
 
 # --------------------------------------------------------------------- #
@@ -562,46 +561,47 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("fig21-something-cached", "Fig. 21",
           "both METAL-IX and METAL cache entries on every workload "
           "(fewer entries of the two)", "occupancy",
-          each(lambda r: min(sum(occ.values()) for occ in r.by_level.values())),
+          each(lambda r: min(sum(occ.values())
+                             for occ in occupancy.by_level(r).values())),
           Rule(">", 0), workloads=occupancy.DEFAULT_WORKLOADS),
     # Fig. 22: adaptivity.
     Claim("fig22-windows", "Fig. 22",
           "the adaptivity replay covers at least five windows", "adaptivity",
-          lambda result: len(result.windows), Rule(">=", 5), **SCAN),
+          lambda rows: len(adaptivity.windows(rows[0])), Rule(">=", 5), **SCAN),
     Claim("fig22-frontier-deepens", "Fig. 22",
           "the cached frontier deepens as parameters tune (last window's "
           "mean short-circuit level minus the first's)", "adaptivity",
-          lambda result: (result.windows[-1]["mean_start_level"]
-                          - result.windows[0]["mean_start_level"]),
+          _frontier_deepening,
           Rule(">", 0.0), **SCAN),
     # Fig. 23: index size.
     Claim("fig23a-bigger-cache-no-slower", "Fig. 23a",
           "a larger IX-cache never makes JOIN walks much slower (8 kB over "
           "4 kB METAL walk latency)", "records_sweep",
-          lambda cells: {
-              f"{scale:g}": (cells[(scale, 8 * 1024)]["metal"]
-                             / cells[(scale, 4 * 1024)]["metal"])
-              for scale, _ in cells},
+          each(_cache_8k_over_4k),
           Rule("<=", 1.15), scales=(0.1, 0.2), workloads=("join",)),
     Claim("fig23b-distinct-heights", "Fig. 23b",
           "the depth sweep builds at least two distinct tree heights",
-          "depth_sweep", lambda cells: len(cells), Rule(">=", 2),
+          "depth_sweep", lambda rows: len(scaling.by_height(rows[0])),
+          Rule(">=", 2),
           workloads=("join",)),
     Claim("fig23b-deeper-is-slower", "Fig. 23b",
           "deeper indexes mean longer METAL walks (tallest over shortest)",
           "depth_sweep",
-          lambda cells: (cells[max(cells)]["metal"] / cells[min(cells)]["metal"]),
+          _tallest_over_shortest,
           Rule(">", 1.0), workloads=("join",)),
     Claim("fig23b-metal-vs-metal-ix", "Fig. 23b",
           "METAL stays near or below METAL-IX's walk latency at every depth",
           "depth_sweep",
-          lambda cells: {str(height): cell["metal"] / cell["metal_ix"]
-                         for height, cell in cells.items()},
+          lambda rows: {str(height): cell["metal"] / cell["metal_ix"]
+                        for height, cell in scaling.by_height(rows[0]).items()},
           Rule("<=", 1.1), workloads=("join",)),
     # Fig. 24: design sweep.
     Claim("fig24-two-regions", "Fig. 24",
           "the tile x cache sweep spans at least two limit regions",
-          "design_sweep", lambda cells: len({c.region for c in cells}),
+          "design_sweep",
+          lambda rows: len({sweep.region(run) for row in rows
+                            for label, run in row.runs.items()
+                            if label != "stream"}),
           Rule(">=", 2), workloads=("join", "spmm", "rtree")),
     Claim("fig24-more-tiles-no-slower", "Fig. 24",
           "more tiles at a fixed 8 kB cache never slow the DSA much "
@@ -686,13 +686,13 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("ablation-16-way-vs-direct", "Ablation",
           "a 16-way IX-cache is no slower than direct-mapped beyond 2% "
           "(makespan ratio)", "geometry",
-          lambda results: results[16].makespan / results[1].makespan,
+          lambda rows: rows[0].runs[16].makespan / rows[0].runs[1].makespan,
           Rule("<=", 1.02), **SCAN),
     Claim("ablation-shared-vs-private", "Ablation",
           "one shared IX-cache hits at least as often as four private "
           "slices (hit-rate difference)", "shared_vs_private",
-          lambda result: (result.shared.cache_stats.hit_rate
-                          - result.private_hit_rate),
+          lambda rows: (rows[0].runs["shared"].cache_stats.hit_rate
+                        - ablation.private_hit_rate(rows[0])),
           Rule(">=", 0.0), **SCAN),
     Claim("ablation-prefetch-adds-traffic", "Ablation",
           "next-line prefetch only adds DRAM traffic on pointer chases "
@@ -702,8 +702,8 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("ablation-key-sorted-issue", "Ablation",
           "key-sorted walk issue never adds index DRAM traffic over FIFO "
           "(ratio)", "scheduling",
-          lambda results: (results["key_sorted"].index_dram_accesses
-                           / results["fifo"].index_dram_accesses),
+          lambda rows: (rows[0].runs["key_sorted"].index_dram_accesses
+                        / rows[0].runs["fifo"].index_dram_accesses),
           Rule("<=", 1.0), **SCAN),
 )
 

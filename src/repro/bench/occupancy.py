@@ -8,67 +8,44 @@ as-is (level 1 = head of the structure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.bench.format import render_table
-from repro.exec import Executor, RunSpec, default_executor
+from repro.bench.grid import GridRow
 from repro.workloads.suite import PAPER_LABELS
 
 DEFAULT_WORKLOADS = ("scan", "spmm", "sets", "spmm_s")
 
-
-@dataclass
-class OccupancyResult:
-    workload: str
-    height: int
-    by_level: dict[str, dict[int, int]] = field(default_factory=dict)
-
-
-def run_occupancy(
-    workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
-    scale: float = 0.25,
-    executor: Executor | None = None,
-) -> list[OccupancyResult]:
-    executor = executor or default_executor()
-    kinds = ("metal_ix", "metal")
-    specs = [
-        RunSpec.make(
-            name, kind, scale=scale,
-            collect=("occupancy_by_level", "index_heights"),
-        )
-        for name in workloads
-        for kind in kinds
-    ]
-    outcomes = executor.run(specs)
-    results = []
-    for i, name in enumerate(workloads):
-        cell = outcomes[i * len(kinds):(i + 1) * len(kinds)]
-        for outcome in cell:
-            outcome.require()
-        entry = OccupancyResult(name, max(cell[0].extras["index_heights"]))
-        for kind, outcome in zip(kinds, cell):
-            occupancy = outcome.extras["occupancy_by_level"]
-            entry.by_level[kind] = dict(
-                sorted((int(level), n) for level, n in occupancy.items())
-            )
-        results.append(entry)
-    return results
+#: Grid cells of Fig. 21: each METAL kind's end-of-run occupancy.
+OCCUPANCY_CELLS = {
+    kind: {"system": kind,
+           "collect": ("occupancy_by_level", "index_heights")}
+    for kind in ("metal_ix", "metal")
+}
 
 
-def format_fig21(results: list[OccupancyResult]) -> str:
+def by_level(row: GridRow) -> dict[str, dict[int, int]]:
+    """kind -> {index level: IX-cache entries}, levels ascending."""
+    return {
+        kind: dict(sorted((int(level), n) for level, n
+                          in extras["occupancy_by_level"].items()))
+        for kind, extras in row.extras.items()
+    }
+
+
+def format_fig21(rows: list[GridRow]) -> str:
+    levels = [by_level(row) for row in rows]
     max_level = max(
-        (lvl for r in results for occ in r.by_level.values() for lvl in occ),
+        (lvl for kinds in levels for occ in kinds.values() for lvl in occ),
         default=0,
     )
     headers = ["workload", "system", *[f"L{l}" for l in range(max_level + 1)]]
-    rows = []
-    for result in results:
-        for kind, occupancy in result.by_level.items():
+    table = []
+    for row, kinds in zip(rows, levels):
+        for kind, occupancy in kinds.items():
             label = "MTL" if kind == "metal" else "IX"
-            rows.append(
-                [PAPER_LABELS.get(result.workload, result.workload), label]
+            table.append(
+                [PAPER_LABELS.get(row.workload, row.workload), label]
                 + [occupancy.get(l, 0) for l in range(max_level + 1)]
             )
     return render_table(
-        headers, rows, "Fig. 21 — IX-cache entries per index level"
+        headers, table, "Fig. 21 — IX-cache entries per index level"
     )

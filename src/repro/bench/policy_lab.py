@@ -11,11 +11,11 @@ the two axes the tag-store design trades off:
   vs 2-bit multi-step classes), and every probe reads ``ways`` tags
   while every hit/insert writes one back.
 
-Cells run through the exec pipeline (``RunSpec.policy`` /
-``RunSpec.tuner``), so they dedup, parallelize, and cache exactly like
-report cells. The per-workload Pareto front answers the design question
-directly: a policy off the front is dominated — some other policy hits
-at least as often for no more tag energy.
+The sweep is one :func:`~repro.bench.grid.run_grid` whose cells set
+``RunSpec.policy`` / ``RunSpec.tuner``, so they dedup, parallelize, and
+cache exactly like report cells. The per-workload Pareto front answers
+the design question directly: a policy off the front is dominated —
+some other policy hits at least as often for no more tag energy.
 
 ``BENCH_policy.json`` stores the sweep's key metrics with a relative
 tolerance; ``--baseline`` compares a run against it through
@@ -30,11 +30,12 @@ from typing import Any
 
 from repro import gate
 from repro.bench.format import render_table
+from repro.bench.grid import run_grid
 from repro.cmdline import add_jobs, name_list, positive_float
 from repro.core.policy import POLICIES, make_policy, tag_energy_fj
 from repro.exec.executor import Executor
-from repro.exec.spec import RunSpec
 from repro.params import CacheParams
+from repro.sim.metrics import RunResult
 from repro.workloads.suite import WORKLOAD_BUILDERS
 
 BASELINE_SCHEMA = "policy-lab/1"
@@ -49,20 +50,18 @@ DEFAULT_WORKLOADS = ("scan", "select", "sets_s", "rtree")
 DEFAULT_SYSTEM = "metal"
 
 
-def _cell_metrics(result_dict: dict[str, Any], tag_bits: int, ways: int) -> dict:
-    cache = result_dict["cache"]
-    accesses = cache["accesses"]
-    hits = cache["hits"]
+def _cell_metrics(run: RunResult, tag_bits: int, ways: int) -> dict:
+    cache = run.cache_stats
     return {
-        "hit_rate": (hits / accesses) if accesses else 0.0,
+        "hit_rate": (cache.hits / cache.accesses) if cache.accesses else 0.0,
         "tag_energy_fj": tag_energy_fj(
-            tag_bits, accesses, hits, cache["insertions"], ways=ways
+            tag_bits, cache.accesses, cache.hits, cache.insertions, ways=ways
         ),
         "tag_bits": tag_bits,
-        "evictions": cache["evictions"],
-        "insertions": cache["insertions"],
-        "miss_rate": result_dict["miss_rate"],
-        "makespan": result_dict["makespan"],
+        "evictions": cache.evictions,
+        "insertions": cache.insertions,
+        "miss_rate": run.miss_rate,
+        "makespan": run.makespan,
     }
 
 
@@ -100,30 +99,20 @@ def sweep(
 ) -> dict[str, Any]:
     """Run the policies x workloads grid; returns the payload dict."""
     policies = tuple(policies) or tuple(sorted(POLICIES))
-    cells: list[tuple[str, str, int]] = []  # (workload, label, tag_bits)
-    specs: list[RunSpec] = []
-    for workload in workloads:
-        for name in policies:
-            specs.append(RunSpec.make(
-                workload, system, scale=scale, seed=seed, policy=name,
-            ))
-            cells.append((workload, name, make_policy(name).tag_bits))
-        if tuned:
-            specs.append(RunSpec.make(
-                workload, system, scale=scale, seed=seed, tuner=TUNER_CONFIG,
-            ))
-            cells.append((workload, TUNED_LABEL, make_policy(None).tag_bits))
-
-    executor = Executor(jobs=jobs)
-    outcomes = executor.run(specs)
+    cells: dict[str, dict[str, Any]] = {
+        name: {"system": system, "policy": name} for name in policies}
+    tag_bits = {name: make_policy(name).tag_bits for name in policies}
+    if tuned:
+        cells[TUNED_LABEL] = {"system": system, "tuner": TUNER_CONFIG}
+        tag_bits[TUNED_LABEL] = make_policy(None).tag_bits
+    with Executor(jobs=jobs) as executor:
+        rows = run_grid(workloads, cells, scale, executor, seed)
     ways = CacheParams().ways
-
-    by_workload: dict[str, dict[str, dict]] = {w: {} for w in workloads}
-    for (workload, label, tag_bits), outcome in zip(cells, outcomes):
-        payload = outcome.check().payload
-        by_workload[workload][label] = _cell_metrics(
-            payload["result"], tag_bits, ways
-        )
+    by_workload = {
+        row.workload: {label: _cell_metrics(run, tag_bits[label], ways)
+                       for label, run in row.runs.items()}
+        for row in rows
+    }
 
     pareto = {w: pareto_front(c) for w, c in by_workload.items()}
     default_dominated = sorted(

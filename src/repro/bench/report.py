@@ -93,25 +93,31 @@ def generate_report(
             scale, executor)))
 
     def attribution() -> None:
-        add("Cycle attribution", breakdown.format_attribution(
-            breakdown.run_attribution(
-                scale=scale, executor=executor)))
+        add("Cycle attribution", breakdown.format_attribution(grid.run_grid(
+            breakdown.ATTRIBUTION_WORKLOADS, breakdown.ATTRIBUTION_CELLS,
+            scale, executor)))
 
     def fig_21() -> None:
-        add("Fig. 21", occupancy.format_fig21(
-            occupancy.run_occupancy(
-                scale=scale, executor=executor)))
+        add("Fig. 21", occupancy.format_fig21(grid.run_grid(
+            occupancy.DEFAULT_WORKLOADS, occupancy.OCCUPANCY_CELLS,
+            scale, executor)))
 
     def fig_22() -> None:
-        add("Fig. 22", adaptivity.format_fig22(
-            adaptivity.run_adaptivity(scale=scale, executor=executor)))
+        add("Fig. 22", adaptivity.format_fig22(grid.run_grid(
+            adaptivity.WORKLOADS, adaptivity.cells, scale, executor)[0]))
 
     def figs_23_24() -> None:
-        scaling_result = scaling.run_scaling(executor=executor)
-        add("Fig. 23a", scaling.format_fig23a(scaling_result.records_sweep))
-        add("Fig. 23b", scaling.format_fig23b(scaling_result.depth_sweep))
-        add("Fig. 24", sweep.format_fig24(
-            sweep.run_sweep(scale=scale, executor=executor)))
+        records = {
+            at: grid.run_grid(scaling.WORKLOADS, scaling.records_cells(),
+                              at, executor)[0]
+            for at in scaling.RECORD_SCALES
+        }
+        add("Fig. 23a", scaling.format_fig23a(records))
+        add("Fig. 23b", scaling.format_fig23b(grid.run_grid(
+            scaling.WORKLOADS, scaling.depth_cells(), scaling.DEPTH_SCALE,
+            executor)[0]))
+        add("Fig. 24", sweep.format_fig24(grid.run_grid(
+            sweep.DEFAULT_WORKLOADS, sweep.design_cells(), scale, executor)))
 
     def table_3() -> None:
         add("Table 3", claims.format_paper_values(scale, executor=executor))

@@ -36,9 +36,10 @@ from typing import Any
 
 from repro import gate
 from repro.bench.format import render_table
-from repro.bench.runner import build_memsys
+from repro.bench.grid import run_grid
 from repro.cmdline import float_list, report_problems
-from repro.sim.metrics import RunResult, simulate
+from repro.exec import Executor
+from repro.exec.worker import forget_workload, seed_workload
 from repro.workloads.suite import PAPER_SCALE, build_workload, sized
 
 #: Paper-scale fractions the committed baseline covers. 1.0 is the
@@ -86,10 +87,6 @@ class SweepPoint:
     def to_dict(self) -> dict[str, Any]:
         return dict(vars(self))
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SweepPoint":
-        return cls(**data)
-
 
 def run_point(
     frac: float,
@@ -104,6 +101,10 @@ def run_point(
     bounded per-walk state). RSS peak is reported informationally: it is
     process-lifetime-monotone, so only the largest point's value means
     anything in a multi-point run.
+
+    The probe always builds fresh. The built workload is then donated to
+    the worker memo, so the grid's in-process executor simulates it
+    without a second build, and forgotten once the point is measured.
     """
     scale = frac * PAPER_SCALE
     tracemalloc.start()
@@ -125,14 +126,16 @@ def run_point(
         budget_bytes=point_budget_bytes(num_records),
         rss_peak_bytes=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
     )
-    runs: dict[str, RunResult] = {}
-    for kind in SYSTEMS:
-        sim = workload.config.sim_params()
-        memsys = build_memsys(kind, workload, workload.default_cache_bytes, sim)
-        runs[kind] = simulate(
-            memsys, workload.requests, sim, workload.total_index_blocks,
-            walks=workload.walks,
-        )
+    seed_workload(workload)
+    try:
+        with Executor(jobs=1) as executor:
+            row, = run_grid((workload_name,), {
+                kind: {"system": kind,
+                       "workload_kwargs": {"max_walks": max_walks}}
+                for kind in SYSTEMS
+            }, scale, executor, seed)
+    finally:
+        forget_workload(workload)
     point.metrics = {
         kind: {
             "makespan": run.makespan,
@@ -140,9 +143,9 @@ def run_point(
             "avg_walk_latency": run.avg_walk_latency,
             "working_set_fraction": run.working_set_fraction,
         }
-        for kind, run in runs.items()
+        for kind, run in row.runs.items()
     }
-    point.speedup = runs["stream"].makespan / max(1, runs["metal"].makespan)
+    point.speedup = row.speedups()["metal"]
     return point
 
 

@@ -7,10 +7,9 @@ the tile counts and cache sizes shrink by the same ~4-8x factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.bench.format import render_table
-from repro.exec import Executor, RunSpec, default_executor
+from repro.bench.grid import CellTable, GridRow
+from repro.sim.metrics import RunResult
 from repro.workloads.suite import PAPER_LABELS
 
 DEFAULT_WORKLOADS = ("join", "spmm", "rtree")
@@ -23,78 +22,46 @@ BANDWIDTH_LIMIT = 0.5
 MISS_LIMIT = 0.3
 
 
-@dataclass
-class SweepCell:
-    workload: str
-    tiles: int
-    cache_bytes: int
-    speedup: float
-    bandwidth: float
-    miss_rate: float
-
-    @property
-    def region(self) -> str:
-        if self.bandwidth >= BANDWIDTH_LIMIT:
-            return "band.lim"
-        if self.miss_rate >= MISS_LIMIT:
-            return "cache.lim"
-        return "par.lim"
-
-
-def run_sweep(
-    workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
+def design_cells(
     tiles: tuple[int, ...] = DEFAULT_TILES,
     caches: tuple[int, ...] = DEFAULT_CACHES,
-    scale: float = 0.25,
     base_tiles: int = 4,
-    executor: Executor | None = None,
-) -> list[SweepCell]:
-    """Normalized speedup grid; base = small-tile streaming DSA."""
-    executor = executor or default_executor()
-    specs: list[RunSpec] = []
-    grid: list[tuple[str, int, int]] = []
-    for name in workloads:
-        specs.append(RunSpec(
-            workload=name, system="stream", scale=scale, tiles=base_tiles,
-        ))
-        grid.append((name, base_tiles, 0))
-        for tile_count in tiles:
-            for cache_bytes in caches:
-                specs.append(RunSpec(
-                    workload=name, system="metal", scale=scale,
-                    tiles=tile_count, cache_bytes=cache_bytes,
-                ))
-                grid.append((name, tile_count, cache_bytes))
-    folded = executor.run_results(specs)
-    cells = []
-    stride = 1 + len(tiles) * len(caches)
-    for i, name in enumerate(workloads):
-        block = folded[i * stride:(i + 1) * stride]
-        base = block[0].makespan
-        for (cell_name, tile_count, cache_bytes), run in zip(
-            grid[i * stride + 1:(i + 1) * stride], block[1:]
-        ):
-            cells.append(
-                SweepCell(
-                    workload=cell_name,
-                    tiles=tile_count,
-                    cache_bytes=cache_bytes,
-                    speedup=base / max(1, run.makespan),
-                    bandwidth=run.bandwidth_utilization,
-                    miss_rate=run.miss_rate,
-                )
-            )
-    return cells
+) -> CellTable:
+    """Fig. 24: METAL per (tiles, cache bytes), over a small-tile
+    streaming base (``GridRow.speedups`` normalizes to it)."""
+    table: dict = {"stream": {"system": "stream", "tiles": base_tiles}}
+    for tile_count in tiles:
+        for cache_bytes in caches:
+            table[(tile_count, cache_bytes)] = {
+                "system": "metal", "tiles": tile_count,
+                "cache_bytes": cache_bytes,
+            }
+    return table
 
 
-def format_fig24(cells: list[SweepCell]) -> str:
+def region(run: RunResult) -> str:
+    if run.bandwidth_utilization >= BANDWIDTH_LIMIT:
+        return "band.lim"
+    if run.miss_rate >= MISS_LIMIT:
+        return "cache.lim"
+    return "par.lim"
+
+
+def format_fig24(rows: list[GridRow]) -> str:
     headers = ["workload", "tiles", "cache", "speedup", "bw util", "region"]
-    rows = [
-        [PAPER_LABELS.get(c.workload, c.workload), c.tiles,
-         f"{c.cache_bytes // 1024}KB", c.speedup, c.bandwidth, c.region]
-        for c in cells
-    ]
+    table = []
+    for row in rows:
+        speedups = row.speedups()
+        for label, run in row.runs.items():
+            if label == "stream":
+                continue
+            tile_count, cache_bytes = label
+            table.append([
+                PAPER_LABELS.get(row.workload, row.workload), tile_count,
+                f"{cache_bytes // 1024}KB", speedups[label],
+                run.bandwidth_utilization, region(run),
+            ])
     return render_table(
-        headers, rows,
+        headers, table,
         "Fig. 24 — Speedup vs cache size and tile count (base: small streaming DSA)",
     )

@@ -3,9 +3,9 @@
 Every bench cell — one (workload, memory system) simulation with its
 overrides — is described declaratively instead of via ad-hoc kwargs
 plumbing. The spec serializes to a canonical JSON form whose SHA-256
-digest keys the on-disk result cache and the per-spec deterministic
-seeding, so two specs that mean the same run always hash the same
-(kwargs are stored as sorted tuples regardless of construction order).
+digest keys the on-disk result cache, so two specs that mean the same
+run always hash the same (kwargs are stored as sorted tuples regardless
+of construction order).
 
 Only JSON scalars are allowed in override values: a spec must mean the
 same bytes on every machine and Python version.
@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.core.policy import DEFAULT_POLICY
 from repro.frozen import FrozenSpec
+from repro.sim.memsys import check_memsys_args
 
 Scalar = (type(None), bool, int, float, str)
 
@@ -53,9 +55,13 @@ class RunSpec(FrozenSpec):
     mutating-index extension (bench.dynamic), where ``workload_kwargs``
     carries the mix parameters instead of builder arguments.
 
-    Out-of-range values raise ``ValueError`` at construction: ``scale``
-    must be > 0, ``tiles``/``cache_bytes``/``cache_factor`` >= 1 when
-    set, and ``requests_slice`` needs offset >= 0 and step >= 1.
+    Bad specs raise at construction, in the calling process, never later
+    inside a pool worker. Out-of-range values raise ``ValueError``:
+    ``scale`` must be > 0, ``tiles``/``cache_bytes``/``cache_factor`` >= 1
+    when set, and ``requests_slice`` needs offset >= 0 and step >= 1. An
+    unknown ``system`` raises ``ValueError``, and ``memsys_kwargs``, a
+    non-default ``policy`` or a ``tuner`` its kind does not take raise
+    ``TypeError`` (:func:`repro.sim.memsys.check_memsys_args`).
     """
 
     workload: str
@@ -83,9 +89,9 @@ class RunSpec(FrozenSpec):
     #: build_memsys overrides (tune, batch_walks, coalesce, ...).
     memsys_kwargs: KwargItems = ()
     #: IX-cache replacement policy (repro.core.policy registry name). Only
-    #: the METAL systems honor non-default values; the default keeps every
+    #: the METAL systems take non-default values; the default keeps every
     #: digest-relevant byte identical to specs that predate the field.
-    policy: str = "utility_rrip"
+    policy: str = DEFAULT_POLICY
     #: Online admission-threshold tuner config (ThresholdTuner ctor kwargs
     #: as sorted items, same canonical form as the *_kwargs fields). ()
     #: means no tuner. Metal-only, like ``policy``.
@@ -124,6 +130,12 @@ class RunSpec(FrozenSpec):
                 raise ValueError(
                     "RunSpec.requests_slice needs offset >= 0 and step >= 1, "
                     f"got {tuple(self.requests_slice)!r}")
+        names = list(dict(self.memsys_kwargs))
+        if self.policy != DEFAULT_POLICY:
+            names.append("policy")
+        if self.tuner:
+            names.append("tuner")
+        check_memsys_args(self.system, names)
 
     @classmethod
     def make(cls, workload: str, system: str, **kwargs: Any) -> "RunSpec":

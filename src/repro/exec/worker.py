@@ -12,25 +12,26 @@ Workloads are built worker-side from the spec (registry name + scale +
 seed + builder kwargs) and memoized per process with a small LRU.
 :func:`get_workload` is that memo's only entrance for code that needs a
 built registry workload, in a worker or in the calling process (the
-report's Table 2, ``compare``'s notes line, the ablation's
-shared-vs-private sizing, the serving tile model), so
-each (name, scale, seed, kwargs) key is built once per process. With a
+report's Table 2, ``compare``'s notes line, grid cells tables that
+depend on the built workload, the serving tile model), so each (name,
+scale, seed, kwargs) key is built once per process. With a
 forked pool the memo is inherited copy-on-write.
 
-:func:`seed_workload` donates a workload built elsewhere; it is for the
-benchmark harness, which times the build apart from the simulation, and
-for tests.
+:func:`seed_workload` donates a workload built elsewhere and
+:func:`forget_workload` drops it again; they are for callers that time
+or measure a build apart from the simulation (the benchmark harness, the
+paper-scale sweep's memory probe) and for tests.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from collections import OrderedDict
 from dataclasses import replace
 from typing import Any
 
 from repro.bench.runner import build_memsys
+from repro.core.policy import DEFAULT_POLICY
 from repro.exec.spec import RunSpec
 from repro.params import CacheParams
 from repro.sim.metrics import RunResult, simulate
@@ -54,6 +55,12 @@ def seed_workload(workload: Workload) -> None:
     """
     _remember(_memo_key(workload.name, workload.scale, workload.seed,
                         workload.builder_kwargs), workload)
+
+
+def forget_workload(workload: Workload) -> None:
+    """Drop a donated workload from the memo, so it can be freed."""
+    _WORKLOAD_MEMO.pop(_memo_key(workload.name, workload.scale, workload.seed,
+                                 workload.builder_kwargs), None)
 
 
 def clear_workload_memo() -> None:
@@ -156,19 +163,12 @@ def _execute_run(spec: RunSpec) -> dict[str, Any]:
 
         requests = schedule(requests, spec.schedule)
 
+    # RunSpec checked at construction that the kind takes these.
     overrides = dict(spec.memsys_kwargs)
-    if spec.policy != "utility_rrip" or spec.tuner:
-        if spec.system not in ("metal", "metal_ix"):
-            raise ValueError(
-                f"policy/tuner overrides only apply to METAL systems, "
-                f"got system {spec.system!r}"
-            )
-        if spec.policy != "utility_rrip":
-            overrides["policy"] = spec.policy
-        if spec.tuner:
-            if spec.system != "metal":
-                raise ValueError("tuner needs the pattern controller (metal)")
-            overrides["tuner"] = dict(spec.tuner)
+    if spec.policy != DEFAULT_POLICY:
+        overrides["policy"] = spec.policy
+    if spec.tuner:
+        overrides["tuner"] = dict(spec.tuner)
     if spec.cache_kwargs:
         overrides["cache_params"] = replace(
             CacheParams(capacity_bytes=cache_bytes), **dict(spec.cache_kwargs)
@@ -231,15 +231,10 @@ def execute_spec(spec: RunSpec) -> dict[str, Any]:
     (``digest``/``canonical_dict``/``label``/``op``) rides the same
     dedup/pool/store machinery — :class:`repro.serve.spec.ServeSpec`
     is the second such type.
-
-    Seeds the module-level RNG from the spec digest first: any stray
-    ``random`` use downstream is deterministic per spec, independent of
-    which worker runs it or what ran before.
     """
     execute = _DISPATCH.get(spec.op)
     if execute is None:
         raise ValueError(f"unknown spec op {spec.op!r}")
-    random.seed(int(spec.digest()[:16], 16))
     # The per-node block-footprint memo is unbounded; across a sweep of
     # many differently-sized workloads it would grow without limit (and
     # carry stale geometry between unrelated specs), so start each spec

@@ -2,9 +2,9 @@
 
 :class:`~repro.exec.spec.RunSpec`, :class:`~repro.serve.spec.ServeSpec`
 and :class:`~repro.faults.plan.FaultPlan` are pure data whose digests key
-the result store and seed per-spec randomness, so all three must turn
-into bytes the same way. This module imports nothing from ``repro`` so
-any layer can use it without an import cycle.
+the result store, so all three must turn into bytes the same way. This
+module imports nothing from ``repro`` so any layer can use it without an
+import cycle.
 """
 
 from __future__ import annotations

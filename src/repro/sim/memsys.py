@@ -1088,6 +1088,19 @@ _KIND_ARGS: dict[str, tuple[str, ...]] = {
 }
 
 
+def check_memsys_args(kind: str, names: Iterable[str] = ()) -> None:
+    """Raise unless ``kind`` is a memory-system kind that takes every
+    keyword argument in ``names``: ``ValueError`` for an unknown kind,
+    ``TypeError`` naming each argument the kind does not take."""
+    taken = _KIND_ARGS.get(kind)
+    if taken is None:
+        raise ValueError(f"unknown memory system kind {kind!r}")
+    unknown = sorted(set(names).difference(taken))
+    if unknown:
+        raise TypeError(f"memory system {kind!r} does not take "
+                        f"{', '.join(map(repr, unknown))}")
+
+
 def make_memsys(
     kind: str,
     sim: SimParams | None = None,
@@ -1097,7 +1110,7 @@ def make_memsys(
     """Factory over every organization the evaluation compares.
 
     ``sim`` and ``cache_params`` apply to every kind; any other keyword
-    argument the kind does not take (:data:`_KIND_ARGS`) raises
+    argument the kind does not take (:func:`check_memsys_args`) raises
     ``TypeError``. ``fa_opt`` needs ``requests`` (the two-pass OPT
     construction), which it resolves through the ``walks`` memo when one
     is given. ``metal_ix`` and ``metal`` build one :class:`IXCache` from
@@ -1106,12 +1119,7 @@ def make_memsys(
     (``batch_walks``, ``tune``, and ``tuner``: a :class:`ThresholdTuner`
     or its keyword arguments).
     """
-    if kind not in _KIND_ARGS:
-        raise ValueError(f"unknown memory system kind {kind!r}")
-    unknown = sorted(set(kwargs) - set(_KIND_ARGS[kind]))
-    if unknown:
-        raise TypeError(f"memory system {kind!r} does not take "
-                        f"{', '.join(map(repr, unknown))}")
+    check_memsys_args(kind, kwargs)
     if kind == "stream":
         return StreamingMemSys(sim)
     if kind == "address":

@@ -54,14 +54,35 @@ class TestBreakdownOccupancyAdaptivity:
         assert "IX only" in breakdown.format_fig20(results)
 
     def test_occupancy(self):
-        results = occupancy.run_occupancy(("scan",), scale=SCALE)
-        assert "metal" in results[0].by_level
+        results = run_grid(("scan",), occupancy.OCCUPANCY_CELLS, scale=SCALE)
+        assert "metal" in occupancy.by_level(results[0])
         assert "L0" in occupancy.format_fig21(results)
 
     def test_adaptivity(self):
-        result = adaptivity.run_adaptivity(scale=SCALE)
-        assert result.windows
-        assert "window" in adaptivity.format_fig22(result)
+        row, = run_grid(adaptivity.WORKLOADS, adaptivity.cells, scale=SCALE)
+        assert adaptivity.windows(row)
+        assert "window" in adaptivity.format_fig22(row)
+
+
+class TestGrid:
+    def test_collect_shows_up_in_the_rows_extras(self):
+        cells = {
+            "heights": {"system": "stream", "collect": ("index_heights",)},
+            "plain": {"system": "stream"},
+        }
+        row, = run_grid(("scan",), cells, scale=SCALE)
+        heights = [index.height
+                   for index in get_workload("scan", SCALE).indexes]
+        assert row.extras["heights"] == {"index_heights": heights}
+        assert row.extras["plain"] == {}
+        assert row.runs["heights"].makespan == row.runs["plain"].makespan
+
+    def test_cells_may_depend_on_the_built_workload(self):
+        def cells(workload):
+            return {len(workload.requests): {"system": "stream"}}
+
+        row, = run_grid(("scan",), cells, scale=SCALE)
+        assert list(row.runs) == [len(get_workload("scan", SCALE).requests)]
 
 
 class TestReport:
@@ -130,7 +151,8 @@ class TestOneBuildPerWorkload:
         executor = Executor(jobs=1)
         run_grid(("scan",), scale=0.02, executor=executor)
         run_grid(("scan",), trends.TREND_CELLS, scale=0.02, executor=executor)
-        occupancy.run_occupancy(("scan",), scale=0.02, executor=executor)
+        run_grid(("scan",), occupancy.OCCUPANCY_CELLS, scale=0.02,
+                 executor=executor)
         assert builds == {"scan": 1}
 
     def test_compare_builds_once(self, builds, capsys):

@@ -1,4 +1,4 @@
-"""Smoke tests: every experiment's run_*/format_* pipeline at tiny scale.
+"""Smoke tests: every experiment's cells/format_* pipeline at tiny scale.
 
 The paper's claims are checked at the scales they are stated for
 (``tests/test_claims.py``); at smoke scale the cache/working-set ratios
@@ -32,7 +32,6 @@ from repro.exec import get_workload
 from repro.workloads.suite import WORKLOAD_BUILDERS
 
 SCALE = 0.01
-SCAN = dict(workload_name="scan", scale=SCALE)
 
 
 def assert_rows(text: str) -> None:
@@ -82,35 +81,40 @@ def _fig20():
 
 
 def _fig21():
-    results = occupancy.run_occupancy(scale=SCALE)
-    assert results[0].workload == "scan" and "metal" in results[0].by_level
+    results = grid.run_grid(occupancy.DEFAULT_WORKLOADS,
+                            occupancy.OCCUPANCY_CELLS, scale=SCALE)
+    assert results[0].workload == "scan"
+    assert "metal" in occupancy.by_level(results[0])
     text = occupancy.format_fig21(results)
     assert "L0" in text
     return [text]
 
 
 def _fig22():
-    result = adaptivity.run_adaptivity(scale=SCALE)
-    assert result.windows
-    text = adaptivity.format_fig22(result)
+    row, = grid.run_grid(adaptivity.WORKLOADS, adaptivity.cells, scale=SCALE)
+    assert adaptivity.windows(row)
+    text = adaptivity.format_fig22(row)
     assert "window" in text
     return [text]
 
 
 def _scaling():
-    cells = scaling.run_records_sweep(scales=(SCALE,), cache_sizes=(4 * 1024,))
-    depth_cells = scaling.run_depth_sweep(depths=(6,), scale=SCALE)
-    return [scaling.format_fig23a(cells), scaling.format_fig23b(depth_cells)]
+    records = {SCALE: grid.run_grid(
+        scaling.WORKLOADS, scaling.records_cells((4 * 1024,)), SCALE)[0]}
+    depth, = grid.run_grid(scaling.WORKLOADS, scaling.depth_cells((6,)), SCALE)
+    return [scaling.format_fig23a(records), scaling.format_fig23b(depth)]
 
 
 def _ablation():
+    def row(cells):
+        return grid.run_grid(ablation.WORKLOADS, cells, SCALE)[0]
+
     return [
-        ablation.format_geometry(
-            ablation.run_geometry_sweep(ways_options=(1, 4), **SCAN)),
+        ablation.format_geometry(row(ablation.geometry_cells((1, 4)))),
         ablation.format_shared_vs_private(
-            ablation.run_shared_vs_private(partitions=4, **SCAN)),
-        ablation.format_toggles(ablation.run_mechanism_toggles(**SCAN)),
-        ablation.format_scheduling(ablation.run_scheduling(**SCAN)),
+            row(ablation.shared_vs_private_cells)),
+        ablation.format_toggles(row(ablation.TOGGLE_CELLS)),
+        ablation.format_scheduling(row(ablation.SCHEDULING_CELLS)),
     ]
 
 
@@ -134,7 +138,8 @@ def _serve():
     return [serve_mod.format_serve(curve)]
 
 
-#: experiment -> its run_* at smoke scale, returning the formatted tables.
+#: experiment -> its grid (or runner) at smoke scale, returning the
+#: formatted tables.
 EXPERIMENTS = {
     "fig07": lambda: [tagmatch.format_fig7(tagmatch.run_tagmatch())],
     "table2": lambda: [tables.format_table2(
@@ -145,13 +150,14 @@ EXPERIMENTS = {
     "fig18": _fig18,
     "fig19": lambda: [energy.format_fig19(_systems())],
     "fig20": _fig20,
-    "attribution": lambda: [breakdown.format_attribution(
-        breakdown.run_attribution(scale=SCALE))],
+    "attribution": lambda: [breakdown.format_attribution(grid.run_grid(
+        breakdown.ATTRIBUTION_WORKLOADS, breakdown.ATTRIBUTION_CELLS,
+        scale=SCALE))],
     "fig21": _fig21,
     "fig22": _fig22,
     "fig23": _scaling,
-    "fig24": lambda: [sweep.format_fig24(sweep.run_sweep(
-        workloads=("join",), tiles=(4, 8), caches=(2 * 1024, 8 * 1024),
+    "fig24": lambda: [sweep.format_fig24(grid.run_grid(
+        ("join",), sweep.design_cells(tiles=(4, 8), caches=(2 * 1024, 8 * 1024)),
         scale=SCALE))],
     "fig25": lambda: [energy.format_fig25(_systems())],
     "ablation": _ablation,

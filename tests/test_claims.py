@@ -70,12 +70,18 @@ def test_unknown_experiment_rejected():
         Claim("x", "Fig. 0", "", "nope", len, Rule(">", 0))
 
 
-def test_seedless_experiments_reject_other_seeds():
-    row = Claim("x", "Fig. 18", "", "speedups",
-                lambda results: results[0].speedups()["metal"],
-                Rule(">", 0), scales=(0.01,), seeds=(1,), workloads=("scan",))
-    with pytest.raises(ValueError, match="seed 0 only"):
-        claims.evaluate([row])
+def test_grid_experiments_take_the_seed():
+    """A grid experiment runs the row's seed, not seed 0."""
+    def metal_makespan(seed):
+        row = Claim("x", "Fig. 18", "", "speedups",
+                    lambda results: results[0].runs["metal"].makespan,
+                    Rule(">", 0), scales=(0.01,), seeds=(seed,),
+                    workloads=("scan",))
+        return claims.evaluate([row])["x"].value
+
+    cells = claims.Cells("scan", 0.01, 1, claims.default_executor())
+    assert metal_makespan(1) == cells("metal").makespan
+    assert metal_makespan(1) != metal_makespan(0)
 
 
 def test_every_paper_value_is_rendered():

@@ -52,8 +52,8 @@ def test_spec_digest_distinguishes_fields():
 
 
 def test_spec_digests_are_pinned():
-    """Digests key the result store and seed per-spec randomness, so the
-    canonical form must never move: these values are literal."""
+    """Digests key the result store, so the canonical form must never
+    move: these values are literal."""
     from repro.faults import FaultPlan
     from repro.serve.spec import ServeSpec
 
@@ -194,16 +194,45 @@ def test_executor_dedups_within_and_across_batches():
 
 def test_executor_captures_failures_without_killing_batch():
     good = RunSpec.make("scan", "stream", scale=SMALL)
-    bad = RunSpec.make("scan", "no_such_system", scale=SMALL)
+    # A SimParams value is checked only when the worker applies it.
+    bad = RunSpec.make("scan", "stream", scale=SMALL,
+                       sim_kwargs={"t_search": -4})
     with Executor(jobs=1) as ex:
         ok, failed = ex.run([good, bad])
     assert ok.ok and ok.require().num_walks > 0
     assert not failed.ok
-    assert "no_such_system" in failed.error
+    assert "t_search" in failed.error
     with pytest.raises(ExecError) as err:
         failed.require()
-    assert "no_such_system" in str(err.value)
+    assert "t_search" in str(err.value)
     assert ex.stats.failed == 1
+
+
+@pytest.mark.parametrize("kwargs,error,message", [
+    ({"system": "no_such_system"}, ValueError, "unknown memory system kind"),
+    ({"system": "xcache", "policy": "multistep_lru"}, TypeError, "'policy'"),
+    ({"system": "metal_ix", "tuner": {"step": 1}}, TypeError, "'tuner'"),
+    ({"system": "stream", "memsys_kwargs": {"tune": False}}, TypeError,
+     "'tune'"),
+    ({"system": "metal", "memsys_kwargs": {"tunes": False}}, TypeError,
+     "'tunes'"),
+], ids=["unknown-system", "metal-only-policy", "metal-only-tuner",
+        "stream-memsys-kwargs", "misspelt-memsys-kwarg"])
+def test_bad_spec_raises_at_construction(kwargs, error, message):
+    """A spec its memory system cannot build fails where it is made,
+    in the calling process, not later inside a pool worker."""
+    system = kwargs.pop("system")
+    with pytest.raises(error, match=message):
+        RunSpec.make("scan", system, scale=SMALL, **kwargs)
+
+
+def test_spec_check_accepts_what_the_kind_takes():
+    RunSpec.make("scan", "metal", scale=SMALL, policy="multistep_lru",
+                 tuner={"step": 1}, memsys_kwargs={"tune": False})
+    RunSpec.make("scan", "metal_ix", scale=SMALL, policy="multistep_lru",
+                 memsys_kwargs={"coalesce": False})
+    # The default policy is no override, so every kind accepts it.
+    RunSpec.make("scan", "stream", scale=SMALL, policy="utility_rrip")
 
 
 def test_parallel_jobs_byte_identical_to_serial():

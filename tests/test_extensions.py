@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.bench.ablation import (
-    run_geometry_sweep,
-    run_mechanism_toggles,
-    run_shared_vs_private,
-)
+from repro.bench import ablation
+from repro.bench.grid import run_grid
 from repro.bench.runner import run_workload
 from repro.cli import main as cli_main
 from repro.exec import get_workload
@@ -22,30 +19,34 @@ def scan_workload():
     return get_workload("scan", SCALE)
 
 
+def _scan_row(cells):
+    return run_grid(ablation.WORKLOADS, cells, scale=SCALE)[0]
+
+
 class TestGeometryAblation:
     def test_more_ways_not_worse(self):
-        results = run_geometry_sweep(ways_options=(1, 16), scale=SCALE)
+        results = _scan_row(ablation.geometry_cells((1, 16))).runs
         assert results[16].makespan <= results[1].makespan * 1.05
 
     def test_all_ways_run(self):
-        results = run_geometry_sweep(ways_options=(4, 8), scale=SCALE)
+        results = _scan_row(ablation.geometry_cells((4, 8))).runs
         assert set(results) == {4, 8}
 
 
 class TestSharedVsPrivate:
     def test_shared_has_better_hit_rate(self):
-        result = run_shared_vs_private(partitions=4, scale=SCALE)
-        shared_hit = result.shared.cache_stats.hit_rate
-        assert shared_hit >= result.private_hit_rate
+        row = _scan_row(ablation.shared_vs_private_cells)
+        assert len(row.runs) == 1 + ablation.PARTITIONS
+        shared_hit = row.runs["shared"].cache_stats.hit_rate
+        assert shared_hit >= ablation.private_hit_rate(row)
 
 
 class TestMechanismToggles:
     def test_all_configs_run(self):
-        results = run_mechanism_toggles(scale=SCALE)
-        labels = {r.label for r in results}
-        assert "metal (default)" in labels
-        assert "address + prefetch" in labels
-        assert all(r.run.makespan > 0 for r in results)
+        runs = _scan_row(ablation.TOGGLE_CELLS).runs
+        assert "metal (default)" in runs
+        assert "address + prefetch" in runs
+        assert all(run.makespan > 0 for run in runs.values())
 
 
 class TestPrefetcher:

@@ -235,29 +235,35 @@ class TestBenchAttributionCrossCheck:
         # cycles (exactness survives the bench plumbing), and the DRAM
         # share shrinks going stream -> metal, which is *why* Fig. 20's
         # factors deliver speedup.
-        from repro.bench.breakdown import run_attribution
+        from repro.bench.breakdown import ATTRIBUTION_CELLS
+        from repro.bench.grid import run_grid
 
-        results = run_attribution(
-            workloads=("scan",), systems=("stream", "metal"), scale=SCALE
-        )
-        assert [r.system for r in results] == ["stream", "metal"]
-        by_system = {r.system: r for r in results}
-        for r in results:
-            assert r.dropped == 0
-            assert sum(r.totals.values()) == r.total_walk_cycles
+        row, = run_grid(("scan",), ATTRIBUTION_CELLS, scale=SCALE)
+        assert list(row.runs) == ["stream", "metal"]
+        totals = {}
+        for system, run in row.runs.items():
+            attribution = row.extras[system]["attribution"]
+            assert attribution["dropped"] == 0
+            totals[system] = attribution["totals"]
+            assert sum(totals[system].values()) == run.total_walk_cycles
         dram = ("dram_queue", "dram_hit", "dram_miss")
-        stream_share = sum(by_system["stream"].fraction(c) for c in dram)
-        metal_cycles = sum(by_system["metal"].totals[c] for c in dram)
-        stream_cycles = sum(by_system["stream"].totals[c] for c in dram)
+        metal_cycles = sum(totals["metal"][c] for c in dram)
+        stream_cycles = sum(totals["stream"][c] for c in dram)
         assert metal_cycles < stream_cycles
-        assert stream_share > 0.5  # streaming DSA is DRAM-bound
+        # streaming DSA is DRAM-bound
+        assert stream_cycles / row.runs["stream"].total_walk_cycles > 0.5
 
     def test_format_attribution_renders(self):
-        from repro.bench.breakdown import AttributionResult, format_attribution
+        from types import SimpleNamespace
 
-        text = format_attribution([
-            AttributionResult("scan", "metal", 100,
-                              {c: 0 for c in ATTRIBUTION_CATEGORIES}),
-        ])
+        from repro.bench.breakdown import format_attribution
+        from repro.bench.grid import GridRow
+
+        text = format_attribution([GridRow(
+            "scan", runs={"metal": SimpleNamespace(total_walk_cycles=100)},
+            extras={"metal": {"attribution": {
+                "totals": {c: 0 for c in ATTRIBUTION_CATEGORIES},
+                "dropped": 0}}},
+        )])
         assert "dram_miss %" in text
         assert "metal" in text

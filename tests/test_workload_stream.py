@@ -184,3 +184,24 @@ def test_scale_sweep_sizes_the_named_workload():
 
     point = run_point(0.0001, "select", max_walks=50)
     assert point.num_records == sized("select", "records", point.scale) == 1_000
+
+
+def test_scale_sweep_probe_builds_fresh_every_call():
+    """run_point donates its build to the worker memo for the grid; a
+    second call in the same process must still build (and measure) the
+    workload, not read the memo. The first call of a process also pays
+    for lazy imports, and tracemalloc's peak moves by a few hundred
+    bytes between identical builds, so a warm-up call comes first and the
+    two measured peaks agree to 1%."""
+    from repro.bench.scale_sweep import run_point
+    from repro.exec.worker import _WORKLOAD_MEMO
+
+    run_point(0.0001, "scan", max_walks=50)
+    first = run_point(0.0001, "scan", max_walks=50)
+    second = run_point(0.0001, "scan", max_walks=50)
+    assert first.build_peak_bytes > 100_000
+    assert second.build_peak_bytes == pytest.approx(first.build_peak_bytes,
+                                                    rel=0.01)
+    assert second.metrics == first.metrics
+    # The donated workload is dropped once the point is measured.
+    assert not any(key[:2] == ("scan", first.scale) for key in _WORKLOAD_MEMO)
