@@ -10,8 +10,10 @@
   baseline.
 * **Walk scheduling** — request-reorder policies under METAL-IX.
 
-Each ablation is a cells table over one workload (``WORKLOADS``) and a
-formatter of its :class:`~repro.bench.grid.GridRow`.
+Each ablation is a cells table over one workload (``WORKLOADS``). The
+first three have a formatter of their :class:`~repro.bench.grid.GridRow`,
+which ``python -m repro ablation`` prints; the scheduling cells feed the
+``ablation-key-sorted-issue`` claim row.
 """
 
 from __future__ import annotations
@@ -112,10 +114,9 @@ TOGGLE_CELLS = {
     # Fully-associative IX-cache (no key-block sets).
     "fully associative": {"system": "metal",
                           "memsys_kwargs": {"associative": False}},
-    # Address baseline variants: flat, next-line prefetch, two-level.
+    # Address baseline variants: flat and next-line prefetch.
     "address": {"system": "address"},
     "address + prefetch": {"system": "address_pf"},
-    "address L1+L2": {"system": "address_l2"},
 }
 
 
@@ -135,20 +136,6 @@ def format_toggles(row: GridRow) -> str:
 SCHEDULING_CELLS = {
     policy: {"system": "metal_ix", "schedule": policy} for policy in POLICIES
 }
-
-
-def format_scheduling(row: GridRow) -> str:
-    headers = ["policy", "makespan", "index DRAM", "row-hit rate"]
-    table = []
-    for policy, run in row.runs.items():
-        total_rows = run.dram.row_hits + run.dram.row_misses
-        table.append([
-            policy, run.makespan, run.index_dram_accesses,
-            run.dram.row_hits / max(1, total_rows),
-        ])
-    return render_table(
-        headers, table, "Ablation — walk-issue scheduling policies (METAL-IX)"
-    )
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
-from repro.bench.format import render_table
 from repro.exec import Executor, RunSpec, default_executor
 from repro.indexes.bplustree import BPlusTree
 from repro.params import CacheParams, SimParams
@@ -120,17 +119,3 @@ def run_dynamic_mix(
             )
         )
     return results
-
-
-def format_dynamic_mix(results: list[DynamicMixResult]) -> str:
-    base = results[0].makespan if results else 1
-    headers = ["system", "speedup", "avg walk latency", "DRAM", "coherent"]
-    rows = [
-        [r.system, base / max(1, r.makespan), r.avg_walk_latency,
-         r.dram_accesses, r.invalidations_survived]
-        for r in results
-    ]
-    return render_table(
-        headers, rows,
-        "Extension — read/insert mix on a live B+tree (base: first row)",
-    )

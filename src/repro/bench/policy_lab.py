@@ -35,6 +35,7 @@ from repro.cmdline import add_jobs, name_list, positive_float
 from repro.core.policy import POLICIES, make_policy, tag_energy_fj
 from repro.exec.executor import Executor
 from repro.params import CacheParams
+from repro.sim.memsys import KINDS
 from repro.sim.metrics import RunResult
 from repro.workloads.suite import WORKLOAD_BUILDERS
 
@@ -97,11 +98,16 @@ def sweep(
     system: str = DEFAULT_SYSTEM,
     tuned: bool = True,
 ) -> dict[str, Any]:
-    """Run the policies x workloads grid; returns the payload dict."""
+    """Run the policies x workloads grid; returns the payload dict.
+
+    The tuned cell runs only when ``tuned`` is set and the system's kind
+    takes a ``tuner`` (``metal``; ``metal_ix`` has no controller to tune).
+    """
     policies = tuple(policies) or tuple(sorted(POLICIES))
     cells: dict[str, dict[str, Any]] = {
         name: {"system": system, "policy": name} for name in policies}
     tag_bits = {name: make_policy(name).tag_bits for name in policies}
+    tuned = tuned and "tuner" in KINDS[system]
     if tuned:
         cells[TUNED_LABEL] = {"system": system, "tuner": TUNER_CONFIG}
         tag_bits[TUNED_LABEL] = make_policy(None).tag_bits
@@ -224,7 +230,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--system", default=DEFAULT_SYSTEM,
                         choices=("metal", "metal_ix"))
     parser.add_argument("--no-tuned", action="store_true",
-                        help="skip the auto-tuned default-policy cells")
+                        help="skip the auto-tuned default-policy cells "
+                             "(metal only: metal_ix never runs them)")
     parser.add_argument("--json", action="store_true",
                         help="emit the payload as JSON instead of tables")
     gate.add_arguments(parser, "BENCH_policy.json")

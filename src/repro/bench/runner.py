@@ -16,26 +16,17 @@ from repro.cmdline import add_jobs, add_workload, positive_float, positive_int
 
 from repro.core.ix_cache import block_bits_for
 from repro.params import CacheParams, SimParams
-from repro.sim.memsys import MemorySystem, make_memsys
+from repro.sim.memsys import KINDS, MemorySystem, make_memsys
 from repro.sim.metrics import RunResult, simulate
 from repro.workloads.suite import Workload
 
-#: Every organization the evaluation compares, in Fig. 18 order.
+#: The Fig. 18 lineup: the six organizations the paper compares (Table 1).
 SYSTEMS: tuple[str, ...] = ("stream", "address", "fa_opt", "xcache", "metal_ix", "metal")
-#: Variant systems accepted everywhere SYSTEMS is, but excluded from the
-#: default Fig. 18 lineup (next-line-prefetch address cache, two-level
-#: address hierarchy).
-EXTRA_SYSTEMS: tuple[str, ...] = ("address_pf", "address_l2")
-
-
-def known_systems() -> tuple[str, ...]:
-    """Every memory-system kind a subcommand may name."""
-    return SYSTEMS + EXTRA_SYSTEMS
 
 
 def unknown_systems(kinds) -> list[str]:
-    """The subset of ``kinds`` no subcommand can build, sorted."""
-    return sorted(set(kinds) - set(known_systems()))
+    """The subset of ``kinds`` :func:`make_memsys` cannot build, sorted."""
+    return sorted(set(kinds).difference(KINDS))
 
 
 def reject_unknown_systems(kinds) -> bool:
@@ -43,7 +34,7 @@ def reject_unknown_systems(kinds) -> bool:
     unknown = unknown_systems(kinds)
     if unknown:
         print(f"unknown systems: {unknown} "
-              f"(choose from {', '.join(known_systems())})", file=sys.stderr)
+              f"(choose from {', '.join(KINDS)})", file=sys.stderr)
     return bool(unknown)
 
 

@@ -88,16 +88,6 @@ class RTree2D:
     def rect(self, rect_id: int) -> Rect:
         return self._rects[rect_id]
 
-    # ------------------------------------------------------------------ #
-    # Walk surface (used by the simulator)
-    # ------------------------------------------------------------------ #
-
-    def x_walk(self, x: int) -> list[IndexNode]:
-        return self.x_tree.walk(x)
-
-    def y_walk(self, y: int) -> list[IndexNode]:
-        return self.y_tree.walk(y)
-
     def correlated_y_keys(self, x: int, window: int = 0) -> list[int]:
         """The y keys reachable from x-tree leaves within +-window of x."""
         keys: list[int] = []

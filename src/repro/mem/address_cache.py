@@ -30,11 +30,11 @@ class AddressCache:
         #: steps on these directly, as :meth:`lookup` and :meth:`insert` do.
         self.sets: list[OrderedDict[int, None]] = [OrderedDict() for _ in range(self._num_sets)]
 
-    def attach_obs(self, tracer, registry=None, prefix: str = "addr") -> None:
+    def attach_obs(self, tracer, registry=None) -> None:
         """Wire tracing and bind address-cache statistics into a registry."""
         self.tracer = tracer
         if registry is not None:
-            registry.bind_stats(prefix, self.stats, (
+            registry.bind_stats("addr", self.stats, (
                 "accesses", "hits", "misses", "insertions", "evictions",
             ))
 

@@ -6,7 +6,7 @@ chain per walk, so the walk's measured latency decomposes exactly into
 six components:
 
 * ``probe``      — SRAM probe service cycles (IX-cache tag match,
-  address-cache probes, FA CAM match, hierarchy hits).
+  address-cache probes, FA CAM match).
 * ``xbar_stall`` — cycles queued on a crossbar port before the probe
   was serviced.
 * ``dram_queue`` — cycles queued on a busy DRAM bank before the access

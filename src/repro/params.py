@@ -78,18 +78,16 @@ class DRAMParams:
 
 @dataclass(frozen=True)
 class CacheParams:
-    """Geometry + lookup latency of an on-chip cache.
+    """Geometry of an on-chip cache.
 
-    Sizes and counts must be at least 1, ``t_hit`` at least 0; a bad
-    value raises ``ValueError`` naming the field. Per-access energy is
-    per organization (:class:`repro.core.energy_model.CacheEnergyModel`).
+    Sizes and counts must be at least 1; a bad value raises ``ValueError``
+    naming the field. Per-access energy is per organization
+    (:class:`repro.core.energy_model.CacheEnergyModel`).
     """
 
     capacity_bytes: int = 64 * 1024
     block_bytes: int = BLOCK_SIZE
     ways: int = 16
-    #: Lookup latency in cycles.
-    t_hit: int = 2
 
     def __post_init__(self) -> None:
         _check(self, ("capacity_bytes", "block_bytes", "ways"))

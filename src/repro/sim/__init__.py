@@ -11,7 +11,6 @@ from repro.sim.engine import Access, Engine, EngineResult, WalkTrace
 from repro.sim.memsys import (
     AddressCacheMemSys,
     FAOPTMemSys,
-    HierarchyMemSys,
     MemorySystem,
     MetalMemSys,
     StreamingMemSys,
@@ -29,7 +28,6 @@ __all__ = [
     "Engine",
     "EngineResult",
     "FAOPTMemSys",
-    "HierarchyMemSys",
     "make_memsys",
     "MemorySystem",
     "MetalMemSys",

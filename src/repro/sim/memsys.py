@@ -16,7 +16,6 @@ a leaf stream through ``scan_hi``, served by whatever the system caches.
 * ``stream``   — streaming DSA: every node touch goes to DRAM.
 * ``address``  — set-associative LRU address cache: full root-to-leaf walk
   with per-block probes (a hit eliminates a single DRAM access).
-* ``address_l2`` — the same walk over an L1 + shared L2 hierarchy.
 * ``fa_opt``   — fully-associative address cache with Belady-OPT
   replacement (two-pass; walks must replay in preparation order).
 * ``xcache``   — X-cache [50]: key-tagged leaf cache; a hit short-circuits
@@ -47,9 +46,7 @@ from repro.mem.opt_cache import belady_hits
 from repro.mem.stats import CacheStats
 from repro.obs.tracer import NULL_TRACER
 from repro.params import BLOCK_SIZE, NS_STRIDE, CacheParams, SimParams
-from repro.sim.engine import (
-    K_COMPUTE, K_DRAM, K_LOCAL, K_PREFETCH, K_SRAM, TraceBatch,
-)
+from repro.sim.engine import K_COMPUTE, K_DRAM, K_PREFETCH, K_SRAM, TraceBatch
 
 
 def namespace_fn(index: Any) -> Callable[[int], int]:
@@ -542,151 +539,6 @@ class AddressCacheMemSys(MemorySystem):
         stats.evictions += evictions
 
 
-class HierarchyMemSys(MemorySystem):
-    """Two-level (L1 + shared L2) address hierarchy baseline.
-
-    A stronger conventional strawman than the flat address cache: walkers
-    get a fast private-ish L1 backed by the shared L2. Walks still
-    serialize level by level; only the per-level service latency changes.
-    """
-
-    name = "address_l2"
-
-    def __init__(
-        self,
-        sim: SimParams | None = None,
-        cache_params: CacheParams | None = None,
-    ) -> None:
-        super().__init__(sim)
-        from repro.mem.hierarchy import CacheHierarchy, HierarchyParams
-
-        if cache_params is not None:
-            # Split the budget 1:7 between L1 and L2 (typical ratio).
-            l1_bytes = max(BLOCK_SIZE * 4, cache_params.capacity_bytes // 8)
-            params = HierarchyParams(
-                l1=CacheParams(capacity_bytes=l1_bytes, ways=4, t_hit=2),
-                l2=CacheParams(
-                    capacity_bytes=max(BLOCK_SIZE * 4,
-                                       cache_params.capacity_bytes - l1_bytes),
-                    ways=cache_params.ways,
-                    t_hit=14,
-                ),
-            )
-            self.hierarchy = CacheHierarchy(params)
-        else:
-            self.hierarchy = CacheHierarchy()
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        # Report the L2 (shared level) statistics: the L1 is a latency
-        # filter, capacity behaviour lives in the L2.
-        return self.hierarchy.l2.stats
-
-    def _attach_components(self, tracer, registry=None) -> None:
-        self.hierarchy.l1.attach_obs(tracer, registry, prefix="cache.address_l1")
-        self.hierarchy.l2.attach_obs(tracer, registry)
-
-    def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
-        # One plain loop per block over both levels' per-set OrderedDicts:
-        # the bulk form of ``CacheHierarchy.lookup`` (L1, then L2 and an
-        # L1 fill on an L2 hit) and, on a miss, ``insert`` into L2 then
-        # L1. A block that missed a level is still absent from it, so
-        # each fill is an eviction when the set is full plus an append.
-        # Counters are added to both levels' statistics once per chunk.
-        t_search = self.sim.t_search
-        kinds = batch.kinds
-        a1 = batch.a1
-        a2 = batch.a2
-        hierarchy = self.hierarchy
-        l1 = hierarchy.l1
-        l2 = hierarchy.l2
-        sets1 = l1.sets
-        sets2 = l2.sets
-        num_sets1 = len(sets1)
-        num_sets2 = len(sets2)
-        ways1 = l1.params.ways
-        ways2 = l2.params.ways
-        bytes1 = l1.params.block_bytes
-        bytes2 = l2.params.block_bytes
-        l1_cycles = hierarchy.latency_of(1)
-        l2_cycles = hierarchy.latency_of(2)
-        miss_cycles = hierarchy.miss_latency_cycles
-        tracer = self.tracer
-        tracing = tracer.enabled
-        tracer1 = l1.tracer
-        tracer2 = l2.tracer
-        tracing1 = tracer1.enabled
-        tracing2 = tracer2.enabled
-        block_size = BLOCK_SIZE
-        probes = l1_hits = l2_hits = misses = evictions1 = evictions2 = 0
-        for request, prep in zip(requests, prepared):
-            if tracing:
-                tracer.walk = batch.num_walks
-            path = _path_blocks(prep)
-            probes += sum(map(len, path))
-            for blocks in path:
-                for block_addr in blocks:
-                    block1 = block_addr // bytes1
-                    set1 = sets1[block1 % num_sets1]
-                    hit = block1 in set1
-                    if tracing1:
-                        tracer1.emit("addr_probe", block=block1, hit=hit)
-                    if hit:
-                        set1.move_to_end(block1)
-                        l1_hits += 1
-                        # L1 hits are private: no crossbar port.
-                        kinds.append(K_LOCAL)
-                        a1.append(l1_cycles)
-                        a2.append(0)
-                        continue
-                    block2 = block_addr // bytes2
-                    set2 = sets2[block2 % num_sets2]
-                    hit = block2 in set2
-                    if tracing2:
-                        tracer2.emit("addr_probe", block=block2, hit=hit)
-                    kinds.append(K_SRAM)
-                    a1.append(block_addr // block_size)
-                    if hit:
-                        set2.move_to_end(block2)
-                        l2_hits += 1
-                        a2.append(l2_cycles)
-                    else:
-                        a2.append(miss_cycles)
-                        kinds.append(K_DRAM)
-                        a1.append(block_addr)
-                        a2.append(0)
-                        misses += 1
-                        if len(set2) >= ways2:
-                            set2.popitem(last=False)
-                            evictions2 += 1
-                        set2[block2] = None
-                    if len(set1) >= ways1:
-                        set1.popitem(last=False)
-                        evictions1 += 1
-                    set1[block1] = None
-                kinds.append(K_COMPUTE)
-                a1.append(t_search)
-                a2.append(0)
-            visited = len(path)
-            if request.scan_hi is not None:
-                visited += _stream_leaves(batch, prep, request.scan_hi)
-            batch.finish_walk(request, 0, visited, False, False)
-        batch.index_dram += misses
-        l1_misses = probes - l1_hits
-        stats = l1.stats
-        stats.accesses += probes
-        stats.hits += l1_hits
-        stats.misses += l1_misses
-        stats.insertions += l1_misses
-        stats.evictions += evictions1
-        stats = l2.stats
-        stats.accesses += l1_misses
-        stats.hits += l2_hits
-        stats.misses += misses
-        stats.insertions += misses
-        stats.evictions += evictions2
-
-
 class FAOPTMemSys(MemorySystem):
     """Fully-associative address cache with Belady-OPT replacement.
 
@@ -1075,12 +927,13 @@ class MetalMemSys(MemorySystem):
 
 #: IXCache's keyword arguments after its CacheParams; both METAL kinds take them.
 _IX_CACHE_ARGS = tuple(inspect.signature(IXCache).parameters)[1:]
-#: The keyword arguments each kind takes besides ``sim`` and ``cache_params``.
-_KIND_ARGS: dict[str, tuple[str, ...]] = {
+#: Every memory-system kind :func:`make_memsys` builds, with the keyword
+#: arguments it takes besides ``sim`` and ``cache_params``. The one list
+#: of kinds: CLI validation and ``RunSpec`` checks read it.
+KINDS: dict[str, tuple[str, ...]] = {
     "stream": (),
     "address": (),
     "address_pf": (),
-    "address_l2": (),
     "xcache": (),
     "fa_opt": ("requests", "walks"),
     "metal_ix": _IX_CACHE_ARGS,
@@ -1092,7 +945,7 @@ def check_memsys_args(kind: str, names: Iterable[str] = ()) -> None:
     """Raise unless ``kind`` is a memory-system kind that takes every
     keyword argument in ``names``: ``ValueError`` for an unknown kind,
     ``TypeError`` naming each argument the kind does not take."""
-    taken = _KIND_ARGS.get(kind)
+    taken = KINDS.get(kind)
     if taken is None:
         raise ValueError(f"unknown memory system kind {kind!r}")
     unknown = sorted(set(names).difference(taken))
@@ -1126,8 +979,6 @@ def make_memsys(
         return AddressCacheMemSys(sim, cache_params)
     if kind == "address_pf":
         return AddressCacheMemSys(sim, cache_params, prefetch=True)
-    if kind == "address_l2":
-        return HierarchyMemSys(sim, cache_params)
     if kind == "xcache":
         return XCacheMemSys(sim, cache_params)
     if kind == "fa_opt":

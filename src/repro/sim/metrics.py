@@ -104,11 +104,6 @@ class RunResult:
     def dram_energy_fj(self) -> float:
         return self.dram.energy_fj
 
-    def speedup_vs(self, baseline: "RunResult") -> float:
-        if self.makespan == 0:
-            return float("inf")
-        return baseline.makespan / self.makespan
-
     def latency_percentiles(self) -> dict[str, int] | None:
         """p50/p90/p99/max walk latency, or None when not recorded."""
         if self.latency_hist is None or self.latency_hist.count == 0:

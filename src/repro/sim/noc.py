@@ -55,11 +55,5 @@ class Crossbar:
             )
         return start + service_cycles
 
-    @property
-    def average_wait(self) -> float:
-        if self.requests == 0:
-            return 0.0
-        return self.total_wait / self.requests
-
     def reset_timing(self) -> None:
         self._port_free = [0] * self.params.ports

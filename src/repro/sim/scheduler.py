@@ -48,21 +48,3 @@ def schedule(
             out.extend(sorted(requests[start : start + batch], key=_sort_key))
         return out
     raise ValueError(f"unknown scheduling policy {policy!r}; choose from {POLICIES}")
-
-
-def reorder_distance(
-    original: Sequence[WalkRequest], scheduled: Sequence[WalkRequest]
-) -> float:
-    """Mean displacement of requests — how aggressive the reorder was."""
-    if len(original) != len(scheduled):
-        raise ValueError("schedules must be permutations of each other")
-    position: dict[int, list[int]] = {}
-    for i, request in enumerate(original):
-        position.setdefault(id(request), []).append(i)
-    total = 0
-    for j, request in enumerate(scheduled):
-        slots = position.get(id(request))
-        if not slots:
-            raise ValueError("scheduled stream contains foreign requests")
-        total += abs(slots.pop() - j)
-    return total / max(1, len(original))

@@ -37,25 +37,6 @@ def powerlaw_coo(
     return [(r, c, v) for (r, c), v in sorted(seen.items())]
 
 
-def banded_coo(
-    shape: tuple[int, int],
-    bandwidth: int,
-    density: float = 0.5,
-    seed: int = 0,
-) -> list[tuple[int, int, float]]:
-    """Banded matrix (bcsstk-like stiffness structure)."""
-    rows, cols = shape
-    rng = np.random.default_rng(seed)
-    triples = []
-    for r in range(rows):
-        lo = max(0, r - bandwidth)
-        hi = min(cols - 1, r + bandwidth)
-        for c in range(lo, hi + 1):
-            if rng.random() < density:
-                triples.append((r, c, float(rng.standard_normal())))
-    return triples
-
-
 def inner_product_rows(
     num_rows: int,
     nnz_per_row: int,

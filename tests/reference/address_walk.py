@@ -11,13 +11,6 @@ one access at a time through ``lookup``/``insert``/``contains``:
   or search step;
 * then the request's data/compute tail (``TraceBatch.finish_walk``).
 
-``hierarchy_chunk`` walks a :class:`~repro.mem.hierarchy.CacheHierarchy`
-through ``lookup``/``insert``, one access at a time: per touched block
-an L1 hit is a local step (the L1 hit latency); otherwise an SRAM probe
-(port = block id) of the L1+L2 latency, followed on an L2 miss by a DRAM
-fetch and a fill of both levels; then one ``t_search`` step per node.
-A range scan's leaves stream from DRAM, then the tail.
-
 ``faopt_chunk`` replays precomputed OPT flags the same way: per block a
 probe (``t_fa_probe``), a DRAM fetch on a miss, and a search step; then
 the scanned leaves straight from DRAM, then the tail.
@@ -26,7 +19,7 @@ the scanned leaves straight from DRAM, then the tail.
 from __future__ import annotations
 
 from repro.params import BLOCK_SIZE
-from repro.sim.engine import K_COMPUTE, K_DRAM, K_LOCAL, K_PREFETCH, K_SRAM
+from repro.sim.engine import K_COMPUTE, K_DRAM, K_PREFETCH, K_SRAM
 from repro.sim.memsys import _blocks_for, _scanned_leaves
 
 
@@ -69,46 +62,6 @@ def address_chunk(cache, batch, requests, prepared, sim, prefetch=False) -> None
                 visited += 1
                 for addr in _blocks(leaf):
                     probe(addr, False)
-        batch.finish_walk(request, 0, visited, False, False)
-
-
-def hierarchy_chunk(hierarchy, batch, requests, prepared, sim) -> None:
-    kinds, a1, a2 = batch.kinds, batch.a1, batch.a2
-    tracer = hierarchy.l1.tracer
-    for request, path in zip(requests, prepared):
-        if tracer.enabled:
-            tracer.walk = batch.num_walks
-        for node in path:
-            for addr in _blocks(node):
-                level = hierarchy.lookup(addr)
-                if level == 1:
-                    kinds.append(K_LOCAL)
-                    a1.append(hierarchy.latency_of(1))
-                    a2.append(0)
-                    continue
-                kinds.append(K_SRAM)
-                a1.append(addr // BLOCK_SIZE)
-                if level == 2:
-                    a2.append(hierarchy.latency_of(2))
-                    continue
-                a2.append(hierarchy.miss_latency_cycles)
-                kinds.append(K_DRAM)
-                a1.append(addr)
-                a2.append(0)
-                batch.index_dram += 1
-                hierarchy.insert(addr)
-            kinds.append(K_COMPUTE)
-            a1.append(sim.t_search)
-            a2.append(0)
-        visited = len(path)
-        if request.scan_hi is not None:
-            for leaf in _scanned_leaves(path, request.scan_hi):
-                visited += 1
-                for addr in _blocks(leaf):
-                    kinds.append(K_DRAM)
-                    a1.append(addr)
-                    a2.append(0)
-                    batch.index_dram += 1
         batch.finish_walk(request, 0, visited, False, False)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import adaptivity, breakdown, occupancy, speedup, trends
+from repro.bench import occupancy, trends
 from repro.bench.grid import run_grid
 from repro.bench.runner import SYSTEMS, build_memsys, run_workload
 from repro.exec import get_workload
@@ -27,41 +27,6 @@ class TestRunner:
     def test_run_workload_returns_result(self, tiny_workloads):
         run = run_workload(tiny_workloads["scan"], "metal")
         assert run.num_walks == len(tiny_workloads["scan"].requests)
-
-
-class TestTrends:
-    def test_run_and_format(self):
-        results = run_grid(("scan",), trends.TREND_CELLS, scale=SCALE)
-        assert len(results) == 1
-        for fmt in (trends.format_fig15, trends.format_fig16, trends.format_fig17):
-            out = fmt(results)
-            assert "Scan" in out
-
-
-class TestSpeedup:
-    def test_run_and_headline(self):
-        results = run_grid(("scan",), scale=SCALE)
-        ratios = speedup.headline_ratios(results)
-        assert set(ratios) == {"stream", "address", "xcache", "metal_ix"}
-        assert all(v > 0 for v in ratios.values())
-        assert "METAL speedup per workload" in speedup.format_fig18(results)
-
-
-class TestBreakdownOccupancyAdaptivity:
-    def test_breakdown(self):
-        results = run_grid(("scan",), breakdown.BREAKDOWN_CELLS, scale=SCALE)
-        assert results[0].speedups()["metal_ix"] > 0
-        assert "IX only" in breakdown.format_fig20(results)
-
-    def test_occupancy(self):
-        results = run_grid(("scan",), occupancy.OCCUPANCY_CELLS, scale=SCALE)
-        assert "metal" in occupancy.by_level(results[0])
-        assert "L0" in occupancy.format_fig21(results)
-
-    def test_adaptivity(self):
-        row, = run_grid(adaptivity.WORKLOADS, adaptivity.cells, scale=SCALE)
-        assert adaptivity.windows(row)
-        assert "window" in adaptivity.format_fig22(row)
 
 
 class TestGrid:

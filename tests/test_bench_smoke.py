@@ -15,7 +15,6 @@ from repro.bench import (
     adaptivity,
     breakdown,
     chaos,
-    dynamic,
     energy,
     grid,
     occupancy,
@@ -114,7 +113,6 @@ def _ablation():
         ablation.format_shared_vs_private(
             row(ablation.shared_vs_private_cells)),
         ablation.format_toggles(row(ablation.TOGGLE_CELLS)),
-        ablation.format_scheduling(row(ablation.SCHEDULING_CELLS)),
     ]
 
 
@@ -161,8 +159,6 @@ EXPERIMENTS = {
         scale=SCALE))],
     "fig25": lambda: [energy.format_fig25(_systems())],
     "ablation": _ablation,
-    "dynamic": lambda: [dynamic.format_dynamic_mix(
-        dynamic.run_dynamic_mix(num_records=400, num_ops=300))],
     "chaos": lambda: [chaos.format_chaos(
         chaos.run_chaos("scan", rates=(0.0, 0.05), scale=SCALE))],
     "scale_sweep": _scale_sweep,

@@ -181,14 +181,14 @@ class TestCrossbar:
         b = xbar.access(1, 0, 2)
         assert a == b == 2
 
-    def test_average_wait(self):
+    def test_total_wait(self):
         from repro.sim.noc import Crossbar
         from repro.params import CrossbarParams
 
         xbar = Crossbar(CrossbarParams(ports=1, t_occupancy=10))
         xbar.access(0, 0, 1)
         xbar.access(0, 0, 1)
-        assert xbar.average_wait == 5.0
+        assert (xbar.requests, xbar.total_wait) == (2, 10)
 
     def test_invalid_ports(self):
         import pytest

@@ -80,11 +80,6 @@ class TestRunResult:
     def test_miss_rate_no_cache(self):
         assert self.make().miss_rate == 1.0
 
-    def test_speedup(self):
-        fast = self.make(makespan=50)
-        slow = self.make(makespan=200)
-        assert fast.speedup_vs(slow) == 4.0
-
     def test_working_set_no_baseline(self):
         assert self.make().working_set_fraction == 0.0
 

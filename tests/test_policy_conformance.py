@@ -252,8 +252,8 @@ class TestGoldenByteIdentity:
             for name in GOLDEN_WORKLOADS
             for system in SYSTEMS
         }
-        # The address-cache variants outside SYSTEMS, on scan only.
-        want |= {"0.01/scan/address_pf", "0.01/scan/address_l2"}
+        # The address-cache variant outside SYSTEMS, on scan only.
+        want |= {"0.01/scan/address_pf"}
         assert set(golden) == want
 
     @staticmethod

@@ -180,6 +180,20 @@ def test_pareto_front_never_empty_and_contains_best(cells):
     )
 
 
+def test_policy_lab_on_metal_ix_skips_the_tuned_cell(capsys):
+    """METAL-IX has no pattern controller to tune, so its sweep runs no
+    tuned cell instead of building a spec its kind rejects."""
+    from repro.bench.policy_lab import TUNED_LABEL
+    from repro.cli import main
+
+    assert main(["policy", "--system", "metal_ix", "--workloads", "scan",
+                 "--policies", "lru", "--scale", "0.01", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["system"] == "metal_ix"
+    assert payload["policies"] == ["lru"]
+    assert TUNED_LABEL not in payload["cells"]["scan"]
+
+
 # --------------------------------------------------------------------- #
 # Tuned runs through exec: serial == pooled == warm-cache
 # --------------------------------------------------------------------- #

@@ -67,8 +67,8 @@ class TestRTree:
 
     def test_walks_reach_leaves(self):
         rt = RTree2D(rects_grid(n=100))
-        assert rt.x_walk(250)[-1].is_leaf
-        assert rt.y_walk(49)[-1].is_leaf
+        assert rt.x_tree.walk(250)[-1].is_leaf
+        assert rt.y_tree.walk(49)[-1].is_leaf
 
     def test_nodes_iterates_both_trees(self):
         rt = RTree2D(rects_grid())

@@ -4,8 +4,19 @@ import pytest
 
 from repro.bench.runner import build_memsys
 from repro.sim.metrics import simulate
-from repro.sim.scheduler import reorder_distance, schedule
+from repro.sim.scheduler import schedule
 from repro.workloads.suite import build_workload
+
+
+def reorder_distance(original, scheduled) -> float:
+    """Mean displacement of requests: how aggressive the reorder was."""
+    assert len(original) == len(scheduled)
+    position: dict[int, list[int]] = {}
+    for i, request in enumerate(original):
+        position.setdefault(id(request), []).append(i)
+    total = sum(abs(position[id(request)].pop() - j)
+                for j, request in enumerate(scheduled))
+    return total / max(1, len(original))
 
 
 class TestScheduler:

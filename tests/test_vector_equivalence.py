@@ -11,9 +11,9 @@ each other:
   its ``RunResult.to_dict()`` — fault-free and under ``TRACED_PLAN``;
 * the faulted runs match ``to_dict`` digests under two
   ``FaultPlan.uniform`` plans;
-* off that matrix, ``address_pf``/``address_l2`` scans and range scans
-  (``select``) on every system match untraced (scan only), traced and
-  faulted digests;
+* off that matrix, the ``address_pf`` scan and range scans (``select``)
+  on every system match untraced (scan only), traced and faulted
+  digests;
 * the traced run's ``to_dict`` minus its counter snapshot equals the
   untraced run's, so the two generation paths agree on every cell;
 * walk-generation chunk boundaries never reach results.
@@ -50,11 +50,8 @@ FAULT_PLANS = {
 #: The plan of the traced faulted cells (walk_end retry/degraded args).
 TRACED_PLAN = "uniform0.2"
 #: (workload, system) cells pinned outside the six-system scan matrix:
-#: the two address-cache variants, and range scans on every system.
-EXTRA_CELLS = (
-    [("scan", system) for system in ("address_pf", "address_l2")]
-    + [("select", system) for system in SYSTEMS]
-)
+#: the prefetching address cache, and range scans on every system.
+EXTRA_CELLS = [("scan", "address_pf")] + [("select", system) for system in SYSTEMS]
 
 
 def pinned_workload(name: str = WORKLOAD):

@@ -10,7 +10,7 @@ from repro.workloads.keygen import (
     uniform_stream,
     zipf_stream,
 )
-from repro.workloads.matrices import banded_coo, inner_product_rows, powerlaw_coo
+from repro.workloads.matrices import inner_product_rows, powerlaw_coo
 from repro.workloads.spatial import clustered_rects
 from repro.workloads.suite import (
     PAPER_LABELS,
@@ -60,10 +60,6 @@ class TestMatrices:
         assert all(0 <= r < 50 and 0 <= c < 60 for r, c, _ in triples)
         coords = [(r, c) for r, c, _ in triples]
         assert len(coords) == len(set(coords))
-
-    def test_banded_structure(self):
-        triples = banded_coo((30, 30), bandwidth=2, density=1.0, seed=1)
-        assert all(abs(r - c) <= 2 for r, c, _ in triples)
 
     def test_inner_rows_band_locality(self):
         rows = inner_product_rows(100, 8, 1_000, bandwidth=50, seed=1)
